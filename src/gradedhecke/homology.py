@@ -151,10 +151,11 @@ class FinDimAlgebra:
 # Bar and mixed complexes.
 # ---------------------------------------------------------------------------
 
-def _check_bound(dim: int, n_max: int, bound: int) -> None:
-    if dim ** (n_max + 1) > bound:
+def _check_bound(dim: int, power: int, bound: int) -> None:
+    """Reject a run whose largest chain space, A^{(x)power}, exceeds bound."""
+    if dim ** power > bound:
         raise SizeBoundExceeded(
-            f"chain space dimension {dim}**{n_max + 1} exceeds bound {bound}")
+            f"chain space dimension {dim}**{power} exceeds bound {bound}")
 
 
 def _tensor_basis(dim: int, n: int) -> List[Tuple[int, ...]]:
@@ -228,7 +229,7 @@ def connes_boundary(algebra: FinDimAlgebra, n: int) -> List[List[Q]]:
 def hochschild_homology(algebra: FinDimAlgebra, n_max: int,
                         bound: int = SIZE_BOUND) -> List[int]:
     """Exact Betti numbers HH_0..HH_{n_max} of the Hochschild complex."""
-    _check_bound(algebra.dim, n_max, bound)
+    _check_bound(algebra.dim, n_max + 2, bound)  # b_{n_max+1} is built
     d = algebra.dim
     ranks = [0]  # rank of b_0 = 0
     for n in range(1, n_max + 2):
@@ -292,15 +293,18 @@ def verify_mixed_identities(algebra: FinDimAlgebra, n: int,
 
 
 def _apply(m: List[List[Q]], v: Sequence[Q]) -> List[Q]:
-    return [sum((row[i] * v[i] for i in range(len(v)) if v[i]), Fraction(0))
+    support = [(i, x) for i, x in enumerate(v) if x]
+    return [sum((row[i] * x for i, x in support if row[i]), Fraction(0))
             for row in m]
 
 
 def cyclic_homology(algebra: FinDimAlgebra, n_max: int,
                     bound: int = SIZE_BOUND) -> List[int]:
     """HC_0..HC_{n_max} from the mixed bicomplex with total differential b + B."""
-    _check_bound(algebra.dim, n_max, bound)
-    verify_mixed_identities(algebra, min(2, n_max + 1))
+    n_check = min(2, n_max + 1)
+    # b_{n_max+1} and, for the identity check, b_{n_check+1} are built
+    _check_bound(algebra.dim, max(n_max, n_check) + 2, bound)
+    verify_mixed_identities(algebra, n_check)
     d = algebra.dim
     mats = {n: _mixed_total_boundary(algebra, n)
             for n in range(1, n_max + 2)}

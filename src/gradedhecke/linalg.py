@@ -158,19 +158,17 @@ def transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
 
 
-def mat_pow(a: Mat, k: int) -> Mat:
-    out = identity(len(a))
-    for _ in range(k):
-        out = mat_mul(out, a)
-    return out
-
-
 def trace(a: Mat):
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
 def rref(rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
-    """Reduced row echelon form; returns (rows, pivot column list)."""
+    """Reduced row echelon form; returns (rows, pivot column list).
+
+    Only the pivot row's nonzero columns are normalised and eliminated, so
+    the work follows the fill, not the width.  Values equal those of dense
+    Gauss-Jordan elimination; a skipped zero keeps its input scalar type.
+    """
     m = [list(r) for r in rows]
     if not m:
         return m, []
@@ -186,12 +184,16 @@ def rref(rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        prow = m[r]
+        pv = prow[c]
+        support = [j for j, x in enumerate(prow) if x]
+        for j in support:
+            prow[j] = prow[j] / pv
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == len(m):

@@ -9,7 +9,7 @@ order and classes are listed by their first-discovered representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .linalg import Mat, Vec, dot, identity, inverse, mat, mat_mul, mat_vec, nullspace
 from .rootdata import RootDatum
@@ -218,18 +218,11 @@ def _enumerate_weyl_words(datum: RootDatum, bound: int):
     return found
 
 
-def _length_by_roots(datum: RootDatum, matrix: Mat) -> int:
+def _length_by_roots(matrix: Mat, positive: FrozenSet[Vec]) -> int:
     """Number of positive roots sent negative (no reduced-word search)."""
-    pos = datum.positive_roots()
-    posset = set(pos)
     from .linalg import transpose
     minv_t = transpose(inverse(matrix))
-    sent_negative = 0
-    for a in pos:
-        img = mat_vec(minv_t, a)
-        if img not in posset:
-            sent_negative += 1
-    return sent_negative
+    return sum(1 for a in positive if mat_vec(minv_t, a) not in positive)
 
 
 def enumerate_group(datum: RootDatum,
@@ -259,8 +252,9 @@ def enumerate_group(datum: RootDatum,
             elems.append(ExtendedWeylElement(
 
                 gamma=g.label, word=word, matrix=m, length=len(word)))
+    positive = frozenset(datum.positive_roots())
     for e in elems:
-        if _length_by_roots(datum, e.matrix) != e.length:
+        if _length_by_roots(e.matrix, positive) != e.length:
             raise WeylError("word length disagrees with inversion count")
     group = WeylGroup(datum, gamma, elems)
     ordered = sorted(elems, key=group.sort_key)

@@ -1,4 +1,6 @@
-"""Shared helpers for the test suite: reduced-word enumeration by descent."""
+"""Shared helpers for the test suite: reference implementations to compare against."""
+
+from typing import List, Sequence, Tuple
 
 from gradedhecke.linalg import identity, mat_mul
 
@@ -78,3 +80,36 @@ def brute_force_conjugacy_count(matrices):
         todo -= orbit
         count += 1
     return count
+
+
+def dense_rref(rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
+    """Reduced row echelon form by dense Gauss-Jordan over every column.
+
+    Reference for `gradedhecke.linalg.rref`, which skips zero entries.
+    """
+    m = [list(r) for r in rows]
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(m)):
+            if m[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gradedhecke import homology
 from gradedhecke.hecke import HeckeAlgebra
 from gradedhecke.homology import (FinDimAlgebra, HomologyError,
                                   SizeBoundExceeded, crossed_point_module,
@@ -11,6 +12,7 @@ from gradedhecke.homology import (FinDimAlgebra, HomologyError,
                                   hochschild_boundary, hochschild_homology,
                                   hp_census_hecke, connes_boundary,
                                   verify_basis_theorem, verify_mixed_identities)
+from gradedhecke.linalg import rank
 from gradedhecke.rootdata import build_root_datum
 from gradedhecke.weyl import enumerate_group, make_diagram_automorphism
 
@@ -21,6 +23,11 @@ def cyclic_group_algebra(n):
     return FinDimAlgebra.group_algebra(list(range(n)),
                                        lambda a, b: (a + b) % n,
                                        label=f"Q[Z{n}]")
+
+
+def s3_algebra():
+    return FinDimAlgebra.of_weyl_group(
+        enumerate_group(build_root_datum("A2", 2)))
 
 
 def test_structure_constant_validation():
@@ -42,9 +49,7 @@ def test_hh_group_algebras_count_classes():
     assert hochschild_homology(s2, 1) == [2, 0]
     z4 = cyclic_group_algebra(4)
     assert hochschild_homology(z4, 1)[0] == 4
-    s3 = FinDimAlgebra.of_weyl_group(
-        enumerate_group(build_root_datum("A2", 2)))
-    assert hochschild_homology(s3, 1) == [3, 0]
+    assert hochschild_homology(s3_algebra(), 1) == [3, 0]
 
 
 def test_hc_ground_field():
@@ -76,9 +81,42 @@ def test_b_squared_zero():
         assert not any(bbx)
 
 
+def test_mixed_identities_detect_corrupt_boundary(monkeypatch):
+    # the zero-skipping chain application must still expose a wrong b_n;
+    # scaling every B alike would go unnoticed, so corrupt b_2 itself
+    exact = hochschild_boundary
+
+    def corrupt(algebra, n):
+        b = exact(algebra, n)
+        return [[2 * x for x in row] for row in b] if n == 2 else b
+
+    monkeypatch.setattr(homology, "hochschild_boundary", corrupt)
+    with pytest.raises(HomologyError):
+        verify_mixed_identities(FinDimAlgebra.matrix_algebra(2), 2)
+
+
+def test_s3_bar_complex_oracles():
+    # Q[S3] is semisimple with three classes: HH = HC_0 = 3, the rest vanish
+    s3 = s3_algebra()
+    assert hochschild_homology(s3, 2) == [3, 0, 0]
+    assert cyclic_homology(s3, 1) == [3, 0]
+    # 216 = dim A^(x)3 = rank b_3 + rank b_2 + HH_2 with rank b_2 = 36 - 3
+    assert rank(hochschild_boundary(s3, 3)) == 183
+
+
 def test_size_bound():
     with pytest.raises(SizeBoundExceeded):
         hochschild_homology(FinDimAlgebra.matrix_algebra(2), 4, bound=100)
+
+
+def test_size_bound_covers_largest_built_space():
+    s3 = s3_algebra()
+    # HH_0..HH_2 builds b_3 on A^(x)4, 1296 columns
+    with pytest.raises(SizeBoundExceeded):
+        hochschild_homology(s3, 2, bound=216)
+    # HC_0 checks the mixed identities in degree 1, building b_2 on A^(x)3
+    with pytest.raises(SizeBoundExceeded):
+        cyclic_homology(s3, 0, bound=6)
 
 
 def test_crossed_census_a1():
