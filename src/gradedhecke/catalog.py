@@ -23,10 +23,11 @@ from typing import List
 
 from .config import parse_blocks
 from .hecke import HeckeAlgebra
+from .linalg import GradedHeckeError
 from .modules import DSCatalogEntry, FinModule, parabolic_algebra
 
 
-class CatalogError(ValueError):
+class CatalogError(GradedHeckeError):
     pass
 
 

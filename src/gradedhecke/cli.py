@@ -3,9 +3,11 @@
 Commands: datum, group, molien, hh-findim, hc-findim, crossed-census, hp,
 induce, irr0, verify-basis.  Reports are versioned JSON (plus a CSV mirror
 of the verify-basis trace matrix), byte-identical across repeated runs and
-cached on disk under a content digest of the effective config.
+cached on disk under a digest of the library version, the effective config
+and the catalog file's contents.
 
-Exit codes: 0 success, 2 falsification flag (count/rank mismatch), 1 error.
+Exit codes: 0 success, 2 falsification flag (count/rank mismatch), 1 error
+(any library error or unreadable file).
 """
 
 from __future__ import annotations
@@ -13,27 +15,25 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+import tempfile
 import warnings
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from . import __version__
 from .catalog import load_catalog
 from .config import ConfigError, RunConfig, apply_k_override, load_config
 from .hecke import HeckeAlgebra
-from .homology import (FinDimAlgebra, HomologyError, SizeBoundExceeded,
-                       crossed_product_census, cyclic_homology,
+from .homology import (FinDimAlgebra, crossed_product_census, cyclic_homology,
                        hochschild_homology, hp_census_hecke,
                        verify_basis_theorem)
-from .linalg import QI
-from .modules import (InductionDatum, ModuleError, auto_catalog,
-                      central_character, commutant, decompose, induce,
-                      irr0_census, is_tempered, one_dim_modules,
-                      parabolic_algebra, weights)
-from .rootdata import RootDatumError
-from .weyl import WeylError, conjugacy_census
-from .linalg import zero_vec
+from .linalg import QI, GradedHeckeError, zero_vec
+from .modules import (InductionDatum, auto_catalog, central_character,
+                      commutant, decompose, induce, irr0_census, is_tempered,
+                      one_dim_modules, parabolic_algebra, weights)
 
 SCHEMA = "gradedhecke-report/1"
 
@@ -95,7 +95,7 @@ def _cmd_datum(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
 
 
 def _cmd_group(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
-    census = conjugacy_census(algebra.group)
+    census = algebra.group.census
     rep = _base_report("group", cfg, algebra)
     rep.update({
         "order": len(algebra.group),
@@ -219,18 +219,15 @@ def _cmd_induce(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
     return rep
 
 
-def _catalog_for(cfg: RunConfig, algebra: HeckeAlgebra, catalog_path):
-    user = []
-    path = catalog_path or cfg.catalog_path
-    if path:
-        user = load_catalog(algebra, Path(path).read_text(encoding="utf-8"))
+def _catalog_for(algebra: HeckeAlgebra, catalog_text: Optional[str]):
+    user = load_catalog(algebra, catalog_text) if catalog_text else []
     return auto_catalog(algebra, user_entries=user)
 
 
-def _cmd_irr0(cfg: RunConfig, algebra: HeckeAlgebra, catalog_path) -> Dict:
-    catalog = _catalog_for(cfg, algebra, catalog_path)
+def _cmd_irr0(cfg: RunConfig, algebra: HeckeAlgebra, catalog_text) -> Dict:
+    catalog = _catalog_for(algebra, catalog_text)
     modules = irr0_census(algebra, catalog)
-    census = conjugacy_census(algebra.group)
+    census = algebra.group.census
     rep = _base_report("irr0", cfg, algebra)
     rep.update({
         "class_count": len(census),
@@ -250,10 +247,10 @@ def _cmd_irr0(cfg: RunConfig, algebra: HeckeAlgebra, catalog_path) -> Dict:
     return rep
 
 
-def _cmd_verify_basis(cfg: RunConfig, algebra: HeckeAlgebra, catalog_path) -> Dict:
-    catalog = _catalog_for(cfg, algebra, catalog_path)
+def _cmd_verify_basis(cfg: RunConfig, algebra: HeckeAlgebra, catalog_text) -> Dict:
+    catalog = _catalog_for(algebra, catalog_text)
     report = verify_basis_theorem(algebra, catalog)
-    census = conjugacy_census(algebra.group)
+    census = algebra.group.census
     rep = _base_report("verify-basis", cfg, algebra)
     rep.update({
         "class_count": report.class_count,
@@ -271,6 +268,14 @@ def _cmd_verify_basis(cfg: RunConfig, algebra: HeckeAlgebra, catalog_path) -> Di
     return rep
 
 
+_HANDLERS = {"datum": _cmd_datum, "group": _cmd_group, "molien": _cmd_molien,
+             "hh-findim": _cmd_hh_findim, "hc-findim": _cmd_hc_findim,
+             "crossed-census": _cmd_crossed_census, "hp": _cmd_hp,
+             "induce": _cmd_induce, "irr0": _cmd_irr0,
+             "verify-basis": _cmd_verify_basis}
+CATALOG_COMMANDS = ("irr0", "verify-basis")  # the handlers that read it
+
+
 def run(command: str, cfg: RunConfig, out_dir: str = "out",
         catalog_path: Optional[str] = None) -> int:
     """Run one command; write report files; return the exit status."""
@@ -280,12 +285,18 @@ def run(command: str, cfg: RunConfig, out_dir: str = "out",
     out.mkdir(parents=True, exist_ok=True)
     cache_dir = out / ".cache"
     cache_dir.mkdir(exist_ok=True)
+    catalog_path = catalog_path or cfg.catalog_path
+    catalog_text = None
+    if catalog_path and command in CATALOG_COMMANDS:
+        catalog_text = Path(catalog_path).read_text(encoding="utf-8")
     digest_src = json.dumps({
+        "version": __version__,
         "command": command,
         "config": cfg.source_text,
         "k": {k: str(v) for k, v in cfg.k_values.items()},
         "truncation": cfg.truncation, "max_dim": cfg.max_dim,
-        "n_max": cfg.n_max, "catalog": catalog_path or cfg.catalog_path,
+        "n_max": cfg.n_max, "catalog": catalog_path,
+        "catalog_text": catalog_text,
     }, sort_keys=True)
     digest = hashlib.sha256(digest_src.encode()).hexdigest()[:24]
     cache_file = cache_dir / f"{command}-{digest}.json"
@@ -296,28 +307,18 @@ def run(command: str, cfg: RunConfig, out_dir: str = "out",
         algebra = cfg.build_algebra()
         with warnings.catch_warnings():
             warnings.simplefilter("always")
-            if command == "datum":
-                report = _cmd_datum(cfg, algebra)
-            elif command == "group":
-                report = _cmd_group(cfg, algebra)
-            elif command == "molien":
-                report = _cmd_molien(cfg, algebra)
-            elif command == "crossed-census":
-                report = _cmd_crossed_census(cfg, algebra)
-            elif command == "hp":
-                report = _cmd_hp(cfg, algebra)
-            elif command == "hh-findim":
-                report = _cmd_hh_findim(cfg, algebra)
-            elif command == "hc-findim":
-                report = _cmd_hc_findim(cfg, algebra)
-            elif command == "induce":
-                report = _cmd_induce(cfg, algebra)
-            elif command == "irr0":
-                report = _cmd_irr0(cfg, algebra, catalog_path)
-            else:
-                report = _cmd_verify_basis(cfg, algebra, catalog_path)
+            extra = (catalog_text,) if command in CATALOG_COMMANDS else ()
+            report = _HANDLERS[command](cfg, algebra, *extra)
         report = json.loads(_dump(report))
-        cache_file.write_text(_dump(report), encoding="utf-8")
+        # write aside, then rename: a reader never sees a partial file
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(_dump(report))
+            os.replace(tmp, cache_file)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     text = _dump(report)
     (out / f"{command}.json").write_text(text, encoding="utf-8")
     if command == "verify-basis":
@@ -365,11 +366,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg.max_dim = args.max_dim
         return run(args.command, cfg, out_dir=args.out,
                    catalog_path=args.catalog)
-    except SizeBoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, RootDatumError, WeylError, ModuleError,
-            HomologyError, OSError) as exc:
+    except (GradedHeckeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

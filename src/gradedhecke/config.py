@@ -19,11 +19,12 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .hecke import HeckeAlgebra
+from .linalg import GradedHeckeError
 from .rootdata import RootDatum, build_root_datum
 from .weyl import DiagramAutomorphism, make_diagram_automorphism
 
 
-class ConfigError(ValueError):
+class ConfigError(GradedHeckeError):
     pass
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Vec
+from .linalg import GradedHeckeError, Vec
 from .poly import Poly, PolyParseError, act_matrix, divided_difference, \
     invariant_polys, parse_poly
 from .rootdata import (ParameterMap, RootDatum, check_parameters_conjugation,
@@ -22,7 +22,7 @@ from .rootdata import (ParameterMap, RootDatum, check_parameters_conjugation,
 from .weyl import ExtendedWeylElement, WeylGroup, enumerate_group
 
 
-class HeckeError(ValueError):
+class HeckeError(GradedHeckeError):
     pass
 
 
@@ -45,6 +45,8 @@ class HeckeAlgebra:
                         f"k[{i}] != k[{g.perm[i]}] under {g.label!r}")
         self.nvars = datum.ambient_dim
         self._unextended: Optional[HeckeAlgebra] = None
+        # P -> (ParabolicDatum, H_P), filled by modules.parabolic_algebra
+        self.parabolics: Dict[Tuple[int, ...], tuple] = {}
 
     # -- constructors of elements -------------------------------------------
 
@@ -81,10 +83,6 @@ class HeckeAlgebra:
                  if g.label != "e"]
         gens += [self.x(i) for i in range(self.nvars)]
         return gens
-
-    def with_parameters(self, k) -> "HeckeAlgebra":
-        """Same datum and group, different deformation parameters."""
-        return HeckeAlgebra(self.datum, k, group=self.group)
 
     def unextended(self) -> "HeckeAlgebra":
         """The subalgebra H (Gamma dropped), sharing the root datum."""
@@ -284,7 +282,7 @@ def scale_map(z, a: HeckeElement, target: HeckeAlgebra) -> HeckeElement:
 # Round-trip text form: `s1*s2*(3*x1 - 1) + e*(x2^2)`.
 # ---------------------------------------------------------------------------
 
-class HeckeParseError(ValueError):
+class HeckeParseError(GradedHeckeError):
     pass
 
 

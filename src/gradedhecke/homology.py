@@ -15,16 +15,17 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .hecke import HeckeAlgebra
-from .linalg import Mat, Q, Vec, nullspace, rank, restrict_matrix
+from .linalg import (GradedHeckeError, Mat, Q, Vec, nullspace, rank,
+                     restrict_matrix)
 from .modules import DSCatalogEntry, auto_catalog, irr0_census
 from .poly import PoincareSeries, molien_forms
 from .rootdata import RootDatum
-from .weyl import WeylGroup, conjugacy_census, enumerate_group
+from .weyl import WeylGroup, enumerate_group
 
 SIZE_BOUND = 10 ** 6
 
 
-class HomologyError(ValueError):
+class HomologyError(GradedHeckeError):
     pass
 
 
@@ -356,7 +357,7 @@ def crossed_product_census(datum: RootDatum, gammas=(), truncation: int = 16,
     """
     if group is None:
         group = enumerate_group(datum, gammas)
-    census = conjugacy_census(group)
+    census = group.census
     dim_t = datum.ambient_dim
     entries = []
     totals = [PoincareSeries(order=truncation,
@@ -397,7 +398,7 @@ def hp_census_hecke(algebra: HeckeAlgebra) -> HPReport:
     The parameters are recorded to document the k-independence; the value is
     k-free by construction.
     """
-    census = conjugacy_census(algebra.group)
+    census = algebra.group.census
     return HPReport(datum_label=algebra.datum.label,
                     k_values=algebra.kmap.values,
                     class_count=len(census), hp0=len(census), hp1=0)
@@ -592,7 +593,7 @@ def verify_basis_theorem(algebra: HeckeAlgebra,
     """
     if catalog is None:
         catalog = auto_catalog(algebra, warn_rank2=warn_rank2)
-    census = conjugacy_census(algebra.group)
+    census = algebra.group.census
     hp = hp_census_hecke(algebra)
     modules = irr0_census(algebra, catalog)
     matrix = tuple(m.restriction_character().values for m in modules)

@@ -16,6 +16,11 @@ Vec = Tuple[Q, ...]
 Mat = Tuple[Vec, ...]
 
 
+class GradedHeckeError(ValueError):
+    """Base class of the errors the library raises for bad input or a
+    failed exact check; the CLI maps it to `error:` and exit status 1."""
+
+
 class QI:
     """Gaussian rational a + b*i with exact Fraction parts."""
 
@@ -83,9 +88,6 @@ class QI:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def __repr__(self):
         if self.im == 0:
             return str(self.re)
@@ -107,10 +109,6 @@ def zero_vec(n: int) -> Vec:
 def identity(n: int) -> Mat:
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
                  for i in range(n))
-
-
-def zero_mat(r: int, c: int) -> Mat:
-    return tuple(zero_vec(c) for _ in range(r))
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -393,10 +391,6 @@ def poly1_gcd(p, q):
         lead = p[-1]
         p = tuple(a / lead for a in p)
     return p
-
-
-def poly1_deriv(p):
-    return poly1_trim([i * a for i, a in enumerate(p)][1:])
 
 
 def poly1_eval(p, x):

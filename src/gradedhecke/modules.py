@@ -9,23 +9,25 @@ exact; nothing here touches floating point.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .hecke import HeckeAlgebra, HeckeElement
-from .linalg import (Mat, Q, QI, Vec, charpoly, gaussian_roots, identity,
-                     intertwiner_matrices, inverse, mat_mul, mat_vec,
-                     nullspace, rational_roots, restrict_matrix, solve, trace,
-                     zero_vec)
+from .linalg import (GradedHeckeError, Mat, Q, QI, Vec, charpoly,
+                     gaussian_roots, identity, intertwiner_matrices, inverse,
+                     mat_mul, mat_sub, mat_vec, nullspace, rational_roots,
+                     restrict_matrix, solve, trace, transpose, zero_vec)
 from .poly import Poly
-from .rootdata import ParabolicDatum, in_antidual, pairing, parabolic
+from .rootdata import (ParabolicDatum, RootDatum, in_antidual, pairing,
+                       parabolic)
 from .weyl import (ConjugacyClassCensus, ExtendedWeylElement,
-                   conjugacy_census, coset_rep_map, coset_reps)
+                   coset_decomposition)
 
 
-class ModuleError(ValueError):
+class ModuleError(GradedHeckeError):
     pass
 
 
@@ -115,17 +117,10 @@ class FinModule:
         # braid relations via the order of s_i s_j in W
         for i in range(datum.rank):
             for j in range(i + 1, datum.rank):
-                prod = mat_mul(datum.reflection_matrix(i),
-                               datum.reflection_matrix(j))
                 rep = mat_mul(self.refl[i], self.refl[j])
-                acc_w, acc_m = prod, rep
-                order = 1
-                while acc_w != identity(datum.ambient_dim):
-                    acc_w = mat_mul(acc_w, prod)
+                acc_m = rep
+                for _ in range(_braid_order(datum, i, j) - 1):
                     acc_m = mat_mul(acc_m, rep)
-                    order += 1
-                    if order > 64:
-                        raise ModuleError("runaway braid order")
                 if acc_m != ident:
                     raise ModuleError(
                         f"braid relation ({i},{j}) fails in {self.name!r}")
@@ -157,8 +152,8 @@ class FinModule:
                 x = tuple(Fraction(1 if t == k else 0)
                           for t in range(datum.ambient_dim))
                 sx = datum.reflect_covector(i, x)
-                lhs = mat_sub_(mat_mul(self.coord[k], self.refl[i]),
-                               mat_mul(self.refl[i], self.covector_matrix(sx)))
+                lhs = mat_sub(mat_mul(self.coord[k], self.refl[i]),
+                              mat_mul(self.refl[i], self.covector_matrix(sx)))
                 c = alg.kmap[i] * pairing(x, datum.simple_coroots[i])
                 rhs = tuple(tuple(c if r == s else Fraction(0)
                                   for s in range(self.dim))
@@ -172,45 +167,33 @@ class FinModule:
             if a.label == "e":
                 continue
             ma = self.gammas[a.label]
-            ainv = gamma.inv(a)
+            ainv_t = transpose(gamma.inv(a).matrix)
             for k in range(datum.ambient_dim):
                 x = tuple(Fraction(1 if t == k else 0)
                           for t in range(datum.ambient_dim))
-                gx = tuple(dot_row(x, ainv.matrix))
+                gx = mat_vec(ainv_t, x)
                 lhs = mat_mul(self.coord[k], ma)
                 rhs = mat_mul(ma, self.covector_matrix(gx))
                 if lhs != rhs:
                     raise ModuleError("gamma cross relation fails")
 
     def restriction_character(self) -> "Character":
-        census = _algebra_census(self.algebra)
+        census = self.algebra.group.census
         values = tuple(trace(self.group_matrix(e.rep)) for e in census.entries)
         return Character(census=census, values=values)
 
 
-def dot_row(x: Vec, m: Mat) -> Vec:
-    """Coordinates of the covector x transported by the matrix m: x o m."""
-    return tuple(sum((x[r] * m[r][c] for r in range(len(x))), Fraction(0))
-                 for c in range(len(x)))
-
-
-def mat_sub_(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
-
-
-_census_cache: "weakref.WeakKeyDictionary" = None
-
-
-def _algebra_census(algebra: HeckeAlgebra) -> ConjugacyClassCensus:
-    global _census_cache
-    if _census_cache is None:
-        import weakref
-        _census_cache = weakref.WeakKeyDictionary()
-    group = algebra.group
-    if group not in _census_cache:
-        _census_cache[group] = conjugacy_census(group)
-    return _census_cache[group]
+def _braid_order(datum: RootDatum, i: int, j: int) -> int:
+    """The order m_ij of s_i s_j in W, by powering its matrix."""
+    prod = mat_mul(datum.reflection_matrix(i), datum.reflection_matrix(j))
+    ident = identity(datum.ambient_dim)
+    acc, order = prod, 1
+    while acc != ident:
+        acc = mat_mul(acc, prod)
+        order += 1
+        if order > 64:
+            raise ModuleError("runaway braid order")
+    return order
 
 
 @dataclass(frozen=True)
@@ -264,13 +247,7 @@ def one_dim_modules(algebra: HeckeAlgebra) -> List[FinModule]:
 
     for i in range(rank):
         for j in range(i + 1, rank):
-            prod = mat_mul(datum.reflection_matrix(i),
-                           datum.reflection_matrix(j))
-            acc, order = prod, 1
-            while acc != identity(datum.ambient_dim):
-                acc = mat_mul(acc, prod)
-                order += 1
-            if order % 2 == 1:
+            if _braid_order(datum, i, j) % 2 == 1:
                 parent[find(i)] = find(j)
     comps = sorted({find(i) for i in range(rank)})
     cartan = datum.cartan()
@@ -322,16 +299,17 @@ class InductionDatum:
     lam_im: Vec
     discrete_series: bool = True
 
-    def is_unitary(self) -> bool:
-        return all(c == 0 for c in self.lam_re)
-
 
 def parabolic_algebra(algebra: HeckeAlgebra,
                       P: Sequence[int]) -> Tuple[ParabolicDatum, HeckeAlgebra]:
-    """The parabolic datum and the algebra H_P (unextended, restricted k)."""
-    parab = parabolic(algebra.datum, P)
-    sub_k = [algebra.kmap[i] for i in parab.P]
-    return parab, HeckeAlgebra(parab.sub_datum, sub_k)
+    """The parabolic datum and the algebra H_P (unextended, restricted k),
+    built once per P and kept on the algebra."""
+    key = tuple(sorted(set(P)))
+    if key not in algebra.parabolics:
+        parab = parabolic(algebra.datum, key)
+        sub_k = [algebra.kmap[i] for i in parab.P]
+        algebra.parabolics[key] = parab, HeckeAlgebra(parab.sub_datum, sub_k)
+    return algebra.parabolics[key]
 
 
 def _poly_at_coordinates(p: Poly, mats: Sequence[Mat], dim: int) -> Mat:
@@ -382,18 +360,7 @@ def induce(algebra: HeckeAlgebra, xi: InductionDatum,
     if not parab.in_t_upP(xi.lam_re) or not parab.in_t_upP(xi.lam_im):
         raise ModuleError("lambda does not lie in t^P")
     work = algebra if extended else algebra.unextended()
-    group = work.group
-    reps = coset_reps(group, xi.P)
-    rep_index = {r.matrix: i for i, r in enumerate(reps)}
-    rep_of = coset_rep_map(group, xi.P)
-    # map W_P elements of the big group to words in the sub datum
-    sub_group = delta.algebra.group
-    wp_words: Dict[Mat, Tuple[int, ...]] = {}
-    for e in sub_group.elements:
-        m = identity(datum.ambient_dim)
-        for i in e.word:
-            m = mat_mul(m, datum.reflection_matrix(parab.P[i]))
-        wp_words[m] = e.word
+    reps, split = coset_decomposition(work.group, xi.P)
     d = delta.dim
     n = len(reps) * d
     complex_lam = any(c != 0 for c in xi.lam_im)
@@ -411,25 +378,27 @@ def induce(algebra: HeckeAlgebra, xi: InductionDatum,
                                        (lam_k if r == s else 0)
                                        for s in range(d)) for r in range(d)))
 
-    def delta_of_word(word: Tuple[int, ...]) -> Mat:
-        m = identity(d)
-        for i in word:
-            m = mat_mul(m, delta.refl[i])
-        return m
+    # delta of each W_P element, by index; a reduced word of an element of
+    # W_P uses only letters of P, the i-th of which is s_i of the sub datum
+    delta_of: Dict[int, Mat] = {}
+
+    def delta_matrix(w: ExtendedWeylElement) -> Mat:
+        if w.index not in delta_of:
+            m = identity(d)
+            for i in w.word:
+                m = mat_mul(m, delta.refl[parab.P.index(i)])
+            delta_of[w.index] = m
+        return delta_of[w.index]
 
     def act_matrix_of(h: HeckeElement) -> Mat:
         big = [[Fraction(0)] * n for _ in range(n)]
         for a, u in enumerate(reps):
             prod = work.multiply(h, work.from_group(u))
             for g, p in prod.terms.items():
-                u2 = rep_of[g.matrix]
-                m_el = group.mult(group.inv(u2), g)
-                word = wp_words.get(m_el.matrix)
-                if word is None:
-                    raise ModuleError("coset decomposition left W_P")
-                block = mat_mul(delta_of_word(word),
+                b, w = split[g.index]
+                block = mat_mul(delta_matrix(w),
                                 _poly_at_coordinates(p, coord_small, d))
-                r0 = rep_index[u2.matrix] * d
+                r0 = b * d
                 c0 = a * d
                 for r in range(d):
                     for s in range(d):
@@ -539,10 +508,6 @@ def central_character(module: FinModule) -> Tuple[Tuple[Tuple[Vec, Vec], ...], b
             f"multiple central characters: {first} vs {others[0]}")
     is_real = all(all(c == 0 for c in im) for _, im in orbit)
     return tuple(sorted(orbit)), is_real
-
-
-def is_real_central_character(module: FinModule) -> bool:
-    return central_character(module)[1]
 
 
 def cc_norm2(module: FinModule) -> Q:
@@ -767,11 +732,8 @@ def auto_catalog(algebra: HeckeAlgebra,
     """
     datum = algebra.datum
     rank = datum.rank
-    subsets = []
-    for size in range(rank + 1):
-        level = [tuple(sorted(c))
-                 for c in _subsets_of_size(tuple(range(rank)), size)]
-        subsets.extend(sorted(level))
+    subsets = [P for size in range(rank + 1)
+               for P in itertools.combinations(range(rank), size)]
     out: List[DSCatalogEntry] = []
     user_by_p: Dict[Tuple[int, ...], List[DSCatalogEntry]] = {}
     for entry in user_entries:
@@ -796,15 +758,6 @@ def auto_catalog(algebra: HeckeAlgebra,
     return out
 
 
-def _subsets_of_size(items: Tuple[int, ...], size: int):
-    if size == 0:
-        yield ()
-        return
-    for i, x in enumerate(items):
-        for rest in _subsets_of_size(items[i + 1:], size - 1):
-            yield (x,) + rest
-
-
 def transport_module(algebra: HeckeAlgebra, P: Tuple[int, ...],
                      delta: FinModule, w: ExtendedWeylElement,
                      Q_target: Tuple[int, ...],
@@ -821,7 +774,7 @@ def transport_module(algebra: HeckeAlgebra, P: Tuple[int, ...],
     for qi in Q_target:
         x = tuple(Fraction(1 if t == qi else 0)
                   for t in range(datum.ambient_dim))
-        pre = dot_row(x, w.matrix)  # coordinates of x o w = w^{-1} . x
+        pre = mat_vec(transpose(w.matrix), x)  # x o w = w^{-1} . x
         m = [[Fraction(0)] * delta.dim for _ in range(delta.dim)]
         for pos, pi_idx in enumerate(P):
             c = pre[pi_idx]
@@ -841,10 +794,6 @@ def association_classes(algebra: HeckeAlgebra,
                         catalog: Sequence[DSCatalogEntry]):
     """Partition catalog pairs (P, delta) into W'-association classes."""
     pairs = list(catalog)
-    sub_algebras: Dict[Tuple[int, ...], HeckeAlgebra] = {}
-    for e in pairs:
-        if e.P not in sub_algebras:
-            sub_algebras[e.P] = parabolic_algebra(algebra, e.P)[1]
     n = len(pairs)
     parent = list(range(n))
 
@@ -864,7 +813,7 @@ def association_classes(algebra: HeckeAlgebra,
                 continue
             for w in elements_mapping_parabolic(algebra.group, Pi, Pj):
                 moved = transport_module(algebra, Pi, pairs[i].module, w, Pj,
-                                         sub_algebras[Pj])
+                                         parabolic_algebra(algebra, Pj)[1])
                 if equivalent(moved, pairs[j].module):
                     parent[find(i)] = find(j)
                     break

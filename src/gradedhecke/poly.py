@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import (Mat, Q, Vec, inverse, poly1_add, poly1_divmod,
-                     poly1_gcd, poly1_mul, poly1_scale, poly1_trim,
-                     series_inverse, transpose)
+from .linalg import (GradedHeckeError, Mat, Q, Vec, charpoly, inverse,
+                     poly1_add, poly1_divmod, poly1_gcd, poly1_mul,
+                     poly1_scale, poly1_trim, series_inverse, transpose)
 from .rootdata import RootDatum
 
 
@@ -117,23 +117,6 @@ class Poly:
             base = base * base
             k >>= 1
         return out
-
-    def evaluate(self, point: Sequence) -> Q:
-        out = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for i, p in enumerate(e):
-                for _ in range(p):
-                    v = v * point[i]
-            out = out + v
-        return out
-
-    def graded_parts(self) -> Dict[int, "Poly"]:
-        parts: Dict[int, Poly] = {}
-        for e, c in self.terms.items():
-            d = sum(e)
-            parts.setdefault(d, Poly(self.nvars)).terms[e] = c
-        return parts
 
     # -- canonical text form -------------------------------------------------
 
@@ -352,23 +335,6 @@ def _reduce_fraction(num, den):
     return poly1_trim(num), poly1_trim(den)
 
 
-def _char_series(matrix: Mat) -> Tuple[Q, ...]:
-    """det(1 - t*M) as lowest-first coefficients (degree = dim)."""
-    from .linalg import charpoly
-    cp = charpoly(matrix)  # highest-first det(xI - M)
-    # det(I - tM) = sum_k c_k t^k with cp = (1, c_1, ..., c_n)
-    return poly1_trim(tuple(cp))
-
-
-def _exterior_coefficient(matrix: Mat, n: int) -> Q:
-    """Trace of the n-th exterior power = coefficient of y^n in det(1 + yM)."""
-    from .linalg import charpoly
-    cp = charpoly(matrix)
-    if n >= len(cp):
-        return Fraction(0)
-    return cp[n] * (-1) ** n
-
-
 def molien_forms(action_matrices: Sequence[Mat], n: int,
                  order: int = 16) -> PoincareSeries:
     """Graded dimensions of H-invariant polynomial n-forms on V.
@@ -391,10 +357,11 @@ def molien_forms(action_matrices: Sequence[Mat], n: int,
     wnum: Tuple[Q, ...] = ()
     wden: Tuple[Q, ...] = (Fraction(1),)
     for m in group:
-        dual = transpose(inverse(m)) if dim else ()
-        numer = _exterior_coefficient(dual, n) if dim else \
-            (Fraction(1) if n == 0 else Fraction(0))
-        den = _char_series(dual) if dim else (Fraction(1),)
+        # cp = det(xI - h*) = (1, c_1, ..., c_dim) highest first, so read
+        # lowest first it is det(1 - t h*), and (-1)^n c_n = tr Lambda^n h*
+        cp = charpoly(transpose(inverse(m))) if dim else (Fraction(1),)
+        numer = cp[n] * (-1) ** n
+        den = poly1_trim(cp)
         inv = series_inverse(den, order)
         for i in range(order + 1):
             total[i] += numer * inv[i]
@@ -418,7 +385,7 @@ def molien_forms(action_matrices: Sequence[Mat], n: int,
 # Canonical polynomial text parsing.
 # ---------------------------------------------------------------------------
 
-class PolyParseError(ValueError):
+class PolyParseError(GradedHeckeError):
     pass
 
 

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import (Mat, Q, Vec, dot, identity, mat, mat_vec, nullspace,
-                     rank, solve, vec, zero_vec)
+from .linalg import (GradedHeckeError, Mat, Q, Vec, dot, identity, mat,
+                     mat_vec, nullspace, rank, solve, transpose, vec,
+                     zero_vec)
 
 ROOT_CLOSURE_BOUND = 10000
 
 
-class RootDatumError(ValueError):
+class RootDatumError(GradedHeckeError):
     pass
 
 
@@ -313,16 +314,12 @@ def check_parameters_conjugation(datum: RootDatum, kmap: ParameterMap,
     simple = {a: i for i, a in enumerate(datum.simple_roots)}
     for g in group_elements:
         for a, i in simple.items():
-            img = tuple(dot(a, col) for col in _columns_as_rows(g.matrix))
+            img = tuple(dot(a, col) for col in transpose(g.matrix))
             for sgn in (1, -1):
                 j = simple.get(tuple(sgn * x for x in img))
                 if j is not None and kmap[i] != kmap[j]:
                     raise RootDatumError(
                         f"k must agree on conjugate simple roots {i} and {j}")
-
-
-def _columns_as_rows(m: Mat):
-    return list(zip(*m)) if m else []
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +337,6 @@ class ParabolicDatum:
     tstar_P_basis: Tuple[Vec, ...]  # span of the P-roots (covectors)
     tstar_upP_basis: Tuple[Vec, ...]
     sub_datum: RootDatum            # R~_P on ambient a_P
-    ambient_sub_datum: RootDatum    # R~^P: same roots, full ambient
 
     def decompose_covector(self, x: Vec) -> Tuple[Vec, Vec]:
         """Exact splitting x = x_P + x^P along t*_P + t^{P*}."""
@@ -355,10 +351,6 @@ class ParabolicDatum:
             x_p = tuple(a + coeff * bb for a, bb in zip(x_p, b))
         x_up = tuple(a - b for a, b in zip(x, x_p))
         return x_p, x_up
-
-    def restrict_covector(self, x: Vec) -> Vec:
-        """Coordinates of x|_{a_P} in the sub-datum's dual basis."""
-        return tuple(x[i] for i in self.P)
 
     def embed_point(self, c: Vec) -> Vec:
         """Point of a_P given in sub coordinates, as an ambient vector."""
@@ -397,14 +389,11 @@ def parabolic(datum: RootDatum, P: Sequence[int]) -> ParabolicDatum:
                    for ii in range(k)]
     sub_datum = make_root_datum(f"{datum.label}|P={list(P)}", k, sub_gram,
                                 sub_cartan_roots, sub_coroots)
-    ambient_sub = make_root_datum(f"{datum.label}^P={list(P)}", d, datum.gram,
-                                  [datum.simple_roots[i] for i in P],
-                                  [datum.simple_coroots[i] for i in P])
     return ParabolicDatum(datum=datum, P=P, a_P_basis=a_P_basis,
                           a_upP_basis=a_upP_basis,
                           tstar_P_basis=tstar_P_basis,
                           tstar_upP_basis=tstar_upP_basis,
-                          sub_datum=sub_datum, ambient_sub_datum=ambient_sub)
+                          sub_datum=sub_datum)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,26 @@
 """Enumeration of W, Gamma and W' = Gamma x| W, with censuses and cosets.
 
 Elements are canonically identified by their exact matrices on the ambient
-space; words and diagram-automorphism labels are bookkeeping on top.  All
-censuses are deterministic: elements are enumerated in (length, gamma, word)
-order and classes are listed by their first-discovered representative.
+space; each also knows its position `index` in the group's canonical
+(length, gamma, word) order.  Products, inverses, the class census and coset
+bookkeeping are read off index tables built once by `enumerate_group`.  All
+censuses are deterministic: classes are listed by their first-discovered
+representative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .linalg import Mat, Vec, dot, identity, inverse, mat, mat_mul, mat_vec, nullspace
+from .linalg import (GradedHeckeError, Mat, Vec, dot, identity, inverse, mat,
+                     mat_mul, mat_vec, nullspace)
 from .rootdata import RootDatum
 
 GROUP_SIZE_BOUND = 100000
 
 
-class WeylError(ValueError):
+class WeylError(GradedHeckeError):
     pass
 
 
@@ -87,44 +90,50 @@ class GammaGroup:
         by_matrix = {a.matrix: a for a in elems}
         if len(by_matrix) != len(elems):
             raise WeylError("duplicate diagram-automorphism matrices")
+        self._product: Dict[Tuple[str, str], DiagramAutomorphism] = {}
         for a in elems:
             for b in elems:
-                if mat_mul(a.matrix, b.matrix) not in by_matrix:
+                c = by_matrix.get(mat_mul(a.matrix, b.matrix))
+                if c is None:
                     raise WeylError(
                         "diagram automorphisms are not closed under composition")
+                self._product[a.label, b.label] = c
         identity_first = sorted(
             elems, key=lambda a: (a.matrix != identity(datum.ambient_dim),
                                   a.label))
         self.elements: Tuple[DiagramAutomorphism, ...] = tuple(identity_first)
         self.by_label: Dict[str, DiagramAutomorphism] = {
             a.label: a for a in self.elements}
-        self.by_matrix: Dict[Mat, DiagramAutomorphism] = {
-            a.matrix: a for a in self.elements}
         self.index: Dict[str, int] = {
             a.label: i for i, a in enumerate(self.elements)}
+        one = self.elements[0]
+        self._inverse = {a.label: b for a in elems for b in elems
+                         if self._product[a.label, b.label] is one}
 
     def __len__(self):
         return len(self.elements)
 
     def compose(self, a: DiagramAutomorphism,
                 b: DiagramAutomorphism) -> DiagramAutomorphism:
-        return self.by_matrix[mat_mul(a.matrix, b.matrix)]
+        return self._product[a.label, b.label]
 
     def inv(self, a: DiagramAutomorphism) -> DiagramAutomorphism:
-        return self.by_matrix[inverse(a.matrix)]
+        return self._inverse[a.label]
 
 
 class ExtendedWeylElement:
-    """An element gamma*w of W' as an exact matrix plus word/label data."""
+    """An element gamma*w of W': exact matrix, word/label data and its
+    position `index` in the canonical order of its group."""
 
-    __slots__ = ("gamma", "word", "matrix", "length", "_hash")
+    __slots__ = ("gamma", "word", "matrix", "length", "index", "_hash")
 
     def __init__(self, gamma: str, word: Tuple[int, ...], matrix: Mat,
-                 length: int):
+                 length: int, index: int):
         self.gamma = gamma
         self.word = word
         self.matrix = matrix
         self.length = length
+        self.index = index
         self._hash = hash(matrix)
 
     def __eq__(self, other):
@@ -142,17 +151,39 @@ class ExtendedWeylElement:
 
 
 class WeylGroup:
-    """The enumerated group W' = Gamma x| W with matrix-keyed lookup."""
+    """The enumerated group W' = Gamma x| W with index-table arithmetic.
+
+    `rmul_simple[i][a]` is the index of elements[a] * s_i and
+    `rmul_gamma[label][a]` that of elements[a] * gamma; a product a * b walks
+    b's gamma letter and word from a.  Only `element` looks up by matrix: it
+    maps a matrix, possibly from another group, to this group's element.
+    """
 
     def __init__(self, datum: RootDatum, gamma: GammaGroup,
-                 elements: Sequence[ExtendedWeylElement]):
+                 elements: Sequence[ExtendedWeylElement],
+                 rmul_simple: Sequence[Sequence[int]],
+                 rmul_gamma: Dict[str, Sequence[int]]):
         self.datum = datum
         self.gamma = gamma
         self.elements: Tuple[ExtendedWeylElement, ...] = tuple(elements)
         self.by_matrix: Dict[Mat, ExtendedWeylElement] = {
             e.matrix: e for e in self.elements}
-        self.identity = self.by_matrix[identity(datum.ambient_dim)]
-        self._inv_cache: Dict[Mat, ExtendedWeylElement] = {}
+        self.identity = self.elements[0]  # length 0, identity gamma first
+        self._rmul_simple = rmul_simple
+        self._rmul_gamma = rmul_gamma
+        one = self.identity.index
+        self._simple = tuple(self.elements[t[one]] for t in rmul_simple)
+        self._gamma_elements = {label: self.elements[t[one]]
+                                for label, t in rmul_gamma.items()}
+        # (gamma w)^{-1} = w^{-1} gamma^{-1}: reversed word, then gamma^{-1}
+        self._inv = []
+        for e in self.elements:
+            i = one
+            for s in reversed(e.word):
+                i = rmul_simple[s][i]
+            ginv = gamma.inv(gamma.by_label[e.gamma]).label
+            self._inv.append(rmul_gamma[ginv][i])
+        self._census: Optional[ConjugacyClassCensus] = None
 
     def __len__(self):
         return len(self.elements)
@@ -169,22 +200,32 @@ class WeylGroup:
             raise WeylError("matrix does not belong to the enumerated group")
         return el
 
+    def _times(self, a: int, b: ExtendedWeylElement) -> int:
+        """Index of elements[a] * b."""
+        a = self._rmul_gamma[b.gamma][a]
+        for s in b.word:
+            a = self._rmul_simple[s][a]
+        return a
+
     def mult(self, a: ExtendedWeylElement,
              b: ExtendedWeylElement) -> ExtendedWeylElement:
-        return self.element(mat_mul(a.matrix, b.matrix))
+        return self.elements[self._times(a.index, b)]
 
     def inv(self, a: ExtendedWeylElement) -> ExtendedWeylElement:
-        el = self._inv_cache.get(a.matrix)
-        if el is None:
-            el = self.element(inverse(a.matrix))
-            self._inv_cache[a.matrix] = el
-        return el
+        return self.elements[self._inv[a.index]]
 
     def simple(self, i: int) -> ExtendedWeylElement:
-        return self.element(self.datum.reflection_matrix(i))
+        return self._simple[i]
 
     def gamma_element(self, label: str) -> ExtendedWeylElement:
-        return self.element(self.gamma.by_label[label].matrix)
+        return self._gamma_elements[label]
+
+    @property
+    def census(self) -> "ConjugacyClassCensus":
+        """The conjugacy-class census, computed on first use and kept."""
+        if self._census is None:
+            self._census = conjugacy_census(self)
+        return self._census
 
     def act_covector(self, e: ExtendedWeylElement, x: Vec) -> Vec:
         """Action of e on a covector: coordinates transform by inverse-transpose."""
@@ -196,26 +237,35 @@ class WeylGroup:
 
 
 def _enumerate_weyl_words(datum: RootDatum, bound: int):
-    """BFS of W by right multiplication; yields lex-least reduced words."""
-    n = datum.ambient_dim
-    start = identity(n)
-    found: Dict[Mat, Tuple[int, ...]] = {start: ()}
-    frontier: List[Tuple[Mat, Tuple[int, ...]]] = [(start, ())]
+    """BFS of W by right multiplication, yielding lex-least reduced words.
+
+    Returns the matrices and words in discovery order, and `right`, where
+    right[i][k] is the position of (element k) * s_i.
+    """
+    mats: List[Mat] = [identity(datum.ambient_dim)]
+    words: List[Tuple[int, ...]] = [()]
+    found: Dict[Mat, int] = {mats[0]: 0}
     refl = [datum.reflection_matrix(i) for i in range(datum.rank)]
+    right: List[Dict[int, int]] = [{} for _ in refl]
+    frontier = [0]
     while frontier:
-        frontier.sort(key=lambda t: t[1])
-        new: List[Tuple[Mat, Tuple[int, ...]]] = []
-        for m, word in frontier:
-            for i in range(datum.rank):
-                m2 = mat_mul(m, refl[i])
-                if m2 not in found:
-                    found[m2] = word + (i,)
-                    new.append((m2, word + (i,)))
-                    if len(found) > bound:
+        frontier.sort(key=words.__getitem__)
+        new: List[int] = []
+        for k in frontier:
+            for i, r in enumerate(refl):
+                m2 = mat_mul(mats[k], r)
+                j = found.get(m2)
+                if j is None:
+                    j = found[m2] = len(mats)
+                    mats.append(m2)
+                    words.append(words[k] + (i,))
+                    new.append(j)
+                    if len(mats) > bound:
                         raise WeylError(
                             f"group exceeds configured size bound {bound}")
+                right[i][k] = j
         frontier = new
-    return found
+    return mats, words, right
 
 
 def _length_by_roots(matrix: Mat, positive: FrozenSet[Vec]) -> int:
@@ -232,33 +282,50 @@ def enumerate_group(datum: RootDatum,
 
     A matrix collision between distinct (gamma, w) pairs is rejected: the
     canonical identification of elements with matrices requires Gamma to
-    meet W trivially.
+    meet W trivially.  The right-multiplication tables come from the BFS
+    products and from conjugating words by Gamma; no further matrix product
+    is taken.
     """
     gamma = gammas if isinstance(gammas, GammaGroup) else \
         GammaGroup(datum, gammas)
-    words = _enumerate_weyl_words(datum, bound)
+    mats, words, right = _enumerate_weyl_words(datum, bound)
     if len(words) * len(gamma) > bound:
         raise WeylError(f"group exceeds configured size bound {bound}")
+    pairs = sorted(((g, k) for g in range(len(gamma))
+                    for k in range(len(words))),
+                   key=lambda t: (len(words[t[1]]), t[0], words[t[1]]))
+    at = {t: n for n, t in enumerate(pairs)}
     elems: List[ExtendedWeylElement] = []
-    seen: Dict[Mat, Tuple[str, Tuple[int, ...]]] = {}
-    for g in gamma.elements:
-        for wmat, word in words.items():
-            m = mat_mul(g.matrix, wmat)
-            if m in seen:
-                raise WeylError(
-                    "matrix collision between distinct (gamma, w) pairs; "
-                    "Gamma must meet W trivially")
-            seen[m] = (g.label, word)
-            elems.append(ExtendedWeylElement(
-
-                gamma=g.label, word=word, matrix=m, length=len(word)))
+    seen = set()
+    for n, (g, k) in enumerate(pairs):
+        m = mat_mul(gamma.elements[g].matrix, mats[k])
+        if m in seen:
+            raise WeylError(
+                "matrix collision between distinct (gamma, w) pairs; "
+                "Gamma must meet W trivially")
+        seen.add(m)
+        elems.append(ExtendedWeylElement(gamma=gamma.elements[g].label,
+                                         word=words[k], matrix=m,
+                                         length=len(words[k]), index=n))
     positive = frozenset(datum.positive_roots())
     for e in elems:
         if _length_by_roots(e.matrix, positive) != e.length:
             raise WeylError("word length disagrees with inversion count")
-    group = WeylGroup(datum, gamma, elems)
-    ordered = sorted(elems, key=group.sort_key)
-    return WeylGroup(datum, gamma, ordered)
+    rmul_simple = [tuple(at[g, right[i][k]] for g, k in pairs)
+                   for i in range(datum.rank)]
+    # gamma w c = (gamma c)(c^{-1} w c), and c^{-1} s_j c = s_{perm^{-1}(j)}
+    rmul_gamma: Dict[str, Sequence[int]] = {}
+    for c in gamma.elements:
+        perm_inv = {j: i for i, j in enumerate(c.perm)}
+        conj = []
+        for word in words:
+            k = 0
+            for j in word:
+                k = right[perm_inv[j]][k]
+            conj.append(k)
+        gc = [gamma.index[gamma.compose(a, c).label] for a in gamma.elements]
+        rmul_gamma[c.label] = tuple(at[gc[g], conj[k]] for g, k in pairs)
+    return WeylGroup(datum, gamma, elems, rmul_simple, rmul_gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +339,6 @@ class ClassEntry:
     centralizer: Tuple[ExtendedWeylElement, ...]
     fixed_basis: Tuple[Vec, ...]
     fixed_dim: int
-    members: frozenset
 
 
 @dataclass(frozen=True)
@@ -283,27 +349,25 @@ class ConjugacyClassCensus:
     def __len__(self):
         return len(self.entries)
 
-    def class_index(self, e: ExtendedWeylElement) -> int:
-        for i, entry in enumerate(self.entries):
-            if e.matrix in entry.members:
-                return i
-        raise WeylError("element not in any class")
-
 
 def conjugacy_census(group: WeylGroup) -> ConjugacyClassCensus:
-    """One entry per class: representative, size, centralizer, fixed space."""
+    """One entry per class: representative, size, centralizer, fixed space.
+
+    Callers use the copy cached as `group.census`.
+    """
     seen = set()
     entries: List[ClassEntry] = []
     n = group.datum.ambient_dim
-    for g in group.elements:
-        if g.matrix in seen:
+    els = group.elements
+    for g in els:
+        if g.index in seen:
             continue
         orbit = set()
         centralizer = []
-        for h in group.elements:
-            c = group.mult(group.mult(h, g), group.inv(h))
-            orbit.add(c.matrix)
-            if group.mult(h, g) == group.mult(g, h):
+        for h in els:
+            hg = group._times(h.index, g)
+            orbit.add(group._times(hg, els[group._inv[h.index]]))
+            if hg == group._times(g.index, h):
                 centralizer.append(h)
         seen |= orbit
         rows = [[g.matrix[i][j] - (1 if i == j else 0) for j in range(n)]
@@ -311,8 +375,7 @@ def conjugacy_census(group: WeylGroup) -> ConjugacyClassCensus:
         fixed = tuple(nullspace(rows, n))
         entries.append(ClassEntry(rep=g, size=len(orbit),
                                   centralizer=tuple(centralizer),
-                                  fixed_basis=fixed, fixed_dim=len(fixed),
-                                  members=frozenset(orbit)))
+                                  fixed_basis=fixed, fixed_dim=len(fixed)))
     total = sum(e.size for e in entries)
     if total != len(group):
         raise WeylError("class sizes do not sum to the group order")
@@ -331,46 +394,40 @@ def parabolic_subgroup_elements(group: WeylGroup,
     """Elements of W_P inside the enumerated group (no Gamma part)."""
     P = sorted(set(P))
     frontier = [group.identity]
-    members = {group.identity.matrix: group.identity}
+    members = {group.identity.index: group.identity}
     while frontier:
         new = []
         for g in frontier:
             for i in P:
                 h = group.mult(g, group.simple(i))
-                if h.matrix not in members:
-                    members[h.matrix] = h
+                if h.index not in members:
+                    members[h.index] = h
                     new.append(h)
         frontier = new
-    return sorted(members.values(), key=group.sort_key)
+    return [members[i] for i in sorted(members)]
+
+
+def coset_decomposition(group: WeylGroup, P: Sequence[int]):
+    """Minimal-length representatives u of the cosets w W_P, in canonical
+    order, and for each element index the pair (position of u, h) with
+    element = u * h, h in W_P."""
+    wp = parabolic_subgroup_elements(group, P)
+    split: List[Optional[Tuple[int, ExtendedWeylElement]]] = [None] * len(group)
+    reps: List[ExtendedWeylElement] = []
+    for g in group.elements:  # canonical order: length then gamma then word
+        if split[g.index] is not None:
+            continue
+        for h in wp:
+            split[group._times(g.index, h)] = (len(reps), h)
+        reps.append(g)
+    if len(reps) * len(wp) != len(group):
+        raise WeylError("coset decomposition failed")
+    return reps, split
 
 
 def coset_reps(group: WeylGroup, P: Sequence[int]) -> List[ExtendedWeylElement]:
     """Minimal-length representatives of the cosets w W_P, in canonical order."""
-    wp = parabolic_subgroup_elements(group, P)
-    assigned: Dict[Mat, ExtendedWeylElement] = {}
-    reps: List[ExtendedWeylElement] = []
-    for g in group.elements:  # canonical order: length then gamma then word
-        if g.matrix in assigned:
-            continue
-        reps.append(g)
-        for h in wp:
-            assigned[group.mult(g, h).matrix] = g
-    if len(reps) * len(wp) != len(group):
-        raise WeylError("coset decomposition failed")
-    return reps
-
-
-def coset_rep_map(group: WeylGroup,
-                  P: Sequence[int]) -> Dict[Mat, ExtendedWeylElement]:
-    """Map each element to the minimal representative of its coset w W_P."""
-    wp = parabolic_subgroup_elements(group, P)
-    assigned: Dict[Mat, ExtendedWeylElement] = {}
-    for g in group.elements:
-        if g.matrix in assigned:
-            continue
-        for h in wp:
-            assigned[group.mult(g, h).matrix] = g
-    return assigned
+    return coset_decomposition(group, P)[0]
 
 
 class AssociationError(WeylError):

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: reference implementations to compare against."""
 
+from collections import namedtuple
 from typing import List, Sequence, Tuple
 
 from gradedhecke.linalg import identity, mat_mul
@@ -113,3 +114,66 @@ def dense_rref(rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
         if r == len(m):
             break
     return m, pivots
+
+
+class _MatrixKeyedGroup:
+    """W' arithmetic as the group did it before its index tables: a Fraction
+    matrix product or exact inverse, looked up by matrix."""
+
+    def __init__(self, group):
+        self.group = group
+        self.datum = group.datum
+        self.elements = group.elements
+
+    def __len__(self):
+        return len(self.elements)
+
+    def mult(self, a, b):
+        return self.group.element(mat_mul(a.matrix, b.matrix))
+
+    def inv(self, a):
+        from gradedhecke.linalg import inverse
+        return self.group.element(inverse(a.matrix))
+
+
+OracleClassEntry = namedtuple(
+    "OracleClassEntry", "rep size centralizer fixed_basis fixed_dim members")
+OracleCensus = namedtuple("OracleCensus", "group entries")
+
+
+def matrix_conjugacy_census(group):
+    """Reference for `gradedhecke.weyl.conjugacy_census`: the matrix-keyed
+    census body, unchanged, run on `_MatrixKeyedGroup` arithmetic."""
+    from gradedhecke.linalg import nullspace
+    from gradedhecke.weyl import WeylError
+    group = _MatrixKeyedGroup(group)
+    ClassEntry, ConjugacyClassCensus = OracleClassEntry, OracleCensus
+
+    seen = set()
+    entries: List[ClassEntry] = []
+    n = group.datum.ambient_dim
+    for g in group.elements:
+        if g.matrix in seen:
+            continue
+        orbit = set()
+        centralizer = []
+        for h in group.elements:
+            c = group.mult(group.mult(h, g), group.inv(h))
+            orbit.add(c.matrix)
+            if group.mult(h, g) == group.mult(g, h):
+                centralizer.append(h)
+        seen |= orbit
+        rows = [[g.matrix[i][j] - (1 if i == j else 0) for j in range(n)]
+                for i in range(n)]
+        fixed = tuple(nullspace(rows, n))
+        entries.append(ClassEntry(rep=g, size=len(orbit),
+                                  centralizer=tuple(centralizer),
+                                  fixed_basis=fixed, fixed_dim=len(fixed),
+                                  members=frozenset(orbit)))
+    total = sum(e.size for e in entries)
+    if total != len(group):
+        raise WeylError("class sizes do not sum to the group order")
+    for e in entries:
+        if e.size * len(e.centralizer) != len(group):
+            raise WeylError("orbit-stabilizer failure in census")
+    return ConjugacyClassCensus(group=group, entries=tuple(entries))

@@ -209,3 +209,79 @@ def test_cli_falsification_exit_code(tmp_path, monkeypatch):
     rc = main(["verify-basis", "--config", cfg,
                "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+A1_CATALOG = 'entry { p = ["alpha1"], note = "st", s1 = [[-1]], x1 = [[-1/2]] }\n'
+
+
+def test_cli_bad_catalog_is_one_error_line(tmp_path, capsys):
+    cfg = write(tmp_path, "a.cfg", A1_CFG)
+    cat = write(tmp_path, "bad.cat", "entry { q = 1 }\n")
+    rc = main(["irr0", "--config", cfg, "--out", str(tmp_path / "o"),
+               "--catalog", cat])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == ["error: catalog entry needs p"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", [
+    "config.ConfigError", "rootdata.RootDatumError", "weyl.WeylError",
+    "hecke.HeckeError", "hecke.HeckeParseError", "poly.PolyParseError",
+    "modules.ModuleError", "catalog.CatalogError", "homology.HomologyError",
+    "homology.SizeBoundExceeded", "weyl.AssociationError"])
+def test_library_errors_share_one_base(name):
+    import importlib
+    from gradedhecke.linalg import GradedHeckeError
+    module, cls = name.split(".")
+    err = getattr(importlib.import_module(f"gradedhecke.{module}"), cls)
+    assert issubclass(err, GradedHeckeError)
+    assert issubclass(err, ValueError)
+
+
+def test_cli_cache_tracks_catalog_contents_and_version(tmp_path, capsys,
+                                                       monkeypatch):
+    import gradedhecke.cli as cli_mod
+    cfg = write(tmp_path, "a.cfg", A1_CFG)
+    cat = write(tmp_path, "c.cat", A1_CATALOG)
+    out = str(tmp_path / "out")
+    argv = ["irr0", "--config", cfg, "--out", out, "--catalog", cat]
+    assert main(argv) == 0
+    report = (tmp_path / "out" / "irr0.json").read_bytes()
+
+    def no_recompute(*args, **kwargs):
+        raise AssertionError("cache miss on unchanged inputs")
+
+    # warm re-run with unchanged inputs is served from the cache
+    with monkeypatch.context() as m:
+        m.setattr(cli_mod, "irr0_census", no_recompute)
+        assert main(argv) == 0
+    assert (tmp_path / "out" / "irr0.json").read_bytes() == report
+    # a new library version does not reuse the old report
+    with monkeypatch.context() as m:
+        m.setattr(cli_mod, "__version__", "0.0.0-test")
+        assert main(argv) == 0
+    assert len(list((tmp_path / "out" / ".cache").iterdir())) == 2
+    # same path, new contents: the invalid catalog is read, not the cache
+    capsys.readouterr()
+    (tmp_path / "c.cat").write_text("entry { q = 1 }\n", encoding="utf-8")
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_cache_write_is_atomic(tmp_path, monkeypatch):
+    import gradedhecke.cli as cli_mod
+    cfg = write(tmp_path, "a.cfg", A1_CFG)
+    out = tmp_path / "out"
+
+    def interrupted(src, dst):
+        raise OSError("interrupted before rename")
+
+    # a run stopped between writing and renaming leaves no file under the
+    # cache name, so the next run recomputes instead of loading a fragment
+    with monkeypatch.context() as m:
+        m.setattr(cli_mod.os, "replace", interrupted)
+        assert main(["hp", "--config", cfg, "--out", str(out)]) == 1
+    assert not list((out / ".cache").iterdir())
+    assert main(["hp", "--config", cfg, "--out", str(out)]) == 0
+    assert len(list((out / ".cache").glob("*.json"))) == 1

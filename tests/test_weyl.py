@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import matrix_conjugacy_census
 
 from gradedhecke.linalg import identity, mat_mul
 from gradedhecke.rootdata import build_root_datum, pairing
@@ -171,3 +172,100 @@ def test_lex_least_words():
         assert m == e.matrix
     w0 = max(a2.elements, key=lambda e: e.length)
     assert w0.word == (0, 1, 0)  # lex-least of the two reduced words
+
+
+def indexed_group(label):
+    """A small W' by name; 'A1xA1-swap' and 'A1^3-rot' carry a Gamma."""
+    from gradedhecke.weyl import GammaGroup
+    if label == "A1xA1-swap":
+        d, g = swap_datum()
+        return enumerate_group(d, [g])
+    if label == "A1^3-rot":
+        # a 3-cycle: perm^-1 != perm, so conjugating words by Gamma is tested
+        d = build_root_datum("A1xA1xA1", 3)
+        rot = make_diagram_automorphism(
+            d, "rot", [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        rot2 = make_diagram_automorphism(
+            d, "rot2", [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        return enumerate_group(d, GammaGroup(d, [rot, rot2]))
+    return enumerate_group(build_root_datum(label, int(label[1])))
+
+
+TABLE_GROUPS = ("A1", "A2", "B2", "G2", "A3", "A1xA1-swap", "A1^3-rot")
+
+
+@pytest.mark.parametrize("label", TABLE_GROUPS)
+def test_tables_match_matrix_products(label):
+    from gradedhecke.linalg import inverse
+    group = indexed_group(label)
+    assert [e.index for e in group] == list(range(len(group)))
+    for a in group:
+        assert group.inv(a).matrix == inverse(a.matrix)
+        for b in group:
+            assert group.mult(a, b).matrix == mat_mul(a.matrix, b.matrix)
+    d = group.datum
+    for i in range(d.rank):
+        assert group.simple(i).matrix == d.reflection_matrix(i)
+    for g in group.gamma.elements:
+        assert group.gamma_element(g.label).matrix == g.matrix
+
+
+@pytest.mark.parametrize("label", TABLE_GROUPS + ("B3",))
+def test_census_matches_matrix_keyed_oracle(label):
+    group = indexed_group(label)
+    got = conjugacy_census(group).entries
+    want = matrix_conjugacy_census(group).entries
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.rep is w.rep
+        assert g.size == w.size
+        assert g.centralizer == w.centralizer
+        assert [h.index for h in g.centralizer] == \
+            [h.index for h in w.centralizer]
+        assert g.fixed_basis == w.fixed_basis
+        assert g.fixed_dim == w.fixed_dim
+
+
+def test_census_d4():
+    group = enumerate_group(build_root_datum("D4", 4))
+    census = group.census
+    assert len(group) == 192
+    assert len(census) == 13
+    assert sum(e.size for e in census.entries) == 192
+
+
+def test_census_computed_once_per_group(monkeypatch):
+    import gradedhecke.weyl as weyl_mod
+    from gradedhecke.hecke import HeckeAlgebra
+    from gradedhecke.homology import (crossed_product_census,
+                                      hp_census_hecke, verify_basis_theorem)
+    calls = []
+    original = weyl_mod.conjugacy_census
+
+    def counting(group):
+        calls.append(id(group))
+        return original(group)
+
+    monkeypatch.setattr(weyl_mod, "conjugacy_census", counting)
+    d, g = swap_datum()
+    alg = HeckeAlgebra(d, 1, gammas=[g])
+    assert verify_basis_theorem(alg, warn_rank2=False).passed
+    hp_census_hecke(alg)
+    crossed_product_census(d, truncation=4, group=alg.group)
+    assert alg.group.census is alg.group.census
+    assert id(alg.group) in calls
+    assert len(calls) == len(set(calls))
+
+
+def test_coset_decomposition_splits_every_element():
+    from gradedhecke.weyl import coset_decomposition
+    d, g = swap_datum()
+    group = enumerate_group(d, [g])
+    for P in ([], [0], [1], [0, 1]):
+        reps, split = coset_decomposition(group, P)
+        assert reps == coset_reps(group, P)
+        wp = parabolic_subgroup_elements(group, P)
+        for e in group:
+            pos, h = split[e.index]
+            assert h in wp
+            assert group.mult(reps[pos], h) is e
