@@ -25,7 +25,8 @@ from typing import Any, Dict, List, Optional
 
 from . import __version__
 from .catalog import load_catalog
-from .config import ConfigError, RunConfig, apply_k_override, load_config
+from .config import (ConfigError, RunConfig, apply_k_override, load_config,
+                     non_negative)
 from .hecke import HeckeAlgebra
 from .homology import (FinDimAlgebra, crossed_product_census, cyclic_homology,
                        hochschild_homology, hp_census_hecke,
@@ -300,10 +301,13 @@ def run(command: str, cfg: RunConfig, out_dir: str = "out",
     }, sort_keys=True)
     digest = hashlib.sha256(digest_src.encode()).hexdigest()[:24]
     cache_file = cache_dir / f"{command}-{digest}.json"
+    report = None
     if cache_file.exists():
-        text = cache_file.read_text(encoding="utf-8")
-        report = json.loads(text)
-    else:
+        try:
+            report = json.loads(cache_file.read_text(encoding="utf-8"))
+        except ValueError:  # corrupt or truncated: recompute and replace
+            pass
+    if not isinstance(report, dict):
         algebra = cfg.build_algebra()
         with warnings.catch_warnings():
             warnings.simplefilter("always")
@@ -361,9 +365,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             apply_k_override(cfg, args.k_override)
             cfg.source_text += f"\n# k-override {args.k_override}"
         if args.truncation is not None:
-            cfg.truncation = args.truncation
+            cfg.truncation = non_negative("truncation", args.truncation)
         if args.max_dim is not None:
-            cfg.max_dim = args.max_dim
+            cfg.max_dim = non_negative("max_dim", args.max_dim)
         return run(args.command, cfg, out_dir=args.out,
                    catalog_path=args.catalog)
     except (GradedHeckeError, OSError) as exc:

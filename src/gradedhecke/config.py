@@ -277,6 +277,15 @@ def _close_gammas(datum: RootDatum,
     return [g for g in have.values() if g.label != "e"]
 
 
+def non_negative(key: str, value) -> int:
+    """An option value (truncation, max_dim, n_max) as an integer >= 0."""
+    if not isinstance(value, (int, Fraction)) or value != int(value) \
+            or value < 0:
+        raise ConfigError(f"option {key} must be an integer >= 0, "
+                          f"got {value}")
+    return int(value)
+
+
 def load_config(text: str) -> RunConfig:
     blocks = parse_blocks(text)
     datum_block = None
@@ -303,12 +312,8 @@ def load_config(text: str) -> RunConfig:
             unknown = set(payload) - _OPTIONS_KEYS
             if unknown:
                 raise ConfigError(f"unknown options keys {sorted(unknown)}")
-            if "truncation" in payload:
-                cfg_kwargs["truncation"] = int(payload["truncation"])
-            if "max_dim" in payload:
-                cfg_kwargs["max_dim"] = int(payload["max_dim"])
-            if "n_max" in payload:
-                cfg_kwargs["n_max"] = int(payload["n_max"])
+            for key in sorted(_OPTIONS_KEYS & set(payload)):
+                cfg_kwargs[key] = non_negative(key, payload[key])
         elif name == "induce":
             unknown = set(payload) - _INDUCE_KEYS
             if unknown:

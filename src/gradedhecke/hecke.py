@@ -47,6 +47,10 @@ class HeckeAlgebra:
         self._unextended: Optional[HeckeAlgebra] = None
         # P -> (ParabolicDatum, H_P), filled by modules.parabolic_algebra
         self.parabolics: Dict[Tuple[int, ...], tuple] = {}
+        # (letter, exponent) -> image of that monomial, filled by _map_linear;
+        # a letter is ('s', i) for s_i, ('d', i) for Delta_i (independent of
+        # k) or ('g', label) for the inverse of that Gamma element
+        self.monomial_images: Dict[tuple, Poly] = {}
 
     # -- constructors of elements -------------------------------------------
 
@@ -96,6 +100,29 @@ class HeckeAlgebra:
 
     # -- normal ordering -----------------------------------------------------
 
+    def _map_linear(self, letter: tuple, p: Poly) -> Poly:
+        """Image of p under the linear map `letter`, summed from cached
+        images of its monomials; a miss computes one exactly, with every
+        check of act_matrix / divided_difference applied to that monomial."""
+        images = self.monomial_images
+        out: Dict[Tuple[int, ...], Fraction] = {}
+        for e, c in p.terms.items():
+            img = images.get((letter, e))
+            if img is None:
+                mono = Poly(self.nvars, {e: Fraction(1)})
+                kind, arg = letter
+                if kind == "s":
+                    img = act_matrix(self.datum.reflection_matrix(arg), mono)
+                elif kind == "d":
+                    img = divided_difference(self.datum, arg, mono)
+                else:
+                    g = self.group.gamma.by_label[arg]
+                    img = act_matrix(self.group.gamma.inv(g).matrix, mono)
+                images[(letter, e)] = img
+            for e2, c2 in img.terms.items():
+                out[e2] = out.get(e2, 0) + c * c2
+        return Poly(self.nvars, out)
+
     def _push_poly(self, p: Poly, gamma_label: str,
                    word: Tuple[int, ...], kvals) -> Dict[ExtendedWeylElement, Poly]:
         """Normal form of p * (gamma * s_word) as {group element: poly}."""
@@ -104,21 +131,19 @@ class HeckeAlgebra:
             start = p
             acc = group.identity
         else:
-            g = group.gamma.by_label[gamma_label]
-            ginv = group.gamma.inv(g)
-            start = act_matrix(ginv.matrix, p)
+            start = self._map_linear(("g", gamma_label), p)
             acc = group.gamma_element(gamma_label)
         pending: List[Tuple[ExtendedWeylElement, Poly]] = [(acc, start)]
         for i in word:
             s_i = group.simple(i)
             nxt: Dict[ExtendedWeylElement, Poly] = {}
             for g_el, q in pending:
-                sq = act_matrix(self.datum.reflection_matrix(i), q)
+                sq = self._map_linear(("s", i), q)
                 key = group.mult(g_el, s_i)
                 cur = nxt.get(key)
                 nxt[key] = sq if cur is None else cur + sq
                 if kvals[i]:
-                    dq = divided_difference(self.datum, i, q)
+                    dq = self._map_linear(("d", i), q)
                     if not dq.is_zero():
                         dq = dq * kvals[i]
                         cur = nxt.get(g_el)

@@ -28,7 +28,8 @@ class Poly:
         if terms:
             for e, c in terms.items():
                 if c:
-                    self.terms[tuple(e)] = Fraction(c)
+                    self.terms[tuple(e)] = \
+                        c if type(c) is Fraction else Fraction(c)
 
     # -- constructors -------------------------------------------------------
 

@@ -177,3 +177,56 @@ def matrix_conjugacy_census(group):
         if e.size * len(e.centralizer) != len(group):
             raise WeylError("orbit-stabilizer failure in census")
     return ConjugacyClassCensus(group=group, entries=tuple(entries))
+
+
+def substitution_multiply(alg, a, b, kvals):
+    """Reference for `HeckeAlgebra.multiply(a, b)` at parameters `kvals`: the
+    substitution-based `_push_poly` and `multiply` bodies, unchanged, which
+    act on each whole polynomial with `act_matrix` / `divided_difference`
+    instead of reading cached monomial images."""
+    from gradedhecke.hecke import HeckeElement
+    from gradedhecke.poly import act_matrix, divided_difference
+    self = alg
+
+    def push_poly(p, gamma_label, word, kvals):
+        group = self.group
+        if gamma_label == "e":
+            start = p
+            acc = group.identity
+        else:
+            g = group.gamma.by_label[gamma_label]
+            ginv = group.gamma.inv(g)
+            start = act_matrix(ginv.matrix, p)
+            acc = group.gamma_element(gamma_label)
+        pending = [(acc, start)]
+        for i in word:
+            s_i = group.simple(i)
+            nxt = {}
+            for g_el, q in pending:
+                sq = act_matrix(self.datum.reflection_matrix(i), q)
+                key = group.mult(g_el, s_i)
+                cur = nxt.get(key)
+                nxt[key] = sq if cur is None else cur + sq
+                if kvals[i]:
+                    dq = divided_difference(self.datum, i, q)
+                    if not dq.is_zero():
+                        dq = dq * kvals[i]
+                        cur = nxt.get(g_el)
+                        nxt[g_el] = dq if cur is None else cur + dq
+            pending = [(g, q) for g, q in nxt.items() if not q.is_zero()]
+        return dict(pending)
+
+    out = {}
+    for w, p in a.terms.items():
+        for v, q in b.terms.items():
+            pushed = push_poly(p, v.gamma, v.word, kvals)
+            for u, r in pushed.items():
+                key = self.group.mult(w, u)
+                term = r * q
+                cur = out.get(key)
+                s = term if cur is None else cur + term
+                if s.is_zero():
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+    return HeckeElement(self, out)

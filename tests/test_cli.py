@@ -285,3 +285,51 @@ def test_cli_cache_write_is_atomic(tmp_path, monkeypatch):
     assert not list((out / ".cache").iterdir())
     assert main(["hp", "--config", cfg, "--out", str(out)]) == 0
     assert len(list((out / ".cache").glob("*.json"))) == 1
+
+
+def test_cli_corrupt_cache_file_is_a_miss(tmp_path, capsys):
+    cfg = write(tmp_path, "a.cfg", A1_CFG)
+    cold, out = tmp_path / "cold", tmp_path / "out"
+    assert main(["hp", "--config", cfg, "--out", str(cold)]) == 0
+    assert main(["hp", "--config", cfg, "--out", str(out)]) == 0
+    (cache_file,) = (out / ".cache").glob("*.json")
+    cache_file.write_text('{"trunc', encoding="utf-8")
+    capsys.readouterr()
+    assert main(["hp", "--config", cfg, "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out / "hp.json").read_bytes() == (cold / "hp.json").read_bytes()
+    # the corrupt file was replaced by the recomputed report
+    assert cache_file.read_bytes() == (cold / "hp.json").read_bytes()
+    assert [p.name for p in (out / ".cache").iterdir()] == [cache_file.name]
+
+
+@pytest.mark.parametrize("command, options, flags", [
+    ("molien", "", ["--truncation", "-1"]),
+    ("molien", "options { truncation=-1 }\n", []),
+    ("hh-findim", "options { n_max=-1 }\n", []),
+    ("hc-findim", "options { n_max=-1 }\n", []),
+    ("hh-findim", "options { max_dim=-1 }\n", []),
+    ("hh-findim", "", ["--max-dim", "-1"]),
+    ("molien", "options { truncation=1/2 }\n", []),
+    ("molien", 'options { truncation="x" }\n', []),
+], ids=["truncation-flag", "truncation", "n_max-hh", "n_max-hc", "max_dim",
+        "max_dim-flag", "truncation-fraction", "truncation-string"])
+def test_cli_rejects_bad_option_values(tmp_path, capsys, command, options,
+                                       flags):
+    cfg = write(tmp_path, "a.cfg", A1_CFG + options)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")]
+              + flags)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: option ")
+    assert not (tmp_path / "o" / f"{command}.json").exists()
+
+
+def test_load_config_rejects_negative_options():
+    for key in ("truncation", "max_dim", "n_max"):
+        with pytest.raises(ConfigError, match=key):
+            load_config(A1_CFG + f"options {{ {key}=-1 }}\n")
+    cfg = load_config(A1_CFG + "options { truncation=0, max_dim=0, "
+                               "n_max=0 }\n")
+    assert (cfg.truncation, cfg.max_dim, cfg.n_max) == (0, 0, 0)

@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import substitution_multiply
 
 from gradedhecke.hecke import (HeckeAlgebra, HeckeElement, HeckeError,
                                HeckeParseError, filtration_degree,
                                k_sensitive_part, parse_element, scale_map)
-from gradedhecke.poly import Poly
-from gradedhecke.rootdata import build_root_datum
+from gradedhecke.poly import Poly, act, divided_difference
+from gradedhecke.rootdata import build_root_datum, make_parameter_map
 from gradedhecke.weyl import make_diagram_automorphism
 
 Q = Fraction
@@ -232,3 +236,85 @@ def test_parse_documented_example():
         parse_element(alg, "s9*(x1)")
     with pytest.raises(HeckeParseError):
         parse_element(alg, "s1*x1")
+
+
+# -- products from cached monomial images against the substitution oracle ----
+
+ORACLE_ALGEBRAS = {"G2-k13": lambda: algebra("G2", 2, [1, 3]),
+                   "A3": lambda: algebra("A3", 3, 1),
+                   "B2-k12": lambda: algebra("B2", 2, [1, 2]),
+                   "A1xA1-swap": lambda: swap_algebra(1)}
+
+
+@pytest.fixture(scope="module")
+def warm_algebras():
+    """One algebra per datum whose memo fills across examples."""
+    return {name: build() for name, build in ORACLE_ALGEBRAS.items()}
+
+
+@st.composite
+def raw_elements(draw, nvars, order):
+    """1-2 terms (group element index, {exponent: coefficient}), deg <= 3."""
+    coeffs = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        poly = {}
+        for _ in range(draw(st.integers(1, 3))):
+            e = [0] * nvars
+            for _ in range(draw(st.integers(0, 3))):
+                e[draw(st.integers(0, nvars - 1))] += 1
+            poly[tuple(e)] = draw(coeffs)
+        terms.append((draw(st.integers(0, order - 1)), poly))
+    return terms
+
+
+def from_raw(alg, raw):
+    out = alg.zero()
+    for idx, poly in raw:
+        out = out + HeckeElement(alg, {alg.group.elements[idx]:
+                                       Poly(alg.nvars, poly)})
+    return out
+
+
+def assert_images_exact(alg):
+    """Each cached image is act / divided_difference on its monomial."""
+    for ((kind, arg), e), img in alg.monomial_images.items():
+        mono = Poly(alg.nvars, {e: Q(1)})
+        if kind == "s":
+            expected = act(alg.group.simple(arg), mono)
+        elif kind == "d":
+            expected = divided_difference(alg.datum, arg, mono)
+        else:
+            g = alg.group.gamma_element(arg)
+            expected = act(alg.group.inv(g), mono)
+        assert img == expected, ((kind, arg), e)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.data())
+def test_multiply_matches_substitution_oracle(warm_algebras, data):
+    for name, build in ORACLE_ALGEBRAS.items():
+        fresh = build()
+        raw_a = data.draw(raw_elements(fresh.nvars, len(fresh.group)))
+        raw_b = data.draw(raw_elements(fresh.nvars, len(fresh.group)))
+        for alg in (fresh, warm_algebras[name]):  # cold memo, then warm
+            a, b = from_raw(alg, raw_a), from_raw(alg, raw_b)
+            zero_k = make_parameter_map(alg.datum, 0)
+            for override in (None, zero_k):
+                kvals = alg.kmap if override is None else override
+                assert alg.multiply(a, b, k_override=override) == \
+                    substitution_multiply(alg, a, b, kvals), (name, override)
+        assert_images_exact(fresh)
+
+
+def test_monomial_memo_is_lazy():
+    alg = swap_algebra(k=1)
+    assert alg.monomial_images == {}
+    a = alg.from_poly(Poly(2, {(2, 1): Q(1), (0, 1): Q(-3)}))
+    g = alg.group.mult(alg.group.gamma_element("swap"), alg.group.simple(0))
+    b = HeckeElement(alg, {g: Poly(2, {(1, 0): Q(1)})})
+    (v,) = b.terms
+    letters = {("g", v.gamma)} | {(kind, i) for i in v.word for kind in "sd"}
+    alg.multiply(a, b)
+    assert alg.monomial_images
+    assert {letter for letter, _ in alg.monomial_images} <= letters
