@@ -18,10 +18,9 @@ are verified against every defining relation and must be discrete series
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List
 
-from .config import parse_blocks
+from .config import matrix, parse_blocks
 from .hecke import HeckeAlgebra
 from .linalg import GradedHeckeError
 from .modules import DSCatalogEntry, FinModule, parabolic_algebra
@@ -55,15 +54,15 @@ def load_catalog(algebra: HeckeAlgebra, text: str) -> List[DSCatalogEntry]:
             key = f"s{i + 1}"
             if key not in payload:
                 raise CatalogError(f"catalog entry missing {key}")
-            m = tuple(tuple(Fraction(x) for x in row) for row in payload[key])
+            m = tuple(map(tuple, matrix(f"catalog {key}", payload[key])))
             refl[i] = m
             dim = len(m) if dim is None else dim
         for i in range(rank):
             key = f"x{i + 1}"
             if key not in payload:
                 raise CatalogError(f"catalog entry missing {key}")
-            coord.append(tuple(tuple(Fraction(x) for x in row)
-                               for row in payload[key]))
+            coord.append(tuple(map(tuple, matrix(f"catalog {key}",
+                                                 payload[key]))))
         if dim is None:
             raise CatalogError("catalog entry has no matrices")
         known = {"p", "note"} | {f"s{i + 1}" for i in range(rank)} | \

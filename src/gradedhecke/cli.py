@@ -25,8 +25,8 @@ from typing import Any, Dict, List, Optional
 
 from . import __version__
 from .catalog import load_catalog
-from .config import (ConfigError, RunConfig, apply_k_override, load_config,
-                     non_negative)
+from .config import (ConfigError, RunConfig, apply_k_override, integer,
+                     load_config, number)
 from .hecke import HeckeAlgebra
 from .homology import (FinDimAlgebra, crossed_product_census, cyclic_homology,
                        hochschild_homology, hp_census_hecke,
@@ -189,9 +189,9 @@ def _cmd_induce(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
             f"available: {sorted(m.name for m in candidates)}")
     lam_re = blk.get("lambda_re")
     lam_im = blk.get("lambda_im")
-    lam_re = tuple(Fraction(x) for x in lam_re) if lam_re else \
+    lam_re = tuple(number("lambda_re", x) for x in lam_re) if lam_re else \
         zero_vec(datum.ambient_dim)
-    lam_im = tuple(Fraction(x) for x in lam_im) if lam_im else \
+    lam_im = tuple(number("lambda_im", x) for x in lam_im) if lam_im else \
         zero_vec(datum.ambient_dim)
     extended = bool(blk.get("extended", True))
     xi = InductionDatum(P=tuple(P), delta=matching[0], lam_re=lam_re,
@@ -365,9 +365,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             apply_k_override(cfg, args.k_override)
             cfg.source_text += f"\n# k-override {args.k_override}"
         if args.truncation is not None:
-            cfg.truncation = non_negative("truncation", args.truncation)
+            cfg.truncation = integer("option truncation", args.truncation)
         if args.max_dim is not None:
-            cfg.max_dim = non_negative("max_dim", args.max_dim)
+            cfg.max_dim = integer("option max_dim", args.max_dim)
         return run(args.command, cfg, out_dir=args.out,
                    catalog_path=args.catalog)
     except (GradedHeckeError, OSError) as exc:

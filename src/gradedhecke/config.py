@@ -123,11 +123,7 @@ class _Parser:
         if t.kind == "string":
             return t.text
         if t.kind == "number":
-            try:
-                return Fraction(t.text)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ConfigError(
-                    f"line {t.line}, col {t.col}: bad number {t.text!r}") from exc
+            return number(f"line {t.line}, col {t.col}: value", t.text)
         if t.kind == "ident" and t.text in ("true", "false"):
             return t.text == "true"
         if t.kind == "punct" and t.text == "{":
@@ -277,13 +273,29 @@ def _close_gammas(datum: RootDatum,
     return [g for g in have.values() if g.label != "e"]
 
 
-def non_negative(key: str, value) -> int:
-    """An option value (truncation, max_dim, n_max) as an integer >= 0."""
-    if not isinstance(value, (int, Fraction)) or value != int(value) \
-            or value < 0:
-        raise ConfigError(f"option {key} must be an integer >= 0, "
-                          f"got {value}")
-    return int(value)
+def number(what: str, value) -> Fraction:
+    """Outside input (config value or flag) as an exact rational; every
+    numeric conversion of such input goes through here."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def integer(what: str, value, least: int = 0) -> int:
+    q = number(what, value)
+    if q.denominator != 1 or q < least:
+        raise ConfigError(f"{what} must be an integer >= {least}, got {q}")
+    return int(q)
+
+
+def matrix(what: str, value) -> List[List[Fraction]]:
+    if not isinstance(value, list) or not all(isinstance(r, list)
+                                              for r in value):
+        raise ConfigError(f"{what} must be a list of rows")
+    return [[number(f"{what} entry", x) for x in row] for row in value]
 
 
 def load_config(text: str) -> RunConfig:
@@ -306,14 +318,13 @@ def load_config(text: str) -> RunConfig:
             if "name" not in payload or "matrix" not in payload:
                 raise ConfigError("gamma block needs name and matrix")
             gammas.append((payload["name"],
-                           [[Fraction(x) for x in row]
-                            for row in payload["matrix"]]))
+                           matrix("gamma matrix", payload["matrix"])))
         elif name == "options":
             unknown = set(payload) - _OPTIONS_KEYS
             if unknown:
                 raise ConfigError(f"unknown options keys {sorted(unknown)}")
             for key in sorted(_OPTIONS_KEYS & set(payload)):
-                cfg_kwargs[key] = non_negative(key, payload[key])
+                cfg_kwargs[key] = integer(f"option {key}", payload[key])
         elif name == "induce":
             unknown = set(payload) - _INDUCE_KEYS
             if unknown:
@@ -329,7 +340,8 @@ def load_config(text: str) -> RunConfig:
                     raise ConfigError(f"unknown findim kind {kind!r}")
                 cfg_kwargs["findim_kind"] = kind
             if "size" in payload:
-                cfg_kwargs["findim_size"] = int(payload["size"])
+                cfg_kwargs["findim_size"] = integer("findim size",
+                                                    payload["size"], 1)
         elif name == "catalog":
             if not isinstance(payload, str):
                 raise ConfigError("catalog must be a path string")
@@ -345,14 +357,14 @@ def load_config(text: str) -> RunConfig:
     if isinstance(kraw, Fraction):
         kvals = {"all": kraw}
     elif isinstance(kraw, dict):
-        kvals = {key: Fraction(v) for key, v in kraw.items()}
+        kvals = {key: number(f"k value {key}", v) for key, v in kraw.items()}
     else:
         raise ConfigError("datum k must be a number or a map")
     gram = None
     if "gram" in datum_block:
-        gram = [[Fraction(x) for x in row] for row in datum_block["gram"]]
+        gram = matrix("datum gram", datum_block["gram"])
     return RunConfig(datum_type=str(datum_block["type"]),
-                     ambient=int(datum_block["ambient"]),
+                     ambient=integer("datum ambient", datum_block["ambient"]),
                      k_values=kvals, gram=gram, gammas=gammas,
                      source_text=text, **cfg_kwargs)
 
@@ -361,12 +373,12 @@ def apply_k_override(cfg: RunConfig, override: str) -> None:
     """--k-override 'alpha1=2,alpha2=2' or a single value for all roots."""
     override = override.strip()
     if "=" not in override:
-        cfg.k_values = {"all": Fraction(override)}
+        cfg.k_values = {"all": number("k override", override)}
         return
     out: Dict[str, Fraction] = {}
     for chunk in override.split(","):
         if "=" not in chunk:
             raise ConfigError(f"bad k override chunk {chunk!r}")
         name, val = chunk.split("=", 1)
-        out[name.strip()] = Fraction(val.strip())
+        out[name.strip()] = number(f"k override {name.strip()}", val)
     cfg.k_values = out

@@ -111,22 +111,14 @@ def identity(n: int) -> Mat:
                  for i in range(n))
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u: Vec) -> Vec:
-    return tuple(c * a for a in u)
 
 
 def dot(u: Vec, v: Vec):
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
@@ -134,20 +126,28 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(vec_add(r, s) for r, s in zip(a, b))
+    """Row i of the product is the sum of a[i][k] * b[k] over nonzero
+    a[i][k], each taken over the nonzero entries of b[k] only."""
+    width = len(b[0]) if b else 0
+    if not width:
+        return tuple(() for _ in a)
+    support = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    zero = Fraction(0)
+    out = []
+    for row in a:
+        if len(row) != len(b):
+            raise ValueError(f"dimension mismatch: {len(row)} vs {len(b)}")
+        acc = {}
+        for x, bk in zip(row, support):
+            if x:
+                for j, y in bk:
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append(tuple(acc.get(j, zero) for j in range(width)))
+    return tuple(out)
 
 
 def mat_sub(a: Mat, b: Mat) -> Mat:
     return tuple(vec_sub(r, s) for r, s in zip(a, b))
-
-
-def mat_scale(c, a: Mat) -> Mat:
-    return tuple(vec_scale(c, r) for r in a)
 
 
 def transpose(a: Mat) -> Mat:
@@ -213,8 +213,7 @@ def nullspace(rows: Sequence[Sequence], ncols: Optional[int] = None) -> List[Vec
             raise ValueError("nullspace of empty system needs ncols")
         ncols = len(rows[0])
     if not rows:
-        return [tuple(Fraction(1 if i == j else 0) for j in range(ncols))
-                for i in range(ncols)]
+        return list(identity(ncols))
     red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -244,8 +243,7 @@ def solve(a: Sequence[Sequence], b: Sequence) -> Optional[Vec]:
 
 def inverse(a: Mat) -> Mat:
     n = len(a)
-    rows = [list(a[i]) + [Fraction(1 if j == i else 0) for j in range(n)]
-            for i in range(n)]
+    rows = [list(r) + list(e) for r, e in zip(a, identity(n))]
     red, pivots = rref(rows)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -285,31 +283,33 @@ def charpoly(a: Mat) -> Tuple:
     coeffs = [Fraction(1)]
     m = identity(n)
     for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        ck = -trace(am) / k
+        m = [list(r) for r in mat_mul(a, m)]
+        ck = -trace(m) / k
         coeffs.append(ck)
-        m = mat_add(am, mat_scale(ck, identity(n)))
+        for i in range(n):
+            m[i][i] = m[i][i] + ck
     return tuple(coeffs)
 
 
-def coords_in_basis(basis: Sequence[Vec], v: Vec) -> Optional[Vec]:
-    """Coordinates of v in the given basis (columns), or None."""
-    if not basis:
-        return () if not any(v) else None
-    a = [[b[i] for b in basis] for i in range(len(v))]
-    return solve(a, list(v))
-
-
 def restrict_matrix(m: Mat, basis: Sequence[Vec]) -> Mat:
-    """Matrix of m on span(basis); raises if the span is not invariant."""
-    cols = []
-    for b in basis:
-        c = coords_in_basis(basis, mat_vec(m, b))
-        if c is None:
-            raise ValueError("subspace is not invariant")
-        cols.append(c)
-    return tuple(tuple(cols[j][i] for j in range(len(basis)))
-                 for i in range(len(basis)))
+    """Matrix of m on span(basis); raises if the span is not invariant.
+
+    One elimination of [basis | m * basis]: a pivot in the image columns
+    is an image outside the span.
+    """
+    d = len(basis)
+    if not d:
+        return ()
+    images = [mat_vec(m, b) for b in basis]
+    rows = [[b[i] for b in basis] + [v[i] for v in images]
+            for i in range(len(basis[0]))]
+    red, pivots = rref(rows)
+    if pivots and pivots[-1] >= d:
+        raise ValueError("subspace is not invariant")
+    out = [zero_vec(d)] * d
+    for row, p in zip(red, pivots):
+        out[p] = tuple(row[d:])
+    return tuple(out)
 
 
 def intertwiner_matrices(pairs: Sequence[Tuple[Mat, Mat]], nrows: int,

@@ -85,18 +85,13 @@ class FinModule:
         """Action of a (complex) covector x + i*x_im of t*."""
         n = self.dim
         out = [[Fraction(0)] * n for _ in range(n)]
+        if x_im is not None:
+            x = [c + QI(0, 1) * d if d else c for c, d in zip(x, x_im)]
         for k, c in enumerate(x):
             if c:
                 for i in range(n):
                     for j in range(n):
                         out[i][j] = out[i][j] + c * self.coord[k][i][j]
-        if x_im is not None:
-            ii = QI(0, 1)
-            for k, c in enumerate(x_im):
-                if c:
-                    for i in range(n):
-                        for j in range(n):
-                            out[i][j] = out[i][j] + ii * c * self.coord[k][i][j]
         return tuple(tuple(r) for r in out)
 
     def generator_matrices(self) -> List[Mat]:
@@ -148,9 +143,7 @@ class FinModule:
                     raise ModuleError("coordinate matrices do not commute")
         # cross relation x s_i - s_i s_i(x) = k_i <x, alpha_i^vee>
         for i in range(datum.rank):
-            for k in range(datum.ambient_dim):
-                x = tuple(Fraction(1 if t == k else 0)
-                          for t in range(datum.ambient_dim))
+            for k, x in enumerate(identity(datum.ambient_dim)):
                 sx = datum.reflect_covector(i, x)
                 lhs = mat_sub(mat_mul(self.coord[k], self.refl[i]),
                               mat_mul(self.refl[i], self.covector_matrix(sx)))
@@ -168,9 +161,7 @@ class FinModule:
                 continue
             ma = self.gammas[a.label]
             ainv_t = transpose(gamma.inv(a).matrix)
-            for k in range(datum.ambient_dim):
-                x = tuple(Fraction(1 if t == k else 0)
-                          for t in range(datum.ambient_dim))
+            for k, x in enumerate(identity(datum.ambient_dim)):
                 gx = mat_vec(ainv_t, x)
                 lhs = mat_mul(self.coord[k], ma)
                 rhs = mat_mul(ma, self.covector_matrix(gx))
@@ -440,9 +431,7 @@ def weights(module: FinModule) -> List[Tuple[Tuple[Vec, Vec], int]]:
     """
     n = module.dim
     cmplx = module.is_complex()
-    spaces: List[Tuple[List[Vec], List]] = [
-        ([tuple(Fraction(1 if i == j else 0) for j in range(n))
-          for i in range(n)], [])]
+    spaces: List[Tuple[List[Vec], List]] = [(list(identity(n)), [])]
     for m in module.coord:
         new_spaces = []
         for basis, vals in spaces:
@@ -679,9 +668,7 @@ def decompose(module: FinModule) -> List[Tuple[FinModule, int]]:
     the polynomial to adjoin.
     """
     n = module.dim
-    full = [tuple(Fraction(1 if i == j else 0) for j in range(n))
-            for i in range(n)]
-    bases = _split_bases(module, full)
+    bases = _split_bases(module, list(identity(n)))
     mods = [submodule(module, b, name=f"{module.name}#{i}")
             for i, b in enumerate(bases)]
     groups: List[Tuple[FinModule, int]] = []
@@ -772,8 +759,7 @@ def transport_module(algebra: HeckeAlgebra, P: Tuple[int, ...],
         refl[pos] = delta.refl[P.index(src)]
     coord = []
     for qi in Q_target:
-        x = tuple(Fraction(1 if t == qi else 0)
-                  for t in range(datum.ambient_dim))
+        x = identity(datum.ambient_dim)[qi]
         pre = mat_vec(transpose(w.matrix), x)  # x o w = w^{-1} . x
         m = [[Fraction(0)] * delta.dim for _ in range(delta.dim)]
         for pos, pi_idx in enumerate(P):

@@ -270,9 +270,7 @@ def build_root_datum(label: str, ambient_dim: int,
     for i in range(total_rank, ambient_dim):
         gram_rows[i][i] = Fraction(1)
     gram = gram_override if gram_override is not None else gram_rows
-    simple_coroots = [tuple(Fraction(1 if j == i else 0)
-                            for j in range(ambient_dim))
-                      for i in range(total_rank)]
+    simple_coroots = list(identity(ambient_dim)[:total_rank])
     return make_root_datum(label, ambient_dim, gram, simple_roots,
                            simple_coroots)
 
@@ -385,8 +383,7 @@ def parabolic(datum: RootDatum, P: Sequence[int]) -> ParabolicDatum:
                            dot(datum.simple_coroots[i],
                                mat_vec(datum.gram, datum.simple_coroots[j]))
                            for j in P) for i in P)
-    sub_coroots = [tuple(Fraction(1 if jj == ii else 0) for jj in range(k))
-                   for ii in range(k)]
+    sub_coroots = list(identity(k))
     sub_datum = make_root_datum(f"{datum.label}|P={list(P)}", k, sub_gram,
                                 sub_cartan_roots, sub_coroots)
     return ParabolicDatum(datum=datum, P=P, a_P_basis=a_P_basis,

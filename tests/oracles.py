@@ -230,3 +230,73 @@ def substitution_multiply(alg, a, b, kvals):
                 else:
                     out[key] = s
     return HeckeElement(self, out)
+
+
+# Dense exact kernels: the `gradedhecke.linalg` bodies from before those
+# routines skipped zero entries, unchanged except that each calls the dense
+# copies here (`_dense_*`) instead of the library's `dot`, `mat_vec`, ...
+# They multiply and add every zero, and `dense_restrict_matrix` solves one
+# system per basis vector.
+
+def _dense_dot(u, v):
+    from fractions import Fraction
+    if len(u) != len(v):
+        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def dense_mat_vec(m, v):
+    return tuple(_dense_dot(row, v) for row in m)
+
+
+def dense_mat_mul(a, b):
+    """Reference for `gradedhecke.linalg.mat_mul`."""
+    from gradedhecke.linalg import transpose
+    bt = transpose(b)
+    return tuple(tuple(_dense_dot(row, col) for col in bt) for row in a)
+
+
+def _dense_mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
+
+
+def _dense_mat_scale(c, a):
+    return tuple(tuple(c * x for x in r) for r in a)
+
+
+def dense_charpoly(a):
+    """Reference for `gradedhecke.linalg.charpoly` (Faddeev-LeVerrier)."""
+    from fractions import Fraction
+
+    from gradedhecke.linalg import trace
+    n = len(a)
+    coeffs = [Fraction(1)]
+    m = identity(n)
+    for k in range(1, n + 1):
+        am = dense_mat_mul(a, m)
+        ck = -trace(am) / k
+        coeffs.append(ck)
+        m = _dense_mat_add(am, _dense_mat_scale(ck, identity(n)))
+    return tuple(coeffs)
+
+
+def dense_coords_in_basis(basis, v):
+    """Coordinates of v in the given basis (columns), or None."""
+    from gradedhecke.linalg import solve
+    if not basis:
+        return () if not any(v) else None
+    a = [[b[i] for b in basis] for i in range(len(v))]
+    return solve(a, list(v))
+
+
+def dense_restrict_matrix(m, basis):
+    """Reference for `gradedhecke.linalg.restrict_matrix`: one solve per
+    basis vector; raises if the span is not invariant."""
+    cols = []
+    for b in basis:
+        c = dense_coords_in_basis(basis, dense_mat_vec(m, b))
+        if c is None:
+            raise ValueError("subspace is not invariant")
+        cols.append(c)
+    return tuple(tuple(cols[j][i] for j in range(len(basis)))
+                 for i in range(len(basis)))

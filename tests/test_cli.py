@@ -333,3 +333,56 @@ def test_load_config_rejects_negative_options():
     cfg = load_config(A1_CFG + "options { truncation=0, max_dim=0, "
                                "n_max=0 }\n")
     assert (cfg.truncation, cfg.max_dim, cfg.n_max) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("command, text, flags", [
+    ("hh-findim", A1_CFG + 'findim { kind="matrix", size=-1 }\n', []),
+    ("hh-findim", A1_CFG + 'findim { kind="matrix", size=0 }\n', []),
+    ("hh-findim", A1_CFG + 'findim { kind="matrix", size=3/2 }\n', []),
+    ("group", 'datum { type="A1", ambient="x", k=1 }\n', []),
+    ("group", 'datum { type="A1", ambient=3/2, k=1 }\n', []),
+    ("group", 'datum { type="A1", ambient=1, k={alpha1="x"} }\n', []),
+    ("group", 'datum { type="A1", ambient=1, k=1, gram=[["x"]] }\n', []),
+    ("group", 'datum { type="A1", ambient=1, k=1, gram=2 }\n', []),
+    ("group", SWAP_CFG.replace("[[0,1],[1,0]]", '[["x",1],[1,0]]'), []),
+    ("group", A1_CFG, ["--k-override", "abc"]),
+    ("group", A1_CFG, ["--k-override", "alpha1=1/0"]),
+    ("induce", A1_CFG + 'induce { p=[], delta="trivial", '
+                        'lambda_re=["x"] }\n', []),
+], ids=["size-negative", "size-zero", "size-fraction", "ambient-string",
+        "ambient-fraction", "k-value", "gram-entry", "gram-shape",
+        "gamma-entry", "k-override", "k-override-named", "lambda_re"])
+def test_cli_rejects_bad_numbers(tmp_path, capsys, command, text, flags):
+    cfg = write(tmp_path, "a.cfg", text)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")]
+              + flags)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert not (tmp_path / "o" / f"{command}.json").exists()
+
+
+def test_cli_rejects_bad_catalog_entry(tmp_path, capsys):
+    cfg = write(tmp_path, "a.cfg", A1_CFG)
+    cat = write(tmp_path, "c.cat",
+                A1_CATALOG.replace("[[-1/2]]", '[["half"]]'))
+    rc = main(["irr0", "--config", cfg, "--out", str(tmp_path / "o"),
+               "--catalog", cat])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: catalog x1 entry must be a number, got 'half'"]
+
+
+def test_config_numbers_are_exact_or_rejected():
+    from fractions import Fraction
+    from gradedhecke.config import integer, number
+    assert number("v", "3/2") == Fraction(3, 2)
+    assert integer("v", Fraction(4)) == 4
+    for bad in (True, "x", "1/0", [1], {"a": 1}, None):
+        with pytest.raises(ConfigError, match="^v must be a number"):
+            number("v", bad)
+    with pytest.raises(ConfigError, match="^v must be an integer >= 1"):
+        integer("v", 0, 1)
+    cfg = load_config(A1_CFG + 'findim { kind="matrix", size=1 }\n')
+    assert cfg.findim_size == 1

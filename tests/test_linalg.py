@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_rref
+from oracles import (dense_charpoly, dense_mat_mul, dense_mat_vec,
+                     dense_restrict_matrix, dense_rref)
 
-from gradedhecke.linalg import QI, rref
+from gradedhecke.linalg import (QI, charpoly, mat_mul, mat_vec, rank,
+                                restrict_matrix, rref)
 
 Q = Fraction
 
@@ -49,3 +51,141 @@ def test_rref_matches_dense_rational(m):
 @given(matrices(gaussians))
 def test_rref_matches_dense_gaussian(m):
     assert rref(m) == dense_rref(m)
+
+
+mixed = st.one_of(fractions, gaussians)
+
+
+def exactly_equal(x, y):
+    """Equal entries, equal hashes: a skipped zero product may leave a
+    Fraction where the dense sum made a QI with zero imaginary part."""
+    return len(x) == len(y) and all(
+        len(r) == len(s) and all(a == b and hash(a) == hash(b)
+                                 for a, b in zip(r, s))
+        for r, s in zip(x, y))
+
+
+@st.composite
+def filled(draw, scalars, nrows, ncols):
+    fill = draw(st.sampled_from((0.0, 0.15, 0.4, 1.0)))
+    rnd = draw(st.randoms(use_true_random=False))
+    return tuple(tuple(draw(scalars) if rnd.random() < fill else Q(0)
+                       for _ in range(ncols)) for _ in range(nrows))
+
+
+@st.composite
+def products(draw, scalars):
+    """(a, b) with a n x k and b k x m, every size 0..6 (empty, zero-width)."""
+    n, k, m = (draw(st.integers(0, 6)) for _ in range(3))
+    return (draw(filled(scalars, n, k)), draw(filled(scalars, k, m)))
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    ((), ((Q(1),),), ()),                          # no rows
+    (((), ()), (), ((), ())),                      # inner size 0
+    (((Q(1), Q(2)),), ((), ()), ((),)),            # zero-width b
+    (((Q(0), Q(0)),), ((Q(1),), (Q(2),)), ((Q(0),),)),  # zero row
+])
+def test_mat_mul_edge_shapes(a, b, expected):
+    assert mat_mul(a, b) == expected == dense_mat_mul(a, b)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(products(fractions))
+def test_mat_mul_matches_dense_rational(ab):
+    a, b = ab
+    assert exactly_equal(mat_mul(a, b), dense_mat_mul(a, b))
+    for v in zip(*b):
+        assert exactly_equal([mat_vec(a, v)], [dense_mat_vec(a, v)])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(products(mixed))
+def test_mat_mul_matches_dense_mixed(ab):
+    a, b = ab
+    assert exactly_equal(mat_mul(a, b), dense_mat_mul(a, b))
+    for v in zip(*b):
+        assert exactly_equal([mat_vec(a, v)], [dense_mat_vec(a, v)])
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
+       st.integers(1, 5), st.data())
+def test_shape_mismatch_raises(n, k, kb, m, data):
+    assume(k != kb)
+    a = data.draw(filled(mixed, n, k))
+    b = data.draw(filled(mixed, kb, m))
+    for f in (mat_mul, dense_mat_mul):
+        with pytest.raises(ValueError):
+            f(a, b)
+    with pytest.raises(ValueError):
+        mat_vec(a, tuple(r[0] for r in b))
+
+
+@st.composite
+def subspaces(draw, scalars):
+    """(m, basis): m is n x n; the basis is a Krylov basis of m (invariant)
+    or, half the time, a random independent set (usually not invariant)."""
+    n = draw(st.integers(1, 6))
+    m = draw(filled(scalars, n, n))
+    v = draw(filled(scalars, 1, n))[0]
+    if draw(st.booleans()):
+        basis = []
+        while any(v) and rank(basis + [v]) > len(basis):
+            basis.append(v)
+            v = dense_mat_vec(m, v)
+    else:
+        rows = draw(filled(scalars, draw(st.integers(0, n)), n))
+        basis = [r for r in rref(rows)[0] if any(r)]
+    return m, basis
+
+
+def restrict_agrees(m, basis):
+    try:
+        expected = dense_restrict_matrix(m, basis)
+    except ValueError:
+        with pytest.raises(ValueError, match="not invariant"):
+            restrict_matrix(m, basis)
+        return False
+    assert exactly_equal(restrict_matrix(m, basis), expected)
+    return True
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(subspaces(fractions))
+def test_restrict_matrix_matches_dense_rational(case):
+    restrict_agrees(*case)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(subspaces(mixed))
+def test_restrict_matrix_matches_dense_mixed(case):
+    restrict_agrees(*case)
+
+
+def test_restrict_matrix_edge_cases():
+    swap = ((Q(0), Q(1)), (Q(1), Q(0)))
+    assert restrict_agrees(swap, [])                            # empty basis
+    assert restrict_agrees(swap, [(Q(1), Q(1))])                # eigenline
+    assert restrict_agrees(swap, [(Q(1), Q(0)), (Q(0), Q(1))])  # whole space
+    assert not restrict_agrees(swap, [(Q(1), Q(0))])            # not invariant
+    with pytest.raises(ValueError, match="not invariant"):
+        restrict_matrix(swap, [(Q(0), Q(1))])
+    assert restrict_matrix(((QI(0, 1),),), [(Q(2),)]) == ((QI(0, 1),),)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: filled(mixed, n, n)))
+def test_charpoly_matches_dense(a):
+    assert charpoly(a) == dense_charpoly(a)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: filled(fractions, n, n)))
+def test_charpoly_matches_sympy(a):
+    import sympy
+    x = sympy.Symbol("x")
+    coeffs = sympy.Matrix(len(a), len(a),
+                          [sympy.Rational(c.numerator, c.denominator)
+                           for row in a for c in row]).charpoly(x).all_coeffs()
+    assert charpoly(a) == tuple(Q(int(c.p), int(c.q)) for c in coeffs)
