@@ -108,34 +108,32 @@ def _cmd_group(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
     return rep
 
 
-def _cmd_molien(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
+def _census_report(command: str, cfg: RunConfig, algebra: HeckeAlgebra):
+    """The census and a report holding its truncation and per-class series."""
     census = crossed_product_census(algebra.datum, truncation=cfg.truncation,
                                     group=algebra.group)
-    rep = _base_report("molien", cfg, algebra)
+    rep = _base_report(command, cfg, algebra)
     rep.update({
-        "truncation": cfg.truncation,
+        "truncation": census.truncation,
         "classes": [{"representative": e.rep_word, "size": e.size,
                      "fixed_dim": e.fixed_dim,
                      "series": [_series_payload(s) for s in e.series]}
                     for e in census.entries],
     })
-    return rep
+    return census, rep
+
+
+def _cmd_molien(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
+    return _census_report("molien", cfg, algebra)[1]
 
 
 def _cmd_crossed_census(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
-    census = crossed_product_census(algebra.datum, truncation=cfg.truncation,
-                                    group=algebra.group)
-    rep = _base_report("crossed-census", cfg, algebra)
+    census, rep = _census_report("crossed-census", cfg, algebra)
     rep.update({
-        "truncation": census.truncation,
         "class_count": census.class_count,
         "hp0": census.hp0,
         "hp1": census.hp1,
         "totals": [_series_payload(s) for s in census.totals],
-        "classes": [{"representative": e.rep_word, "size": e.size,
-                     "fixed_dim": e.fixed_dim,
-                     "series": [_series_payload(s) for s in e.series]}
-                    for e in census.entries],
     })
     return rep
 
@@ -155,22 +153,15 @@ def _findim_algebra(cfg: RunConfig, algebra: HeckeAlgebra) -> FinDimAlgebra:
     return FinDimAlgebra.of_weyl_group(algebra.group)
 
 
-def _cmd_hh_findim(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
-    a = _findim_algebra(cfg, algebra)
-    dims = hochschild_homology(a, cfg.n_max, bound=cfg.max_dim)
-    rep = _base_report("hh-findim", cfg, algebra)
-    rep.update({"algebra": a.label, "algebra_dim": a.dim,
-                "n_max": cfg.n_max, "hh": dims})
-    return rep
-
-
-def _cmd_hc_findim(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
-    a = _findim_algebra(cfg, algebra)
-    dims = cyclic_homology(a, cfg.n_max, bound=cfg.max_dim)
-    rep = _base_report("hc-findim", cfg, algebra)
-    rep.update({"algebra": a.label, "algebra_dim": a.dim,
-                "n_max": cfg.n_max, "hc": dims})
-    return rep
+def _findim_handler(command: str, key: str, homology):
+    def handler(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
+        a = _findim_algebra(cfg, algebra)
+        rep = _base_report(command, cfg, algebra)
+        rep.update({"algebra": a.label, "algebra_dim": a.dim,
+                    "n_max": cfg.n_max,
+                    key: homology(a, cfg.n_max, bound=cfg.max_dim)})
+        return rep
+    return handler
 
 
 def _cmd_induce(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
@@ -270,7 +261,9 @@ def _cmd_verify_basis(cfg: RunConfig, algebra: HeckeAlgebra, catalog_text) -> Di
 
 
 _HANDLERS = {"datum": _cmd_datum, "group": _cmd_group, "molien": _cmd_molien,
-             "hh-findim": _cmd_hh_findim, "hc-findim": _cmd_hc_findim,
+             "hh-findim": _findim_handler("hh-findim", "hh",
+                                          hochschild_homology),
+             "hc-findim": _findim_handler("hc-findim", "hc", cyclic_homology),
              "crossed-census": _cmd_crossed_census, "hp": _cmd_hp,
              "induce": _cmd_induce, "irr0": _cmd_irr0,
              "verify-basis": _cmd_verify_basis}

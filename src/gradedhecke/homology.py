@@ -3,8 +3,8 @@
 Finite-dimensional algebras get the literal bar and mixed complexes with
 exact rank computations.  The crossed product W' x| S(t*) is handled through
 its closed-form census: per-conjugacy-class Molien series of invariant forms
-on the fixed spaces, with HP_0 = #classes and HP_1 = 0 forced by the
-contractibility of each fixed space.
+on the fixed spaces, with HP_1 = 0 forced by the contractibility of each
+fixed space and HP_0 = HH_0(Q[W']) checked against the class count.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .hecke import HeckeAlgebra
-from .linalg import (GradedHeckeError, Mat, Q, Vec, nullspace, rank,
-                     restrict_matrix)
+from .linalg import (GradedHeckeError, Mat, Q, Vec, intertwiner_matrices,
+                     nullspace, rank, restrict_matrix, rref)
 from .modules import DSCatalogEntry, auto_catalog, irr0_census
 from .poly import PoincareSeries, molien_forms
 from .rootdata import RootDatum
@@ -128,12 +128,9 @@ class FinDimAlgebra:
                 out[index[mult_fn(a, b)]] = Fraction(1)
                 row.append(tuple(out))
             mult.append(tuple(row))
-        identity_idx = None
-        for i, g in enumerate(elements):
-            if all(mult_fn(g, h) == h and mult_fn(h, g) == h
-                   for h in elements):
-                identity_idx = i
-                break
+        identity_idx = next((i for i, g in enumerate(elements)
+                             if all(mult_fn(g, h) == h and mult_fn(h, g) == h
+                                    for h in elements)), None)
         if identity_idx is None:
             raise HomologyError("group has no identity element")
         unit = [Fraction(0)] * d
@@ -353,33 +350,27 @@ def crossed_product_census(datum: RootDatum, gammas=(), truncation: int = 16,
 
     HH_n of W' x| S(t*) is the sum over conjugacy classes of the degree-n
     invariant-form series on t^w under the centralizer; HH_n vanishes for
-    n > dim t, HP_0 = #classes and HP_1 = 0.
+    n > dim t and HP_1 = 0.  HP_0 = HH_0(Q[W']) is computed by `group_hh0`
+    and must equal the class count.
     """
     if group is None:
         group = enumerate_group(datum, gammas)
     census = group.census
-    dim_t = datum.ambient_dim
     entries = []
-    totals = [PoincareSeries(order=truncation,
-                             coeffs=(0,) * (truncation + 1),
-                             witness=((), (Fraction(1),)))
-              for _ in range(dim_t + 1)]
     for cls in census.entries:
-        basis = cls.fixed_basis
-        restricted = [restrict_matrix(z.matrix, basis)
+        restricted = [restrict_matrix(z.matrix, cls.fixed_basis)
                       for z in cls.centralizer]
-        series = tuple(molien_forms(restricted, n, truncation)
-                       for n in range(dim_t + 1))
-        entries.append(CensusClassEntry(rep_word=repr(cls.rep), size=cls.size,
-                                        fixed_dim=cls.fixed_dim,
-                                        series=series))
-        totals = [t + s for t, s in zip(totals, series)]
+        entries.append(CensusClassEntry(
+            rep_word=repr(cls.rep), size=cls.size, fixed_dim=cls.fixed_dim,
+            series=molien_forms(restricted, datum.ambient_dim, truncation)))
+    totals = [sum(column[1:], column[0])
+              for column in zip(*(e.series for e in entries))]
     if totals[0].coeffs[0] != len(census.entries):
         raise HomologyError("degree-0 census must count one constant per class")
     return HomologyCensus(datum_label=datum.label, group_order=len(group),
                           class_count=len(census.entries),
                           truncation=truncation, entries=tuple(entries),
-                          totals=tuple(totals), hp0=len(census.entries),
+                          totals=tuple(totals), hp0=group_hh0(group),
                           hp1=0)
 
 
@@ -392,16 +383,32 @@ class HPReport:
     hp1: int
 
 
-def hp_census_hecke(algebra: HeckeAlgebra) -> HPReport:
-    """HP_*(H') = HP_*(C[W']): (#classes(W'), 0), independent of k.
+def group_hh0(group: WeylGroup) -> int:
+    """dim HH_0(Q[W']) = |W'| - rank of the commutator span, the image of b_1.
 
-    The parameters are recorded to document the k-independence; the value is
-    k-free by construction.
+    x - h x h^-1 telescopes along a word for h, so the rows x - s x s^-1 with
+    s a simple reflection or a Gamma element span it.
     """
-    census = algebra.group.census
+    gens = [group.simple(i) for i in range(group.datum.rank)] + \
+        [group.gamma_element(c.label) for c in group.gamma.elements]
+    rows = []
+    for s in gens:
+        for x in group.elements:
+            y = group.mult(group.mult(s, x), group.inv(s)).index
+            if y != x.index:
+                row = [Fraction(0)] * len(group)
+                row[x.index], row[y] = Fraction(1), Fraction(-1)
+                rows.append(row)
+    return len(group) - rank(rows)
+
+
+def hp_census_hecke(algebra: HeckeAlgebra) -> HPReport:
+    """HP_*(H') = HP_*(Q[W']) = (HH_0(Q[W']), 0), independent of k: Q[W'] is
+    semisimple, so HP_0 = HH_0; the parameters document the k-independence."""
     return HPReport(datum_label=algebra.datum.label,
                     k_values=algebra.kmap.values,
-                    class_count=len(census), hp0=len(census), hp1=0)
+                    class_count=len(algebra.group.census),
+                    hp0=group_hh0(algebra.group), hp1=0)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +519,6 @@ def crossed_point_module(perms: Sequence[Tuple[int, ...]], x: int,
             seen.add(_perm_mult(_perm_mult(h, g), inv[h]))
     gens = _point_module_matrices(group, orbit, x)
     d = len(group)
-    from .linalg import intertwiner_matrices
     comm = intertwiner_matrices([(m, m) for m in gens], d, d)
     # center of the commutant: elements commuting with every basis element
     center = intertwiner_matrices([(c, c) for c in comm], d, d)
@@ -545,7 +551,6 @@ def crossed_point_module(perms: Sequence[Tuple[int, ...]], x: int,
 def _intersect_spans(span_a: Sequence[Mat], span_b: Sequence[Mat],
                      d: int) -> List[Vec]:
     """Basis of span(a) intersect span(b), matrices flattened to vectors."""
-    from .linalg import rref
     if not span_a or not span_b:
         return []
     flat_a = [[m[i][j] for i in range(d) for j in range(d)] for m in span_a]

@@ -7,13 +7,14 @@ Fractions; zero coefficients are never stored.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import (GradedHeckeError, Mat, Q, Vec, charpoly, inverse,
                      poly1_add, poly1_divmod, poly1_gcd, poly1_mul,
-                     poly1_scale, poly1_trim, series_inverse, transpose)
+                     poly1_scale, poly1_trim, series_inverse)
 from .rootdata import RootDatum
 
 
@@ -336,50 +337,51 @@ def _reduce_fraction(num, den):
     return poly1_trim(num), poly1_trim(den)
 
 
-def molien_forms(action_matrices: Sequence[Mat], n: int,
-                 order: int = 16) -> PoincareSeries:
-    """Graded dimensions of H-invariant polynomial n-forms on V.
+def molien_forms(action_matrices: Sequence[Mat], n_max: int,
+                 order: int = 16) -> Tuple[PoincareSeries, ...]:
+    """Graded dimensions of H-invariant polynomial n-forms on V, n = 0..n_max.
 
     `action_matrices` give the H-action on V (one matrix per group element,
-    the full group).  Coefficient c_d is the dimension of the degree-d part
-    of (S(V*) (x) Lambda^n V*)^H, computed by classical Molien averaging of
-    det(1 + y h*)/det(1 - t h*) on the dual action.
+    the full group).  Entry n has c_d = dim of the degree-d part of
+    (S(V*) (x) Lambda^n V*)^H, by classical Molien averaging of
+    det(1 + y h*)/det(1 - t h*) on the dual action.  An element enters every
+    degree only through its charpoly, so the group is tallied by charpoly;
+    each degree's witness is one fraction over the lcm of the distinct ones.
     """
     group = list(action_matrices)
     if not group:
         raise ValueError("need at least the identity matrix")
-    dim = len(group[0])
-    if n < 0:
+    if n_max < 0:
         raise ValueError("form degree must be >= 0")
-    if n > dim:
-        return PoincareSeries(order=order, coeffs=(0,) * (order + 1),
-                              witness=((), (Fraction(1),)))
-    total = [Fraction(0)] * (order + 1)
-    wnum: Tuple[Q, ...] = ()
-    wden: Tuple[Q, ...] = (Fraction(1),)
-    for m in group:
-        # cp = det(xI - h*) = (1, c_1, ..., c_dim) highest first, so read
-        # lowest first it is det(1 - t h*), and (-1)^n c_n = tr Lambda^n h*
-        cp = charpoly(transpose(inverse(m))) if dim else (Fraction(1),)
-        numer = cp[n] * (-1) ** n
-        den = poly1_trim(cp)
-        inv = series_inverse(den, order)
-        for i in range(order + 1):
-            total[i] += numer * inv[i]
-        wnum = poly1_add(poly1_mul(wnum, den), poly1_scale(numer, wden))
-        wden = poly1_mul(wden, den)
-        wnum, wden = _reduce_fraction(wnum, wden)
-    size = Fraction(len(group))
-    coeffs = []
-    for c in total:
-        c = c / size
-        if c.denominator != 1 or c < 0:
+    dim = len(group[0])
+    # h^-1 runs over the group as h does and transposing keeps charpolys, so
+    # charpoly(h) tallies cp = det(xI - h*) = (1, c_1, .., c_dim) highest
+    # first: lowest first it is det(1 - t h*), and (-1)^n c_n = tr Lambda^n h*
+    tally = Counter(charpoly(m) if dim else (Fraction(1),) for m in group)
+    lcm: Tuple[Q, ...] = (Fraction(1),)
+    for cp in tally:
+        lcm = poly1_mul(lcm, poly1_divmod(cp, poly1_gcd(lcm, cp))[0])
+    terms = [(count, cp, series_inverse(cp, order), poly1_divmod(lcm, cp)[0])
+             for cp, count in tally.items()]
+    out = []
+    for n in range(min(n_max, dim) + 1):
+        total = [Fraction(0)] * (order + 1)
+        wnum: Tuple[Q, ...] = ()
+        for count, cp, inv, cofactor in terms:
+            numer = count * (-1) ** n * cp[n]
+            total = [t + numer * x for t, x in zip(total, inv)]
+            wnum = poly1_add(wnum, poly1_scale(numer, cofactor))
+        coeffs = [c / len(group) for c in total]
+        if any(c.denominator != 1 or c < 0 for c in coeffs):
             raise ValueError("Molien coefficient is not a dimension")
-        coeffs.append(int(c))
-    wnum = poly1_scale(Fraction(1, len(group)), wnum)
-    wnum, wden = _reduce_fraction(wnum, wden)
-    witness = (wnum, wden) if len(wden) - 1 <= order else None
-    return PoincareSeries(order=order, coeffs=tuple(coeffs), witness=witness)
+        wnum, wden = _reduce_fraction(
+            poly1_scale(Fraction(1, len(group)), wnum), lcm)
+        out.append(PoincareSeries(
+            order=order, coeffs=tuple(int(c) for c in coeffs),
+            witness=(wnum, wden) if len(wden) - 1 <= order else None))
+    zero = PoincareSeries(order=order, coeffs=(0,) * (order + 1),
+                          witness=((), (Fraction(1),)))
+    return tuple(out) + (zero,) * (n_max + 1 - len(out))
 
 
 # ---------------------------------------------------------------------------

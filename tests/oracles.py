@@ -300,3 +300,51 @@ def dense_restrict_matrix(m, basis):
         cols.append(c)
     return tuple(tuple(cols[j][i] for j in range(len(basis)))
                  for i in range(len(basis)))
+
+
+def per_element_molien(action_matrices, n, order=16):
+    """Reference for `gradedhecke.poly.molien_forms`: one degree at a time,
+    one charpoly of the dual action and one reduced fraction per element."""
+    from fractions import Fraction
+    from typing import Tuple
+
+    from gradedhecke.linalg import (Q, charpoly, inverse, poly1_add,
+                                    poly1_mul, poly1_scale, poly1_trim,
+                                    series_inverse, transpose)
+    from gradedhecke.poly import PoincareSeries, _reduce_fraction
+
+    group = list(action_matrices)
+    if not group:
+        raise ValueError("need at least the identity matrix")
+    dim = len(group[0])
+    if n < 0:
+        raise ValueError("form degree must be >= 0")
+    if n > dim:
+        return PoincareSeries(order=order, coeffs=(0,) * (order + 1),
+                              witness=((), (Fraction(1),)))
+    total = [Fraction(0)] * (order + 1)
+    wnum: Tuple[Q, ...] = ()
+    wden: Tuple[Q, ...] = (Fraction(1),)
+    for m in group:
+        # cp = det(xI - h*) = (1, c_1, ..., c_dim) highest first, so read
+        # lowest first it is det(1 - t h*), and (-1)^n c_n = tr Lambda^n h*
+        cp = charpoly(transpose(inverse(m))) if dim else (Fraction(1),)
+        numer = cp[n] * (-1) ** n
+        den = poly1_trim(cp)
+        inv = series_inverse(den, order)
+        for i in range(order + 1):
+            total[i] += numer * inv[i]
+        wnum = poly1_add(poly1_mul(wnum, den), poly1_scale(numer, wden))
+        wden = poly1_mul(wden, den)
+        wnum, wden = _reduce_fraction(wnum, wden)
+    size = Fraction(len(group))
+    coeffs = []
+    for c in total:
+        c = c / size
+        if c.denominator != 1 or c < 0:
+            raise ValueError("Molien coefficient is not a dimension")
+        coeffs.append(int(c))
+    wnum = poly1_scale(Fraction(1, len(group)), wnum)
+    wnum, wden = _reduce_fraction(wnum, wden)
+    witness = (wnum, wden) if len(wden) - 1 <= order else None
+    return PoincareSeries(order=order, coeffs=tuple(coeffs), witness=witness)

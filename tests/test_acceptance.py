@@ -173,7 +173,7 @@ def test_criterion_5_theorem_1_2_census_a1():
     for cls in _cc(enumerate_group(datum)).entries:
         mats = [_rm(z.matrix, cls.fixed_basis) for z in cls.centralizer]
         for n in (2, 3):
-            assert molien_forms(mats, n, 10).coeffs == (0,) * 11
+            assert molien_forms(mats, n, 10)[n].coeffs == (0,) * 11
     # independent brute-force count through degree 10, summed over classes
     from gradedhecke.linalg import restrict_matrix
     from gradedhecke.weyl import conjugacy_census

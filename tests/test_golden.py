@@ -21,6 +21,8 @@ GOLDEN = Path(__file__).parent / "golden"
     ("b2", "verify-basis", (".json", ".csv")),
     ("a1xa1-swap", "verify-basis", (".json", ".csv")),
     ("a1-complex", "induce", (".json",)),
+    ("a1xa1-swap", "crossed-census", (".json",)),
+    ("b2", "molien", (".json",)),
 ])
 def test_cli_reproduces_golden_report(tmp_path, name, command, suffixes):
     assert main([command, "--config", str(GOLDEN / f"{name}.cfg"),

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import warnings
 from fractions import Fraction
@@ -167,6 +168,53 @@ def test_hp_census(label, amb, gammas, expect):
         rep = hp_census_hecke(alg)
         assert (rep.hp0, rep.hp1) == expect
         assert rep.k_values == tuple([Q(k)] * d.rank)
+
+
+@pytest.mark.parametrize("label,amb,gammas,expect", [
+    ("A1", 1, False, 2), ("A2", 2, False, 3), ("B2", 2, False, 5),
+    ("G2", 2, False, 6), ("A3", 3, False, 5), ("A1xA1", 2, True, 5),
+    ("empty", 2, True, 2),
+])
+def test_group_hh0_against_bar_boundary(label, amb, gammas, expect):
+    # corank of the full b_1 : Q[W']^(x2) -> Q[W'] on the literal bar complex
+    d = build_root_datum(label, amb)
+    gs = [make_diagram_automorphism(d, "swap", [[0, 1], [1, 0]])] \
+        if gammas else []
+    group = enumerate_group(d, gs)
+    assert homology.group_hh0(group) == expect == len(group.census)
+    if len(group) <= 24:
+        algebra = FinDimAlgebra.of_weyl_group(group)
+        assert len(group) - rank(hochschild_boundary(algebra, 1)) == expect
+
+
+def _drop_last_class(monkeypatch, group):
+    census = group.census
+    monkeypatch.setattr(group, "_census",
+                        dataclasses.replace(census,
+                                            entries=census.entries[:-1]))
+
+
+def test_hp0_negative_control_crossed_census(monkeypatch):
+    group = enumerate_group(build_root_datum("B2", 2))
+    _drop_last_class(monkeypatch, group)
+    with pytest.raises(HomologyError, match="HP0 = #classes"):
+        crossed_product_census(group.datum, truncation=4, group=group)
+
+
+def test_hp0_negative_control_basis_theorem(monkeypatch):
+    # a census and an Irr_0 list that both lose one class agree with each
+    # other; only the computed HP_0 sees the loss
+    alg = HeckeAlgebra(build_root_datum("B2", 2), 1)
+    _drop_last_class(monkeypatch, alg.group)
+    census = homology.irr0_census
+    monkeypatch.setattr(homology, "irr0_census",
+                        lambda *a, **kw: census(*a, **kw)[:-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = verify_basis_theorem(alg)
+    assert (rep.class_count, rep.irr0_count, rep.hp0) == (4, 4, 5)
+    assert not rep.counts_match and not rep.passed
+    assert hp_census_hecke(alg).hp0 == 5
 
 
 def test_point_module_examples():

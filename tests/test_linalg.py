@@ -189,3 +189,16 @@ def test_charpoly_matches_sympy(a):
                           [sympy.Rational(c.numerator, c.denominator)
                            for row in a for c in row]).charpoly(x).all_coeffs()
     assert charpoly(a) == tuple(Q(int(c.p), int(c.q)) for c in coeffs)
+
+
+def test_qi_keeps_fraction_parts_and_converts_the_rest():
+    half = Q(1, 2)
+    z = QI(half, half)
+    assert z.re is half and z.im is half
+    for x in (QI(1, 2), QI(3) / QI(2), QI(1) / 3, 1 / QI(0, 3),
+              QI(1, 1) * 2 - 1, QI(True, 0)):
+        assert type(x.re) is Fraction and type(x.im) is Fraction
+    assert QI(1) / QI(3) == Q(1, 3) and hash(QI(1) / QI(3)) == hash(Q(1, 3))
+    assert QI(0, 1) * QI(0, 1) == -1 and QI(2, 1) != QI(2)
+    assert hash(QI(2, 1)) == hash((Q(2), Q(1)))
+    assert QI("1/3", 0.5).re == Q(1, 3) and QI(0, 0.5).im == Q(1, 2)

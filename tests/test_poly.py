@@ -3,8 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradedhecke.linalg import det, inverse, transpose
+from gradedhecke import poly
+from gradedhecke.homology import crossed_product_census
+from gradedhecke.linalg import (charpoly, det, inverse, restrict_matrix,
+                                transpose)
 from gradedhecke.poly import (PoincareSeries, Poly, act, divided_difference,
                               invariant_polys, molien_forms,
                               monomials_of_degree, parse_poly, reynolds)
@@ -91,15 +96,15 @@ def test_reynolds():
             assert act(h, r) == r
 
 
-from oracles import brute_force_form_dimension  # noqa: E402
+from oracles import brute_force_form_dimension, per_element_molien  # noqa: E402
 
 
 def test_molien_a1_against_brute_force():
     d = build_root_datum("A1", 1)
     group = enumerate_group(d)
     mats = [e.matrix for e in group.elements]
-    s0 = molien_forms(mats, 0, 10)
-    s1 = molien_forms(mats, 1, 10)
+    s0 = molien_forms(mats, 0, 10)[0]
+    s1 = molien_forms(mats, 1, 10)[1]
     assert s0.coeffs == (1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)
     assert s1.coeffs == (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0)
     for deg in range(11):
@@ -109,9 +114,9 @@ def test_molien_a1_against_brute_force():
 
 def test_molien_point_class():
     # the fixed space of the reflection class is a point
-    s0 = molien_forms([()], 0, 6)
+    s0 = molien_forms([()], 0, 6)[0]
     assert s0.coeffs == (1, 0, 0, 0, 0, 0, 0)
-    s1 = molien_forms([()], 1, 6)
+    s1 = molien_forms([()], 1, 6)[1]
     assert s1.coeffs == (0,) * 7
 
 
@@ -125,7 +130,7 @@ def test_molien_brute_force_cross_check(label, amb, gammas):
     group = enumerate_group(d, gs)
     mats = [e.matrix for e in group.elements]
     for n in (0, 1, 2):
-        series = molien_forms(mats, n, 6)
+        series = molien_forms(mats, n, 6)[n]
         for deg in range(7):
             assert series.coeffs[deg] == \
                 brute_force_form_dimension(mats, deg, n)
@@ -136,19 +141,81 @@ def test_molien_invariant_polys_agree():
     d = build_root_datum("B2", 2)
     group = enumerate_group(d)
     mats = [e.matrix for e in group.elements]
-    series = molien_forms(mats, 0, 6)
+    series = molien_forms(mats, 0, 6)[0]
     for deg in range(7):
         basis = invariant_polys(group.elements, 2, deg)
         assert len(basis) == series.coeffs[deg]
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 3])
+def test_molien_forms_degrees_above_dim_and_negative(n_max):
+    group = enumerate_group(build_root_datum("A1", 1))
+    series = molien_forms([e.matrix for e in group.elements], n_max, 4)
+    assert len(series) == n_max + 1
+    for s in series[2:]:
+        assert s.coeffs == (0,) * 5 and s.witness == ((), (Q(1),))
+    with pytest.raises(ValueError):
+        molien_forms([e.matrix for e in group.elements], -1, 4)
+    with pytest.raises(ValueError):
+        molien_forms([], 0, 4)
+
+
+def _fixed_space_actions():
+    """Centralizer actions on the fixed spaces, one per class and datum."""
+    out = []
+    for label, amb, swap in (("A2", 2, False), ("B2", 2, False),
+                             ("G2", 2, False), ("A3", 3, False),
+                             ("A1xA1", 2, True)):
+        d = build_root_datum(label, amb)
+        gs = [make_diagram_automorphism(d, "swap", [[0, 1], [1, 0]])] \
+            if swap else []
+        for cls in enumerate_group(d, gs).census.entries:
+            out.append((amb, [restrict_matrix(z.matrix, cls.fixed_basis)
+                              for z in cls.centralizer]))
+    return out
+
+
+FIXED_SPACE_ACTIONS = _fixed_space_actions()
+
+
+@pytest.mark.parametrize("index", range(len(FIXED_SPACE_ACTIONS)))
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(st.integers(0, 12), st.randoms(use_true_random=False))
+def test_molien_forms_matches_per_element_oracle(index, order, rng):
+    dim_t, mats = FIXED_SPACE_ACTIONS[index]
+    mats = list(mats)
+    rng.shuffle(mats)
+    series = molien_forms(mats, dim_t + 1, order)
+    for n in range(dim_t + 2):
+        ref = per_element_molien(mats, n, order)
+        assert series[n].coeffs == ref.coeffs
+        assert series[n].witness == ref.witness
+
+
+def test_crossed_census_takes_one_charpoly_per_element(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return charpoly(a)
+
+    monkeypatch.setattr(poly, "charpoly", counted)
+    group = enumerate_group(build_root_datum("A4", 4))
+    crossed_product_census(group.datum, truncation=16, group=group)
+    # one per centralizer element on a nonzero fixed space; the
+    # per-degree, per-element computation took 710
+    assert len(calls) <= sum(len(c.centralizer)
+                             for c in group.census.entries) == 161
+    assert all(calls)
 
 
 def test_poincare_series_witness_and_add():
     d = build_root_datum("A1", 1)
     group = enumerate_group(d)
     mats = [e.matrix for e in group.elements]
-    s = molien_forms(mats, 0, 8)
+    s = molien_forms(mats, 0, 8)[0]
     assert s.witness is not None  # 1/(1 - t^2), checked by __post_init__
-    total = s + molien_forms([()], 0, 8)
+    total = s + molien_forms([()], 0, 8)[0]
     assert total.coeffs == (2, 0, 1, 0, 1, 0, 1, 0, 1)
     with pytest.raises(ValueError):
         PoincareSeries(order=2, coeffs=(1, -1, 0))
