@@ -346,7 +346,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--truncation", type=int, default=None,
                         help="Poincare series truncation order")
     parser.add_argument("--max-dim", type=int, default=None,
-                        help="chain-space size bound for bar complexes")
+                        help="entry bound for the largest bar-complex "
+                             "boundary matrix")
     parser.add_argument("--catalog", default=None,
                         help="discrete-series catalog file")
     parser.add_argument("--k-override", default=None,

@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .hecke import HeckeAlgebra
 from .linalg import (GradedHeckeError, Mat, Q, Vec, intertwiner_matrices,
-                     nullspace, rank, restrict_matrix, rref)
+                     mat_vec, nullspace, rank, restrict_matrix, rref,
+                     transpose, zero_vec)
 from .modules import DSCatalogEntry, auto_catalog, irr0_census
 from .poly import PoincareSeries, molien_forms
 from .rootdata import RootDatum
@@ -150,10 +151,12 @@ class FinDimAlgebra:
 # ---------------------------------------------------------------------------
 
 def _check_bound(dim: int, power: int, bound: int) -> None:
-    """Reject a run whose largest chain space, A^{(x)power}, exceeds bound."""
-    if dim ** power > bound:
+    """Reject a run whose largest boundary matrix, A^{(x)power} to
+    A^{(x)(power-1)}, has more than bound entries."""
+    if dim ** (2 * power - 1) > bound:
         raise SizeBoundExceeded(
-            f"chain space dimension {dim}**{power} exceeds bound {bound}")
+            f"boundary matrix of {dim}**{power - 1} x {dim}**{power} "
+            f"entries exceeds bound {bound}")
 
 
 def _tensor_basis(dim: int, n: int) -> List[Tuple[int, ...]]:
@@ -555,15 +558,11 @@ def _intersect_spans(span_a: Sequence[Mat], span_b: Sequence[Mat],
         return []
     flat_a = [[m[i][j] for i in range(d) for j in range(d)] for m in span_a]
     flat_b = [[m[i][j] for i in range(d) for j in range(d)] for m in span_b]
-    rows = [list(col) for col in zip(*(flat_a + flat_b))]
-    combos = nullspace(rows, len(flat_a) + len(flat_b))
-    vecs = []
-    for c in combos:
-        v = [Fraction(0)] * (d * d)
-        for coeff, fa in zip(c[:len(flat_a)], flat_a):
-            for i in range(d * d):
-                v[i] += coeff * fa[i]
-        vecs.append(tuple(v))
+    cols = transpose(flat_a + flat_b)
+    combos = nullspace(cols, len(flat_a) + len(flat_b))
+    # each combination's span(a) part, as a flattened matrix
+    vecs = [mat_vec(cols, c[:len(flat_a)] + zero_vec(len(flat_b)))
+            for c in combos]
     red, pivots = rref(vecs)
     return [tuple(red[i]) for i in range(len(pivots))]
 

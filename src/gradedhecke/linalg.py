@@ -7,6 +7,7 @@ field-generic over those two types.  No floating point anywhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -111,6 +112,11 @@ def identity(n: int) -> Mat:
                  for i in range(n))
 
 
+def scalar_matrix(c, n: int) -> Mat:
+    return tuple(tuple(c if i == j else Fraction(0) for j in range(n))
+                 for i in range(n))
+
+
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
@@ -144,6 +150,19 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
                     acc[j] = acc[j] + x * y if j in acc else x * y
         out.append(tuple(acc.get(j, zero) for j in range(width)))
     return tuple(out)
+
+
+def mat_comb(coeffs: Sequence, mats: Sequence[Mat], n: int) -> Mat:
+    """The n x n matrix sum of coeffs[k] * mats[k], over nonzero
+    coefficients and nonzero entries only."""
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for c, m in zip(coeffs, mats):
+        if c:
+            for acc, row in zip(out, m):
+                for j, x in enumerate(row):
+                    if x:
+                        acc[j] = acc[j] + c * x
+    return tuple(tuple(r) for r in out)
 
 
 def mat_sub(a: Mat, b: Mat) -> Mat:
@@ -432,22 +451,12 @@ def _divisors(n: int) -> List[int]:
 
 
 def _to_integer_poly(coeffs_highest_first) -> List[int]:
-    denom = 1
-    for c in coeffs_highest_first:
-        denom = denom * Fraction(c).denominator // _gcd(denom, Fraction(c).denominator)
+    denom = math.lcm(*(Fraction(c).denominator for c in coeffs_highest_first))
     ints = [int(Fraction(c) * denom) for c in coeffs_highest_first]
-    g = 0
-    for c in ints:
-        g = _gcd(g, abs(c))
+    g = math.gcd(*ints)
     if g > 1:
         ints = [c // g for c in ints]
     return ints
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def rational_roots(coeffs_highest_first) -> Tuple[List[Tuple[Q, int]], Tuple]:
@@ -493,22 +502,11 @@ def _rational_sqrt(x: Q) -> Optional[Q]:
     if x < 0:
         return None
     n, d = x.numerator, x.denominator
-    rn = _isqrt(n)
-    rd = _isqrt(d)
+    rn = math.isqrt(n)
+    rd = math.isqrt(d)
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
     return None
-
-
-def _isqrt(n: int) -> int:
-    if n < 0:
-        return -1
-    r = int(n ** 0.5)
-    while r * r > n:
-        r -= 1
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    return r
 
 
 def _quadratic_factors(coeffs_highest_first) -> List[Tuple[Q, Q]]:
@@ -559,7 +557,8 @@ def gaussian_roots(coeffs_highest_first) -> Tuple[List[Tuple[QI, int]], Tuple]:
         raise ValueError("zero polynomial")
     conj = [c.conj() for c in p]
     norm = poly1_mul(tuple(reversed(p)), tuple(reversed(conj)))
-    norm_hf = [c.re for c in reversed(norm)]  # real by construction
+    # real by construction; a coefficient no product reached is Fraction(0)
+    norm_hf = [QI.of(c).re for c in reversed(norm)]
     rroots, residual = rational_roots(norm_hf)
     candidates: List[QI] = [QI(r) for r, _ in rroots]
     if len(residual) > 2:

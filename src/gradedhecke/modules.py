@@ -9,22 +9,24 @@ exact; nothing here touches floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .hecke import HeckeAlgebra, HeckeElement
 from .linalg import (GradedHeckeError, Mat, Q, QI, Vec, charpoly,
                      gaussian_roots, identity, intertwiner_matrices, inverse,
-                     mat_mul, mat_sub, mat_vec, nullspace, rational_roots,
-                     restrict_matrix, solve, trace, transpose, zero_vec)
+                     mat_comb, mat_mul, mat_sub, mat_vec, nullspace,
+                     rational_roots, restrict_matrix, scalar_matrix, solve,
+                     trace, transpose, zero_vec)
 from .poly import Poly
 from .rootdata import (ParabolicDatum, RootDatum, in_antidual, pairing,
                        parabolic)
 from .weyl import (ConjugacyClassCensus, ExtendedWeylElement,
-                   coset_decomposition)
+                   coset_decomposition, elements_mapping_parabolic)
 
 
 class ModuleError(GradedHeckeError):
@@ -53,9 +55,27 @@ class FieldExtensionNeeded(ModuleError):
             "(coefficients highest degree first)")
 
 
+def _memoized(compute):
+    """Compute an invariant of a module once and keep it in `module.memo`."""
+    key = compute.__name__
+
+    @functools.wraps(compute)
+    def cached(module):
+        if key not in module.memo:
+            module.memo[key] = compute(module)
+        return module.memo[key]
+    return cached
+
+
 @dataclass
 class FinModule:
-    """A finite-dimensional module over a (possibly extended) Hecke algebra."""
+    """A finite-dimensional module over a (possibly extended) Hecke algebra.
+
+    Nothing mutates a module's matrices after construction, so `memo` keeps
+    the invariants computed from them (weights, central character, commutant,
+    restriction character).  It is excluded from `==` and `repr`, and
+    `submodule` and `dataclasses.replace` start with an empty one.
+    """
 
     algebra: HeckeAlgebra
     dim: int
@@ -65,6 +85,8 @@ class FinModule:
     labels: Tuple[str, ...] = ()
     name: str = ""
     meta: dict = field(default_factory=dict)
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     def __post_init__(self):
         if not self.labels:
@@ -83,16 +105,9 @@ class FinModule:
 
     def covector_matrix(self, x: Vec, x_im: Optional[Vec] = None) -> Mat:
         """Action of a (complex) covector x + i*x_im of t*."""
-        n = self.dim
-        out = [[Fraction(0)] * n for _ in range(n)]
         if x_im is not None:
             x = [c + QI(0, 1) * d if d else c for c, d in zip(x, x_im)]
-        for k, c in enumerate(x):
-            if c:
-                for i in range(n):
-                    for j in range(n):
-                        out[i][j] = out[i][j] + c * self.coord[k][i][j]
-        return tuple(tuple(r) for r in out)
+        return mat_comb(x, self.coord, self.dim)
 
     def generator_matrices(self) -> List[Mat]:
         gens = [self.refl[i] for i in range(self.algebra.datum.rank)]
@@ -148,10 +163,7 @@ class FinModule:
                 lhs = mat_sub(mat_mul(self.coord[k], self.refl[i]),
                               mat_mul(self.refl[i], self.covector_matrix(sx)))
                 c = alg.kmap[i] * pairing(x, datum.simple_coroots[i])
-                rhs = tuple(tuple(c if r == s else Fraction(0)
-                                  for s in range(self.dim))
-                            for r in range(self.dim))
-                if lhs != rhs:
+                if lhs != scalar_matrix(c, self.dim):
                     raise ModuleError(
                         f"cross relation (x_{k}, alpha_{i}) fails "
                         f"in {self.name!r}")
@@ -168,6 +180,7 @@ class FinModule:
                 if lhs != rhs:
                     raise ModuleError("gamma cross relation fails")
 
+    @_memoized
     def restriction_character(self) -> "Character":
         census = self.algebra.group.census
         values = tuple(trace(self.group_matrix(e.rep)) for e in census.entries)
@@ -187,6 +200,24 @@ def _braid_order(datum: RootDatum, i: int, j: int) -> int:
     return order
 
 
+def _components(n: int, linked) -> List[int]:
+    """Union-find root of each of 0..n-1 once every pair i < j with
+    linked(i, j) is joined; a pair already joined is not tested."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if find(i) != find(j) and linked(i, j):
+                parent[find(i)] = find(j)
+    return [find(i) for i in range(n)]
+
+
 @dataclass(frozen=True)
 class Character:
     """Class function on W', stored by the census's canonical class order."""
@@ -199,9 +230,6 @@ class Character:
 
     def __hash__(self):
         return hash(self.values)
-
-    def dimension(self) -> Q:
-        return self.values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +256,8 @@ def one_dim_modules(algebra: HeckeAlgebra) -> List[FinModule]:
         mod.verify()
         return [mod]
     # link i ~ j when the braid order m_ij is odd
-    parent = list(range(rank))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            if _braid_order(datum, i, j) % 2 == 1:
-                parent[find(i)] = find(j)
-    comps = sorted({find(i) for i in range(rank)})
+    root = _components(rank, lambda i, j: _braid_order(datum, i, j) % 2 == 1)
+    comps = sorted(set(root))
     cartan = datum.cartan()
     out: List[FinModule] = []
     for bits in range(1 << len(comps)):
@@ -248,15 +265,13 @@ def one_dim_modules(algebra: HeckeAlgebra) -> List[FinModule]:
         for ci, croot in enumerate(comps):
             sign = Fraction(-1 if (bits >> ci) & 1 else 1)
             for i in range(rank):
-                if find(i) == croot:
+                if root[i] == croot:
                     eps[i] = sign
         target = [eps[i] * algebra.kmap[i] for i in range(rank)]
         coeffs = solve([list(r) for r in cartan], target)
         if coeffs is None:
             continue
-        lam = zero_vec(datum.ambient_dim)
-        for c, cv in zip(coeffs, datum.simple_coroots):
-            lam = tuple(a + c * b for a, b in zip(lam, cv))
+        lam = mat_vec(transpose(datum.simple_coroots), coeffs)
         refl = {i: ((eps[i],),) for i in range(rank)}
         coord = tuple(((lam[k],),) for k in range(datum.ambient_dim))
         if all(e == 1 for e in eps):
@@ -305,7 +320,6 @@ def parabolic_algebra(algebra: HeckeAlgebra,
 
 def _poly_at_coordinates(p: Poly, mats: Sequence[Mat], dim: int) -> Mat:
     """Evaluate p at commuting coordinate matrices (exact)."""
-    out = [[Fraction(0)] * dim for _ in range(dim)]
     cache: Dict[Tuple[int, int], Mat] = {}
 
     def power(i, k):
@@ -316,19 +330,14 @@ def _poly_at_coordinates(p: Poly, mats: Sequence[Mat], dim: int) -> Mat:
                 cache[(i, k)] = mat_mul(power(i, k - 1), mats[i])
         return cache[(i, k)]
 
-    for e, c in p.terms.items():
+    monomials = []
+    for e in p.terms:
         m = None
         for i, k in enumerate(e):
             if k:
                 m = power(i, k) if m is None else mat_mul(m, power(i, k))
-        if m is None:
-            for r in range(dim):
-                out[r][r] = out[r][r] + c
-        else:
-            for r in range(dim):
-                for s in range(dim):
-                    out[r][s] = out[r][s] + c * m[r][s]
-    return tuple(tuple(r) for r in out)
+        monomials.append(identity(dim) if m is None else m)
+    return mat_comb(list(p.terms.values()), monomials, dim)
 
 
 def induce(algebra: HeckeAlgebra, xi: InductionDatum,
@@ -360,14 +369,10 @@ def induce(algebra: HeckeAlgebra, xi: InductionDatum,
     for k in range(datum.ambient_dim):
         lam_k = QI(xi.lam_re[k], xi.lam_im[k]) if complex_lam \
             else xi.lam_re[k]
+        mats = [identity(d)]
         if k in parab.P:
-            base = delta.coord[parab.P.index(k)]
-        else:
-            base = tuple(tuple(Fraction(0) for _ in range(d))
-                         for _ in range(d))
-        coord_small.append(tuple(tuple(base[r][s] +
-                                       (lam_k if r == s else 0)
-                                       for s in range(d)) for r in range(d)))
+            mats.append(delta.coord[parab.P.index(k)])
+        coord_small.append(mat_comb([lam_k, 1], mats, d))
 
     # delta of each W_P element, by index; a reduced word of an element of
     # W_P uses only letters of P, the i-th of which is s_i of the sub datum
@@ -422,6 +427,13 @@ def induce(algebra: HeckeAlgebra, xi: InductionDatum,
 # Weights, central characters, temperedness.
 # ---------------------------------------------------------------------------
 
+def _roots(cp, cmplx: bool):
+    """Roots of a characteristic polynomial with multiplicities, in Q(i)
+    (as QI) when `cmplx` and in Q otherwise, plus the rootless residual."""
+    return gaussian_roots(cp) if cmplx else rational_roots(cp)
+
+
+@_memoized
 def weights(module: FinModule) -> List[Tuple[Tuple[Vec, Vec], int]]:
     """Generalized joint spectrum of the coordinate matrices.
 
@@ -431,41 +443,31 @@ def weights(module: FinModule) -> List[Tuple[Tuple[Vec, Vec], int]]:
     """
     n = module.dim
     cmplx = module.is_complex()
-    spaces: List[Tuple[List[Vec], List]] = [(list(identity(n)), [])]
+    spaces: List[Tuple[Mat, Tuple]] = [(identity(n), ())]
     for m in module.coord:
         new_spaces = []
         for basis, vals in spaces:
             a = restrict_matrix(m, basis)
             cp = charpoly(a)
-            if cmplx:
-                roots, residual = gaussian_roots(cp)
-            else:
-                roots, residual = rational_roots(cp)
-                roots = [(QI(r), mult) for r, mult in roots]
+            roots, residual = _roots(cp, cmplx)
             if len(residual) > 1:
                 raise UnsplitSpectrumError(residual)
-            total = 0
             dim_b = len(basis)
+            lift = transpose(basis)
             for lam, mult in roots:
-                lam_s = lam if cmplx else lam.re
-                shifted = tuple(tuple(a[r][c] - (lam_s if r == c else 0)
-                                      for c in range(dim_b))
-                                for r in range(dim_b))
-                powm = identity(dim_b)
+                # grow ker (a - lam)^j until it is the generalized eigenspace
+                shifted = mat_sub(a, scalar_matrix(lam, dim_b))
+                powm = shifted
                 for _ in range(dim_b):
+                    ker = nullspace(powm, dim_b)
+                    if len(ker) == mult:
+                        break
                     powm = mat_mul(powm, shifted)
-                ker = nullspace([list(r) for r in powm], dim_b)
                 if len(ker) != mult:
                     raise UnsplitSpectrumError(cp)
-                lifted = []
-                for v in ker:
-                    w = zero_vec(n)
-                    for c, bvec in zip(v, basis):
-                        w = tuple(x + c * y for x, y in zip(w, bvec))
-                    lifted.append(w)
-                new_spaces.append((lifted, vals + [lam]))
-                total += mult
-            if total != dim_b:
+                new_spaces.append((tuple(mat_vec(lift, v) for v in ker),
+                                   vals + (QI.of(lam),)))
+            if sum(mult for _, mult in roots) != dim_b:
                 raise UnsplitSpectrumError(cp)
         spaces = new_spaces
     agg: Dict[Tuple[Vec, Vec], int] = {}
@@ -479,6 +481,7 @@ def weights(module: FinModule) -> List[Tuple[Tuple[Vec, Vec], int]]:
     return out
 
 
+@_memoized
 def central_character(module: FinModule) -> Tuple[Tuple[Tuple[Vec, Vec], ...], bool]:
     """The W'-orbit of the weights and whether it is real (im = 0).
 
@@ -538,6 +541,7 @@ def hom_space(src: FinModule, dst: FinModule) -> List[Mat]:
     return intertwiner_matrices(pairs, dst.dim, src.dim)
 
 
+@_memoized
 def commutant(module: FinModule) -> List[Mat]:
     return hom_space(module, module)
 
@@ -545,13 +549,6 @@ def commutant(module: FinModule) -> List[Mat]:
 def is_irreducible(module: FinModule) -> bool:
     """Commutant dimension 1 certifies irreducibility over the working field."""
     return len(commutant(module)) == 1
-
-
-def commutant_radical_dim(module: FinModule) -> int:
-    """Kernel dimension of the trace form on the commutant (0 = semisimple)."""
-    basis = commutant(module)
-    gram = [[trace(mat_mul(a, b)) for b in basis] for a in basis]
-    return len(nullspace(gram, len(basis)))
 
 
 def submodule(module: FinModule, basis: Sequence[Vec],
@@ -571,7 +568,6 @@ def submodule(module: FinModule, basis: Sequence[Vec],
 
 def _eigen_split_element(basis_mats: List[Mat], dim: int, cmplx: bool):
     """Find (c, lam) with a proper eigenkernel, or the obstruction poly."""
-    ident = identity(dim)
     obstruction = None
     candidates = list(basis_mats)
     # deterministic combinations in case no single basis element splits
@@ -579,74 +575,52 @@ def _eigen_split_element(basis_mats: List[Mat], dim: int, cmplx: bool):
         for j in range(i + 1, len(basis_mats)):
             candidates.append(mat_mul(basis_mats[i], basis_mats[j]))
     for c in candidates:
-        if all(c[r][s] == (c[0][0] if r == s else 0)
-               for r in range(dim) for s in range(dim)):
-            continue  # scalar
+        if c == scalar_matrix(c[0][0], dim):
+            continue
         cp = charpoly(c)
-        if cmplx:
-            roots, residual = gaussian_roots(cp)
-        else:
-            rroots, residual = rational_roots(cp)
-            roots = [(QI(r), m) for r, m in rroots]
+        roots, residual = _roots(cp, cmplx)
         for lam, _ in roots:
-            lam_s = lam if cmplx else lam.re
-            shifted = tuple(tuple(c[r][s] - (lam_s if r == s else 0)
-                                  for s in range(dim)) for r in range(dim))
-            ker = nullspace([list(r) for r in shifted], dim)
+            ker = nullspace(mat_sub(c, scalar_matrix(lam, dim)), dim)
             if 0 < len(ker) < dim:
-                return c, lam_s, ker, None
+                return c, lam, ker, None
         if len(residual) > 1 and obstruction is None:
             obstruction = residual
     return None, None, None, obstruction
 
 
-def _split_bases(module: FinModule, basis: List[Vec]) -> List[List[Vec]]:
-    """Bases of irreducible submodules spanning the given invariant space."""
-    sub = submodule(module, basis)
-    comm = commutant(sub)
+def _split(module: FinModule) -> List[FinModule]:
+    """Irreducible submodules whose direct sum is the module.
+
+    Each piece is split in its own coordinates: the two halves cut out by an
+    idempotent of the commutant are submodules of the piece, so every
+    summand is built once, with the matrices of its restriction.
+    """
+    comm = commutant(module)
     if len(comm) == 1:
-        return [list(basis)]
-    cmplx = sub.is_complex()
-    c, lam, ker, obstruction = _eigen_split_element(comm, sub.dim, cmplx)
+        return [module]
+    n = module.dim
+    c, lam, ker, obstruction = _eigen_split_element(comm, n,
+                                                    module.is_complex())
     if c is None:
         raise FieldExtensionNeeded(
             obstruction if obstruction is not None else (Fraction(1),))
     # idempotent e in span(comm) with image exactly span(ker)
-    kmat_rows = [list(v) for v in ker]
-    ann = nullspace(kmat_rows, sub.dim)  # z with <z, ker> = 0
-    rows = []
-    rhs = []
+    rows: List[Vec] = []
+    rhs: List = []
     for w in ker:  # e w = w
-        for r in range(sub.dim):
-            rows.append([sum((cb[r][s] * w[s] for s in range(sub.dim)),
-                             Fraction(0)) for cb in comm])
-            rhs.append(w[r])
-    for j in range(sub.dim):  # e e_j in span(ker):  z . (e e_j) = 0
-        col = [tuple(cb[r][j] for r in range(sub.dim)) for cb in comm]
-        for z in ann:
-            rows.append([sum((z[r] * cv[r] for r in range(sub.dim)),
-                             Fraction(0)) for cv in col])
-            rhs.append(Fraction(0))
+        rows += transpose([mat_vec(cb, w) for cb in comm])
+        rhs += w
+    for z in nullspace(ker, n):  # z . (e e_j) = 0 for z with <z, ker> = 0
+        rows += transpose([mat_vec(transpose(cb), z) for cb in comm])
+        rhs += zero_vec(n)
     coeffs = solve(rows, rhs)
     if coeffs is None:
         raise ModuleError("no idempotent projection; module not completely "
                           "reducible over the working field")
-    e = [[sum((coeffs[t] * comm[t][r][s] for t in range(len(comm))),
-              Fraction(0)) for s in range(sub.dim)] for r in range(sub.dim)]
-    ker_e = nullspace(e, sub.dim)
-    if len(ker) + len(ker_e) != sub.dim:
+    ker_e = nullspace(mat_comb(coeffs, comm, n), n)
+    if len(ker) + len(ker_e) != n:
         raise ModuleError("idempotent split has wrong rank")
-
-    def lift(vecs):
-        out = []
-        for v in vecs:
-            w = zero_vec(module.dim)
-            for cvf, bvec in zip(v, basis):
-                w = tuple(x + cvf * y for x, y in zip(w, bvec))
-            out.append(w)
-        return out
-
-    return _split_bases(module, lift(ker)) + _split_bases(module, lift(ker_e))
+    return _split(submodule(module, ker)) + _split(submodule(module, ker_e))
 
 
 def equivalent(a: FinModule, b: FinModule) -> bool:
@@ -665,21 +639,18 @@ def decompose(module: FinModule) -> List[Tuple[FinModule, int]]:
 
     Orthogonal idempotents are found inside the commutant; a commutant whose
     elements have no rational eigenvalues raises FieldExtensionNeeded with
-    the polynomial to adjoin.
+    the polynomial to adjoin.  Summands are new modules named
+    `<name>#<i>` in coordinates of their own; the module is left as it is.
     """
-    n = module.dim
-    bases = _split_bases(module, list(identity(n)))
-    mods = [submodule(module, b, name=f"{module.name}#{i}")
-            for i, b in enumerate(bases)]
     groups: List[Tuple[FinModule, int]] = []
-    for m in mods:
-        placed = False
-        for i, (rep, count) in enumerate(groups):
+    for i, leaf in enumerate(_split(module)):
+        m = replace(leaf, name=f"{module.name}#{i}", labels=(),
+                    meta=dict(leaf.meta))
+        for g, (rep, count) in enumerate(groups):
             if equivalent(rep, m):
-                groups[i] = (rep, count + 1)
-                placed = True
+                groups[g] = (rep, count + 1)
                 break
-        if not placed:
+        else:
             groups.append((m, 1))
     if sum(c * m.dim for m, c in groups) != module.dim:
         raise ModuleError("decomposition does not fill the module")
@@ -761,14 +732,7 @@ def transport_module(algebra: HeckeAlgebra, P: Tuple[int, ...],
     for qi in Q_target:
         x = identity(datum.ambient_dim)[qi]
         pre = mat_vec(transpose(w.matrix), x)  # x o w = w^{-1} . x
-        m = [[Fraction(0)] * delta.dim for _ in range(delta.dim)]
-        for pos, pi_idx in enumerate(P):
-            c = pre[pi_idx]
-            if c:
-                for r in range(delta.dim):
-                    for s in range(delta.dim):
-                        m[r][s] = m[r][s] + c * delta.coord[pos][r][s]
-        coord.append(tuple(tuple(r) for r in m))
+        coord.append(delta.covector_matrix([pre[i] for i in P]))
     mod = FinModule(algebra=target_alg, dim=delta.dim, refl=refl, gammas={},
                     coord=tuple(coord), name=f"{delta.name}^w",
                     meta=dict(delta.meta))
@@ -780,32 +744,18 @@ def association_classes(algebra: HeckeAlgebra,
                         catalog: Sequence[DSCatalogEntry]):
     """Partition catalog pairs (P, delta) into W'-association classes."""
     pairs = list(catalog)
-    n = len(pairs)
-    parent = list(range(n))
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    def associate(i: int, j: int) -> bool:
+        Pi, Pj = pairs[i].P, pairs[j].P
+        return len(Pi) == len(Pj) and any(
+            equivalent(transport_module(algebra, Pi, pairs[i].module, w, Pj,
+                                        parabolic_algebra(algebra, Pj)[1]),
+                       pairs[j].module)
+            for w in elements_mapping_parabolic(algebra.group, Pi, Pj))
 
-    from .weyl import elements_mapping_parabolic
-    for i in range(n):
-        for j in range(i + 1, n):
-            if find(i) == find(j):
-                continue
-            Pi, Pj = pairs[i].P, pairs[j].P
-            if len(Pi) != len(Pj):
-                continue
-            for w in elements_mapping_parabolic(algebra.group, Pi, Pj):
-                moved = transport_module(algebra, Pi, pairs[i].module, w, Pj,
-                                         parabolic_algebra(algebra, Pj)[1])
-                if equivalent(moved, pairs[j].module):
-                    parent[find(i)] = find(j)
-                    break
     classes: Dict[int, List[DSCatalogEntry]] = {}
-    for i in range(n):
-        classes.setdefault(find(i), []).append(pairs[i])
+    for pair, root in zip(pairs, _components(len(pairs), associate)):
+        classes.setdefault(root, []).append(pair)
     ordered = []
     for _, members in sorted(classes.items(),
                              key=lambda kv: (len(kv[1][0].P), kv[1][0].P)):

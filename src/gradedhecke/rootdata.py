@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .linalg import (GradedHeckeError, Mat, Q, Vec, dot, identity, mat,
                      mat_vec, nullspace, rank, solve, transpose, vec,
-                     zero_vec)
+                     vec_sub, zero_vec)
 
 ROOT_CLOSURE_BOUND = 10000
 
@@ -338,17 +338,13 @@ class ParabolicDatum:
 
     def decompose_covector(self, x: Vec) -> Tuple[Vec, Vec]:
         """Exact splitting x = x_P + x^P along t*_P + t^{P*}."""
-        basis = list(self.tstar_P_basis) + list(self.tstar_upP_basis)
-        rows = [[b[i] for b in basis] for i in range(self.datum.ambient_dim)]
-        c = solve(rows, list(x))
+        cols = transpose(self.tstar_P_basis + self.tstar_upP_basis)
+        c = solve(cols, list(x))
         if c is None:
             raise RootDatumError("covector decomposition failed")
         np = len(self.tstar_P_basis)
-        x_p = zero_vec(self.datum.ambient_dim)
-        for coeff, b in zip(c[:np], self.tstar_P_basis):
-            x_p = tuple(a + coeff * bb for a, bb in zip(x_p, b))
-        x_up = tuple(a - b for a, b in zip(x, x_p))
-        return x_p, x_up
+        x_p = mat_vec(cols, c[:np] + zero_vec(len(c) - np))
+        return x_p, vec_sub(x, x_p)
 
     def embed_point(self, c: Vec) -> Vec:
         """Point of a_P given in sub coordinates, as an ambient vector."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .linalg import (GradedHeckeError, Mat, Vec, dot, identity, inverse, mat,
-                     mat_mul, mat_vec, nullspace)
+                     mat_mul, mat_vec, nullspace, transpose)
 from .rootdata import RootDatum
 
 GROUP_SIZE_BOUND = 100000
@@ -44,7 +44,6 @@ def make_diagram_automorphism(datum: RootDatum, label: str,
     n = datum.ambient_dim
     if len(m) != n or any(len(r) != n for r in m):
         raise WeylError("automorphism matrix has wrong shape")
-    from .linalg import transpose
     if mat_mul(transpose(m), mat_mul(datum.gram, m)) != datum.gram:
         raise WeylError(f"automorphism {label!r} is not Gram-orthogonal")
     perm = []
@@ -269,10 +268,13 @@ def _enumerate_weyl_words(datum: RootDatum, bound: int):
 
 
 def _length_by_roots(matrix: Mat, positive: FrozenSet[Vec]) -> int:
-    """Number of positive roots sent negative (no reduced-word search)."""
-    from .linalg import transpose
-    minv_t = transpose(inverse(matrix))
-    return sum(1 for a in positive if mat_vec(minv_t, a) not in positive)
+    """Number of positive roots sent negative (no reduced-word search).
+
+    transpose(matrix) is the action of w^{-1} on covectors, and
+    l(w^{-1}) = l(w), so no inverse is computed.
+    """
+    m_t = transpose(matrix)
+    return sum(1 for a in positive if mat_vec(m_t, a) not in positive)
 
 
 def enumerate_group(datum: RootDatum,

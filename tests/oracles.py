@@ -1,9 +1,15 @@
 """Shared helpers for the test suite: reference implementations to compare against."""
 
 from collections import namedtuple
-from typing import List, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, List, Sequence, Tuple
 
-from gradedhecke.linalg import identity, mat_mul
+from gradedhecke.linalg import (QI, Vec, charpoly, gaussian_roots, identity,
+                                mat_mul, nullspace, rational_roots,
+                                restrict_matrix, solve, zero_vec)
+from gradedhecke.modules import (FieldExtensionNeeded, FinModule, ModuleError,
+                                 UnsplitSpectrumError, _eigen_split_element,
+                                 commutant, equivalent, submodule)
 
 
 def all_reduced_words(datum, matrix):
@@ -348,3 +354,144 @@ def per_element_molien(action_matrices, n, order=16):
     wnum, wden = _reduce_fraction(wnum, wden)
     witness = (wnum, wden) if len(wden) - 1 <= order else None
     return PoincareSeries(order=order, coeffs=tuple(coeffs), witness=witness)
+
+
+# Module decomposition as it was before summands were split in their own
+# coordinates: the `gradedhecke.modules` bodies of `weights`, `_split_bases`
+# and `decompose`, unchanged but for their names.  `weights` powers
+# (A - lambda) `dim` times and lifts with a tuple-add loop; `_split_bases`
+# recomputes each piece as a submodule of the whole module, and `decompose`
+# rebuilds every summand from its lifted basis.
+
+def basis_lift_weights(module: FinModule) -> List[Tuple[Tuple[Vec, Vec], int]]:
+    """Generalized joint spectrum of the coordinate matrices.
+
+    Returns [((re, im), multiplicity)] with multiplicities summing to the
+    dimension; raises UnsplitSpectrumError naming the offending
+    characteristic factor when the spectrum is not Gaussian rational.
+    """
+    n = module.dim
+    cmplx = module.is_complex()
+    spaces: List[Tuple[List[Vec], List]] = [(list(identity(n)), [])]
+    for m in module.coord:
+        new_spaces = []
+        for basis, vals in spaces:
+            a = restrict_matrix(m, basis)
+            cp = charpoly(a)
+            if cmplx:
+                roots, residual = gaussian_roots(cp)
+            else:
+                roots, residual = rational_roots(cp)
+                roots = [(QI(r), mult) for r, mult in roots]
+            if len(residual) > 1:
+                raise UnsplitSpectrumError(residual)
+            total = 0
+            dim_b = len(basis)
+            for lam, mult in roots:
+                lam_s = lam if cmplx else lam.re
+                shifted = tuple(tuple(a[r][c] - (lam_s if r == c else 0)
+                                      for c in range(dim_b))
+                                for r in range(dim_b))
+                powm = identity(dim_b)
+                for _ in range(dim_b):
+                    powm = mat_mul(powm, shifted)
+                ker = nullspace([list(r) for r in powm], dim_b)
+                if len(ker) != mult:
+                    raise UnsplitSpectrumError(cp)
+                lifted = []
+                for v in ker:
+                    w = zero_vec(n)
+                    for c, bvec in zip(v, basis):
+                        w = tuple(x + c * y for x, y in zip(w, bvec))
+                    lifted.append(w)
+                new_spaces.append((lifted, vals + [lam]))
+                total += mult
+            if total != dim_b:
+                raise UnsplitSpectrumError(cp)
+        spaces = new_spaces
+    agg: Dict[Tuple[Vec, Vec], int] = {}
+    for basis, vals in spaces:
+        re = tuple(v.re for v in vals)
+        im = tuple(v.im for v in vals)
+        agg[(re, im)] = agg.get((re, im), 0) + len(basis)
+    out = sorted(agg.items(), key=lambda t: t[0])
+    if sum(mult for _, mult in out) != n:
+        raise ModuleError("weight multiplicities do not sum to the dimension")
+    return out
+
+
+def _lift_split_bases(module: FinModule, basis: List[Vec]) -> List[List[Vec]]:
+    """Bases of irreducible submodules spanning the given invariant space."""
+    sub = submodule(module, basis)
+    comm = commutant(sub)
+    if len(comm) == 1:
+        return [list(basis)]
+    cmplx = sub.is_complex()
+    c, lam, ker, obstruction = _eigen_split_element(comm, sub.dim, cmplx)
+    if c is None:
+        raise FieldExtensionNeeded(
+            obstruction if obstruction is not None else (Fraction(1),))
+    # idempotent e in span(comm) with image exactly span(ker)
+    kmat_rows = [list(v) for v in ker]
+    ann = nullspace(kmat_rows, sub.dim)  # z with <z, ker> = 0
+    rows = []
+    rhs = []
+    for w in ker:  # e w = w
+        for r in range(sub.dim):
+            rows.append([sum((cb[r][s] * w[s] for s in range(sub.dim)),
+                             Fraction(0)) for cb in comm])
+            rhs.append(w[r])
+    for j in range(sub.dim):  # e e_j in span(ker):  z . (e e_j) = 0
+        col = [tuple(cb[r][j] for r in range(sub.dim)) for cb in comm]
+        for z in ann:
+            rows.append([sum((z[r] * cv[r] for r in range(sub.dim)),
+                             Fraction(0)) for cv in col])
+            rhs.append(Fraction(0))
+    coeffs = solve(rows, rhs)
+    if coeffs is None:
+        raise ModuleError("no idempotent projection; module not completely "
+                          "reducible over the working field")
+    e = [[sum((coeffs[t] * comm[t][r][s] for t in range(len(comm))),
+              Fraction(0)) for s in range(sub.dim)] for r in range(sub.dim)]
+    ker_e = nullspace(e, sub.dim)
+    if len(ker) + len(ker_e) != sub.dim:
+        raise ModuleError("idempotent split has wrong rank")
+
+    def lift(vecs):
+        out = []
+        for v in vecs:
+            w = zero_vec(module.dim)
+            for cvf, bvec in zip(v, basis):
+                w = tuple(x + cvf * y for x, y in zip(w, bvec))
+            out.append(w)
+        return out
+
+    return (_lift_split_bases(module, lift(ker))
+            + _lift_split_bases(module, lift(ker_e)))
+
+
+def rebuild_decompose(module: FinModule) -> List[Tuple[FinModule, int]]:
+    """Split a completely reducible module into irreducibles with multiplicity.
+
+    Orthogonal idempotents are found inside the commutant; a commutant whose
+    elements have no rational eigenvalues raises FieldExtensionNeeded with
+    the polynomial to adjoin.
+    """
+    n = module.dim
+    bases = _lift_split_bases(module, list(identity(n)))
+    mods = [submodule(module, b, name=f"{module.name}#{i}")
+            for i, b in enumerate(bases)]
+    groups: List[Tuple[FinModule, int]] = []
+    for m in mods:
+        placed = False
+        for i, (rep, count) in enumerate(groups):
+            if equivalent(rep, m):
+                groups[i] = (rep, count + 1)
+                placed = True
+                break
+        if not placed:
+            groups.append((m, 1))
+    if sum(c * m.dim for m, c in groups) != module.dim:
+        raise ModuleError("decomposition does not fill the module")
+    groups.sort(key=lambda t: (t[0].dim, t[0].restriction_character().values))
+    return groups

@@ -109,6 +109,18 @@ def test_cli_size_bound_error_names_bound(tmp_path, capsys):
     assert "50" in capsys.readouterr().err
 
 
+def test_cli_size_bound_counts_matrix_entries(tmp_path, capsys):
+    # n_max=2 on M_2(Q) builds b_3 with 4^7 entries; its chain space is 4^4
+    cfg = write(tmp_path, "a.cfg",
+                A1_CFG + 'findim { kind="matrix", size=2 }\n'
+                         'options { n_max=2, max_dim=1000 }\n')
+    rc = main(["hh-findim", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "1000" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_cli_induce(tmp_path):
     cfg = write(tmp_path, "a.cfg", INDUCE_CFG)
     out = str(tmp_path / "out")

@@ -23,6 +23,8 @@ GOLDEN = Path(__file__).parent / "golden"
     ("a1-complex", "induce", (".json",)),
     ("a1xa1-swap", "crossed-census", (".json",)),
     ("b2", "molien", (".json",)),
+    ("g2", "irr0", (".json",)),
+    ("a2-ps0", "induce", (".json",)),
 ])
 def test_cli_reproduces_golden_report(tmp_path, name, command, suffixes):
     assert main([command, "--config", str(GOLDEN / f"{name}.cfg"),

@@ -110,6 +110,15 @@ def test_size_bound():
         hochschild_homology(FinDimAlgebra.matrix_algebra(2), 4, bound=100)
 
 
+def test_size_bound_covers_largest_boundary_matrix():
+    # HH_0..HH_2 of M_2(Q) builds b_3, a 4^3 x 4^4 matrix of 16,384 entries
+    # on a chain space of only 256 dimensions
+    with pytest.raises(SizeBoundExceeded, match="bound 1000"):
+        hochschild_homology(FinDimAlgebra.matrix_algebra(2), 2, bound=1000)
+    assert hochschild_homology(FinDimAlgebra.matrix_algebra(2), 2,
+                               bound=4 ** 7) == [1, 0, 0]
+
+
 def test_size_bound_covers_largest_built_space():
     s3 = s3_algebra()
     # HH_0..HH_2 builds b_3 on A^(x)4, 1296 columns

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from oracles import (dense_charpoly, dense_mat_mul, dense_mat_vec,
                      dense_restrict_matrix, dense_rref)
 
-from gradedhecke.linalg import (QI, charpoly, mat_mul, mat_vec, rank,
-                                restrict_matrix, rref)
+from gradedhecke.linalg import (QI, _rational_sqrt, charpoly, mat_comb,
+                                mat_mul, mat_vec, rank, restrict_matrix, rref)
 
 Q = Fraction
 
@@ -202,3 +202,48 @@ def test_qi_keeps_fraction_parts_and_converts_the_rest():
     assert QI(0, 1) * QI(0, 1) == -1 and QI(2, 1) != QI(2)
     assert hash(QI(2, 1)) == hash((Q(2), Q(1)))
     assert QI("1/3", 0.5).re == Q(1, 3) and QI(0, 0.5).im == Q(1, 2)
+
+
+@st.composite
+def combinations(draw, scalars):
+    """Coefficients and as many n x n matrices, n and count 0..5."""
+    n, count = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    coeffs = [draw(st.one_of(st.just(Q(0)), scalars)) for _ in range(count)]
+    return coeffs, [draw(filled(scalars, n, n)) for _ in range(count)], n
+
+
+def dense_comb(coeffs, mats, n):
+    out = tuple(tuple(Q(0) for _ in range(n)) for _ in range(n))
+    for c, m in zip(coeffs, mats):
+        out = tuple(tuple(x + c * y for x, y in zip(r, s))
+                    for r, s in zip(out, m))
+    return out
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(combinations(fractions))
+def test_mat_comb_matches_dense_rational(case):
+    assert exactly_equal(mat_comb(*case), dense_comb(*case))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(combinations(mixed))
+def test_mat_comb_matches_dense_mixed(case):
+    assert exactly_equal(mat_comb(*case), dense_comb(*case))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(2 ** 550, 2 ** 700), st.integers(1, 2 ** 20))
+def test_rational_sqrt_of_huge_squares(num, den):
+    # reduced numerators above 2^1060 overflow a float
+    x = Q(num * num, den * den)
+    assert _rational_sqrt(x) == Q(num, den)
+    assert _rational_sqrt(x + Q(1, den * den)) is None
+
+
+def test_rational_sqrt_exact_edges():
+    assert _rational_sqrt(Q(10 ** 400 + 1)) is None
+    assert _rational_sqrt(Q(10 ** 400)) == 10 ** 200
+    assert _rational_sqrt(Q(9, 4)) == Q(3, 2)
+    assert _rational_sqrt(Q(0)) == 0 and _rational_sqrt(Q(-1)) is None
+

@@ -1,8 +1,13 @@
+import functools
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import basis_lift_weights, rebuild_decompose
 
 from gradedhecke.catalog import CatalogError, load_catalog
 from gradedhecke.hecke import HeckeAlgebra
@@ -11,12 +16,13 @@ from gradedhecke.modules import (DSCatalogEntry, FieldExtensionNeeded,
                                  FinModule, InductionDatum, ModuleError,
                                  UnsplitSpectrumError, association_classes,
                                  auto_catalog, cc_norm2, central_character,
-                                 commutant, commutant_radical_dim, decompose,
-                                 hom_space, induce, intertwiner_space,
-                                 irr0_census, is_discrete_series,
-                                 is_irreducible, is_tempered, one_dim_modules,
+                                 commutant, decompose, hom_space, induce,
+                                 intertwiner_space, irr0_census,
+                                 is_discrete_series, is_irreducible,
+                                 is_tempered, one_dim_modules,
                                  parabolic_algebra, submodule,
                                  transport_module, weights)
+from gradedhecke.homology import verify_basis_theorem
 from gradedhecke.rootdata import build_root_datum, pairing
 from gradedhecke.weyl import elements_mapping_parabolic, make_diagram_automorphism
 
@@ -307,14 +313,6 @@ def test_association_invariance_of_characters():
         assert V.restriction_character() == W.restriction_character()
 
 
-def test_complete_reducibility_at_unitary_data():
-    # the commutant of pi'(xi), xi unitary, is semisimple: trace-form radical 0
-    a1 = algebra(k=1)
-    for lam_im in ((Q(0),), (Q(1),), (Q(2),)):
-        V = principal_series(a1, lam_im=lam_im)
-        assert commutant_radical_dim(V) == 0
-
-
 def test_auto_catalog_warns_on_rank2():
     a2 = algebra("A2", 2, 1)
     with pytest.warns(UserWarning):
@@ -467,3 +465,130 @@ def test_irr0_census_empty_datum():
     from gradedhecke.homology import verify_basis_theorem
     rep = verify_basis_theorem(alg)
     assert rep.passed and rep.class_count == 1
+
+
+@functools.lru_cache(maxsize=None)
+def shared_algebra(name):
+    if name == "A1xA1-swap":
+        d = build_root_datum("A1xA1", 2)
+        return HeckeAlgebra(d, 1, [make_diagram_automorphism(
+            d, "swap", [[0, 1], [1, 0]])])
+    label, _, k = name.partition("-k")
+    return HeckeAlgebra(build_root_datum(label, int(label[-1])),
+                        [int(c) for c in k] if k else 1)
+
+
+# (algebra, P, delta): principal series and Steinberg-on-a-face inductions
+INDUCTIONS = (("A1", (), "trivial"), ("A2", (), "trivial"),
+              ("A2", (0,), "steinberg"), ("B2", (), "trivial"),
+              ("B2", (1,), "steinberg"), ("G2-k13", (), "trivial"),
+              ("A1xA1-swap", (), "trivial"))
+# 0 twice: lambda = 0 (Jordan blocks) is drawn often; 1/2 and 1 are
+# non-generic on A1 (at 1/2 the module is a non-split extension)
+COEFFS = st.lists(st.sampled_from((0, 0, Q(1, 2), 1, -1, 2, Q(1, 3))),
+                  min_size=2, max_size=2)
+
+
+def case_id(case):
+    return f"{case[0]}-P{list(case[1])}-{case[2]}"
+
+
+def induced(case, re, im=(0, 0)):
+    """pi'(P, delta, lambda) with lambda = re + i*im in coordinates of t^P."""
+    name, P, delta_name = case
+    alg = shared_algebra(name)
+    parab, sub = parabolic_algebra(alg, P)
+    delta = [m for m in one_dim_modules(sub) if m.name == delta_name][0]
+
+    def point(coeffs):
+        return tuple(sum((Q(c) * b[i] for c, b in zip(coeffs,
+                                                      parab.a_upP_basis)),
+                         Q(0)) for i in range(alg.datum.ambient_dim))
+
+    return induce(alg, InductionDatum(P=P, delta=delta, lam_re=point(re),
+                                      lam_im=point(im)))
+
+
+def outcome(f, module):
+    try:
+        return f(module)
+    except ModuleError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", INDUCTIONS, ids=case_id)
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(COEFFS)
+@example([0, 0])
+@example([Q(1, 2), 0])
+def test_weights_match_basis_lift_oracle(case, re):
+    V = induced(case, re)
+    assert outcome(weights, V) == outcome(basis_lift_weights, V)
+
+
+# complex lambda stays on data of dimension <= 8 with small parts: the
+# Gaussian root search on B2 and G2 at complex lambda takes tens of seconds
+@pytest.mark.parametrize("case", INDUCTIONS[:3] + INDUCTIONS[6:], ids=case_id)
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(st.lists(st.sampled_from((0, Q(1, 2), 1, -1)), min_size=2, max_size=2),
+       st.lists(st.sampled_from((0, 1, -1)), min_size=2, max_size=2))
+@example([Q(1, 2), 0], [1, 0])
+@example([0, 0], [0, Q(1, 2)])  # eigenvalue 0 of a complex matrix
+def test_complex_weights_match_basis_lift_oracle(case, re, im):
+    V = induced(case, re, im)
+    assert outcome(weights, V) == outcome(basis_lift_weights, V)
+
+
+@pytest.mark.parametrize("case", INDUCTIONS, ids=case_id)
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(COEFFS)
+@example([0, 0])
+@example([Q(1, 2), 0])
+def test_decompose_matches_rebuild_oracle(case, re):
+    V = induced(case, re)
+    name, labels = V.name, V.labels
+    # FinModule equality covers name, labels, meta and every matrix
+    assert outcome(decompose, V) == outcome(rebuild_decompose, V)
+    assert (V.name, V.labels) == (name, labels)
+
+
+@pytest.mark.parametrize("label, k", [("B2", 1), ("G2", [1, 3])],
+                         ids=["B2", "G2-k13"])
+def test_basis_theorem_computes_each_invariant_once(monkeypatch, label, k):
+    # count every memo fill by module content, so that a rebuilt copy of a
+    # module computing an invariant again counts as a second computation
+    fills = Counter()
+
+    class CountingMemo(dict):
+        def __init__(self, module):
+            super().__init__()
+            self.module = module
+
+        def __setitem__(self, key, value):
+            m = self.module
+            fills[key, id(m.algebra), m.dim, tuple(sorted(m.refl.items())),
+                  tuple(sorted(m.gammas.items())), m.coord] += 1
+            super().__setitem__(key, value)
+
+    post_init = FinModule.__post_init__
+
+    def counting_post_init(self):
+        post_init(self)
+        self.memo = CountingMemo(self)
+
+    monkeypatch.setattr(FinModule, "__post_init__", counting_post_init)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        verify_basis_theorem(HeckeAlgebra(build_root_datum(label, 2), k))
+    assert {key[0] for key in fills} == {"weights", "central_character",
+                                         "restriction_character",
+                                         "commutant"}
+    assert max(fills.values()) == 1
+
+
+def test_decompose_leaves_the_module_and_reuses_its_commutant():
+    V = principal_series(algebra(k=0))
+    dec = decompose(V)
+    assert V.name == "pi'([],trivial,lam)" and V.memo["commutant"]
+    assert sorted(m.name for m, _ in dec) == [V.name + "#0", V.name + "#1"]
+    assert all(m.memo is not V.memo and m.meta is not V.meta for m, _ in dec)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from oracles import matrix_conjugacy_census
 
+from gradedhecke import weyl
 from gradedhecke.linalg import identity, mat_mul
 from gradedhecke.rootdata import build_root_datum, pairing
 from gradedhecke.weyl import (AssociationError, WeylError, association_action,
@@ -269,3 +270,17 @@ def test_coset_decomposition_splits_every_element():
             pos, h = split[e.index]
             assert h in wp
             assert group.mult(reps[pos], h) is e
+
+
+def test_wrong_word_length_is_caught(monkeypatch):
+    # negative control for the inversion count taken on transpose(matrix)
+    real = weyl._enumerate_weyl_words
+
+    def one_wrong_word(datum, bound):
+        mats, words, right = real(datum, bound)
+        words[1] = words[1] + (0, 0)  # same element, length off by two
+        return mats, words, right
+
+    monkeypatch.setattr(weyl, "_enumerate_weyl_words", one_wrong_word)
+    with pytest.raises(WeylError, match="word length"):
+        enumerate_group(build_root_datum("B2", 2))
