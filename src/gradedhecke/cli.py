@@ -3,8 +3,8 @@
 Commands: datum, group, molien, hh-findim, hc-findim, crossed-census, hp,
 induce, irr0, verify-basis.  Reports are versioned JSON (plus a CSV mirror
 of the verify-basis trace matrix), byte-identical across repeated runs and
-cached on disk under a digest of the library version, the effective config
-and the catalog file's contents.
+cached on disk under a digest of the library version, the package's source
+files, the effective config and the catalog file's contents.
 
 Exit codes: 0 success, 2 falsification flag (count/rank mismatch), 1 error
 (any library error or unreadable file).
@@ -270,6 +270,15 @@ _HANDLERS = {"datum": _cmd_datum, "group": _cmd_group, "molien": _cmd_molien,
 CATALOG_COMMANDS = ("irr0", "verify-basis")  # the handlers that read it
 
 
+def _source_digest() -> str:
+    """sha256 of the package's *.py files, names and bytes, sorted by name:
+    a report cached by other code is not served as current."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 def run(command: str, cfg: RunConfig, out_dir: str = "out",
         catalog_path: Optional[str] = None) -> int:
     """Run one command; write report files; return the exit status."""
@@ -284,7 +293,7 @@ def run(command: str, cfg: RunConfig, out_dir: str = "out",
     if catalog_path and command in CATALOG_COMMANDS:
         catalog_text = Path(catalog_path).read_text(encoding="utf-8")
     digest_src = json.dumps({
-        "version": __version__,
+        "version": __version__, "source": _source_digest(),
         "command": command,
         "config": cfg.source_text,
         "k": {k: str(v) for k, v in cfg.k_values.items()},

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,11 +20,13 @@ from .linalg import (GradedHeckeError, Mat, Q, Vec, intertwiner_matrices,
                      mat_vec, nullspace, rank, restrict_matrix, rref,
                      transpose, zero_vec)
 from .modules import DSCatalogEntry, auto_catalog, irr0_census
-from .poly import PoincareSeries, molien_forms
+from .poly import PoincareSeries, molien_forms, sum_series
 from .rootdata import RootDatum
 from .weyl import WeylGroup, enumerate_group
 
 SIZE_BOUND = 10 ** 6
+
+Column = Dict[int, Q]  # one column of a sparse matrix: {row: nonzero entry}
 
 
 class HomologyError(GradedHeckeError):
@@ -70,6 +73,13 @@ class FinDimAlgebra:
                     self._basis_vec(i):
                 raise HomologyError("unit laws fail")
 
+    @cached_property
+    def table(self) -> Tuple[Tuple[Tuple[Tuple[int, Q], ...], ...], ...]:
+        """Sparse structure constants: table[i][j] lists the (k, c) with
+        c = (e_i * e_j)_k nonzero."""
+        return tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c)
+                           for v in row) for row in self.mult)
+
     def _basis_vec(self, i: int) -> Vec:
         return tuple(Fraction(1 if t == i else 0) for t in range(self.dim))
 
@@ -81,9 +91,8 @@ class FinDimAlgebra:
             for j, cb in enumerate(b):
                 if not cb:
                     continue
-                for k, c in enumerate(self.mult[i][j]):
-                    if c:
-                        out[k] += ca * cb * c
+                for k, c in self.table[i][j]:
+                    out[k] += ca * cb * c
         return tuple(out)
 
     # -- constructors ---------------------------------------------------------
@@ -173,58 +182,52 @@ def _basis_index(dim: int, t: Tuple[int, ...]) -> int:
     return out
 
 
-def hochschild_boundary(algebra: FinDimAlgebra, n: int) -> List[List[Q]]:
-    """Matrix of b : A^{(x)(n+1)} -> A^{(x)n+... } on tensor basis vectors.
+def _add(col: Column, r: int, c: Q) -> None:
+    col[r] = col[r] + c if r in col else c
+
+
+def hochschild_boundary(algebra: FinDimAlgebra, n: int) -> List[Column]:
+    """Columns of b : A^{(x)(n+1)} -> A^{(x)n} on tensor basis vectors.
 
     b(a_0 (x) ... (x) a_n) = sum_{i=0}^{n-1} (-1)^i ... a_i a_{i+1} ...
                              + (-1)^n a_n a_0 (x) a_1 (x) ... (x) a_{n-1}.
+    Column c is {row: coefficient} over the nonzero entries of the image of
+    the c-th basis tensor.
     """
-    d = algebra.dim
-    rows = d ** n
-    cols = d ** (n + 1)
-    m = [[Fraction(0)] * cols for _ in range(rows)]
+    d, table = algebra.dim, algebra.table
+    cols = []
     for t in _tensor_basis(d, n + 1):
-        col = _basis_index(d, t)
+        col: Column = {}
         for i in range(n):
-            prod = algebra.mult[t[i]][t[i + 1]]
-            sgn = Fraction(-1) ** i
-            for k, c in enumerate(prod):
-                if c:
-                    tgt = t[:i] + (k,) + t[i + 2:]
-                    m[_basis_index(d, tgt)][col] += sgn * c
-        prod = algebra.mult[t[n]][t[0]]
-        sgn = Fraction(-1) ** n
-        for k, c in enumerate(prod):
-            if c:
-                tgt = (k,) + t[1:n]
-                m[_basis_index(d, tgt)][col] += sgn * c
-    return m
+            for k, c in table[t[i]][t[i + 1]]:
+                _add(col, _basis_index(d, t[:i] + (k,) + t[i + 2:]),
+                     -c if i % 2 else c)
+        for k, c in table[t[n]][t[0]]:
+            _add(col, _basis_index(d, (k,) + t[1:n]), -c if n % 2 else c)
+        cols.append({r: c for r, c in col.items() if c})
+    return cols
 
 
-def connes_boundary(algebra: FinDimAlgebra, n: int) -> List[List[Q]]:
-    """Matrix of B = (1 - t) s N : A^{(x)(n+1)} -> A^{(x)(n+2)}."""
+def connes_boundary(algebra: FinDimAlgebra, n: int) -> List[Column]:
+    """Columns of B = (1 - t) s N : A^{(x)(n+1)} -> A^{(x)(n+2)}."""
     d = algebra.dim
-    cols = d ** (n + 1)
-    rows = d ** (n + 2)
-    m = [[Fraction(0)] * cols for _ in range(rows)]
-    unit = algebra.unit
+    unit = [(u, c) for u, c in enumerate(algebra.unit) if c]
+    sgn_t = -1 if (n + 1) % 2 else 1  # sign of t on n+2 tensor factors
+    cols = []
     for t in _tensor_basis(d, n + 1):
-        col = _basis_index(d, t)
+        col: Column = {}
         # N = sum_i t^i with t(a_0...a_n) = (-1)^n a_n (x) a_0 ... a_{n-1}
         for i in range(n + 1):
             shifted = t[n + 1 - i:] + t[:n + 1 - i]
-            sgn_n = (Fraction(-1) ** n) ** i
+            sgn_n = -1 if n * i % 2 else 1
             # s: prepend the unit; then (1 - t') on n+2 tensor factors
-            for u_idx, u_c in enumerate(unit):
-                if not u_c:
-                    continue
-                s_t = (u_idx,) + shifted
-                coeff = sgn_n * u_c
-                m[_basis_index(d, s_t)][col] += coeff
-                cyc = s_t[-1:] + s_t[:-1]
-                sgn2 = Fraction(-1) ** (n + 1)
-                m[_basis_index(d, cyc)][col] -= coeff * sgn2
-    return m
+            for u, u_c in unit:
+                s_t = (u,) + shifted
+                _add(col, _basis_index(d, s_t), sgn_n * u_c)
+                _add(col, _basis_index(d, s_t[-1:] + s_t[:-1]),
+                     -sgn_n * sgn_t * u_c)
+        cols.append({r: c for r, c in col.items() if c})
+    return cols
 
 
 def hochschild_homology(algebra: FinDimAlgebra, n_max: int,
@@ -234,7 +237,7 @@ def hochschild_homology(algebra: FinDimAlgebra, n_max: int,
     d = algebra.dim
     ranks = [0]  # rank of b_0 = 0
     for n in range(1, n_max + 2):
-        ranks.append(rank(hochschild_boundary(algebra, n)))
+        ranks.append(rank(_rows(hochschild_boundary(algebra, n), d ** n)))
     out = []
     for n in range(n_max + 1):
         dim_cn = d ** (n + 1)
@@ -242,33 +245,38 @@ def hochschild_homology(algebra: FinDimAlgebra, n_max: int,
     return out
 
 
-def _mixed_total_boundary(algebra: FinDimAlgebra, n: int) -> List[List[Q]]:
-    """Total differential b + B : B_n -> B_{n-1} of the mixed bicomplex."""
+def _rows(cols: List[Column], nrows: int) -> List[Column]:
+    """The rows of a column matrix as {column: entry} maps: rank eliminates
+    the fewer vectors, since a boundary has fewer rows than columns."""
+    rows: List[Column] = [{} for _ in range(nrows)]
+    for c, col in enumerate(cols):
+        for r, v in col.items():
+            rows[r][c] = v
+    return rows
+
+
+def _mixed_total_boundary(algebra: FinDimAlgebra, n: int) -> List[Column]:
+    """Columns of the total differential b + B : B_n -> B_{n-1} of the mixed
+    bicomplex; source block j is A^{(x)(n+1-2j)}, target block j is
+    A^{(x)(n-2j)}."""
     d = algebra.dim
-    src_sizes = [d ** (n + 1 - 2 * j) for j in range((n // 2) + 1)]
-    dst_sizes = [d ** (n - 2 * j) for j in range(((n - 1) // 2) + 1)]
-    rows = sum(dst_sizes)
-    cols = sum(src_sizes)
-    m = [[Fraction(0)] * cols for _ in range(rows)]
-    src_off = [sum(src_sizes[:j]) for j in range(len(src_sizes))]
-    dst_off = [sum(dst_sizes[:j]) for j in range(len(dst_sizes))]
-    for j, size in enumerate(src_sizes):
+    dst_off = [0]
+    for j in range((n - 1) // 2):
+        dst_off.append(dst_off[-1] + d ** (n - 2 * j))
+    cols = []
+    for j in range((n // 2) + 1):
         deg = n - 2 * j  # tensor power is deg + 1
-        if deg >= 1:
-            b = hochschild_boundary(algebra, deg)
-            for r in range(len(b)):
-                for c in range(size):
-                    v = b[r][c]
-                    if v:
-                        m[dst_off[j] + r][src_off[j] + c] += v
-        if j >= 1:
-            bmat = connes_boundary(algebra, deg)
-            for r in range(len(bmat)):
-                for c in range(size):
-                    v = bmat[r][c]
-                    if v:
-                        m[dst_off[j - 1] + r][src_off[j] + c] += v
-    return m
+        b = hochschild_boundary(algebra, deg) if deg >= 1 else None
+        big_b = connes_boundary(algebra, deg) if j >= 1 else None
+        for c in range(d ** (deg + 1)):
+            col: Column = {}
+            if b:
+                col.update((dst_off[j] + r, v) for r, v in b[c].items())
+            if big_b:
+                col.update((dst_off[j - 1] + r, v)
+                           for r, v in big_b[c].items())
+            cols.append(col)
+    return cols
 
 
 def verify_mixed_identities(algebra: FinDimAlgebra, n: int,
@@ -283,20 +291,24 @@ def verify_mixed_identities(algebra: FinDimAlgebra, n: int,
     small_b = connes_boundary(algebra, n - 1)
     for _ in range(trials):
         chain = [Fraction(rng.randint(-3, 3)) for _ in range(d ** (n + 1))]
-        bx = _apply(b_n, chain)
+        bx = _apply(b_n, chain, d ** n)
         if b_nm1 is not None:
-            if any(_apply(b_nm1, bx)):
+            if any(_apply(b_nm1, bx, d ** (n - 1))):
                 raise HomologyError("b o b != 0")
-        bBx = _apply(b_np1, _apply(big_b, chain))
-        Bbx = _apply(small_b, bx)
+        bBx = _apply(b_np1, _apply(big_b, chain, d ** (n + 2)), d ** (n + 1))
+        Bbx = _apply(small_b, bx, d ** (n + 1))
         if any(x + y for x, y in zip(bBx, Bbx)):
             raise HomologyError("b B + B b != 0")
 
 
-def _apply(m: List[List[Q]], v: Sequence[Q]) -> List[Q]:
-    support = [(i, x) for i, x in enumerate(v) if x]
-    return [sum((row[i] * x for i, x in support if row[i]), Fraction(0))
-            for row in m]
+def _apply(cols: List[Column], v: Sequence[Q], nrows: int) -> List[Q]:
+    """The product of the column matrix with v, over nonzero entries only."""
+    out = [Fraction(0)] * nrows
+    for col, x in zip(cols, v):
+        if x:
+            for r, c in col.items():
+                out[r] += c * x
+    return out
 
 
 def cyclic_homology(algebra: FinDimAlgebra, n_max: int,
@@ -307,15 +319,13 @@ def cyclic_homology(algebra: FinDimAlgebra, n_max: int,
     _check_bound(algebra.dim, max(n_max, n_check) + 2, bound)
     verify_mixed_identities(algebra, n_check)
     d = algebra.dim
-    mats = {n: _mixed_total_boundary(algebra, n)
-            for n in range(1, n_max + 2)}
-    out = []
-    for n in range(n_max + 1):
-        dim_bn = sum(d ** (n + 1 - 2 * j) for j in range((n // 2) + 1))
-        rank_dn = rank(mats[n]) if n >= 1 else 0
-        rank_dn1 = rank(mats[n + 1])
-        out.append(dim_bn - rank_dn - rank_dn1)
-    return out
+
+    def dim_b(n: int) -> int:
+        return sum(d ** (n + 1 - 2 * j) for j in range((n // 2) + 1))
+
+    ranks = [0] + [rank(_rows(_mixed_total_boundary(algebra, n), dim_b(n - 1)))
+                   for n in range(1, n_max + 2)]
+    return [dim_b(n) - ranks[n] - ranks[n + 1] for n in range(n_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +376,7 @@ def crossed_product_census(datum: RootDatum, gammas=(), truncation: int = 16,
         entries.append(CensusClassEntry(
             rep_word=repr(cls.rep), size=cls.size, fixed_dim=cls.fixed_dim,
             series=molien_forms(restricted, datum.ambient_dim, truncation)))
-    totals = [sum(column[1:], column[0])
+    totals = [sum_series(column)
               for column in zip(*(e.series for e in entries))]
     if totals[0].coeffs[0] != len(census.entries):
         raise HomologyError("degree-0 census must count one constant per class")
@@ -399,9 +409,7 @@ def group_hh0(group: WeylGroup) -> int:
         for x in group.elements:
             y = group.mult(group.mult(s, x), group.inv(s)).index
             if y != x.index:
-                row = [Fraction(0)] * len(group)
-                row[x.index], row[y] = Fraction(1), Fraction(-1)
-                rows.append(row)
+                rows.append({x.index: 1, y: -1})
     return len(group) - rank(rows)
 
 
@@ -601,7 +609,7 @@ def verify_basis_theorem(algebra: HeckeAlgebra,
     hp = hp_census_hecke(algebra)
     modules = irr0_census(algebra, catalog)
     matrix = tuple(m.restriction_character().values for m in modules)
-    mrank = rank([list(r) for r in matrix]) if matrix else 0
+    mrank = rank(matrix)
     counts_match = (len(modules) == len(census) == hp.hp0)
     full_rank = (mrank == len(census) and len(matrix) == len(census))
     return BasisTheoremReport(

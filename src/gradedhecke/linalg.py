@@ -23,7 +23,8 @@ class GradedHeckeError(ValueError):
 
 
 class QI:
-    """Gaussian rational a + b*i with exact Fraction parts."""
+    """Gaussian rational a + b*i with exact Fraction parts; a Fraction or
+    int operand of +, - and * acts on the parts directly."""
 
     __slots__ = ("re", "im")
 
@@ -38,8 +39,9 @@ class QI:
         return QI(x, 0)
 
     def __add__(self, other):
-        o = QI.of(other)
-        return QI(self.re + o.re, self.im + o.im)
+        if isinstance(other, QI):
+            return QI(self.re + other.re, self.im + other.im)
+        return QI(self.re + other, self.im)
 
     __radd__ = __add__
 
@@ -47,16 +49,18 @@ class QI:
         return QI(-self.re, -self.im)
 
     def __sub__(self, other):
-        o = QI.of(other)
-        return QI(self.re - o.re, self.im - o.im)
+        if isinstance(other, QI):
+            return QI(self.re - other.re, self.im - other.im)
+        return QI(self.re - other, self.im)
 
     def __rsub__(self, other):
-        return QI.of(other) - self
+        return QI(other - self.re, -self.im)
 
     def __mul__(self, other):
-        o = QI.of(other)
-        return QI(self.re * o.re - self.im * o.im,
-                  self.re * o.im + self.im * o.re)
+        if isinstance(other, QI):
+            return QI(self.re * other.re - self.im * other.im,
+                      self.re * other.im + self.im * other.re)
+        return QI(self.re * other, self.im * other)
 
     __rmul__ = __mul__
 
@@ -218,10 +222,62 @@ def rref(rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
     return m, pivots
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
+def rank(rows: Sequence) -> int:
+    """Rank over Q or Q(i); a row is a sequence or a {column: value} map.
+
+    Fraction-free forward elimination on sparse integer rows: each row is
+    scaled to integers by the lcm of its denominators and reduced by
+    a*row - b*pivot_row against pivot rows kept primitive (divided by their
+    gcd content).  Gaussian-rational rows are realified: the Q(i)-rank of
+    A + iB is half the Q-rank of the rows [Re | -Im] and [Im | Re].
+    """
+    items = (row.items() if isinstance(row, dict) else enumerate(row)
+             for row in rows)
+    sparse = [{j: x for j, x in row if x} for row in items]
+    if not any(isinstance(x, QI) for row in sparse for x in row.values()):
+        return _integer_rank(sparse)
+    shift = 1 + max(j for row in sparse for j in row)
+    real = []
+    for row in sparse:
+        row = [(j, QI.of(x)) for j, x in row.items()]
+        real.append({**{j: z.re for j, z in row},
+                     **{j + shift: -z.im for j, z in row}})
+        real.append({**{j: z.im for j, z in row},
+                     **{j + shift: z.re for j, z in row}})
+    return _integer_rank(real) // 2
+
+
+def _integer_rank(rows: Sequence[dict]) -> int:
+    pivots = {}  # leading column -> primitive integer row
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row.values()))
+        row = _primitive({j: x.numerator * (den // x.denominator)
+                         for j, x in row.items() if x})
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                pivots[lead] = row
+                break
+            g = math.gcd(prow[lead], row[lead])
+            a, b = prow[lead] // g, row[lead] // g
+            if a != 1:
+                row = {j: a * x for j, x in row.items()}
+            for j, x in prow.items():
+                y = row.get(j, 0) - b * x
+                if y:
+                    row[j] = y
+                else:
+                    row.pop(j, None)
+            row = _primitive(row)
+    return len(pivots)
+
+
+def _primitive(row: dict) -> dict:
+    g = math.gcd(*row.values())
+    if g > 1:
+        return {j: x // g for j, x in row.items()}
+    return row
 
 
 def nullspace(rows: Sequence[Sequence], ncols: Optional[int] = None) -> List[Vec]:

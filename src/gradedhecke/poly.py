@@ -309,19 +309,7 @@ class PoincareSeries:
                 raise ValueError("witness does not expand to the coefficients")
 
     def __add__(self, other: "PoincareSeries") -> "PoincareSeries":
-        order = min(self.order, other.order)
-        coeffs = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        witness = None
-        if self.witness and other.witness:
-            n1, d1 = self.witness
-            n2, d2 = other.witness
-            num = poly1_add(poly1_mul(n1, d2), poly1_mul(n2, d1))
-            den = poly1_mul(d1, d2)
-            num, den = _reduce_fraction(num, den)
-            if len(den) - 1 <= order:
-                witness = (num, den)
-        return PoincareSeries(order=order, coeffs=coeffs[:order + 1],
-                              witness=witness)
+        return sum_series([self, other])
 
 
 def _reduce_fraction(num, den):
@@ -335,6 +323,34 @@ def _reduce_fraction(num, den):
     num = poly1_scale(1 / lead, num)
     den = poly1_scale(1 / lead, den)
     return poly1_trim(num), poly1_trim(den)
+
+
+def _lcm(polys) -> Tuple[Q, ...]:
+    out: Tuple[Q, ...] = (Fraction(1),)
+    for p in polys:
+        out = poly1_mul(out, poly1_divmod(p, poly1_gcd(out, p))[0])
+    return out
+
+
+def sum_series(series: Sequence[PoincareSeries]) -> PoincareSeries:
+    """The sum of the series to the least of their orders, in one pass.
+
+    The coefficients are summed column by column; the witness is one
+    fraction over the lcm of the denominators, reduced once, and dropped
+    when any summand has none or its denominator degree exceeds the order.
+    """
+    order = min(s.order for s in series)
+    coeffs = tuple(map(sum, zip(*(s.coeffs for s in series))))
+    witness = None
+    if all(s.witness is not None for s in series):
+        lcm = _lcm(s.witness[1] for s in series)
+        num: Tuple[Q, ...] = ()
+        for n, d in (s.witness for s in series):
+            num = poly1_add(num, poly1_mul(n, poly1_divmod(lcm, d)[0]))
+        num, den = _reduce_fraction(num, lcm)
+        if len(den) - 1 <= order:
+            witness = (num, den)
+    return PoincareSeries(order=order, coeffs=coeffs, witness=witness)
 
 
 def molien_forms(action_matrices: Sequence[Mat], n_max: int,
@@ -358,9 +374,7 @@ def molien_forms(action_matrices: Sequence[Mat], n_max: int,
     # charpoly(h) tallies cp = det(xI - h*) = (1, c_1, .., c_dim) highest
     # first: lowest first it is det(1 - t h*), and (-1)^n c_n = tr Lambda^n h*
     tally = Counter(charpoly(m) if dim else (Fraction(1),) for m in group)
-    lcm: Tuple[Q, ...] = (Fraction(1),)
-    for cp in tally:
-        lcm = poly1_mul(lcm, poly1_divmod(cp, poly1_gcd(lcm, cp))[0])
+    lcm = _lcm(tally)
     terms = [(count, cp, series_inverse(cp, order), poly1_divmod(lcm, cp)[0])
              for cp, count in tally.items()]
     out = []

@@ -495,3 +495,132 @@ def rebuild_decompose(module: FinModule) -> List[Tuple[FinModule, int]]:
         raise ModuleError("decomposition does not fill the module")
     groups.sort(key=lambda t: (t[0].dim, t[0].restriction_character().values))
     return groups
+
+
+# Bar and mixed complexes as dense matrices: the `gradedhecke.homology`
+# bodies of `_tensor_basis`, `_basis_index`, `hochschild_boundary`,
+# `connes_boundary` and `_mixed_total_boundary` before the boundaries were
+# built as sparse columns, unchanged but for their names.
+
+def _tensor_basis(dim: int, n: int) -> List[Tuple[int, ...]]:
+    out = [()]
+    for _ in range(n):
+        out = [t + (i,) for t in out for i in range(dim)]
+    return out
+
+
+def _basis_index(dim: int, t: Tuple[int, ...]) -> int:
+    out = 0
+    for i in t:
+        out = out * dim + i
+    return out
+
+
+def dense_hochschild_boundary(algebra, n: int) -> List[List[Fraction]]:
+    """Matrix of b : A^{(x)(n+1)} -> A^{(x)n+... } on tensor basis vectors.
+
+    b(a_0 (x) ... (x) a_n) = sum_{i=0}^{n-1} (-1)^i ... a_i a_{i+1} ...
+                             + (-1)^n a_n a_0 (x) a_1 (x) ... (x) a_{n-1}.
+    """
+    d = algebra.dim
+    rows = d ** n
+    cols = d ** (n + 1)
+    m = [[Fraction(0)] * cols for _ in range(rows)]
+    for t in _tensor_basis(d, n + 1):
+        col = _basis_index(d, t)
+        for i in range(n):
+            prod = algebra.mult[t[i]][t[i + 1]]
+            sgn = Fraction(-1) ** i
+            for k, c in enumerate(prod):
+                if c:
+                    tgt = t[:i] + (k,) + t[i + 2:]
+                    m[_basis_index(d, tgt)][col] += sgn * c
+        prod = algebra.mult[t[n]][t[0]]
+        sgn = Fraction(-1) ** n
+        for k, c in enumerate(prod):
+            if c:
+                tgt = (k,) + t[1:n]
+                m[_basis_index(d, tgt)][col] += sgn * c
+    return m
+
+
+def dense_connes_boundary(algebra, n: int) -> List[List[Fraction]]:
+    """Matrix of B = (1 - t) s N : A^{(x)(n+1)} -> A^{(x)(n+2)}."""
+    d = algebra.dim
+    cols = d ** (n + 1)
+    rows = d ** (n + 2)
+    m = [[Fraction(0)] * cols for _ in range(rows)]
+    unit = algebra.unit
+    for t in _tensor_basis(d, n + 1):
+        col = _basis_index(d, t)
+        # N = sum_i t^i with t(a_0...a_n) = (-1)^n a_n (x) a_0 ... a_{n-1}
+        for i in range(n + 1):
+            shifted = t[n + 1 - i:] + t[:n + 1 - i]
+            sgn_n = (Fraction(-1) ** n) ** i
+            # s: prepend the unit; then (1 - t') on n+2 tensor factors
+            for u_idx, u_c in enumerate(unit):
+                if not u_c:
+                    continue
+                s_t = (u_idx,) + shifted
+                coeff = sgn_n * u_c
+                m[_basis_index(d, s_t)][col] += coeff
+                cyc = s_t[-1:] + s_t[:-1]
+                sgn2 = Fraction(-1) ** (n + 1)
+                m[_basis_index(d, cyc)][col] -= coeff * sgn2
+    return m
+
+
+def dense_mixed_total_boundary(algebra, n: int) -> List[List[Fraction]]:
+    """Total differential b + B : B_n -> B_{n-1} of the mixed bicomplex."""
+    d = algebra.dim
+    src_sizes = [d ** (n + 1 - 2 * j) for j in range((n // 2) + 1)]
+    dst_sizes = [d ** (n - 2 * j) for j in range(((n - 1) // 2) + 1)]
+    rows = sum(dst_sizes)
+    cols = sum(src_sizes)
+    m = [[Fraction(0)] * cols for _ in range(rows)]
+    src_off = [sum(src_sizes[:j]) for j in range(len(src_sizes))]
+    dst_off = [sum(dst_sizes[:j]) for j in range(len(dst_sizes))]
+    for j, size in enumerate(src_sizes):
+        deg = n - 2 * j  # tensor power is deg + 1
+        if deg >= 1:
+            b = dense_hochschild_boundary(algebra, deg)
+            for r in range(len(b)):
+                for c in range(size):
+                    v = b[r][c]
+                    if v:
+                        m[dst_off[j] + r][src_off[j] + c] += v
+        if j >= 1:
+            bmat = dense_connes_boundary(algebra, deg)
+            for r in range(len(bmat)):
+                for c in range(size):
+                    v = bmat[r][c]
+                    if v:
+                        m[dst_off[j - 1] + r][src_off[j] + c] += v
+    return m
+
+
+def dense_rank(rows: Sequence[Sequence]) -> int:
+    """Reference for `gradedhecke.linalg.rank`: dense Gauss-Jordan."""
+    return len(dense_rref(rows)[1])
+
+
+def pairwise_add(a, b):
+    """Reference for `gradedhecke.poly.sum_series`: the body of
+    `PoincareSeries.__add__` before sums were taken in one pass."""
+    from gradedhecke.linalg import poly1_add, poly1_mul
+    from gradedhecke.poly import PoincareSeries, _reduce_fraction
+
+    self, other = a, b
+    order = min(self.order, other.order)
+    coeffs = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+    witness = None
+    if self.witness and other.witness:
+        n1, d1 = self.witness
+        n2, d2 = other.witness
+        num = poly1_add(poly1_mul(n1, d2), poly1_mul(n2, d1))
+        den = poly1_mul(d1, d2)
+        num, den = _reduce_fraction(num, den)
+        if len(den) - 1 <= order:
+            witness = (num, den)
+    return PoincareSeries(order=order, coeffs=coeffs[:order + 1],
+                          witness=witness)

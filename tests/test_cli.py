@@ -281,6 +281,45 @@ def test_cli_cache_tracks_catalog_contents_and_version(tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_cli_cache_tracks_the_source_digest(tmp_path, monkeypatch):
+    import gradedhecke.cli as cli_mod
+    cfg = write(tmp_path, "a.cfg", A1_CFG)
+    argv = ["hp", "--config", cfg, "--out", str(tmp_path / "out")]
+    calls = []
+    hp_census = cli_mod.hp_census_hecke
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return hp_census(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "hp_census_hecke", counting)
+    assert main(argv) == 0 and len(calls) == 1
+    report = (tmp_path / "out" / "hp.json").read_bytes()
+    # unchanged code: a hit
+    assert main(argv) == 0 and len(calls) == 1
+    # changed code, same version and inputs: a miss that recomputes
+    monkeypatch.setattr(cli_mod, "_source_digest", lambda: "0" * 64)
+    assert main(argv) == 0 and len(calls) == 2
+    assert (tmp_path / "out" / "hp.json").read_bytes() == report
+    assert len(list((tmp_path / "out" / ".cache").iterdir())) == 2
+
+
+
+def test_source_digest_follows_the_package_bytes(tmp_path, monkeypatch):
+    import shutil
+
+    import gradedhecke.cli as cli_mod
+    digest = cli_mod._source_digest()
+    package = Path(cli_mod.__file__).parent
+    for path in package.glob("*.py"):
+        shutil.copy(path, tmp_path / path.name)
+    monkeypatch.setattr(cli_mod, "__file__", str(tmp_path / "cli.py"))
+    assert cli_mod._source_digest() == digest
+    with open(tmp_path / "linalg.py", "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    assert cli_mod._source_digest() != digest
+
+
 def test_cli_cache_write_is_atomic(tmp_path, monkeypatch):
     import gradedhecke.cli as cli_mod
     cfg = write(tmp_path, "a.cfg", A1_CFG)

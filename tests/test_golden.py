@@ -25,6 +25,8 @@ GOLDEN = Path(__file__).parent / "golden"
     ("b2", "molien", (".json",)),
     ("g2", "irr0", (".json",)),
     ("a2-ps0", "induce", (".json",)),
+    ("hh-a2", "hh-findim", (".json",)),
+    ("m2", "hc-findim", (".json",)),
 ])
 def test_cli_reproduces_golden_report(tmp_path, name, command, suffixes):
     assert main([command, "--config", str(GOLDEN / f"{name}.cfg"),

@@ -4,6 +4,11 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import (dense_connes_boundary, dense_hochschild_boundary,
+                     dense_mixed_total_boundary)
 
 from gradedhecke import homology
 from gradedhecke.hecke import HeckeAlgebra
@@ -76,9 +81,10 @@ def test_b_squared_zero():
     b1 = hochschild_boundary(a, 1)
     for _ in range(5):
         chain = [Q(rng.randint(-3, 3)) for _ in range(a.dim ** 3)]
-        bx = [sum(row[i] * chain[i] for i in range(len(chain)))
-              for row in b2]
-        bbx = [sum(row[i] * bx[i] for i in range(len(bx))) for row in b1]
+        bx = [sum(b2[i].get(r, 0) * chain[i] for i in range(len(chain)))
+              for r in range(a.dim ** 2)]
+        bbx = [sum(b1[i].get(r, 0) * bx[i] for i in range(len(bx)))
+               for r in range(a.dim)]
         assert not any(bbx)
 
 
@@ -89,7 +95,8 @@ def test_mixed_identities_detect_corrupt_boundary(monkeypatch):
 
     def corrupt(algebra, n):
         b = exact(algebra, n)
-        return [[2 * x for x in row] for row in b] if n == 2 else b
+        return [{r: 2 * x for r, x in col.items()} for col in b] \
+            if n == 2 else b
 
     monkeypatch.setattr(homology, "hochschild_boundary", corrupt)
     with pytest.raises(HomologyError):
@@ -293,3 +300,91 @@ def test_verify_basis_falsification_flag():
     assert not rep.passed
     assert rep.irr0_count == 1 and rep.class_count == 2
     assert not rep.counts_match
+
+
+# ---------------------------------------------------------------------------
+# Sparse boundary columns against the dense matrices they replaced.
+# ---------------------------------------------------------------------------
+
+def rescaled(algebra, scales, label):
+    """The same algebra in the basis s_i e_i: e'_i e'_j has coordinates
+    s_i s_j c_ijk / s_k, and the unit has u_k / s_k."""
+    d = algebra.dim
+    mult = tuple(tuple(tuple(scales[i] * scales[j] * algebra.mult[i][j][k]
+                             / scales[k] for k in range(d))
+                       for j in range(d)) for i in range(d))
+    unit = tuple(u / s for u, s in zip(algebra.unit, scales))
+    return FinDimAlgebra(dim=d, mult=mult, unit=unit, label=label)
+
+
+ALGEBRAS = {
+    "Q": FinDimAlgebra.ground_field(),
+    "Q[C2]": cyclic_group_algebra(2),
+    "Q[C3]": cyclic_group_algebra(3),
+    "M2(Q)": FinDimAlgebra.matrix_algebra(2),
+    "Q[S3]": s3_algebra(),
+    # 1, g/2, g^2/3: e1 e1 = 3/4 e2, e1 e2 = 1/6 e0, e2 e2 = 2/9 e1
+    "Q[C3] scaled": rescaled(cyclic_group_algebra(3),
+                             (Q(1), Q(1, 2), Q(1, 3)), "Q[C3] scaled"),
+}
+
+# name -> (sparse, dense oracle, rows, columns) for an algebra of dim d
+BOUNDARIES = {
+    "b": (hochschild_boundary, dense_hochschild_boundary,
+          lambda d, n: d ** n, lambda d, n: d ** (n + 1)),
+    "B": (connes_boundary, dense_connes_boundary,
+          lambda d, n: d ** (n + 2), lambda d, n: d ** (n + 1)),
+    "b+B": (homology._mixed_total_boundary, dense_mixed_total_boundary,
+            lambda d, n: sum(d ** (n - 2 * j) for j in range((n + 1) // 2)),
+            lambda d, n: sum(d ** (n + 1 - 2 * j)
+                             for j in range(n // 2 + 1))),
+}
+
+
+def assert_columns_match_dense(algebra, kind, n):
+    sparse, dense, nrows, ncols = BOUNDARIES[kind]
+    d = algebra.dim
+    cols, want = sparse(algebra, n), dense(algebra, n)
+    assert len(cols) == ncols(d, n) and len(want) == nrows(d, n)
+    assert all(0 <= r < nrows(d, n) and v for col in cols
+               for r, v in col.items())
+    assert [[col.get(r, 0) for col in cols] for r in range(len(want))] == want
+
+
+CASES = [(name, kind, n) for name, a in ALGEBRAS.items()
+         for kind, (_, _, rows, cols) in BOUNDARIES.items()
+         for n in (1, 2, 3)
+         if rows(a.dim, n) * cols(a.dim, n) <= homology.SIZE_BOUND]
+
+
+def test_boundary_cases_cover_every_algebra_and_degree():
+    assert {name for name, _, _ in CASES} == set(ALGEBRAS)
+    assert {(kind, n) for _, kind, n in CASES} == \
+        {(k, n) for k in BOUNDARIES for n in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("name,kind,n", CASES)
+def test_boundary_columns_equal_dense_oracle(name, kind, n):
+    assert_columns_match_dense(ALGEBRAS[name], kind, n)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(["Q", "Q[C2]", "Q[C3]", "M2(Q)"]),
+       st.lists(st.builds(Q, st.integers(1, 9) | st.integers(-9, -1),
+                          st.integers(1, 9)), min_size=4, max_size=4),
+       st.sampled_from(sorted(BOUNDARIES)), st.integers(1, 3))
+def test_boundary_columns_in_rescaled_bases(name, scales, kind, n):
+    # rational structure constants of every shape: the same algebra in a
+    # random rescaled basis
+    base = ALGEBRAS[name]
+    algebra = rescaled(base, scales[:base.dim], name)
+    _, _, rows, cols = BOUNDARIES[kind]
+    assume(rows(algebra.dim, n) * cols(algebra.dim, n) <= 10 ** 5)
+    assert_columns_match_dense(algebra, kind, n)
+
+
+def test_rescaled_algebra_has_the_same_homology():
+    a = ALGEBRAS["Q[C3] scaled"]
+    assert hochschild_homology(a, 2) == [3, 0, 0]
+    assert cyclic_homology(a, 2) == [3, 0, 3]
+    verify_mixed_identities(a, 2)

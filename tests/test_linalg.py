@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (dense_charpoly, dense_mat_mul, dense_mat_vec,
-                     dense_restrict_matrix, dense_rref)
+                     dense_rank, dense_restrict_matrix, dense_rref)
 
 from gradedhecke.linalg import (QI, _rational_sqrt, charpoly, mat_comb,
                                 mat_mul, mat_vec, rank, restrict_matrix, rref)
@@ -39,6 +39,7 @@ def matrices(draw, scalars):
 ])
 def test_rref_matches_dense_edge_cases(m):
     assert rref(m) == dense_rref(m)
+    assert rank(m) == dense_rank(m)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -247,3 +248,90 @@ def test_rational_sqrt_exact_edges():
     assert _rational_sqrt(Q(9, 4)) == Q(3, 2)
     assert _rational_sqrt(Q(0)) == 0 and _rational_sqrt(Q(-1)) is None
 
+
+
+# ---------------------------------------------------------------------------
+# rank: fraction-free elimination on sparse integer rows.
+# ---------------------------------------------------------------------------
+
+big_fractions = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                          st.integers(1, 10 ** 6))
+
+
+@st.composite
+def wide_matrices(draw, scalars):
+    """`matrices`, sometimes with one more row that combines two others,
+    so that the rank falls short of the shape."""
+    m = draw(matrices(scalars))
+    if m and draw(st.booleans()):
+        a, b = draw(st.sampled_from(m)), draw(st.sampled_from(m))
+        c = draw(scalars)
+        m.insert(draw(st.integers(0, len(m))),
+                 [x + c * y for x, y in zip(a, b)])
+    return m
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(wide_matrices(big_fractions))
+def test_rank_matches_dense_on_large_fractions(m):
+    assert rank(m) == dense_rank(m)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(wide_matrices(fractions))
+def test_rank_matches_dense_rational(m):
+    assert rank(m) == dense_rank(m)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(wide_matrices(mixed))
+def test_rank_matches_dense_mixed_gaussian(m):
+    assert rank(m) == dense_rank(m)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(wide_matrices(st.one_of(big_fractions, gaussians)), st.randoms(
+    use_true_random=False))
+def test_rank_of_dict_rows(m, rnd):
+    # a dict row lists its nonzero entries, in any order, possibly with
+    # explicit zeros
+    rows = []
+    for row in m:
+        items = [(j, x) for j, x in enumerate(row) if x or rnd.random() < .3]
+        rnd.shuffle(items)
+        rows.append(dict(items))
+    assert rank(rows) == dense_rank(m)
+
+
+@pytest.mark.parametrize("rows,expect", [
+    ([], 0),
+    ([{}], 0),
+    ([{}, {5: Q(0)}], 0),
+    ([[Q(0)] * 4, [Q(0)] * 4], 0),
+    ([[Q(1, 3), Q(0), Q(2, 7)]], 1),                 # 1 x n
+    ([[Q(0)], [Q(5, 2)], [Q(-1)]], 1),                # n x 1
+    ([{0: 1, 3: -1}, {3: 1, 7: -1}, {0: 1, 7: -1}], 2),
+    ([[QI(1, 1), QI(0, 1)], [QI(0, 2), QI(-1, 1)]], 1),  # row 2 = (1+i) row 1
+    ([[QI(0, 1)], [1]], 1),
+    ([[QI(1, 1), 1], [2, QI(1, -1)]], 1),           # det (1+i)(1-i) - 2 = 0
+])
+def test_rank_edge_cases(rows, expect):
+    assert rank(rows) == expect
+
+
+def test_qi_rational_operand_acts_on_parts():
+    z = QI(Q(1, 3), Q(-2, 5))
+    for q in (Q(3, 7), Q(0), 2, -1, True):
+        for got, (re, im) in ((z + q, (z.re + q, z.im)),
+                              (q + z, (z.re + q, z.im)),
+                              (z - q, (z.re - q, z.im)),
+                              (q - z, (q - z.re, -z.im)),
+                              (z * q, (z.re * q, z.im * q)),
+                              (q * z, (z.re * q, z.im * q))):
+            assert type(got) is QI
+            assert (got.re, got.im) == (re, im)
+            assert type(got.re) is Fraction and type(got.im) is Fraction
+    # the same values as with the operand wrapped in a QI
+    w = QI.of(Q(3, 7))
+    assert (z + w, w - z, z - w, z * w) == \
+        (z + Q(3, 7), Q(3, 7) - z, z - Q(3, 7), z * Q(3, 7))

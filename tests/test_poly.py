@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -12,7 +13,8 @@ from gradedhecke.linalg import (charpoly, det, inverse, restrict_matrix,
                                 transpose)
 from gradedhecke.poly import (PoincareSeries, Poly, act, divided_difference,
                               invariant_polys, molien_forms,
-                              monomials_of_degree, parse_poly, reynolds)
+                              monomials_of_degree, parse_poly, reynolds,
+                              sum_series)
 from gradedhecke.rootdata import build_root_datum
 from gradedhecke.weyl import enumerate_group, make_diagram_automorphism
 
@@ -96,7 +98,8 @@ def test_reynolds():
             assert act(h, r) == r
 
 
-from oracles import brute_force_form_dimension, per_element_molien  # noqa: E402
+from oracles import (brute_force_form_dimension, pairwise_add,  # noqa: E402
+                     per_element_molien)
 
 
 def test_molien_a1_against_brute_force():
@@ -207,6 +210,52 @@ def test_crossed_census_takes_one_charpoly_per_element(monkeypatch):
     assert len(calls) <= sum(len(c.centralizer)
                              for c in group.census.entries) == 161
     assert all(calls)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([("A2", 2, False), ("B2", 2, False), ("G2", 2, False),
+                        ("A3", 3, False), ("A1xA1", 2, True),
+                        ("empty", 2, True)]),
+       st.integers(0, 16), st.integers(0, 3),
+       st.randoms(use_true_random=False))
+def test_sum_series_matches_pairwise_fold(datum, order, n, rng):
+    # the census totals summed in one pass equal the fold of __add__
+    label, amb, swap = datum
+    d = build_root_datum(label, amb)
+    gs = [make_diagram_automorphism(d, "swap", [[0, 1], [1, 0]])] \
+        if swap else []
+    group = enumerate_group(d, gs)
+    column = [molien_forms([restrict_matrix(z.matrix, cls.fixed_basis)
+                            for z in cls.centralizer], amb, order)[min(n, amb)]
+              for cls in group.census.entries]
+    column = rng.sample(column, rng.randint(1, len(column)))
+    fold = column[0]
+    for s in column[1:]:
+        fold = pairwise_add(fold, s)
+    assert sum_series(column) == fold
+
+
+def test_sum_series_drops_witness_like_add():
+    one = PoincareSeries(order=0, coeffs=(1,), witness=((Q(1),), (Q(1),)))
+    geometric = PoincareSeries(order=3, coeffs=(1, 1, 1, 1),
+                               witness=((Q(1),), (Q(1), Q(-1))))
+    assert geometric.witness is not None
+    free = dataclasses.replace(geometric, witness=None)
+    assert sum_series([one, one]).witness == ((Q(2),), (Q(1),))
+    assert sum_series([geometric, geometric]) == geometric + geometric == \
+        pairwise_add(geometric, geometric)
+    assert sum_series([geometric, free]).witness is None
+    # series of different orders add to the lower order
+    assert geometric + one == pairwise_add(geometric, one)
+    assert (geometric + one).coeffs == (2,)
+    low = PoincareSeries(order=0, coeffs=(1,), witness=None)
+    assert sum_series([one, low]) == one + low == pairwise_add(one, low)
+    # 1/(1 - t) is a valid witness at order 0, but a reduced sum whose
+    # denominator degree exceeds the order is dropped
+    pole = PoincareSeries(order=0, coeffs=(1,),
+                          witness=((Q(1),), (Q(1), Q(-1))))
+    assert sum_series([pole, pole]).witness is None
+    assert sum_series([pole, pole]) == pole + pole == pairwise_add(pole, pole)
 
 
 def test_poincare_series_witness_and_add():
