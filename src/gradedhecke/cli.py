@@ -4,7 +4,8 @@ Commands: datum, group, molien, hh-findim, hc-findim, crossed-census, hp,
 induce, irr0, verify-basis.  Reports are versioned JSON (plus a CSV mirror
 of the verify-basis trace matrix), byte-identical across repeated runs and
 cached on disk under a digest of the library version, the package's source
-files, the effective config and the catalog file's contents.
+files, the effective config and the catalog file's contents; a hit imports
+no engine module, a miss only what its command's handler uses.
 
 Exit codes: 0 success, 2 falsification flag (count/rank mismatch), 1 error
 (any library error or unreadable file).
@@ -17,24 +18,17 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from . import __version__
-from .catalog import load_catalog
+from . import GradedHeckeError, __version__
 from .config import (ConfigError, RunConfig, apply_k_override, integer,
                      load_config, number)
-from .hecke import HeckeAlgebra
-from .homology import (FinDimAlgebra, crossed_product_census, cyclic_homology,
-                       hochschild_homology, hp_census_hecke,
-                       verify_basis_theorem)
-from .linalg import QI, GradedHeckeError, zero_vec
-from .modules import (InductionDatum, auto_catalog, central_character,
-                      commutant, decompose, induce, irr0_census, is_tempered,
-                      one_dim_modules, parabolic_algebra, weights)
+
+if TYPE_CHECKING:
+    from .hecke import HeckeAlgebra
 
 SCHEMA = "gradedhecke-report/1"
 
@@ -42,20 +36,20 @@ COMMANDS = ("datum", "group", "molien", "hh-findim", "hc-findim",
             "crossed-census", "hp", "induce", "irr0", "verify-basis")
 
 
-def _jsonable(x: Any) -> Any:
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, QI):
-        return {"re": str(x.re), "im": str(x.im)}
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 def _dump(report: Dict[str, Any]) -> str:
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    from .linalg import QI
+
+    def jsonable(x: Any) -> Any:
+        if isinstance(x, Fraction):
+            return str(x)
+        if isinstance(x, QI):
+            return {"re": str(x.re), "im": str(x.im)}
+        if isinstance(x, dict):
+            return {str(k): jsonable(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [jsonable(v) for v in x]
+        return x
+    return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
 
 
 def _series_payload(series) -> Dict[str, Any]:
@@ -110,6 +104,7 @@ def _cmd_group(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
 
 def _census_report(command: str, cfg: RunConfig, algebra: HeckeAlgebra):
     """The census and a report holding its truncation and per-class series."""
+    from .homology import crossed_product_census
     census = crossed_product_census(algebra.datum, truncation=cfg.truncation,
                                     group=algebra.group)
     rep = _base_report(command, cfg, algebra)
@@ -139,23 +134,26 @@ def _cmd_crossed_census(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
 
 
 def _cmd_hp(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
+    from .homology import hp_census_hecke
     r = hp_census_hecke(algebra)
     rep = _base_report("hp", cfg, algebra)
     rep.update({"class_count": r.class_count, "hp0": r.hp0, "hp1": r.hp1})
     return rep
 
 
-def _findim_algebra(cfg: RunConfig, algebra: HeckeAlgebra) -> FinDimAlgebra:
-    if cfg.findim_kind == "ground":
-        return FinDimAlgebra.ground_field()
-    if cfg.findim_kind == "matrix":
-        return FinDimAlgebra.matrix_algebra(cfg.findim_size)
-    return FinDimAlgebra.of_weyl_group(algebra.group)
-
-
-def _findim_handler(command: str, key: str, homology):
+def _findim_handler(command: str, key: str, cyclic: bool):
     def handler(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
-        a = _findim_algebra(cfg, algebra)
+        from .homology import (FinDimAlgebra, check_size_bound,
+                               cyclic_homology, hochschild_homology)
+        size, group = cfg.findim_size, algebra.group
+        dim, build = {  # check the bound first: it reads only the dim
+            "ground": (1, FinDimAlgebra.ground_field),
+            "matrix": (size ** 2, lambda: FinDimAlgebra.matrix_algebra(size)),
+        }.get(cfg.findim_kind,
+              (len(group), lambda: FinDimAlgebra.of_weyl_group(group)))
+        check_size_bound(dim, cfg.n_max, cfg.max_dim, cyclic)
+        a = build()
+        homology = cyclic_homology if cyclic else hochschild_homology
         rep = _base_report(command, cfg, algebra)
         rep.update({"algebra": a.label, "algebra_dim": a.dim,
                     "n_max": cfg.n_max,
@@ -165,6 +163,10 @@ def _findim_handler(command: str, key: str, homology):
 
 
 def _cmd_induce(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
+    from .linalg import zero_vec
+    from .modules import (InductionDatum, central_character, commutant,
+                          decompose, induce, is_tempered, one_dim_modules,
+                          parabolic_algebra, weights)
     if cfg.induce_block is None:
         raise ConfigError("the induce command needs an induce block")
     blk = cfg.induce_block
@@ -212,11 +214,15 @@ def _cmd_induce(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
 
 
 def _catalog_for(algebra: HeckeAlgebra, catalog_text: Optional[str]):
-    user = load_catalog(algebra, catalog_text) if catalog_text else []
-    return auto_catalog(algebra, user_entries=user)
+    from .modules import auto_catalog
+    if not catalog_text:
+        return auto_catalog(algebra)
+    from .catalog import load_catalog
+    return auto_catalog(algebra, load_catalog(algebra, catalog_text))
 
 
 def _cmd_irr0(cfg: RunConfig, algebra: HeckeAlgebra, catalog_text) -> Dict:
+    from .modules import central_character, irr0_census
     catalog = _catalog_for(algebra, catalog_text)
     modules = irr0_census(algebra, catalog)
     census = algebra.group.census
@@ -240,6 +246,7 @@ def _cmd_irr0(cfg: RunConfig, algebra: HeckeAlgebra, catalog_text) -> Dict:
 
 
 def _cmd_verify_basis(cfg: RunConfig, algebra: HeckeAlgebra, catalog_text) -> Dict:
+    from .homology import verify_basis_theorem
     catalog = _catalog_for(algebra, catalog_text)
     report = verify_basis_theorem(algebra, catalog)
     census = algebra.group.census
@@ -261,9 +268,8 @@ def _cmd_verify_basis(cfg: RunConfig, algebra: HeckeAlgebra, catalog_text) -> Di
 
 
 _HANDLERS = {"datum": _cmd_datum, "group": _cmd_group, "molien": _cmd_molien,
-             "hh-findim": _findim_handler("hh-findim", "hh",
-                                          hochschild_homology),
-             "hc-findim": _findim_handler("hc-findim", "hc", cyclic_homology),
+             "hh-findim": _findim_handler("hh-findim", "hh", cyclic=False),
+             "hc-findim": _findim_handler("hc-findim", "hc", cyclic=True),
              "crossed-census": _cmd_crossed_census, "hp": _cmd_hp,
              "induce": _cmd_induce, "irr0": _cmd_irr0,
              "verify-basis": _cmd_verify_basis}
@@ -305,36 +311,44 @@ def run(command: str, cfg: RunConfig, out_dir: str = "out",
     cache_file = cache_dir / f"{command}-{digest}.json"
     report = None
     if cache_file.exists():
-        try:
-            report = json.loads(cache_file.read_text(encoding="utf-8"))
+        try:  # a hit is the text _dump wrote under this key: canonical
+            report = json.loads(text := cache_file.read_text(encoding="utf-8"))
         except ValueError:  # corrupt or truncated: recompute and replace
             pass
-    if not isinstance(report, dict):
-        algebra = cfg.build_algebra()
-        with warnings.catch_warnings():
+    if isinstance(report, dict) and isinstance(report.get("warnings"), list):
+        sys.stderr.writelines(f"warning: {m}\n" for m in report["warnings"])
+    else:
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            extra = (catalog_text,) if command in CATALOG_COMMANDS else ()
-            report = _HANDLERS[command](cfg, algebra, *extra)
-        report = json.loads(_dump(report))
+            try:
+                algebra = cfg.build_algebra()
+                extra = (catalog_text,) if command in CATALOG_COMMANDS else ()
+                report = _HANDLERS[command](cfg, algebra, *extra)
+            finally:  # a run that fails still shows what it warned about
+                found = sorted({str(w.message) for w in caught})
+                sys.stderr.writelines(f"warning: {m}\n" for m in found)
+        report["warnings"] = found
+        text = _dump(report)
+        report = json.loads(text)
         # write aside, then rename: a reader never sees a partial file
+        import tempfile
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(_dump(report))
+                fh.write(text)
             os.replace(tmp, cache_file)
         except BaseException:
             os.unlink(tmp)
             raise
-    text = _dump(report)
     (out / f"{command}.json").write_text(text, encoding="utf-8")
     if command == "verify-basis":
         import csv
-        import io
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for name, row in zip(report["module_names"], report["trace_matrix"]):
-            writer.writerow([name] + [str(v) for v in row])
-        (out / "verify-basis.csv").write_text(buf.getvalue(), encoding="utf-8")
+        with open(out / "verify-basis.csv", "w", encoding="utf-8",
+                  newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            for name, row in zip(report["module_names"],
+                                 report["trace_matrix"]):
+                writer.writerow([name] + [str(v) for v in row])
     status = 0
     if command == "verify-basis" and not report["passed"]:
         status = 2

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from .hecke import HeckeAlgebra
-from .linalg import GradedHeckeError
-from .rootdata import RootDatum, build_root_datum
-from .weyl import DiagramAutomorphism, make_diagram_automorphism
+from . import GradedHeckeError
+
+if TYPE_CHECKING:  # parsing needs no engine; building imports it on demand
+    from .hecke import HeckeAlgebra
+    from .rootdata import RootDatum
+    from .weyl import DiagramAutomorphism
 
 
 class ConfigError(GradedHeckeError):
@@ -211,6 +213,7 @@ class RunConfig:
         return [f"alpha{i + 1}" for i in range(datum.rank)]
 
     def build_datum(self) -> RootDatum:
+        from .rootdata import build_root_datum
         return build_root_datum(self.datum_type, self.ambient, self.gram)
 
     def build_k(self, datum: RootDatum) -> List[Fraction]:
@@ -230,12 +233,10 @@ class RunConfig:
         return [self.k_values[n] for n in names]
 
     def build_algebra(self) -> HeckeAlgebra:
+        from .hecke import HeckeAlgebra
         datum = self.build_datum()
         k = self.build_k(datum)
-        gammas = [make_diagram_automorphism(datum, name, matrix)
-                  for name, matrix in self.gammas]
-        gammas = _close_gammas(datum, gammas)
-        return HeckeAlgebra(datum, k, gammas)
+        return HeckeAlgebra(datum, k, _close_gammas(datum, self.gammas))
 
     def root_indices(self, datum: RootDatum, names: Sequence[str]) -> List[int]:
         valid = self.root_names(datum)
@@ -248,10 +249,12 @@ class RunConfig:
 
 
 def _close_gammas(datum: RootDatum,
-                  gammas: List[DiagramAutomorphism]) -> List[DiagramAutomorphism]:
-    """Close the given automorphisms under composition (bounded)."""
+                  named: List[Tuple[str, Any]]) -> List[DiagramAutomorphism]:
+    """The named automorphisms, closed under composition (bounded)."""
     from .linalg import identity, mat_mul
-    have = {g.matrix: g for g in gammas}
+    from .weyl import DiagramAutomorphism, make_diagram_automorphism
+    have = {g.matrix: g for g in (make_diagram_automorphism(datum, name, m)
+                                  for name, m in named)}
     have.setdefault(identity(datum.ambient_dim),
                     DiagramAutomorphism("e", tuple(range(datum.rank)),
                                         identity(datum.ambient_dim)))

@@ -159,9 +159,11 @@ class FinDimAlgebra:
 # Bar and mixed complexes.
 # ---------------------------------------------------------------------------
 
-def _check_bound(dim: int, power: int, bound: int) -> None:
-    """Reject a run whose largest boundary matrix, A^{(x)power} to
-    A^{(x)(power-1)}, has more than bound entries."""
+def check_size_bound(dim: int, n_max: int, bound: int, cyclic=False) -> None:
+    """Reject a run to degree n_max whose largest boundary matrix,
+    A^{(x)power} to A^{(x)(power-1)}, has more than bound entries: b_{n_max+1}
+    or, in a cyclic run's identity check, b_{min(3, n_max+2)}."""
+    power = max(n_max, min(2, n_max + 1) if cyclic else 0) + 2
     if dim ** (2 * power - 1) > bound:
         raise SizeBoundExceeded(
             f"boundary matrix of {dim}**{power - 1} x {dim}**{power} "
@@ -233,7 +235,7 @@ def connes_boundary(algebra: FinDimAlgebra, n: int) -> List[Column]:
 def hochschild_homology(algebra: FinDimAlgebra, n_max: int,
                         bound: int = SIZE_BOUND) -> List[int]:
     """Exact Betti numbers HH_0..HH_{n_max} of the Hochschild complex."""
-    _check_bound(algebra.dim, n_max + 2, bound)  # b_{n_max+1} is built
+    check_size_bound(algebra.dim, n_max, bound)
     d = algebra.dim
     ranks = [0]  # rank of b_0 = 0
     for n in range(1, n_max + 2):
@@ -314,10 +316,8 @@ def _apply(cols: List[Column], v: Sequence[Q], nrows: int) -> List[Q]:
 def cyclic_homology(algebra: FinDimAlgebra, n_max: int,
                     bound: int = SIZE_BOUND) -> List[int]:
     """HC_0..HC_{n_max} from the mixed bicomplex with total differential b + B."""
-    n_check = min(2, n_max + 1)
-    # b_{n_max+1} and, for the identity check, b_{n_check+1} are built
-    _check_bound(algebra.dim, max(n_max, n_check) + 2, bound)
-    verify_mixed_identities(algebra, n_check)
+    check_size_bound(algebra.dim, n_max, bound, cyclic=True)
+    verify_mixed_identities(algebra, min(2, n_max + 1))
     d = algebra.dim
 
     def dim_b(n: int) -> int:

@@ -11,15 +11,12 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from . import GradedHeckeError  # noqa: F401  (re-exported)
+
 Q = Fraction
 
 Vec = Tuple[Q, ...]
 Mat = Tuple[Vec, ...]
-
-
-class GradedHeckeError(ValueError):
-    """Base class of the errors the library raises for bad input or a
-    failed exact check; the CLI maps it to `error:` and exit status 1."""
 
 
 class QI:

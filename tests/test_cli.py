@@ -121,6 +121,24 @@ def test_cli_size_bound_counts_matrix_entries(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["hh-findim", "hc-findim"])
+def test_cli_findim_bound_is_checked_before_the_algebra_is_built(
+        tmp_path, capsys, monkeypatch, command):
+    # the bound reads only dim and n_max: Q[W(A3)] (dim 24) is refused
+    # without building it and running its 24^3 associativity checks
+    from gradedhecke.homology import FinDimAlgebra
+
+    def built(self):
+        raise AssertionError("FinDimAlgebra constructed")
+
+    monkeypatch.setattr(FinDimAlgebra, "__post_init__", built)
+    cfg = write(tmp_path, "a3.cfg", 'datum { type="A3", ambient=3, k=1 }\n')
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: boundary matrix of 24**3 x 24**4 entries exceeds bound 1000000"]
+
+
 def test_cli_induce(tmp_path):
     cfg = write(tmp_path, "a.cfg", INDUCE_CFG)
     out = str(tmp_path / "out")
@@ -199,7 +217,7 @@ def test_cli_molien(tmp_path):
 
 def test_cli_falsification_exit_code(tmp_path, monkeypatch):
     # a failing basis-theorem report must surface as exit status 2
-    import gradedhecke.cli as cli_mod
+    import gradedhecke.homology as homology_mod
 
     class FailingReport:
         datum_label = "A1"
@@ -215,7 +233,7 @@ def test_cli_falsification_exit_code(tmp_path, monkeypatch):
         full_rank = False
         passed = False
 
-    monkeypatch.setattr(cli_mod, "verify_basis_theorem",
+    monkeypatch.setattr(homology_mod, "verify_basis_theorem",
                         lambda *a, **k: FailingReport())
     cfg = write(tmp_path, "a.cfg", A1_CFG)
     rc = main(["verify-basis", "--config", cfg,
@@ -254,6 +272,7 @@ def test_library_errors_share_one_base(name):
 def test_cli_cache_tracks_catalog_contents_and_version(tmp_path, capsys,
                                                        monkeypatch):
     import gradedhecke.cli as cli_mod
+    import gradedhecke.modules as modules_mod
     cfg = write(tmp_path, "a.cfg", A1_CFG)
     cat = write(tmp_path, "c.cat", A1_CATALOG)
     out = str(tmp_path / "out")
@@ -266,7 +285,7 @@ def test_cli_cache_tracks_catalog_contents_and_version(tmp_path, capsys,
 
     # warm re-run with unchanged inputs is served from the cache
     with monkeypatch.context() as m:
-        m.setattr(cli_mod, "irr0_census", no_recompute)
+        m.setattr(modules_mod, "irr0_census", no_recompute)
         assert main(argv) == 0
     assert (tmp_path / "out" / "irr0.json").read_bytes() == report
     # a new library version does not reuse the old report
@@ -283,16 +302,17 @@ def test_cli_cache_tracks_catalog_contents_and_version(tmp_path, capsys,
 
 def test_cli_cache_tracks_the_source_digest(tmp_path, monkeypatch):
     import gradedhecke.cli as cli_mod
+    import gradedhecke.homology as homology_mod
     cfg = write(tmp_path, "a.cfg", A1_CFG)
     argv = ["hp", "--config", cfg, "--out", str(tmp_path / "out")]
     calls = []
-    hp_census = cli_mod.hp_census_hecke
+    hp_census = homology_mod.hp_census_hecke
 
     def counting(*args, **kwargs):
         calls.append(1)
         return hp_census(*args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "hp_census_hecke", counting)
+    monkeypatch.setattr(homology_mod, "hp_census_hecke", counting)
     assert main(argv) == 0 and len(calls) == 1
     report = (tmp_path / "out" / "hp.json").read_bytes()
     # unchanged code: a hit
@@ -344,14 +364,19 @@ def test_cli_corrupt_cache_file_is_a_miss(tmp_path, capsys):
     assert main(["hp", "--config", cfg, "--out", str(cold)]) == 0
     assert main(["hp", "--config", cfg, "--out", str(out)]) == 0
     (cache_file,) = (out / ".cache").glob("*.json")
-    cache_file.write_text('{"trunc', encoding="utf-8")
-    capsys.readouterr()
-    assert main(["hp", "--config", cfg, "--out", str(out)]) == 0
-    assert "Traceback" not in capsys.readouterr().err
-    assert (out / "hp.json").read_bytes() == (cold / "hp.json").read_bytes()
-    # the corrupt file was replaced by the recomputed report
-    assert cache_file.read_bytes() == (cold / "hp.json").read_bytes()
-    assert [p.name for p in (out / ".cache").iterdir()] == [cache_file.name]
+    # truncated JSON, JSON that is not a report, reports without warnings
+    for corrupt in ('{"trunc', '[]', '{"passed": true}',
+                    '{"warnings": "none"}'):
+        cache_file.write_text(corrupt, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["hp", "--config", cfg, "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert (out / "hp.json").read_bytes() == \
+            (cold / "hp.json").read_bytes()
+        # the corrupt file was replaced by the recomputed report
+        assert cache_file.read_bytes() == (cold / "hp.json").read_bytes()
+        assert [p.name for p in (out / ".cache").iterdir()] == \
+            [cache_file.name]
 
 
 @pytest.mark.parametrize("command, options, flags", [
@@ -437,3 +462,72 @@ def test_config_numbers_are_exact_or_rejected():
         integer("v", 0, 1)
     cfg = load_config(A1_CFG + 'findim { kind="matrix", size=1 }\n')
     assert cfg.findim_size == 1
+
+
+B2_CFG = 'datum { type="B2", ambient=2, k=1 }\n'
+
+
+def test_cli_warnings_are_reported_and_replayed_on_a_hit(tmp_path, capsys):
+    # the rank-2 catalog warning is part of the report, so a cache hit
+    # prints the same `warning:` lines as the run that computed it
+    cfg = write(tmp_path, "b2.cfg", B2_CFG)
+    out = tmp_path / "out"
+    argv = ["verify-basis", "--config", cfg, "--out", str(out)]
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        runs.append((err, [(out / f"verify-basis.{ext}").read_bytes()
+                           for ext in ("json", "csv")]))
+    (cold_err, cold_files), (warm_err, warm_files) = runs
+    assert cold_err == warm_err == [
+        "warning: parabolic P=[0, 1] has rank >= 2 and no user catalog "
+        "entries; higher discrete series may be missing"]
+    assert warm_files == cold_files
+    assert json.loads(cold_files[0])["warnings"] == [
+        line[len("warning: "):] for line in cold_err]
+
+
+def test_cli_failed_run_still_prints_its_warnings(tmp_path, capsys,
+                                                   monkeypatch):
+    import gradedhecke.homology as homology_mod
+
+    def fails(*args, **kwargs):
+        raise homology_mod.HomologyError("stopped after the catalog")
+
+    monkeypatch.setattr(homology_mod, "verify_basis_theorem", fails)
+    cfg = write(tmp_path, "b2.cfg", B2_CFG)
+    rc = main(["verify-basis", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: parabolic P=[0, 1] has rank >= 2 and no user catalog "
+        "entries; higher discrete series may be missing",
+        "error: stopped after the catalog"]
+
+
+def test_cli_cache_hit_loads_no_engine(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import gradedhecke
+    src = str(Path(gradedhecke.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    cfg = write(tmp_path, "a.cfg", A1_CFG)
+    out = tmp_path / "out"
+    argv = ["verify-basis", "--config", cfg, "--out", str(out)]
+    subprocess.run([sys.executable, "-m", "gradedhecke.cli", *argv],
+                   env=env, check=True, capture_output=True)
+    cold = (out / "verify-basis.json").read_bytes()
+    (out / "verify-basis.json").unlink()
+    probe = ("import sys, gradedhecke.cli\n"
+             f"assert gradedhecke.cli.main({argv!r}) == 0\n"
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'gradedhecke'))\n")
+    warm = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True)
+    loaded = warm.stdout.splitlines()[-1]
+    assert loaded == repr(["gradedhecke", "gradedhecke.cli",
+                           "gradedhecke.config"])
+    assert (out / "verify-basis.json").read_bytes() == cold

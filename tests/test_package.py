@@ -1,0 +1,33 @@
+"""The package namespace: public names load their submodule on first use."""
+
+import importlib
+
+import pytest
+
+import gradedhecke
+
+
+def test_every_public_name_is_its_submodules_object():
+    for name in gradedhecke.__all__:
+        if name == "GradedHeckeError":
+            owner = importlib.import_module("gradedhecke.linalg")
+        else:
+            owner = importlib.import_module(
+                f"gradedhecke.{gradedhecke._MODULE_OF[name]}")
+        assert getattr(gradedhecke, name) is getattr(owner, name), name
+        assert name in dir(gradedhecke)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gradedhecke.no_such_name  # noqa: B018
+    assert not hasattr(gradedhecke, "rref")  # linalg's, not public here
+
+
+def test_error_base_is_the_packages():
+    from gradedhecke.catalog import CatalogError
+    from gradedhecke.config import ConfigError
+    from gradedhecke.homology import HomologyError, SizeBoundExceeded
+    for err in (ConfigError, CatalogError, HomologyError, SizeBoundExceeded):
+        assert issubclass(err, gradedhecke.GradedHeckeError)
+    assert gradedhecke.GradedHeckeError.__module__ == "gradedhecke"
