@@ -531,3 +531,13 @@ def test_cli_cache_hit_loads_no_engine(tmp_path):
     assert loaded == repr(["gradedhecke", "gradedhecke.cli",
                            "gradedhecke.config"])
     assert (out / "verify-basis.json").read_bytes() == cold
+
+
+def test_cli_unequal_k_on_conjugate_roots_is_one_error_line(tmp_path, capsys):
+    cfg = write(tmp_path, "a2.cfg",
+                'datum { type="A2", ambient=2, k={alpha1=1, alpha2=2} }\n')
+    rc = main(["group", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == [
+        "error: k must agree on conjugate simple roots 1 and 0"]

@@ -27,6 +27,8 @@ GOLDEN = Path(__file__).parent / "golden"
     ("a2-ps0", "induce", (".json",)),
     ("hh-a2", "hh-findim", (".json",)),
     ("m2", "hc-findim", (".json",)),
+    ("d4", "group", (".json",)),
+    ("d4-triality", "group", (".json",)),
 ])
 def test_cli_reproduces_golden_report(tmp_path, name, command, suffixes):
     assert main([command, "--config", str(GOLDEN / f"{name}.cfg"),

@@ -284,3 +284,38 @@ def test_wrong_word_length_is_caught(monkeypatch):
     monkeypatch.setattr(weyl, "_enumerate_weyl_words", one_wrong_word)
     with pytest.raises(WeylError, match="word length"):
         enumerate_group(build_root_datum("B2", 2))
+
+
+# Negative controls for the k-conjugation and Gamma-collision checks: these
+# pin the accepted inputs and the exact messages of the rejected ones.
+
+@pytest.mark.parametrize("label,amb,k,pair", [
+    ("A2", 2, (1, 2), (1, 0)),
+    ("D4", 4, (1, 1, 1, 2), (3, 1)),
+    ("B3", 3, (1, 2, 3), (1, 0)),
+])
+def test_k_must_agree_on_conjugate_simple_roots(label, amb, k, pair):
+    from gradedhecke.hecke import HeckeAlgebra
+    from gradedhecke.rootdata import RootDatumError
+    msg = "k must agree on conjugate simple roots %d and %d" % pair
+    with pytest.raises(RootDatumError) as info:
+        HeckeAlgebra(build_root_datum(label, amb), k)
+    assert str(info.value) == msg
+
+
+@pytest.mark.parametrize("label,k", [
+    ("B2", (1, 2)), ("G2", (1, 3)), ("A1xA1", (1, 2))])
+def test_k_on_unconjugate_simple_roots_is_accepted(label, k):
+    from gradedhecke.hecke import HeckeAlgebra
+    alg = HeckeAlgebra(build_root_datum(label, 2), k)
+    assert tuple(alg.kmap.values) == k
+
+
+def test_gamma_meeting_w_is_rejected():
+    # -I acts on the roots of A1xA1 as w0 does: Gamma meets W
+    from gradedhecke.linalg import mat
+    from gradedhecke.weyl import DiagramAutomorphism
+    d = build_root_datum("A1xA1", 2)
+    neg = DiagramAutomorphism("neg", (0, 1), mat([[-1, 0], [0, -1]]))
+    with pytest.raises(WeylError, match="Gamma must meet W trivially"):
+        enumerate_group(d, [neg])
