@@ -36,7 +36,7 @@ class HeckeAlgebra:
             make_parameter_map(datum, k)
         self.group: WeylGroup = group if group is not None else \
             enumerate_group(datum, gammas)
-        check_parameters_conjugation(datum, self.kmap, self.group.elements)
+        check_parameters_conjugation(datum, self.kmap, self.group.root_perm)
         for g in self.group.gamma.elements:
             for i in range(datum.rank):
                 if self.kmap[g.perm[i]] != self.kmap[i]:

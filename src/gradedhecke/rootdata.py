@@ -307,17 +307,19 @@ def make_parameter_map(datum: RootDatum, values) -> ParameterMap:
 
 
 def check_parameters_conjugation(datum: RootDatum, kmap: ParameterMap,
-                                 group_elements) -> None:
-    """k must be constant on W'-orbits of simple roots (as roots, up to sign)."""
-    simple = {a: i for i, a in enumerate(datum.simple_roots)}
-    for g in group_elements:
-        for a, i in simple.items():
-            img = tuple(dot(a, col) for col in transpose(g.matrix))
-            for sgn in (1, -1):
-                j = simple.get(tuple(sgn * x for x in img))
-                if j is not None and kmap[i] != kmap[j]:
-                    raise RootDatumError(
-                        f"k must agree on conjugate simple roots {i} and {j}")
+                                 root_perm) -> None:
+    """k must be constant on W'-orbits of simple roots (as roots, up to sign),
+    read off the elements' root permutations `WeylGroup.root_perm`."""
+    at = {r: n for n, r in enumerate(datum.roots)}
+    pos = [at[a] for a in datum.simple_roots]
+    simple = {at[tuple(sgn * x for x in a)]: i
+              for i, a in enumerate(datum.simple_roots) for sgn in (1, -1)}
+    for perm in root_perm:
+        for i, p in enumerate(pos):
+            j = simple.get(perm[p])
+            if j is not None and kmap[i] != kmap[j]:
+                raise RootDatumError(
+                    f"k must agree on conjugate simple roots {i} and {j}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,16 @@
 
 Elements are canonically identified by their exact matrices on the ambient
 space; each also knows its position `index` in the group's canonical
-(length, gamma, word) order.  Products, inverses, the class census and coset
-bookkeeping are read off index tables built once by `enumerate_group`.  All
-censuses are deterministic: classes are listed by their first-discovered
-representative.
+(length, gamma, word) order.  Products, inverses, root images, the class
+census and coset bookkeeping are read off index tables built once by
+`enumerate_group`, which enumerates on root permutations.  All censuses are
+deterministic: classes are listed by their first-discovered representative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import (GradedHeckeError, Mat, Vec, dot, identity, inverse, mat,
                      mat_mul, mat_vec, nullspace, transpose)
@@ -133,13 +133,15 @@ class ExtendedWeylElement:
         self.matrix = matrix
         self.length = length
         self.index = index
-        self._hash = hash(matrix)
+        self._hash = None
 
     def __eq__(self, other):
         return isinstance(other, ExtendedWeylElement) and \
             self.matrix == other.matrix
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self.matrix)
         return self._hash
 
     def __repr__(self):
@@ -154,19 +156,26 @@ class WeylGroup:
 
     `rmul_simple[i][a]` is the index of elements[a] * s_i and
     `rmul_gamma[label][a]` that of elements[a] * gamma; a product a * b walks
-    b's gamma letter and word from a.  Only `element` looks up by matrix: it
-    maps a matrix, possibly from another group, to this group's element.
+    b's gamma letter and word from a, and `root_perm[a]` is elements[a] on
+    root positions.  Only `element` looks up by matrix: it maps a matrix,
+    possibly from another group, to this group's element.
     """
 
     def __init__(self, datum: RootDatum, gamma: GammaGroup,
                  elements: Sequence[ExtendedWeylElement],
                  rmul_simple: Sequence[Sequence[int]],
-                 rmul_gamma: Dict[str, Sequence[int]]):
+                 rmul_gamma: Dict[str, Sequence[int]],
+                 root_perm: Sequence[Tuple[int, ...]]):
         self.datum = datum
         self.gamma = gamma
         self.elements: Tuple[ExtendedWeylElement, ...] = tuple(elements)
         self.by_matrix: Dict[Mat, ExtendedWeylElement] = {
             e.matrix: e for e in self.elements}
+        if len(self.by_matrix) != len(self.elements):
+            raise WeylError("matrix collision between distinct (gamma, w) "
+                            "pairs; Gamma must meet W trivially")
+        self.root_perm = root_perm
+        self._simple_pos = tuple(map(datum.roots.index, datum.simple_roots))
         self.identity = self.elements[0]  # length 0, identity gamma first
         self._rmul_simple = rmul_simple
         self._rmul_gamma = rmul_gamma
@@ -238,82 +247,80 @@ class WeylGroup:
 def _enumerate_weyl_words(datum: RootDatum, bound: int):
     """BFS of W by right multiplication, yielding lex-least reduced words.
 
-    Returns the matrices and words in discovery order, and `right`, where
-    right[i][k] is the position of (element k) * s_i.
+    An element w is its permutation of root positions, perm[r] the position
+    of the covector roots[r] o w, so perm(w s_i) = perm(s_i) o perm(w); W is
+    faithful on its roots.  Returns the permutations and words in discovery
+    order, and `right`, where right[i][k] is the position of (element k) * s_i.
     """
-    mats: List[Mat] = [identity(datum.ambient_dim)]
+    at = {r: n for n, r in enumerate(datum.roots)}
+    sperm = [tuple(at[datum.reflect_covector(i, r)] for r in datum.roots)
+             for i in range(datum.rank)]
+    perms: List[Tuple[int, ...]] = [tuple(range(len(datum.roots)))]
     words: List[Tuple[int, ...]] = [()]
-    found: Dict[Mat, int] = {mats[0]: 0}
-    refl = [datum.reflection_matrix(i) for i in range(datum.rank)]
-    right: List[Dict[int, int]] = [{} for _ in refl]
+    found: Dict[Tuple[int, ...], int] = {perms[0]: 0}
+    right: List[Dict[int, int]] = [{} for _ in sperm]
     frontier = [0]
     while frontier:
         frontier.sort(key=words.__getitem__)
         new: List[int] = []
         for k in frontier:
-            for i, r in enumerate(refl):
-                m2 = mat_mul(mats[k], r)
-                j = found.get(m2)
+            for i, s in enumerate(sperm):
+                p = tuple(map(s.__getitem__, perms[k]))
+                j = found.get(p)
                 if j is None:
-                    j = found[m2] = len(mats)
-                    mats.append(m2)
+                    j = found[p] = len(perms)
+                    perms.append(p)
                     words.append(words[k] + (i,))
                     new.append(j)
-                    if len(mats) > bound:
+                    if len(perms) > bound:
                         raise WeylError(
                             f"group exceeds configured size bound {bound}")
                 right[i][k] = j
         frontier = new
-    return mats, words, right
-
-
-def _length_by_roots(matrix: Mat, positive: FrozenSet[Vec]) -> int:
-    """Number of positive roots sent negative (no reduced-word search).
-
-    transpose(matrix) is the action of w^{-1} on covectors, and
-    l(w^{-1}) = l(w), so no inverse is computed.
-    """
-    m_t = transpose(matrix)
-    return sum(1 for a in positive if mat_vec(m_t, a) not in positive)
+    return perms, words, right
 
 
 def enumerate_group(datum: RootDatum,
                     gammas: Sequence[DiagramAutomorphism] = (),
                     bound: int = GROUP_SIZE_BOUND) -> WeylGroup:
-    """All |Gamma| * |W| elements of W', deduplicated by matrix.
+    """All |Gamma| * |W| elements of W', enumerated on root permutations.
 
-    A matrix collision between distinct (gamma, w) pairs is rejected: the
-    canonical identification of elements with matrices requires Gamma to
-    meet W trivially.  The right-multiplication tables come from the BFS
-    products and from conjugating words by Gamma; no further matrix product
-    is taken.
+    The BFS runs on the permutations of `datum.roots`; each element's matrix
+    is one product, from its BFS parent or, off the identity coset, by its
+    Gamma factor.  A matrix shared by distinct (gamma, w) pairs is rejected:
+    the canonical identification of elements with matrices requires Gamma to
+    meet W trivially.  Every word length is checked against the inversion
+    count l(w) = #{a > 0 : a o w < 0}, read off the permutations kept as
+    `root_perm`.  The right-multiplication tables come from the BFS and from
+    conjugating words by Gamma.
     """
     gamma = gammas if isinstance(gammas, GammaGroup) else \
         GammaGroup(datum, gammas)
-    mats, words, right = _enumerate_weyl_words(datum, bound)
+    perms, words, right = _enumerate_weyl_words(datum, bound)
     if len(words) * len(gamma) > bound:
         raise WeylError(f"group exceeds configured size bound {bound}")
+    refl = [datum.reflection_matrix(i) for i in range(datum.rank)]
+    mats = [identity(datum.ambient_dim)] + [None] * (len(words) - 1)
+    for k in range(len(words)):  # a BFS parent precedes its children
+        for i, r in enumerate(refl):
+            if mats[right[i][k]] is None:
+                mats[right[i][k]] = mat_mul(mats[k], r)
+    at = {r: n for n, r in enumerate(datum.roots)}
+    gperm = [tuple(at[tuple(dot(r, c) for c in zip(*g.matrix))]
+                   for r in datum.roots) for g in gamma.elements]
     pairs = sorted(((g, k) for g in range(len(gamma))
                     for k in range(len(words))),
                    key=lambda t: (len(words[t[1]]), t[0], words[t[1]]))
-    at = {t: n for n, t in enumerate(pairs)}
     elems: List[ExtendedWeylElement] = []
-    seen = set()
-    for n, (g, k) in enumerate(pairs):
-        m = mat_mul(gamma.elements[g].matrix, mats[k])
-        if m in seen:
-            raise WeylError(
-                "matrix collision between distinct (gamma, w) pairs; "
-                "Gamma must meet W trivially")
-        seen.add(m)
-        elems.append(ExtendedWeylElement(gamma=gamma.elements[g].label,
-                                         word=words[k], matrix=m,
-                                         length=len(words[k]), index=n))
-    positive = frozenset(datum.positive_roots())
-    for e in elems:
-        if _length_by_roots(e.matrix, positive) != e.length:
-            raise WeylError("word length disagrees with inversion count")
-    rmul_simple = [tuple(at[g, right[i][k]] for g, k in pairs)
+    for n, (g, k) in enumerate(pairs):  # gamma.elements[0] is the identity
+        c = gamma.elements[g]
+        elems.append(ExtendedWeylElement(
+            gamma=c.label, word=words[k], length=len(words[k]), index=n,
+            matrix=mat_mul(c.matrix, mats[k]) if g else mats[k]))
+    # gamma w: roots[r] o gamma o w = roots[perms[k][gperm[g][r]]]
+    root_perm = [tuple(map(perms[k].__getitem__, gperm[g])) for g, k in pairs]
+    at_pair = {t: n for n, t in enumerate(pairs)}
+    rmul_simple = [tuple(at_pair[g, right[i][k]] for g, k in pairs)
                    for i in range(datum.rank)]
     # gamma w c = (gamma c)(c^{-1} w c), and c^{-1} s_j c = s_{perm^{-1}(j)}
     rmul_gamma: Dict[str, Sequence[int]] = {}
@@ -326,8 +333,14 @@ def enumerate_group(datum: RootDatum,
                 k = right[perm_inv[j]][k]
             conj.append(k)
         gc = [gamma.index[gamma.compose(a, c).label] for a in gamma.elements]
-        rmul_gamma[c.label] = tuple(at[gc[g], conj[k]] for g, k in pairs)
-    return WeylGroup(datum, gamma, elems, rmul_simple, rmul_gamma)
+        rmul_gamma[c.label] = tuple(at_pair[gc[g], conj[k]] for g, k in pairs)
+    group = WeylGroup(datum, gamma, elems, rmul_simple, rmul_gamma, root_perm)
+    positive = [at[a] for a in datum.positive_roots()]
+    is_positive = set(positive)
+    for e, p in zip(elems, root_perm):
+        if sum(1 for a in positive if p[a] not in is_positive) != e.length:
+            raise WeylError("word length disagrees with inversion count")
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +456,12 @@ def association_action(group: WeylGroup, w: ExtendedWeylElement,
     Only the subset transport is computed here; transporting a module and a
     point of t^P is done by the representation layer.
     """
-    datum = group.datum
-    simple = {a: i for i, a in enumerate(datum.simple_roots)}
+    pos = group._simple_pos
+    simple = {p: i for i, p in enumerate(pos)}
+    img = group.root_perm[group._inv[w.index]]  # a o w^{-1} is w(a)
     Q = []
     for i in sorted(set(P)):
-        img = group.act_covector(w, datum.simple_roots[i])
-        j = simple.get(img)
+        j = simple.get(img[pos[i]])
         if j is None:
             raise AssociationError(
                 f"w({i}) is not a simple root; w is not in W'(P, Q)")
@@ -458,7 +471,7 @@ def association_action(group: WeylGroup, w: ExtendedWeylElement,
 
 def elements_mapping_parabolic(group: WeylGroup, P: Sequence[int],
                                Q: Sequence[int]) -> List[ExtendedWeylElement]:
-    """W'(P, Q) = { w in W' : w(P) = Q } by explicit matrix action."""
+    """W'(P, Q) = { w in W' : w(P) = Q }, read off the root permutations."""
     out = []
     for w in group.elements:
         try:

@@ -142,6 +142,84 @@ class _MatrixKeyedGroup:
         return self.group.element(inverse(a.matrix))
 
 
+def matrix_enumerate_weyl_words(datum, bound):
+    """Reference for `gradedhecke.weyl._enumerate_weyl_words`: the BFS of W
+    by right multiplication on exact matrices, deduplicated by matrix.
+
+    Returns the matrices and words in discovery order, and `right`, where
+    right[i][k] is the position of (element k) * s_i.
+    """
+    from gradedhecke.weyl import WeylError
+    mats = [identity(datum.ambient_dim)]
+    words = [()]
+    found = {mats[0]: 0}
+    refl = [datum.reflection_matrix(i) for i in range(datum.rank)]
+    right = [{} for _ in refl]
+    frontier = [0]
+    while frontier:
+        frontier.sort(key=words.__getitem__)
+        new = []
+        for k in frontier:
+            for i, r in enumerate(refl):
+                m2 = mat_mul(mats[k], r)
+                j = found.get(m2)
+                if j is None:
+                    j = found[m2] = len(mats)
+                    mats.append(m2)
+                    words.append(words[k] + (i,))
+                    new.append(j)
+                    if len(mats) > bound:
+                        raise WeylError(
+                            f"group exceeds configured size bound {bound}")
+                right[i][k] = j
+        frontier = new
+    return mats, words, right
+
+
+def length_by_roots(matrix, positive):
+    """Number of positive roots sent negative, on the matrix: transpose(matrix)
+    is the action of w^{-1} on covectors, and l(w^{-1}) = l(w)."""
+    from gradedhecke.linalg import mat_vec, transpose
+    m_t = transpose(matrix)
+    return sum(1 for a in positive if mat_vec(m_t, a) not in positive)
+
+
+def matrix_enumerate_group(datum, gamma):
+    """Reference for `gradedhecke.weyl.enumerate_group` on a `GammaGroup`:
+    (gamma label, word, matrix, length) per element in canonical order, every
+    matrix a product gamma * w and every length an inversion count taken on
+    the matrix."""
+    mats, words, _ = matrix_enumerate_weyl_words(datum, 10 ** 5)
+    positive = frozenset(datum.positive_roots())
+    pairs = sorted(((g, k) for g in range(len(gamma))
+                    for k in range(len(words))),
+                   key=lambda t: (len(words[t[1]]), t[0], words[t[1]]))
+    out = []
+    for g, k in pairs:
+        m = mat_mul(gamma.elements[g].matrix, mats[k])
+        assert length_by_roots(m, positive) == len(words[k])
+        out.append((gamma.elements[g].label, words[k], m, len(words[k])))
+    assert len({m for _, _, m, _ in out}) == len(out)
+    return out
+
+
+def matrix_check_parameters_conjugation(datum, kmap, group_elements):
+    """Reference for `gradedhecke.rootdata.check_parameters_conjugation`:
+    each simple root composed with each element's matrix, compared with the
+    simple roots up to sign."""
+    from gradedhecke.linalg import dot, transpose
+    from gradedhecke.rootdata import RootDatumError
+    simple = {a: i for i, a in enumerate(datum.simple_roots)}
+    for g in group_elements:
+        for a, i in simple.items():
+            img = tuple(dot(a, col) for col in transpose(g.matrix))
+            for sgn in (1, -1):
+                j = simple.get(tuple(sgn * x for x in img))
+                if j is not None and kmap[i] != kmap[j]:
+                    raise RootDatumError(
+                        f"k must agree on conjugate simple roots {i} and {j}")
+
+
 OracleClassEntry = namedtuple(
     "OracleClassEntry", "rep size centralizer fixed_basis fixed_dim members")
 OracleCensus = namedtuple("OracleCensus", "group entries")

@@ -1,8 +1,13 @@
+import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from oracles import matrix_conjugacy_census
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (matrix_check_parameters_conjugation,
+                     matrix_conjugacy_census, matrix_enumerate_group)
 
 from gradedhecke import weyl
 from gradedhecke.linalg import identity, mat_mul
@@ -193,6 +198,8 @@ def indexed_group(label):
 
 
 TABLE_GROUPS = ("A1", "A2", "B2", "G2", "A3", "A1xA1-swap", "A1^3-rot")
+DIFF_GROUPS = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2",
+               "A1xA1-swap", "A1^3-rot")
 
 
 @pytest.mark.parametrize("label", TABLE_GROUPS)
@@ -211,7 +218,7 @@ def test_tables_match_matrix_products(label):
         assert group.gamma_element(g.label).matrix == g.matrix
 
 
-@pytest.mark.parametrize("label", TABLE_GROUPS + ("B3",))
+@pytest.mark.parametrize("label", DIFF_GROUPS)
 def test_census_matches_matrix_keyed_oracle(label):
     group = indexed_group(label)
     got = conjugacy_census(group).entries
@@ -319,3 +326,109 @@ def test_gamma_meeting_w_is_rejected():
     neg = DiagramAutomorphism("neg", (0, 1), mat([[-1, 0], [0, -1]]))
     with pytest.raises(WeylError, match="Gamma must meet W trivially"):
         enumerate_group(d, [neg])
+
+
+# The root-permutation enumeration against the matrix BFS it replaced.
+
+@pytest.mark.parametrize("label", DIFF_GROUPS)
+def test_root_permutation_enumeration_matches_matrix_oracle(label):
+    from gradedhecke.linalg import dot, inverse
+    group = indexed_group(label)
+    d = group.datum
+    want = matrix_enumerate_group(d, group.gamma)
+    assert [(e.gamma, e.word, e.matrix, e.length) for e in group] == want
+    at = {m: n for n, (_, _, m, _) in enumerate(want)}
+    for i in range(d.rank):
+        s = d.reflection_matrix(i)
+        assert list(group._rmul_simple[i]) == \
+            [at[mat_mul(m, s)] for _, _, m, _ in want]
+    for c in group.gamma.elements:
+        assert list(group._rmul_gamma[c.label]) == \
+            [at[mat_mul(m, c.matrix)] for _, _, m, _ in want]
+    assert group._inv == [at[inverse(m)] for _, _, m, _ in want]
+    pos = {r: n for n, r in enumerate(d.roots)}
+    for e in group:
+        assert group.root_perm[e.index] == tuple(
+            pos[tuple(dot(r, col) for col in zip(*e.matrix))]
+            for r in d.roots)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(["B3", "C3", "D4"]), st.data())
+def test_k_check_on_permutations_matches_matrix_check(label, data):
+    from gradedhecke.rootdata import (RootDatumError,
+                                      check_parameters_conjugation,
+                                      make_parameter_map)
+    group = indexed_group(label)
+    rank = group.datum.rank
+    kmap = make_parameter_map(group.datum, data.draw(
+        st.lists(st.integers(0, 2), min_size=rank, max_size=rank)))
+
+    def outcome(check, table):
+        try:
+            check(group.datum, kmap, table)
+        except RootDatumError as exc:
+            return str(exc)
+        return None
+
+    assert outcome(check_parameters_conjugation, group.root_perm) == \
+        outcome(matrix_check_parameters_conjugation, group.elements)
+
+
+def triality(d):
+    """The five non-identity permutations of the outer D4 nodes 0, 2, 3."""
+    out = []
+    for p in itertools.permutations((0, 2, 3)):
+        sigma = {1: 1, **dict(zip((0, 2, 3), p))}
+        if p != (0, 2, 3):
+            m = [[1 if r == sigma[c] else 0 for c in range(4)]
+                 for r in range(4)]
+            out.append(make_diagram_automorphism(
+                d, "t" + "".join(map(str, p)), m))
+    return out
+
+
+def test_d4_triality_is_w_f4():
+    # W(D4) x| S3 is the automorphism group of the D4 roots, which is W(F4)
+    d = build_root_datum("D4", 4)
+    ext = enumerate_group(d, triality(d))
+    f4 = enumerate_group(build_root_datum("F4", 4))
+    assert len(ext) == len(f4) == 1152
+    assert len(ext.census) == len(f4.census) == 25
+    for attr in ("size", "fixed_dim"):
+        assert sorted(getattr(e, attr) for e in ext.census.entries) == \
+            sorted(getattr(e, attr) for e in f4.census.entries)
+
+
+def count_calls(monkeypatch, name):
+    """Route every loaded gradedhecke module's `name` from linalg through a
+    counter; returns the list that grows by one per call."""
+    from gradedhecke import linalg
+    original = getattr(linalg, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "gradedhecke" and \
+                vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("with_triality,products", [(False, 191),
+                                                    (True, 1151)])
+def test_enumeration_operation_counts(monkeypatch, with_triality, products):
+    # one matrix product per element but the identity, and root images
+    # taken once per generator: no count grows with |W| beyond that
+    from gradedhecke.weyl import GammaGroup
+    d = build_root_datum("D4", 4)
+    gamma = GammaGroup(d, triality(d) if with_triality else ())
+    mat_muls = count_calls(monkeypatch, "mat_mul")
+    dots = count_calls(monkeypatch, "dot")
+    group = enumerate_group(d, gamma)
+    assert len(group) - 1 == products
+    assert len(mat_muls) <= products
+    assert len(dots) <= (d.rank + len(gamma)) * len(d.roots) * d.ambient_dim
