@@ -1,10 +1,11 @@
-"""Hochschild/cyclic homology engines and the basis-theorem verification.
+"""Hochschild/cyclic homology engines, point modules and the basis theorem.
 
 Finite-dimensional algebras get the literal bar and mixed complexes with
 exact rank computations.  The crossed product W' x| S(t*) is handled through
 its closed-form census: per-conjugacy-class Molien series of invariant forms
 on the fixed spaces, with HP_1 = 0 forced by the contractibility of each
-fixed space and HP_0 = HH_0(Q[W']) checked against the class count.
+fixed space and HP_0 = HH_0(Q[W']) checked against the class count.  Point
+modules of A x| G are solved on fibre blocks, with no dense matrix.
 """
 
 from __future__ import annotations
@@ -16,13 +17,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .hecke import HeckeAlgebra
-from .linalg import (GradedHeckeError, Mat, Q, Vec, intertwiner_matrices,
-                     mat_vec, nullspace, rank, restrict_matrix, rref,
-                     transpose, zero_vec)
+from .linalg import GradedHeckeError, Q, Vec, rank, restrict_matrix
 from .modules import DSCatalogEntry, auto_catalog, irr0_census
 from .poly import PoincareSeries, molien_forms, sum_series
 from .rootdata import RootDatum
-from .weyl import WeylGroup, enumerate_group
+from .weyl import WeylGroup, enumerate_group, permutation_bfs
 
 SIZE_BOUND = 10 ** 6
 
@@ -437,69 +436,27 @@ class PointModuleReport:
     noniso_across_orbits: Optional[bool]
 
 
-def _perm_mult(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
-def _perm_group_closure(perms: Sequence[Tuple[int, ...]], bound: int = 10000):
-    n = len(perms[0])
-    ident = tuple(range(n))
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for g in frontier:
-            for p in perms:
-                h = _perm_mult(p, g)
-                if h not in elems:
-                    elems.add(h)
-                    new.append(h)
-                    if len(elems) > bound:
-                        raise HomologyError("permutation group too large")
-        frontier = new
-    return sorted(elems)
-
-
-def _point_module_matrices(group: Sequence[Tuple[int, ...]],
-                           domain: Sequence[int], x: int):
-    """I_x = Ind_A^{A x| G} C_x on basis {v_g}; returns generator matrices.
-
-    `domain` fixes the function algebra A: one separating function taking
-    the position of a point in the sorted domain.  Comparing modules from
-    different orbits requires a common domain.
-    """
-    group = list(group)
-    idx = {g: i for i, g in enumerate(group)}
-    d = len(group)
-    gens = []
-    # group action h . v_g = v_{hg} for a small generating set
-    gen_set = _generating_set(group)
-    for h in gen_set:
-        m = [[Fraction(0)] * d for _ in range(d)]
-        for g in group:
-            m[idx[_perm_mult(h, g)]][idx[g]] = Fraction(1)
-        gens.append(tuple(tuple(r) for r in m))
-    pos = {y: i for i, y in enumerate(sorted(domain))}
-    m = [[Fraction(0)] * d for _ in range(d)]
-    for g in group:
-        m[idx[g]][idx[g]] = Fraction(pos[g[x]])
-    gens.append(tuple(tuple(r) for r in m))
-    return gens
-
-
-def _generating_set(group: Sequence[Tuple[int, ...]]):
-    n = len(group[0])
-    ident = tuple(range(n))
-    gens: List[Tuple[int, ...]] = []
-    span = {ident}
-    for g in sorted(group):
-        if g in span:
+def _hom_cells(perms: Sequence[Tuple[int, ...]], right, x: int, y: int):
+    """Hom(I_x, I_y): M commutes with the functions iff it lives on the
+    cells (a, b) with a(y) = b(x), the fibres of a -> a(y) against those of
+    b -> b(x), and with a generator h iff M[h a, h b] = M[a, b]; Hom is
+    spanned by the indicators of the cell classes the `right` maps join.
+    Each class meets the row of the identity (index 0) once, (a, b) ~
+    (1, a^-1 b).  Returns {cell: class} and the number of classes."""
+    cls: Dict[Tuple[int, int], int] = {}
+    count = 0
+    for b, p in enumerate(perms):
+        if p[x] != y:
             continue
-        gens.append(g)
-        span = set(_perm_group_closure([*gens]))
-        if len(span) == len(group):
-            break
-    return gens or [ident]
+        cls[0, b], stack = count, [(0, b)]
+        while stack:
+            a, c = stack.pop()
+            for r in right:
+                if (r[a], r[c]) not in cls:
+                    cls[r[a], r[c]] = count
+                    stack.append((r[a], r[c]))
+        count += 1
+    return cls, count
 
 
 def crossed_point_module(perms: Sequence[Tuple[int, ...]], x: int,
@@ -507,72 +464,49 @@ def crossed_point_module(perms: Sequence[Tuple[int, ...]], x: int,
                          compare_point: Optional[int] = None) -> PointModuleReport:
     """Build I_x for functions on the orbit Gx, count its constituents.
 
-    The number of inequivalent irreducible constituents is the dimension of
-    the center of the commutant (a field-independent count of the complex
-    constituents); it must equal the number of conjugacy classes of the
-    stabilizer G_x.
+    G is generated by `perms` (p[i] the image of i); I_x has the basis v_g,
+    h v_g = v_{hg}, f v_g = f(g(x)) v_g.  The number of inequivalent
+    irreducible constituents is the dimension of the center of the commutant
+    (a field-independent count of the complex constituents); it must equal
+    the number of conjugacy classes of G_x, counted apart as commuting pairs
+    over |G_x|.  The commutant has |G| * |G_x| unknowns, at most bound * 10.
     """
-    group = _perm_group_closure(list(perms))
-    if len(group) ** 2 > bound * 10:
-        raise HomologyError("group exceeds the point-module bound")
+    if not perms:
+        raise HomologyError("a point module needs at least one generator")
+    n = len(perms[0])
+    bad = next((p for p in perms if sorted(p) != list(range(n))), None)
+    if bad is not None:
+        raise HomologyError(f"generator {tuple(bad)} is not a permutation "
+                            f"of range({n})")
+    if not all(0 <= p < n for p in (x, compare_point) if p is not None):
+        raise HomologyError(f"points must lie in range({n})")
+    group, _, right = permutation_bfs(perms, bound * 10)
+    stab = [k for k, g in enumerate(group) if g[x] == x]
+    if len(group) * len(stab) > bound * 10:  # also if the BFS stopped early
+        raise HomologyError(f"point module exceeds the bound of {bound * 10} "
+                            "fibre-block unknowns |G| * |G_x|")
     orbit = tuple(sorted({g[x] for g in group}))
-    stab = [g for g in group if g[x] == x]
-    # conjugacy classes of the stabilizer, by brute-force conjugation
-    seen = set()
-    classes = 0
-    stab_set = set(stab)
-    inv = {g: tuple(sorted(range(len(g)), key=lambda i: g[i])) for g in stab}
-    for g in stab:
-        if g in seen:
-            continue
-        classes += 1
-        for h in stab:
-            seen.add(_perm_mult(_perm_mult(h, g), inv[h]))
-    gens = _point_module_matrices(group, orbit, x)
-    d = len(group)
-    comm = intertwiner_matrices([(m, m) for m in gens], d, d)
-    # center of the commutant: elements commuting with every basis element
-    center = intertwiner_matrices([(c, c) for c in comm], d, d)
-    center_in_comm = _intersect_spans(comm, center, d)
-    constituents = len(center_in_comm)
-    iso_within = True
-    noniso = None
-    for y in orbit:
-        if y != x:
-            gens_y = _point_module_matrices(group, orbit, y)
-            pairs = list(zip(gens, gens_y))
-            hom = intertwiner_matrices(pairs, d, d)
-            iso_within = iso_within and bool(hom)
-            break
-    if compare_point is not None and compare_point not in orbit:
-        orbit2 = tuple(sorted({g[compare_point] for g in group}))
-        common = tuple(sorted(set(orbit) | set(orbit2)))
-        gens_c = _point_module_matrices(group, common, x)
-        gens2 = _point_module_matrices(group, common, compare_point)
-        hom = intertwiner_matrices(list(zip(gens_c, gens2)), d, d)
-        noniso = not hom
-    return PointModuleReport(orbit=orbit, stabilizer_order=len(stab),
-                             stabilizer_classes=classes,
-                             constituents=constituents,
-                             match=(constituents == classes),
-                             iso_within_orbit=iso_within,
-                             noniso_across_orbits=noniso)
-
-
-def _intersect_spans(span_a: Sequence[Mat], span_b: Sequence[Mat],
-                     d: int) -> List[Vec]:
-    """Basis of span(a) intersect span(b), matrices flattened to vectors."""
-    if not span_a or not span_b:
-        return []
-    flat_a = [[m[i][j] for i in range(d) for j in range(d)] for m in span_a]
-    flat_b = [[m[i][j] for i in range(d) for j in range(d)] for m in span_b]
-    cols = transpose(flat_a + flat_b)
-    combos = nullspace(cols, len(flat_a) + len(flat_b))
-    # each combination's span(a) part, as a flattened matrix
-    vecs = [mat_vec(cols, c[:len(flat_a)] + zero_vec(len(flat_b)))
-            for c in combos]
-    red, pivots = rref(vecs)
-    return [tuple(red[i]) for i in range(len(pivots))]
+    members = [group[k] for k in stab]  # Burnside: commuting pairs / |G_x|
+    classes = sum(tuple(map(g.__getitem__, h)) == tuple(map(h.__getitem__, g))
+                  for g in members for h in members) // len(stab)
+    cls, dim = _hom_cells(group, right, x, x)
+    # c_i c_j at the cell (1, s) of class k sums c_i[1, m] c_j[m, s], m in G_x;
+    # row i holds [c_i, c_j] at column j * dim + k: the center is its kernel
+    brackets: List[Dict[int, int]] = [{} for _ in range(dim)]
+    for s in stab:
+        for m in stab:
+            i, j, k = cls[0, m], cls[m, s], cls[0, s]
+            brackets[i][j * dim + k] = brackets[i].get(j * dim + k, 0) + 1
+            brackets[j][i * dim + k] = brackets[j].get(i * dim + k, 0) - 1
+    constituents = dim - rank(brackets)
+    other = next((y for y in orbit if y != x), x)
+    apart = compare_point is not None and compare_point not in orbit
+    return PointModuleReport(
+        orbit=orbit, stabilizer_order=len(stab), stabilizer_classes=classes,
+        constituents=constituents, match=(constituents == classes),
+        iso_within_orbit=_hom_cells(group, right, x, other)[1] > 0,
+        noniso_across_orbits=(_hom_cells(group, right, x, compare_point)[1]
+                              == 0) if apart else None)
 
 
 # ---------------------------------------------------------------------------

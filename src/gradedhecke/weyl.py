@@ -244,27 +244,21 @@ class WeylGroup:
         return mat_vec(e.matrix, lam)
 
 
-def _enumerate_weyl_words(datum: RootDatum, bound: int):
-    """BFS of W by right multiplication, yielding lex-least reduced words.
-
-    An element w is its permutation of root positions, perm[r] the position
-    of the covector roots[r] o w, so perm(w s_i) = perm(s_i) o perm(w); W is
-    faithful on its roots.  Returns the permutations and words in discovery
-    order, and `right`, where right[i][k] is the position of (element k) * s_i.
-    """
-    at = {r: n for n, r in enumerate(datum.roots)}
-    sperm = [tuple(at[datum.reflect_covector(i, r)] for r in datum.roots)
-             for i in range(datum.rank)]
-    perms: List[Tuple[int, ...]] = [tuple(range(len(datum.roots)))]
+def permutation_bfs(gens: Sequence[Tuple[int, ...]], bound: int):
+    """BFS of the group the permutations `gens` generate (p[r] the image of
+    r): the permutations and lex-least words in discovery order, identity
+    first, and right[i][k], the position of gens[i] o perms[k].  Stops past
+    `bound` elements; the caller checks `len(perms) > bound`."""
+    perms: List[Tuple[int, ...]] = [tuple(range(len(gens[0]) if gens else 0))]
     words: List[Tuple[int, ...]] = [()]
     found: Dict[Tuple[int, ...], int] = {perms[0]: 0}
-    right: List[Dict[int, int]] = [{} for _ in sperm]
+    right: List[Dict[int, int]] = [{} for _ in gens]
     frontier = [0]
     while frontier:
         frontier.sort(key=words.__getitem__)
         new: List[int] = []
         for k in frontier:
-            for i, s in enumerate(sperm):
+            for i, s in enumerate(gens):
                 p = tuple(map(s.__getitem__, perms[k]))
                 j = found.get(p)
                 if j is None:
@@ -273,10 +267,21 @@ def _enumerate_weyl_words(datum: RootDatum, bound: int):
                     words.append(words[k] + (i,))
                     new.append(j)
                     if len(perms) > bound:
-                        raise WeylError(
-                            f"group exceeds configured size bound {bound}")
+                        return perms, words, right
                 right[i][k] = j
         frontier = new
+    return perms, words, right
+
+
+def _enumerate_weyl_words(datum: RootDatum, bound: int):
+    """W on root positions: perm[r] is the position of roots[r] o w, so
+    perm(w s_i) = perm(s_i) o perm(w); right[i][k] is (element k) * s_i."""
+    at = {r: n for n, r in enumerate(datum.roots)}
+    sperm = [tuple(at[datum.reflect_covector(i, r)] for r in datum.roots)
+             for i in range(datum.rank)]
+    perms, words, right = permutation_bfs(sperm, bound)
+    if len(perms) > bound:
+        raise WeylError(f"group exceeds configured size bound {bound}")
     return perms, words, right
 
 

@@ -89,6 +89,53 @@ def brute_force_conjugacy_count(matrices):
     return count
 
 
+# Criterion-7 point modules: generators on range(n) and the point x.
+POINT_MODULE_TEMPLATES = [
+    ([(1, 0)], 0),                      # S2, free orbit
+    ([(1, 0, 2)], 2),                   # S2 fixing x
+    ([(1, 2, 0), (1, 0, 2)], 0),        # S3 natural, G_x = S2
+    ([(1, 2, 0, 3), (1, 0, 2, 3)], 3),  # S3 fixing x
+    ([(1, 2, 3, 0, 4)], 4),             # Z4 < S4 fixing x
+    ([(1, 2, 3, 0)], 0),                # Z4 free orbit
+    ([(1, 0, 3, 2), (2, 3, 0, 1)], 0),  # V4 < S4
+    ([(1, 2, 3, 0), (3, 2, 1, 0)], 0),  # D4 < S4, G_x order 2
+    ([(1, 2, 0, 3), (0, 2, 1, 3), (1, 0, 2, 3)], 0),  # S3 < S4
+    ([(1, 0, 3, 2), (2, 3, 0, 1), (0, 2, 1, 3)], 1),  # A4 < S4
+]
+
+
+def compose_perms(a, b):
+    """a o b on permutation tuples: i -> a[b[i]]."""
+    return tuple(a[i] for i in b)
+
+
+def permutation_closure(gens):
+    """Reference for `gradedhecke.weyl.permutation_bfs`: every product of the
+    permutations `gens`, sorted."""
+    elems = {tuple(range(len(gens[0])))}
+    frontier = list(elems)
+    while frontier:
+        frontier = [h for h in {compose_perms(p, g) for p in gens
+                                for g in frontier} if h not in elems]
+        elems.update(frontier)
+    return sorted(elems)
+
+
+def stabilizer_class_count(group, x):
+    """Conjugacy classes of the stabilizer of x in `group`, by orbit
+    partition under conjugation."""
+    stab = [g for g in group if g[x] == x]
+    seen, classes = set(), 0
+    for g in stab:
+        if g in seen:
+            continue
+        classes += 1
+        for h in stab:
+            hinv = tuple(sorted(range(len(h)), key=lambda i: h[i]))
+            seen.add(compose_perms(compose_perms(h, g), hinv))
+    return classes
+
+
 def dense_rref(rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
     """Reduced row echelon form by dense Gauss-Jordan over every column.
 

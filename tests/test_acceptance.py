@@ -10,7 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (brute_force_conjugacy_count, brute_force_form_dimension)
+from oracles import (POINT_MODULE_TEMPLATES, brute_force_conjugacy_count,
+                     brute_force_form_dimension, permutation_closure,
+                     stabilizer_class_count)
 
 from gradedhecke.cli import run as cli_run
 from gradedhecke.config import load_config
@@ -220,18 +222,7 @@ def test_criterion_6_hp_k_independence():
 def test_criterion_7_point_module_constituents():
     """Constituent counts equal #classes(G_x) on 10 randomized instances."""
     rng = random.Random(2024)
-    templates = [
-        ([(1, 0)], 0),                      # S2, free orbit
-        ([(1, 0, 2)], 2),                   # S2 fixing x
-        ([(1, 2, 0), (1, 0, 2)], 0),        # S3 natural, G_x = S2
-        ([(1, 2, 0, 3), (1, 0, 2, 3)], 3),  # S3 fixing x
-        ([(1, 2, 3, 0, 4)], 4),             # Z4 < S4 fixing x
-        ([(1, 2, 3, 0)], 0),                # Z4 free orbit
-        ([(1, 0, 3, 2), (2, 3, 0, 1)], 0),  # V4 < S4
-        ([(1, 2, 3, 0), (3, 2, 1, 0)], 0),  # D4 < S4, G_x order 2
-        ([(1, 2, 0, 3), (0, 2, 1, 3), (1, 0, 2, 3)], 0),  # S3 < S4
-        ([(1, 0, 3, 2), (2, 3, 0, 1), (0, 2, 1, 3)], 1),  # A4 < S4
-    ]
+    templates = POINT_MODULE_TEMPLATES
     checked = 0
     for perms, x0 in templates:
         n = len(perms[0])
@@ -242,17 +233,7 @@ def test_criterion_7_point_module_constituents():
         x = relabel[x0]
         rep = crossed_point_module(moved, x)
         # independent class count of the stabilizer, recomputed here
-        from gradedhecke.homology import _perm_group_closure, _perm_mult
-        group = _perm_group_closure(moved)
-        stab = [g for g in group if g[x] == x]
-        seen, classes = set(), 0
-        for g in stab:
-            if g in seen:
-                continue
-            classes += 1
-            for h in stab:
-                hinv = tuple(sorted(range(len(h)), key=lambda i: h[i]))
-                seen.add(_perm_mult(_perm_mult(h, g), hinv))
+        classes = stabilizer_class_count(permutation_closure(moved), x)
         assert rep.constituents == classes == rep.stabilizer_classes
         assert rep.match
         checked += 1

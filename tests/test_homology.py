@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (dense_connes_boundary, dense_hochschild_boundary,
-                     dense_mixed_total_boundary)
+from oracles import (POINT_MODULE_TEMPLATES, compose_perms,
+                     dense_connes_boundary, dense_hochschild_boundary,
+                     dense_mixed_total_boundary, permutation_closure)
 
 from gradedhecke import homology
 from gradedhecke.hecke import HeckeAlgebra
@@ -18,9 +19,10 @@ from gradedhecke.homology import (FinDimAlgebra, HomologyError,
                                   hochschild_boundary, hochschild_homology,
                                   hp_census_hecke, connes_boundary,
                                   verify_basis_theorem, verify_mixed_identities)
-from gradedhecke.linalg import rank
+from gradedhecke.linalg import intertwiner_matrices, rank
 from gradedhecke.rootdata import build_root_datum
-from gradedhecke.weyl import enumerate_group, make_diagram_automorphism
+from gradedhecke.weyl import (enumerate_group, make_diagram_automorphism,
+                              permutation_bfs)
 
 Q = Fraction
 
@@ -255,6 +257,76 @@ def test_point_module_z4_rationality():
     assert rep.stabilizer_order == 4
     assert rep.stabilizer_classes == 4
     assert rep.constituents == 4 and rep.match
+
+
+@pytest.mark.parametrize("perms,x,order,classes", [
+    ([(1, 2, 3, 0), (1, 0, 2, 3)], 0, 6, 3),        # S4 on 4 points, G_x = S3
+    ([(1, 2, 3, 0, 4), (1, 0, 2, 3, 4)], 4, 24, 5),  # S4 fixing x
+    ([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], 0, 24, 5),  # S5 on 5 points
+])
+def test_point_module_symmetric_groups(perms, x, order, classes):
+    rep = crossed_point_module(perms, x)
+    assert rep.stabilizer_order == order
+    assert rep.stabilizer_classes == rep.constituents == classes
+    assert rep.match and rep.iso_within_orbit
+
+
+@pytest.mark.parametrize("perms,x,compare_point,message", [
+    ([], 0, None, "at least one generator"),
+    ([(1, 0), (1, 2, 0)], 0, None, r"\(1, 2, 0\) is not a permutation"),
+    ([(0, 0, 1)], 0, None, r"\(0, 0, 1\) is not a permutation of range\(3\)"),
+    ([(1, 0)], 2, None, r"range\(2\)"),
+    ([(1, 0)], -1, None, r"range\(2\)"),
+    ([(1, 0, 2)], 0, 3, r"range\(3\)"),
+])
+def test_point_module_rejects_bad_input(perms, x, compare_point, message):
+    with pytest.raises(HomologyError, match=message):
+        crossed_point_module(perms, x, compare_point=compare_point)
+
+
+def test_point_module_bound_counts_fibre_block_unknowns():
+    # S4 fixing x: |G| * |G_x| = 24 * 24 = 576 unknowns
+    s4_fix = [(1, 2, 3, 0, 4), (1, 0, 2, 3, 4)]
+    with pytest.raises(HomologyError, match="bound of 570 fibre-block"):
+        crossed_point_module(s4_fix, 4, bound=57)
+    assert crossed_point_module(s4_fix, 4, bound=58).match
+    # |G| = 173 is the largest order `|G| ** 2 <= bound * 10` admitted at the
+    # default bound; Z173 fixing x has |G| * |G_x| = 173 ** 2 unknowns too
+    z173_fix = [tuple(range(1, 173)) + (0, 173)]
+    rep = crossed_point_module(z173_fix, 173)
+    assert rep.stabilizer_classes == rep.constituents == 173 and rep.match
+    # a group larger than the bound stops the BFS with the same error
+    with pytest.raises(HomologyError, match="bound of 30000 fibre-block"):
+        crossed_point_module([tuple(range(1, 9)) + (0,), (1, 0) + tuple(
+            range(2, 9))], 0)
+
+
+@pytest.mark.parametrize("perms,x", POINT_MODULE_TEMPLATES)
+def test_point_hom_cells_match_dense_solve(perms, x):
+    """Hom(I_x, I_y) from the cell classes against the nullity of the dense
+    intertwiner solve on the permutation and diagonal matrices, every y."""
+    group = permutation_closure(perms)
+    at = {g: i for i, g in enumerate(group)}
+    d = len(group)
+
+    def point_matrices(point):
+        mats = []
+        for h in perms:
+            m = [[Q(0)] * d for _ in range(d)]
+            for g in group:
+                m[at[compose_perms(h, g)]][at[g]] = Q(1)
+            mats.append(m)
+        mats.append([[Q(g[point] if i == j else 0) for j, g in
+                      enumerate(group)] for i in range(d)])
+        return mats
+
+    elements, _, right = permutation_bfs(perms, 10 ** 4)
+    assert sorted(elements) == group
+    source = point_matrices(x)
+    for y in range(len(perms[0])):
+        dense = intertwiner_matrices(list(zip(point_matrices(y), source)),
+                                     d, d)
+        assert homology._hom_cells(elements, right, x, y)[1] == len(dense)
 
 
 def test_verify_basis_a1():

@@ -1,6 +1,9 @@
 """The package namespace: public names load their submodule on first use."""
 
+import ast
 import importlib
+import pathlib
+import sys
 
 import pytest
 
@@ -31,3 +34,21 @@ def test_error_base_is_the_packages():
     for err in (ConfigError, CatalogError, HomologyError, SizeBoundExceeded):
         assert issubclass(err, gradedhecke.GradedHeckeError)
     assert gradedhecke.GradedHeckeError.__module__ == "gradedhecke"
+
+
+def test_runtime_is_stdlib_only():
+    src = pathlib.Path(gradedhecke.__file__).parent
+    files = sorted(src.glob("*.py"))
+    assert files
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or \
+                    top == "gradedhecke", f"{path.name} imports {name}"
