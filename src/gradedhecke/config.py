@@ -189,7 +189,8 @@ def parse_blocks(text: str) -> List[Tuple[str, Any]]:
 _DATUM_KEYS = {"type", "ambient", "k", "gram"}
 _GAMMA_KEYS = {"name", "matrix"}
 _OPTIONS_KEYS = {"truncation", "max_dim", "n_max"}
-_INDUCE_KEYS = {"p", "delta", "lambda_re", "lambda_im", "extended"}
+_INDUCE_TYPES = {"p": list, "delta": str, "lambda_re": list,
+                 "lambda_im": list, "extended": bool}
 _FINDIM_KEYS = {"kind", "size"}
 
 
@@ -329,9 +330,13 @@ def load_config(text: str) -> RunConfig:
             for key in sorted(_OPTIONS_KEYS & set(payload)):
                 cfg_kwargs[key] = integer(f"option {key}", payload[key])
         elif name == "induce":
-            unknown = set(payload) - _INDUCE_KEYS
+            unknown = set(payload) - _INDUCE_TYPES.keys()
             if unknown:
                 raise ConfigError(f"unknown induce keys {sorted(unknown)}")
+            for key in sorted(payload):
+                if not isinstance(payload[key], _INDUCE_TYPES[key]):
+                    raise ConfigError(f"induce {key} must be a "
+                                      f"{_INDUCE_TYPES[key].__name__}")
             cfg_kwargs["induce_block"] = payload
         elif name == "findim":
             unknown = set(payload) - _FINDIM_KEYS

@@ -7,6 +7,7 @@ field-generic over those two types.  No floating point anywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -71,9 +72,6 @@ class QI:
 
     def __rtruediv__(self, other):
         return QI.of(other) / self
-
-    def conj(self) -> "QI":
-        return QI(self.re, -self.im)
 
     def __eq__(self, other):
         if isinstance(other, QI):
@@ -465,13 +463,6 @@ def poly1_gcd(p, q):
     return p
 
 
-def poly1_eval(p, x):
-    out = Fraction(0)
-    for a in reversed(p):
-        out = out * x + a
-    return out
-
-
 def series_inverse(p: Sequence, order: int) -> Tuple:
     """Power series inverse of p to the given order; p[0] must be nonzero."""
     if not p or not p[0]:
@@ -490,150 +481,103 @@ def series_inverse(p: Sequence, order: int) -> Tuple:
 # Root extraction for characteristic polynomials.
 # ---------------------------------------------------------------------------
 
-def _divisors(n: int) -> List[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def roots(coeffs_highest_first, gaussian: bool = False) -> Tuple[List, Tuple]:
+    """Roots in Q (as Fraction), or in Q(i) (as QI) when `gaussian`, sorted,
+    with multiplicities, plus the rootless residual.
 
-
-def _to_integer_poly(coeffs_highest_first) -> List[int]:
-    denom = math.lcm(*(Fraction(c).denominator for c in coeffs_highest_first))
-    ints = [int(Fraction(c) * denom) for c in coeffs_highest_first]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
-
-
-def rational_roots(coeffs_highest_first) -> Tuple[List[Tuple[Q, int]], Tuple]:
-    """All rational roots with multiplicities, plus the rootless residual.
-
-    Input and residual are highest-degree-first Fraction coefficients.
+    Input and residual are highest-degree-first coefficients.  Candidates
+    come from p-adic lifting (`_lifted_candidates`); each is confirmed and
+    counted by synthetic division of the input.
     """
-    p = [Fraction(c) for c in coeffs_highest_first]
-    while p and p[0] == 0:
-        p.pop(0)
-    if not p:
-        raise ValueError("zero polynomial")
-    roots: List[Tuple[Q, int]] = []
-    zero_mult = 0
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-        zero_mult += 1
-    if zero_mult:
-        roots.append((Fraction(0), zero_mult))
-    ints = _to_integer_poly(p)
-    candidates = set()
-    if len(ints) > 1:
-        for num in _divisors(ints[-1]):
-            for den in _divisors(ints[0]):
-                candidates.add(Fraction(num, den))
-                candidates.add(Fraction(-num, den))
-    for cand in sorted(candidates):
-        mult = 0
-        while len(p) > 1 and poly1_eval(list(reversed(p)), cand) == 0:
-            # synthetic division by (x - cand)
-            out = [p[0]]
-            for c in p[1:-1]:
-                out.append(c + out[-1] * cand)
-            p = out
-            mult += 1
-        if mult:
-            roots.append((cand, mult))
-    roots.sort(key=lambda t: t[0])
-    return roots, tuple(p)
-
-
-def _rational_sqrt(x: Q) -> Optional[Q]:
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn = math.isqrt(n)
-    rd = math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-def _quadratic_factors(coeffs_highest_first) -> List[Tuple[Q, Q]]:
-    """Monic rational quadratics x^2 + u x + v dividing the given polynomial.
-
-    Kronecker-style search on a rational-root-free integer polynomial.
-    """
-    ints = _to_integer_poly(coeffs_highest_first)
-    if len(ints) < 3:
-        return []
-    p_rev = [Fraction(c) for c in reversed(ints)]  # lowest first
-    p0 = poly1_eval(p_rev, Fraction(0))
-    p1 = poly1_eval(p_rev, Fraction(1))
-    pm1 = poly1_eval(p_rev, Fraction(-1))
-    if p0 == 0 or p1 == 0 or pm1 == 0:
-        raise ValueError("quadratic factor search requires root-free input")
-    out = []
-    seen = set()
-    lead = abs(ints[0])
-    for a in _divisors(lead):
-        for c0 in _divisors(int(p0)):
-            for csign in (1, -1):
-                c = c0 * csign
-                for t0 in _divisors(int(p1)):
-                    for tsign in (1, -1):
-                        b = t0 * tsign - a - c
-                        if (a - b + c) == 0 or int(pm1) % (a - b + c) != 0:
-                            continue
-                        u, v = Fraction(b, a), Fraction(c, a)
-                        if (u, v) in seen:
-                            continue
-                        seen.add((u, v))
-                        _, rem = poly1_divmod(p_rev, (v, u, Fraction(1)))
-                        if not rem:
-                            out.append((u, v))
-    return out
-
-
-def gaussian_roots(coeffs_highest_first) -> Tuple[List[Tuple[QI, int]], Tuple]:
-    """Gaussian-rational roots with multiplicities, plus the residual.
-
-    Coefficients may be Fraction or QI; residual is highest-first.
-    """
-    p = [QI.of(c) for c in coeffs_highest_first]
+    p = [QI.of(c) if gaussian else Fraction(c) for c in coeffs_highest_first]
     while p and not p[0]:
         p.pop(0)
     if not p:
         raise ValueError("zero polynomial")
-    conj = [c.conj() for c in p]
-    norm = poly1_mul(tuple(reversed(p)), tuple(reversed(conj)))
-    # real by construction; a coefficient no product reached is Fraction(0)
-    norm_hf = [QI.of(c).re for c in reversed(norm)]
-    rroots, residual = rational_roots(norm_hf)
-    candidates: List[QI] = [QI(r) for r, _ in rroots]
-    if len(residual) > 2:
-        for u, v in _quadratic_factors(residual):
-            disc = u * u - 4 * v
-            s = _rational_sqrt(-disc)
-            if s is not None:
-                candidates.append(QI(-u / 2, s / 2))
-                candidates.append(QI(-u / 2, -s / 2))
-    roots: List[Tuple[QI, int]] = []
-    for z in sorted(set(candidates), key=lambda q: (q.re, q.im)):
+    found = []
+    key = (lambda z: (z.re, z.im)) if gaussian else None
+    for z in sorted(_lifted_candidates(p, gaussian), key=key):
         mult = 0
         while len(p) > 1:
             # synthetic division by (x - z)
             out = [p[0]]
             for c in p[1:-1]:
                 out.append(c + out[-1] * z)
-            rem = p[-1] + out[-1] * z
-            if rem:
+            if p[-1] + out[-1] * z:
                 break
             p = out
             mult += 1
         if mult:
-            roots.append((z, mult))
-    return roots, tuple(p)
+            found.append((z, mult))
+    return found, tuple(p)
+
+
+def _lifted_candidates(p: List, gaussian: bool) -> set:
+    """A superset of the roots of p in Q, or Q(i), by p-adic lifting.
+
+    The square-free part, scaled by y = D*x to a monic polynomial g over Z
+    or Z[i], has integral roots of size at most a bound B.  At an odd prime
+    q (q = 1 mod 4, with iota^2 = -1, for Q(i)) where each root of g mod q
+    is simple, Newton's method lifts those roots, and iota, to a modulus
+    m = q^(2^t) > 2B^2.  A root a + bi of g maps to the roots a + b*iota and
+    a - b*iota of the images of g under i -> +iota and i -> -iota.
+    """
+    low = tuple(reversed(p))
+    low = poly1_divmod(low, poly1_gcd(low, [j * c for j, c in
+                                           enumerate(low)][1:]))[0]
+    f = [QI.of(c / low[-1]) for c in reversed(low)]
+    if len(f) < 3:  # a constant has no root, a linear factor one
+        return {-f[1] if gaussian else -f[1].re} if f[1:] else set()
+    den = math.lcm(*(x.denominator for c in f for x in (c.re, c.im)))
+    g = [((c.re * den ** j).numerator, (c.im * den ** j).numerator)
+         for j, c in enumerate(f)]
+    # Fujiwara's bound 2 max |g_j|^(1/j) on |roots|, rounded up to 2^e
+    bound = 2 ** max(2 + (abs(a) + abs(b)).bit_length() // j
+                     for j, (a, b) in enumerate(g) if j)
+    signs = (1, -1) if gaussian else (1,)
+    for q in itertools.count(3, 2):
+        if any(q % d == 0 for d in range(3, math.isqrt(q) + 1, 2)) or \
+                gaussian and q % 4 != 1:
+            continue
+        iota = next((t for t in range(q) if t * t % q == q - 1), 0)
+        images = [[(a + s * b * iota) % q for a, b in g] for s in signs]
+        lifted = [[r for r in range(q) if not _horner(h, r, q)[0]]
+                  for h in images]
+        if all(_horner(h, r, q)[1] for h, rs in zip(images, lifted)
+               for r in rs):
+            break
+    m = q
+    while m <= 2 * bound * bound:
+        m *= m
+        if gaussian:
+            iota = _newton((1, 0, 1), iota, m)
+        images = [[(a + s * b * iota) % m for a, b in g] for s in signs]
+        lifted = [[_newton(h, r, m) for r in rs]
+                  for h, rs in zip(images, lifted)]
+    found = set()
+    half, half_iota = pow(2, -1, m), pow(2 * iota, -1, m) if gaussian else 0
+    pairs = itertools.product(*lifted) if gaussian else \
+        ((r, r) for r in lifted[0])
+    for r1, r2 in pairs:
+        # symmetric residues of (r1 + r2) / 2 and (r1 - r2) / (2 iota)
+        a, b = ((x + m // 2) % m - m // 2
+                for x in ((r1 + r2) * half, (r1 - r2) * half_iota))
+        if abs(a) <= bound and abs(b) <= bound:
+            found.add(QI(Fraction(a, den), Fraction(b, den)) if gaussian
+                      else Fraction(a, den))
+    return found
+
+
+def _horner(h: Sequence[int], r: int, m: int) -> Tuple[int, int]:
+    """(h(r), h'(r)) mod m for integer coefficients h, highest first."""
+    v = d = 0
+    for c in h:
+        d = (d * r + v) % m
+        v = (v * r + c) % m
+    return v, d
+
+
+def _newton(h: Sequence[int], r: int, m: int) -> int:
+    """The root mod m lifting a simple root r of h mod a square root of m."""
+    v, d = _horner(h, r, m)
+    return (r - v * pow(d, -1, m)) % m

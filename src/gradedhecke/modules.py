@@ -17,11 +17,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .hecke import HeckeAlgebra, HeckeElement
-from .linalg import (GradedHeckeError, Mat, Q, QI, Vec, charpoly,
-                     gaussian_roots, identity, intertwiner_matrices, inverse,
-                     mat_comb, mat_mul, mat_sub, mat_vec, nullspace,
-                     rational_roots, restrict_matrix, scalar_matrix, solve,
-                     trace, transpose, zero_vec)
+from .linalg import (GradedHeckeError, Mat, Q, QI, Vec, charpoly, identity,
+                     intertwiner_matrices, inverse, mat_comb, mat_mul, mat_sub,
+                     mat_vec, nullspace, restrict_matrix, roots,
+                     scalar_matrix, solve, trace, transpose, zero_vec)
 from .poly import Poly
 from .rootdata import (ParabolicDatum, RootDatum, in_antidual, pairing,
                        parabolic)
@@ -352,6 +351,10 @@ def induce(algebra: HeckeAlgebra, xi: InductionDatum,
     datum = algebra.datum
     if not datum.crystallographic:
         raise ModuleError("induction requires a crystallographic datum")
+    for name, lam in (("lambda_re", xi.lam_re), ("lambda_im", xi.lam_im)):
+        if len(lam) != datum.ambient_dim:
+            raise ModuleError(f"{name} has {len(lam)} coordinates, not the "
+                              f"ambient dimension {datum.ambient_dim}")
     parab, sub_alg = parabolic_algebra(algebra, xi.P)
     delta = xi.delta
     if delta.algebra.datum.cartan() != sub_alg.datum.cartan() or \
@@ -427,12 +430,6 @@ def induce(algebra: HeckeAlgebra, xi: InductionDatum,
 # Weights, central characters, temperedness.
 # ---------------------------------------------------------------------------
 
-def _roots(cp, cmplx: bool):
-    """Roots of a characteristic polynomial with multiplicities, in Q(i)
-    (as QI) when `cmplx` and in Q otherwise, plus the rootless residual."""
-    return gaussian_roots(cp) if cmplx else rational_roots(cp)
-
-
 @_memoized
 def weights(module: FinModule) -> List[Tuple[Tuple[Vec, Vec], int]]:
     """Generalized joint spectrum of the coordinate matrices.
@@ -449,12 +446,12 @@ def weights(module: FinModule) -> List[Tuple[Tuple[Vec, Vec], int]]:
         for basis, vals in spaces:
             a = restrict_matrix(m, basis)
             cp = charpoly(a)
-            roots, residual = _roots(cp, cmplx)
+            found, residual = roots(cp, gaussian=cmplx)
             if len(residual) > 1:
                 raise UnsplitSpectrumError(residual)
             dim_b = len(basis)
             lift = transpose(basis)
-            for lam, mult in roots:
+            for lam, mult in found:
                 # grow ker (a - lam)^j until it is the generalized eigenspace
                 shifted = mat_sub(a, scalar_matrix(lam, dim_b))
                 powm = shifted
@@ -467,7 +464,7 @@ def weights(module: FinModule) -> List[Tuple[Tuple[Vec, Vec], int]]:
                     raise UnsplitSpectrumError(cp)
                 new_spaces.append((tuple(mat_vec(lift, v) for v in ker),
                                    vals + (QI.of(lam),)))
-            if sum(mult for _, mult in roots) != dim_b:
+            if sum(mult for _, mult in found) != dim_b:
                 raise UnsplitSpectrumError(cp)
         spaces = new_spaces
     agg: Dict[Tuple[Vec, Vec], int] = {}
@@ -578,8 +575,8 @@ def _eigen_split_element(basis_mats: List[Mat], dim: int, cmplx: bool):
         if c == scalar_matrix(c[0][0], dim):
             continue
         cp = charpoly(c)
-        roots, residual = _roots(cp, cmplx)
-        for lam, _ in roots:
+        found, residual = roots(cp, gaussian=cmplx)
+        for lam, _ in found:
             ker = nullspace(mat_sub(c, scalar_matrix(lam, dim)), dim)
             if 0 < len(ker) < dim:
                 return c, lam, ker, None

@@ -1,12 +1,13 @@
 """Shared helpers for the test suite: reference implementations to compare against."""
 
+import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from gradedhecke.linalg import (QI, Vec, charpoly, gaussian_roots, identity,
-                                mat_mul, nullspace, rational_roots,
-                                restrict_matrix, solve, zero_vec)
+from gradedhecke.linalg import (QI, Q, Vec, charpoly, identity, mat_mul,
+                                nullspace, poly1_divmod, poly1_mul,
+                                restrict_matrix, roots, solve, zero_vec)
 from gradedhecke.modules import (FieldExtensionNeeded, FinModule, ModuleError,
                                  UnsplitSpectrumError, _eigen_split_element,
                                  commutant, equivalent, submodule)
@@ -481,6 +482,170 @@ def per_element_molien(action_matrices, n, order=16):
     return PoincareSeries(order=order, coeffs=tuple(coeffs), witness=witness)
 
 
+# Root extraction by candidate search: the `gradedhecke.linalg` bodies of
+# `rational_roots`, `gaussian_roots` and their helpers from before the
+# p-adic root finder `roots`, unchanged but for the two public names (and
+# `QI.conj`, written out).  `divisor_rational_roots` tries every quotient of
+# divisors of the end coefficients; `kronecker_gaussian_roots` runs it on the
+# norm polynomial and adds a Kronecker-style search for its rational
+# quadratic factors.  Both are exponential in the coefficients' bit size.
+
+def _divisors(n: int) -> List[int]:
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def poly1_eval(p, x):
+    out = Fraction(0)
+    for a in reversed(p):
+        out = out * x + a
+    return out
+
+
+def _to_integer_poly(coeffs_highest_first) -> List[int]:
+    denom = math.lcm(*(Fraction(c).denominator for c in coeffs_highest_first))
+    ints = [int(Fraction(c) * denom) for c in coeffs_highest_first]
+    g = math.gcd(*ints)
+    if g > 1:
+        ints = [c // g for c in ints]
+    return ints
+
+
+def divisor_rational_roots(coeffs_highest_first) -> Tuple[List[Tuple[Q, int]], Tuple]:
+    """All rational roots with multiplicities, plus the rootless residual.
+
+    Input and residual are highest-degree-first Fraction coefficients.
+    """
+    p = [Fraction(c) for c in coeffs_highest_first]
+    while p and p[0] == 0:
+        p.pop(0)
+    if not p:
+        raise ValueError("zero polynomial")
+    roots: List[Tuple[Q, int]] = []
+    zero_mult = 0
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+        zero_mult += 1
+    if zero_mult:
+        roots.append((Fraction(0), zero_mult))
+    ints = _to_integer_poly(p)
+    candidates = set()
+    if len(ints) > 1:
+        for num in _divisors(ints[-1]):
+            for den in _divisors(ints[0]):
+                candidates.add(Fraction(num, den))
+                candidates.add(Fraction(-num, den))
+    for cand in sorted(candidates):
+        mult = 0
+        while len(p) > 1 and poly1_eval(list(reversed(p)), cand) == 0:
+            # synthetic division by (x - cand)
+            out = [p[0]]
+            for c in p[1:-1]:
+                out.append(c + out[-1] * cand)
+            p = out
+            mult += 1
+        if mult:
+            roots.append((cand, mult))
+    roots.sort(key=lambda t: t[0])
+    return roots, tuple(p)
+
+
+def _rational_sqrt(x: Q) -> Optional[Q]:
+    if x < 0:
+        return None
+    n, d = x.numerator, x.denominator
+    rn = math.isqrt(n)
+    rd = math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
+    return None
+
+
+def _quadratic_factors(coeffs_highest_first) -> List[Tuple[Q, Q]]:
+    """Monic rational quadratics x^2 + u x + v dividing the given polynomial.
+
+    Kronecker-style search on a rational-root-free integer polynomial.
+    """
+    ints = _to_integer_poly(coeffs_highest_first)
+    if len(ints) < 3:
+        return []
+    p_rev = [Fraction(c) for c in reversed(ints)]  # lowest first
+    p0 = poly1_eval(p_rev, Fraction(0))
+    p1 = poly1_eval(p_rev, Fraction(1))
+    pm1 = poly1_eval(p_rev, Fraction(-1))
+    if p0 == 0 or p1 == 0 or pm1 == 0:
+        raise ValueError("quadratic factor search requires root-free input")
+    out = []
+    seen = set()
+    lead = abs(ints[0])
+    for a in _divisors(lead):
+        for c0 in _divisors(int(p0)):
+            for csign in (1, -1):
+                c = c0 * csign
+                for t0 in _divisors(int(p1)):
+                    for tsign in (1, -1):
+                        b = t0 * tsign - a - c
+                        if (a - b + c) == 0 or int(pm1) % (a - b + c) != 0:
+                            continue
+                        u, v = Fraction(b, a), Fraction(c, a)
+                        if (u, v) in seen:
+                            continue
+                        seen.add((u, v))
+                        _, rem = poly1_divmod(p_rev, (v, u, Fraction(1)))
+                        if not rem:
+                            out.append((u, v))
+    return out
+
+
+def kronecker_gaussian_roots(coeffs_highest_first) -> Tuple[List[Tuple[QI, int]], Tuple]:
+    """Gaussian-rational roots with multiplicities, plus the residual.
+
+    Coefficients may be Fraction or QI; residual is highest-first.
+    """
+    p = [QI.of(c) for c in coeffs_highest_first]
+    while p and not p[0]:
+        p.pop(0)
+    if not p:
+        raise ValueError("zero polynomial")
+    conj = [QI(c.re, -c.im) for c in p]
+    norm = poly1_mul(tuple(reversed(p)), tuple(reversed(conj)))
+    # real by construction; a coefficient no product reached is Fraction(0)
+    norm_hf = [QI.of(c).re for c in reversed(norm)]
+    rroots, residual = divisor_rational_roots(norm_hf)
+    candidates: List[QI] = [QI(r) for r, _ in rroots]
+    if len(residual) > 2:
+        for u, v in _quadratic_factors(residual):
+            disc = u * u - 4 * v
+            s = _rational_sqrt(-disc)
+            if s is not None:
+                candidates.append(QI(-u / 2, s / 2))
+                candidates.append(QI(-u / 2, -s / 2))
+    roots: List[Tuple[QI, int]] = []
+    for z in sorted(set(candidates), key=lambda q: (q.re, q.im)):
+        mult = 0
+        while len(p) > 1:
+            # synthetic division by (x - z)
+            out = [p[0]]
+            for c in p[1:-1]:
+                out.append(c + out[-1] * z)
+            rem = p[-1] + out[-1] * z
+            if rem:
+                break
+            p = out
+            mult += 1
+        if mult:
+            roots.append((z, mult))
+    return roots, tuple(p)
+
+
 # Module decomposition as it was before summands were split in their own
 # coordinates: the `gradedhecke.modules` bodies of `weights`, `_split_bases`
 # and `decompose`, unchanged but for their names.  `weights` powers
@@ -503,16 +668,14 @@ def basis_lift_weights(module: FinModule) -> List[Tuple[Tuple[Vec, Vec], int]]:
         for basis, vals in spaces:
             a = restrict_matrix(m, basis)
             cp = charpoly(a)
-            if cmplx:
-                roots, residual = gaussian_roots(cp)
-            else:
-                roots, residual = rational_roots(cp)
-                roots = [(QI(r), mult) for r, mult in roots]
+            found, residual = roots(cp, gaussian=cmplx)
+            if not cmplx:
+                found = [(QI(r), mult) for r, mult in found]
             if len(residual) > 1:
                 raise UnsplitSpectrumError(residual)
             total = 0
             dim_b = len(basis)
-            for lam, mult in roots:
+            for lam, mult in found:
                 lam_s = lam if cmplx else lam.re
                 shifted = tuple(tuple(a[r][c] - (lam_s if r == c else 0)
                                       for c in range(dim_b))

@@ -149,6 +149,32 @@ def test_cli_induce(tmp_path):
     assert payload["decomposition"] == [{"dim": 3, "multiplicity": 1}]
 
 
+A2 = 'datum { type="A2", ambient=2, k=1 }\n'
+
+
+@pytest.mark.parametrize("cfg_text, message", [
+    (A2 + 'induce { p=[], delta="trivial", lambda_re=[1] }',
+     "lambda_re has 1 coordinates, not the ambient dimension 2"),
+    (A2 + 'induce { p=["alpha1"], delta="steinberg", lambda_re=[1] }',
+     "lambda_re has 1 coordinates, not the ambient dimension 2"),
+    (A2 + 'induce { p=["alpha1"], delta="steinberg", lambda_im=[1] }',
+     "lambda_im has 1 coordinates, not the ambient dimension 2"),
+    (A2 + 'induce { p=[], delta="trivial", lambda_re=[1,2,3] }',
+     "lambda_re has 3 coordinates, not the ambient dimension 2"),
+    (SWAP_CFG + 'induce { p=[], delta="trivial", extended="false" }',
+     "induce extended must be a bool"),
+    (A2 + 'induce { p="alpha1", delta="steinberg" }',
+     "induce p must be a list"),
+], ids=["re-short", "re-short-face", "im-short-face", "re-long",
+        "extended-string", "p-string"])
+def test_cli_induce_rejects_malformed_block(tmp_path, capsys, cfg_text,
+                                            message):
+    cfg = write(tmp_path, "bad.cfg", cfg_text)
+    assert main(["induce", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "o" / "induce.json").exists()
+
+
 def test_cli_irr0_and_verify(tmp_path):
     cfg = write(tmp_path, "a.cfg", A1_CFG)
     out = str(tmp_path / "out")

@@ -29,6 +29,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ("m2", "hc-findim", (".json",)),
     ("d4", "group", (".json",)),
     ("d4-triality", "group", (".json",)),
+    ("b2-complex", "induce", (".json",)),
 ])
 def test_cli_reproduces_golden_report(tmp_path, name, command, suffixes):
     assert main([command, "--config", str(GOLDEN / f"{name}.cfg"),

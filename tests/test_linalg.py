@@ -1,14 +1,17 @@
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (dense_charpoly, dense_mat_mul, dense_mat_vec,
-                     dense_rank, dense_restrict_matrix, dense_rref)
+                     dense_rank, dense_restrict_matrix, dense_rref,
+                     divisor_rational_roots, kronecker_gaussian_roots)
 
-from gradedhecke.linalg import (QI, _rational_sqrt, charpoly, mat_comb,
-                                mat_mul, mat_vec, rank, restrict_matrix, rref)
+from gradedhecke.linalg import (QI, charpoly, mat_comb, mat_mul, mat_vec,
+                                poly1_mul, rank, restrict_matrix, roots, rref)
 
 Q = Fraction
 
@@ -233,21 +236,126 @@ def test_mat_comb_matches_dense_mixed(case):
     assert exactly_equal(mat_comb(*case), dense_comb(*case))
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.integers(2 ** 550, 2 ** 700), st.integers(1, 2 ** 20))
-def test_rational_sqrt_of_huge_squares(num, den):
-    # reduced numerators above 2^1060 overflow a float
-    x = Q(num * num, den * den)
-    assert _rational_sqrt(x) == Q(num, den)
-    assert _rational_sqrt(x + Q(1, den * den)) is None
+# ---------------------------------------------------------------------------
+# roots: p-adic lifting against the candidate-search oracles and sympy.
+# ---------------------------------------------------------------------------
+
+def planted(lead, zeros, rootless):
+    """lead * prod(x - z) * rootless, highest degree first."""
+    low = (lead,)
+    for z in zeros:
+        low = poly1_mul(low, (-z, Q(1)))
+    return tuple(reversed(poly1_mul(low, tuple(reversed(rootless)))))
 
 
-def test_rational_sqrt_exact_edges():
-    assert _rational_sqrt(Q(10 ** 400 + 1)) is None
-    assert _rational_sqrt(Q(10 ** 400)) == 10 ** 200
-    assert _rational_sqrt(Q(9, 4)) == Q(3, 2)
-    assert _rational_sqrt(Q(0)) == 0 and _rational_sqrt(Q(-1)) is None
+small = st.sampled_from((0, 0, 1, -1, 2, Q(1, 2), Q(-2, 3)))
+ROOTLESS = ((Q(1),), (Q(1), Q(0), Q(-2)), (Q(1), Q(1), Q(1)))
 
+
+@st.composite
+def rational_planted(draw):
+    """Rational roots and conjugate pairs a +- bi (repeats and zeros
+    included) times a factor with no root in Q(i); degree <= 6."""
+    rootless = draw(st.sampled_from(ROOTLESS))
+    room = 7 - len(rootless)
+    zeros = draw(st.lists(small, max_size=room))
+    for a, b in draw(st.lists(st.tuples(small, st.sampled_from((1, -2, Q(1, 2)))),
+                              max_size=(room - len(zeros)) // 2)):
+        zeros += [QI(a, b), QI(a, -b)]
+    p = planted(draw(st.sampled_from((1, -1, 3, Q(2, 3)))), zeros, rootless)
+    return tuple(QI.of(c).re for c in p)
+
+
+@st.composite
+def gaussian_planted(draw):
+    rootless = draw(st.sampled_from(ROOTLESS))
+    zeros = draw(st.lists(st.builds(QI, small, small),
+                          max_size=7 - len(rootless)))
+    return planted(draw(st.sampled_from((QI(1), QI(0, 1), QI(2, -1)))),
+                   zeros, rootless)
+
+
+def agrees(found, expected):
+    """Equal roots, multiplicities and residuals, of the same scalar types:
+    the repr of a QI with zero imaginary part is not that of a Fraction."""
+    return repr(found) == repr(expected)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(rational_planted())
+def test_roots_match_candidate_search_on_rational_input(p):
+    assert agrees(roots(p), divisor_rational_roots(p))
+    assert agrees(roots(p, gaussian=True), kronecker_gaussian_roots(p))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(gaussian_planted())
+def test_roots_match_candidate_search_on_gaussian_input(p):
+    assert agrees(roots(p, gaussian=True), kronecker_gaussian_roots(p))
+
+
+# numerators and denominators of up to 400 digits, of every size on the way
+digits = st.integers(0, 400).map(lambda e: 10 ** e)
+huge = st.builds(Fraction, digits.flatmap(lambda b: st.integers(-b, b)),
+                 digits.flatmap(lambda b: st.integers(1, b)))
+
+
+def to_sympy(c):
+    import sympy
+    c = QI.of(c)
+    return (sympy.Rational(c.re.numerator, c.re.denominator)
+            + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+
+
+BIG = Q(10 ** 400 - 3, 10 ** 399 + 7)
+
+
+# rational roots (the first one repeated) or one Gaussian root, times a
+# factor with no root in Q(i); sympy's factorization over QQ<I> takes
+# seconds once two Gaussian roots of this size are planted
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(st.one_of(st.lists(huge, min_size=1, max_size=3).map(
+                     lambda r: r + r[:1]),
+                 st.builds(QI, huge, huge).map(lambda z: [z])),
+       st.sampled_from(ROOTLESS[1:]))
+@example([BIG, -1 / BIG, BIG], ROOTLESS[1])
+@example([QI(BIG, -1 / BIG)], ROOTLESS[2])
+def test_huge_planted_roots_match_sympy(zeros, rootless):
+    import sympy
+    cmplx = isinstance(zeros[0], QI)
+    p = planted(Q(1), zeros, rootless)
+    found, residual = roots(p, gaussian=cmplx)
+    assert {z: m for z, m in found} == Counter(zeros)
+    assert len(residual) == len(rootless)
+    x = sympy.Symbol("x")
+    domain = sympy.QQ_I if cmplx else sympy.QQ
+    expect = sympy.Poly([to_sympy(c) for c in p], x,
+                        domain=domain).ground_roots()
+    assert {to_sympy(z): m for z, m in found} == expect
+
+
+@pytest.mark.parametrize("coeffs, gaussian, expected", [
+    ((1, 0, 10 ** 400), True, [QI(0, -10 ** 200), QI(0, 10 ** 200)]),
+    ((1, 0, -10 ** 400), False, [Q(-10 ** 200), Q(10 ** 200)]),
+    ((1, 0, 10 ** 400 + 1), False, []),
+    ((1, 0, 10 ** 400 + 1), True, []),
+])
+def test_roots_of_huge_quadratics_return_at_once(coeffs, gaussian, expected):
+    start = time.perf_counter()
+    found, residual = roots(coeffs, gaussian=gaussian)
+    assert time.perf_counter() - start < 1
+    assert found == [(z, 1) for z in expected]
+    assert len(residual) == (1 if expected else 3)
+
+
+def test_roots_edge_cases():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        roots((0, 0))
+    assert roots((0, 3)) == ([], (Q(3),))
+    assert roots((2, 0, 0, 0)) == ([(Q(0), 3)], (Q(2),))
+    found, residual = roots((1, 0, 1), gaussian=True)
+    assert found == [(QI(0, -1), 1), (QI(0, 1), 1)]
+    assert residual == (QI(1),) and isinstance(residual[0], QI)
 
 
 # ---------------------------------------------------------------------------

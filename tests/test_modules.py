@@ -11,7 +11,7 @@ from oracles import basis_lift_weights, rebuild_decompose
 
 from gradedhecke.catalog import CatalogError, load_catalog
 from gradedhecke.hecke import HeckeAlgebra
-from gradedhecke.linalg import QI, identity, zero_vec
+from gradedhecke.linalg import QI, identity, mat_vec, zero_vec
 from gradedhecke.modules import (DSCatalogEntry, FieldExtensionNeeded,
                                  FinModule, InductionDatum, ModuleError,
                                  UnsplitSpectrumError, association_classes,
@@ -526,17 +526,24 @@ def test_weights_match_basis_lift_oracle(case, re):
     assert outcome(weights, V) == outcome(basis_lift_weights, V)
 
 
-# complex lambda stays on data of dimension <= 8 with small parts: the
-# Gaussian root search on B2 and G2 at complex lambda takes tens of seconds
-@pytest.mark.parametrize("case", INDUCTIONS[:3] + INDUCTIONS[6:], ids=case_id)
+@pytest.mark.parametrize("case", INDUCTIONS, ids=case_id)
 @settings(derandomize=True, max_examples=12, deadline=None)
 @given(st.lists(st.sampled_from((0, Q(1, 2), 1, -1)), min_size=2, max_size=2),
        st.lists(st.sampled_from((0, 1, -1)), min_size=2, max_size=2))
 @example([Q(1, 2), 0], [1, 0])
 @example([0, 0], [0, Q(1, 2)])  # eigenvalue 0 of a complex matrix
+@example([0, 0], [Q(1, 3), 2])
 def test_complex_weights_match_basis_lift_oracle(case, re, im):
     V = induced(case, re, im)
-    assert outcome(weights, V) == outcome(basis_lift_weights, V)
+    wts = outcome(weights, V)
+    assert wts == outcome(basis_lift_weights, V)
+    if not case[1]:
+        # the principal series has the weights w(lambda), w in W', with
+        # multiplicity: an oracle with no root finder
+        lam_re, lam_im = V.meta["lam_re"], V.meta["lam_im"]
+        orbit = Counter((mat_vec(w.matrix, lam_re), mat_vec(w.matrix, lam_im))
+                        for w in V.algebra.group.elements)
+        assert dict(wts) == orbit
 
 
 @pytest.mark.parametrize("case", INDUCTIONS, ids=case_id)
