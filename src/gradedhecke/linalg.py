@@ -296,6 +296,17 @@ def nullspace(rows: Sequence[Sequence], ncols: Optional[int] = None) -> List[Vec
     return basis
 
 
+def canonical_basis(vectors: Sequence[Sequence]) -> List[Vec]:
+    """The basis `nullspace` gives for span(vectors), from any spanning set.
+
+    That basis is the reduced row echelon form taken with the columns in
+    reverse order: each vector is 1 at its last nonzero column (the free
+    column of `nullspace`) and 0 at the others' last nonzero columns.
+    """
+    red, pivots = rref([list(reversed(v)) for v in vectors])
+    return [tuple(reversed(red[i])) for i in reversed(range(len(pivots)))]
+
+
 def solve(a: Sequence[Sequence], b: Sequence) -> Optional[Vec]:
     """One exact solution of A x = b, or None if inconsistent."""
     rows = [list(r) + [bb] for r, bb in zip(a, b)]

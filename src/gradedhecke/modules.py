@@ -17,10 +17,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .hecke import HeckeAlgebra, HeckeElement
-from .linalg import (GradedHeckeError, Mat, Q, QI, Vec, charpoly, identity,
-                     intertwiner_matrices, inverse, mat_comb, mat_mul, mat_sub,
-                     mat_vec, nullspace, restrict_matrix, roots,
-                     scalar_matrix, solve, trace, transpose, zero_vec)
+from .linalg import (GradedHeckeError, Mat, Q, QI, Vec, canonical_basis,
+                     charpoly, identity, intertwiner_matrices, inverse,
+                     mat_comb, mat_mul, mat_sub, mat_vec, nullspace,
+                     restrict_matrix, roots, scalar_matrix, solve, trace,
+                     transpose, zero_vec)
 from .poly import Poly
 from .rootdata import (ParabolicDatum, RootDatum, in_antidual, pairing,
                        parabolic)
@@ -74,6 +75,8 @@ class FinModule:
     the invariants computed from them (weights, central character, commutant,
     restriction character).  It is excluded from `==` and `repr`, and
     `submodule` and `dataclasses.replace` start with an empty one.
+    `induced` is what `induce` built the matrices from; `dataclasses.replace`
+    keeps it and `submodule`, whose basis differs, starts without one.
     """
 
     algebra: HeckeAlgebra
@@ -86,6 +89,8 @@ class FinModule:
     meta: dict = field(default_factory=dict)
     memo: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
+    induced: Optional["InducedBasis"] = field(default=None, repr=False,
+                                              compare=False)
 
     def __post_init__(self):
         if not self.labels:
@@ -96,11 +101,15 @@ class FinModule:
                    for m in self.coord for row in m for c in row)
 
     def group_matrix(self, e: ExtendedWeylElement) -> Mat:
-        m = self.gammas.get(e.gamma) if e.gamma != "e" else None
-        out = m if m is not None else identity(self.dim)
-        for i in e.word:
-            out = mat_mul(out, self.refl[i])
-        return out
+        return self.act(e, identity(self.dim))
+
+    def act(self, e: ExtendedWeylElement, m: Mat) -> Mat:
+        """The matrix of e times m, one generator at a time from the right,
+        so a narrow m is never multiplied by a full group matrix."""
+        for i in reversed(e.word):
+            m = mat_mul(self.refl[i], m)
+        g = self.gammas.get(e.gamma) if e.gamma != "e" else None
+        return m if g is None else mat_mul(g, m)
 
     def covector_matrix(self, x: Vec, x_im: Optional[Vec] = None) -> Mat:
         """Action of a (complex) covector x + i*x_im of t*."""
@@ -305,6 +314,19 @@ class InductionDatum:
     discrete_series: bool = True
 
 
+@dataclass(frozen=True)
+class InducedBasis:
+    """What `induce` built a module's basis u (x) v from: the coset
+    representatives u (`reps`, identity first), d = dim delta, the matrix of
+    delta_lambda on V_delta for each ambient coordinate (`coord_small`) and
+    delta(s_i) for each i in P (`refl_small`, keyed by i)."""
+
+    reps: Tuple[ExtendedWeylElement, ...]
+    d: int
+    coord_small: Tuple[Mat, ...]
+    refl_small: Dict[int, Mat]
+
+
 def parabolic_algebra(algebra: HeckeAlgebra,
                       P: Sequence[int]) -> Tuple[ParabolicDatum, HeckeAlgebra]:
     """The parabolic datum and the algebra H_P (unextended, restricted k),
@@ -419,7 +441,11 @@ def induce(algebra: HeckeAlgebra, xi: InductionDatum,
     mod = FinModule(algebra=work, dim=n, refl=refl, gammas=gammas,
                     coord=coord, labels=labels, name=name,
                     meta={"P": xi.P, "delta": delta.name,
-                          "lam_re": xi.lam_re, "lam_im": xi.lam_im})
+                          "lam_re": xi.lam_re, "lam_im": xi.lam_im},
+                    induced=InducedBasis(
+                        reps=tuple(reps), d=d, coord_small=tuple(coord_small),
+                        refl_small={i: delta.refl[parab.P.index(i)]
+                                    for i in parab.P}))
     if mod.dim != len(reps) * delta.dim:
         raise ModuleError("induced dimension mismatch")
     mod.verify()
@@ -530,12 +556,44 @@ def is_discrete_series(module: FinModule) -> bool:
 # Commutants, irreducibility, decomposition, intertwiners.
 # ---------------------------------------------------------------------------
 
+def _generators(module: FinModule) -> Tuple:
+    """What `generator_matrices` pairs by position: the Cartan matrix, the
+    Gamma labels and the number of coordinates."""
+    return (module.algebra.datum.cartan(), len(module.coord),
+            [g.label for g in module.algebra.group.gamma.elements])
+
+
+def _canonical_matrices(mats: Sequence[Mat], nrows: int,
+                        ncols: int) -> List[Mat]:
+    """The basis `intertwiner_matrices` returns for the span of `mats`."""
+    flat = canonical_basis([[x for row in m for x in row] for m in mats])
+    return [tuple(v[i * ncols:(i + 1) * ncols] for i in range(nrows))
+            for v in flat]
+
+
 def hom_space(src: FinModule, dst: FinModule) -> List[Mat]:
-    """Exact basis of Hom_{H'}(src, dst) (C-dimension when data are complex)."""
-    if src.algebra.datum.cartan() != dst.algebra.datum.cartan():
+    """Exact basis of Hom_{H'}(src, dst) (C-dimension when data are complex).
+
+    An induced `src` goes by Frobenius reciprocity: H' is free over H^P on
+    the coset representatives u, so phi(u (x) v) = u . psi(v) for psi in
+    Hom_{H^P}(delta_lambda, dst), a system on dst.dim * dim(delta)
+    unknowns.  Any other `src` is solved on all its generators at once.
+    Both return the basis the full solve gives.
+    """
+    if _generators(src) != _generators(dst):
         raise ModuleError("modules live over different algebras")
-    pairs = list(zip(dst.generator_matrices(), src.generator_matrices()))
-    return intertwiner_matrices(pairs, dst.dim, src.dim)
+    ind = src.induced
+    if ind is None:
+        pairs = list(zip(dst.generator_matrices(), src.generator_matrices()))
+        return intertwiner_matrices(pairs, dst.dim, src.dim)
+    pairs = list(zip(dst.coord, ind.coord_small))
+    pairs += [(dst.refl[i], m) for i, m in ind.refl_small.items()]
+    lifts = []
+    for psi in intertwiner_matrices(pairs, dst.dim, ind.d):
+        blocks = [dst.act(u, psi) for u in ind.reps]
+        lifts.append([[x for blk in blocks for x in blk[r]]
+                      for r in range(dst.dim)])
+    return _canonical_matrices(lifts, dst.dim, src.dim)
 
 
 @_memoized
@@ -614,10 +672,20 @@ def _split(module: FinModule) -> List[FinModule]:
     if coeffs is None:
         raise ModuleError("no idempotent projection; module not completely "
                           "reducible over the working field")
-    ker_e = nullspace(mat_comb(coeffs, comm, n), n)
+    e = mat_comb(coeffs, comm, n)
+    ker_e = nullspace(e, n)
     if len(ker) + len(ker_e) != n:
         raise ModuleError("idempotent split has wrong rank")
-    return _split(submodule(module, ker)) + _split(submodule(module, ker_e))
+    # End(e V) = e End(V) e: each half's commutant is the compression of
+    # the parent's, so no summand solves a system of its own
+    out = []
+    for proj, basis in ((e, ker), (mat_sub(identity(n), e), ker_e)):
+        sub = submodule(module, basis)
+        sub.memo["commutant"] = _canonical_matrices(
+            [restrict_matrix(mat_mul(proj, c), basis) for c in comm],
+            sub.dim, sub.dim)
+        out += _split(sub)
+    return out
 
 
 def equivalent(a: FinModule, b: FinModule) -> bool:

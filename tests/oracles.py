@@ -5,9 +5,10 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from gradedhecke.linalg import (QI, Q, Vec, charpoly, identity, mat_mul,
-                                nullspace, poly1_divmod, poly1_mul,
-                                restrict_matrix, roots, solve, zero_vec)
+from gradedhecke.linalg import (QI, Mat, Q, Vec, charpoly, identity,
+                                intertwiner_matrices, mat_mul, nullspace,
+                                poly1_divmod, poly1_mul, restrict_matrix,
+                                roots, solve, zero_vec)
 from gradedhecke.modules import (FieldExtensionNeeded, FinModule, ModuleError,
                                  UnsplitSpectrumError, _eigen_split_element,
                                  commutant, equivalent, submodule)
@@ -783,6 +784,18 @@ def rebuild_decompose(module: FinModule) -> List[Tuple[FinModule, int]]:
         raise ModuleError("decomposition does not fill the module")
     groups.sort(key=lambda t: (t[0].dim, t[0].restriction_character().values))
     return groups
+
+
+# Hom spaces by one dense solve: the `gradedhecke.modules.hom_space` body
+# before induced sources went by Frobenius reciprocity, unchanged but for its
+# name.
+
+def dense_hom_space(src: FinModule, dst: FinModule) -> List[Mat]:
+    """Exact basis of Hom_{H'}(src, dst) (C-dimension when data are complex)."""
+    if src.algebra.datum.cartan() != dst.algebra.datum.cartan():
+        raise ModuleError("modules live over different algebras")
+    pairs = list(zip(dst.generator_matrices(), src.generator_matrices()))
+    return intertwiner_matrices(pairs, dst.dim, src.dim)
 
 
 # Bar and mixed complexes as dense matrices: the `gradedhecke.homology`

@@ -30,6 +30,8 @@ GOLDEN = Path(__file__).parent / "golden"
     ("d4", "group", (".json",)),
     ("d4-triality", "group", (".json",)),
     ("b2-complex", "induce", (".json",)),
+    ("a3", "verify-basis", (".json", ".csv")),
+    ("b3", "verify-basis", (".json", ".csv")),
 ])
 def test_cli_reproduces_golden_report(tmp_path, name, command, suffixes):
     assert main([command, "--config", str(GOLDEN / f"{name}.cfg"),

@@ -10,8 +10,9 @@ from oracles import (dense_charpoly, dense_mat_mul, dense_mat_vec,
                      dense_rank, dense_restrict_matrix, dense_rref,
                      divisor_rational_roots, kronecker_gaussian_roots)
 
-from gradedhecke.linalg import (QI, charpoly, mat_comb, mat_mul, mat_vec,
-                                poly1_mul, rank, restrict_matrix, roots, rref)
+from gradedhecke.linalg import (QI, canonical_basis, charpoly, mat_comb,
+                                mat_mul, mat_vec, nullspace, poly1_mul, rank,
+                                restrict_matrix, roots, rref)
 
 Q = Fraction
 
@@ -443,3 +444,18 @@ def test_qi_rational_operand_acts_on_parts():
     w = QI.of(Q(3, 7))
     assert (z + w, w - z, z - w, z * w) == \
         (z + Q(3, 7), Q(3, 7) - z, z - Q(3, 7), z * Q(3, 7))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(matrices(st.one_of(fractions, gaussians)),
+       st.lists(st.lists(st.integers(-2, 2), min_size=8, max_size=8),
+                max_size=8))
+def test_canonical_basis_is_the_nullspace_basis_of_any_spanning_set(m, mix):
+    # the nullspace basis, mixed into a spanning set with repeats and zero
+    # vectors, comes back as the same list
+    ncols = len(m[0]) if m else 3
+    basis = nullspace(m, ncols)
+    span = basis + [tuple(sum((c * b[j] for c, b in zip(coeffs, basis)), Q(0))
+                          for j in range(ncols)) for coeffs in mix]
+    assert canonical_basis(span[::-1]) == basis
+    assert canonical_basis(span + [(Q(0),) * ncols]) == basis

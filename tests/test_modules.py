@@ -3,12 +3,14 @@ import random
 import warnings
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import basis_lift_weights, rebuild_decompose
+from oracles import basis_lift_weights, dense_hom_space, rebuild_decompose
 
+from gradedhecke import modules
 from gradedhecke.catalog import CatalogError, load_catalog
 from gradedhecke.hecke import HeckeAlgebra
 from gradedhecke.linalg import QI, identity, mat_vec, zero_vec
@@ -493,7 +495,7 @@ def case_id(case):
     return f"{case[0]}-P{list(case[1])}-{case[2]}"
 
 
-def induced(case, re, im=(0, 0)):
+def induced(case, re, im=(0, 0), extended=True):
     """pi'(P, delta, lambda) with lambda = re + i*im in coordinates of t^P."""
     name, P, delta_name = case
     alg = shared_algebra(name)
@@ -506,7 +508,7 @@ def induced(case, re, im=(0, 0)):
                          Q(0)) for i in range(alg.datum.ambient_dim))
 
     return induce(alg, InductionDatum(P=P, delta=delta, lam_re=point(re),
-                                      lam_im=point(im)))
+                                      lam_im=point(im)), extended=extended)
 
 
 def outcome(f, module):
@@ -557,6 +559,120 @@ def test_decompose_matches_rebuild_oracle(case, re):
     # FinModule equality covers name, labels, meta and every matrix
     assert outcome(decompose, V) == outcome(rebuild_decompose, V)
     assert (V.name, V.labels) == (name, labels)
+
+
+# (algebra, P, delta, extended): Hom spaces from an induced source
+HOM_CASES = (("A1", (), "trivial", True), ("A2", (), "trivial", True),
+             ("B2", (0,), "steinberg", True), ("B2", (1,), "steinberg", True),
+             ("G2-k13", (), "trivial", True),
+             ("A1xA1-swap", (), "trivial", True),
+             ("A1xA1-swap", (), "trivial", False))
+
+
+def hom_case_id(case):
+    return case_id(case) + ("" if case[3] else "-unextended")
+
+
+def assert_hom_spaces_match_dense(V, W):
+    """hom_space and every commutant `_split` seeds equal the dense solve,
+    as lists; W is a second module over the same algebra as V."""
+    seeded = []
+
+    def recording_submodule(*args, **kwargs):
+        sub = submodule(*args, **kwargs)
+        seeded.append(sub)
+        return sub
+
+    assert hom_space(V, V) == dense_hom_space(V, V)
+    assert hom_space(V, W) == dense_hom_space(V, W)
+    with mock.patch.object(modules, "submodule", recording_submodule):
+        try:
+            leaves = modules._split(V)
+        except ModuleError:  # not completely reducible (e.g. G2 at (1, 0))
+            leaves = []
+    assert all("commutant" in m.memo for m in seeded)
+    for m in seeded:
+        assert commutant(m) == dense_hom_space(m, m)
+    for leaf in leaves:
+        assert hom_space(V, leaf) == dense_hom_space(V, leaf)
+    return seeded
+
+
+def partner(case, V, re, im, w_index):
+    """A second induced module: the principal series at w(lambda), which
+    has a nonzero Hom from V, or the induction of case at re + i*im."""
+    if case[1]:
+        return induced(case[:3], re, im, extended=case[3])
+    elements = V.algebra.group.elements
+    w = elements[w_index % len(elements)]
+    alg = shared_algebra(case[0])
+    triv = one_dim_modules(parabolic_algebra(alg, ())[1])[0]
+    return induce(alg, InductionDatum(
+        P=(), delta=triv, lam_re=mat_vec(w.matrix, V.meta["lam_re"]),
+        lam_im=mat_vec(w.matrix, V.meta["lam_im"])), extended=case[3])
+
+
+@pytest.mark.parametrize("case", HOM_CASES, ids=hom_case_id)
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(COEFFS, COEFFS, st.integers(0, 11))
+@example([0, 0], [0, 0], 1)
+@example([Q(1, 2), 0], [-1, 0], 1)  # A1: the non-split extension
+def test_hom_space_matches_dense_oracle(case, re, re_w, w_index):
+    V = induced(case[:3], re, extended=case[3])
+    assert_hom_spaces_match_dense(V, partner(case, V, re_w, (0, 0), w_index))
+
+
+SMALL_HOM_CASES = tuple(c for c in HOM_CASES if c[0] != "G2-k13")
+
+
+@pytest.mark.parametrize("case", SMALL_HOM_CASES, ids=hom_case_id)
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(st.lists(st.sampled_from((0, Q(1, 2), 1, -1)), min_size=2, max_size=2),
+       st.lists(st.sampled_from((0, 1, -1)), min_size=2, max_size=2),
+       st.integers(0, 7))
+@example([0, 0], [1, 0], 1)
+def test_complex_hom_space_matches_dense_oracle(case, re, im, w_index):
+    V = induced(case[:3], re, im, extended=case[3])
+    assert V.dim <= 8
+    assert_hom_spaces_match_dense(V, partner(case, V, re, im, w_index))
+
+
+def test_summands_of_split_inductions_reuse_the_parent_commutant():
+    # both data split, so the seeded commutants above are not vacuous
+    for case in (("B2", (1,), "steinberg", True),
+                 ("A1xA1-swap", (), "trivial", True)):
+        seeded = assert_hom_spaces_match_dense(
+            induced(case[:3], [0, 0]), induced(case[:3], [0, 0]))
+        assert len(seeded) == 2
+
+
+def test_hom_space_refuses_modules_over_other_generators():
+    # the same principal series over H and over H' = swap x| H: pairing
+    # their generators in order would match `swap` against x_0
+    V = induced(("A1xA1-swap", (), "trivial"), [0, 0], extended=True)
+    U = induced(("A1xA1-swap", (), "trivial"), [0, 0], extended=False)
+    for src, dst in ((U, V), (V, U), (decompose(U)[0][0], V)):
+        with pytest.raises(ModuleError, match="different algebras"):
+            hom_space(src, dst)
+
+
+@pytest.mark.parametrize("label, k, limit", [("B2", 1, 8), ("G2", 1, 12)],
+                         ids=["B2", "G2"])
+def test_basis_theorem_hom_systems_stay_small(monkeypatch, label, k, limit):
+    # an induced source solves on dim W * dim delta unknowns, and its
+    # summands on none: the dense system had dim W * dim V (64 and 144)
+    sizes = []
+    solve = modules.intertwiner_matrices
+
+    def counting(pairs, nrows, ncols):
+        sizes.append(nrows * ncols)
+        return solve(pairs, nrows, ncols)
+
+    monkeypatch.setattr(modules, "intertwiner_matrices", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        verify_basis_theorem(HeckeAlgebra(build_root_datum(label, 2), k))
+    assert sizes and max(sizes) <= limit
 
 
 @pytest.mark.parametrize("label, k", [("B2", 1), ("G2", [1, 3])],
