@@ -6,15 +6,21 @@ rightward past one letter at a time,
 
     p * s_a = s_a * s_a(p) + k_a * Delta_a(p),      p * g = g * g^{-1}(p),
 
-so the cost is exponential in word length but trivially fine at desk scale.
+on integer forms (`linalg.integer_form`): one denominator over coprime integer
+coefficients.  Monomial images under s_a, Delta_a and g^{-1} are cached per
+algebra in that form and summed by integer multiply-adds over a common
+denominator; Fractions are built only for the result.  Branches merge per group
+element after every letter, so a word of length l costs <= l * |W'| image sums.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import GradedHeckeError, Vec
+from .linalg import GradedHeckeError, Vec, integer_form
 from .poly import Poly, PolyParseError, act_matrix, divided_difference, \
     invariant_polys, parse_poly
 from .rootdata import (ParameterMap, RootDatum, check_parameters_conjugation,
@@ -24,6 +30,27 @@ from .weyl import ExtendedWeylElement, WeylGroup, enumerate_group
 
 class HeckeError(GradedHeckeError):
     pass
+
+
+# (d, {exponent: n}) is the polynomial sum n / d x^e; d > 0, gcd(d, *n) == 1
+IntPoly = Tuple[int, Dict[Tuple[int, ...], int]]
+
+
+def _add_into(slot: list, scale: int, den: int, terms: dict) -> None:
+    """Add scale * terms / den to slot = [d, {exponent: n}], an integer
+    polynomial over d, first moving it to the lcm of the denominators."""
+    m = slot[0]
+    if m % den:
+        f = den // math.gcd(m, den)
+        m *= f
+        slot[:] = m, {e: f * n for e, n in slot[1].items()}
+    acc, f = slot[1], scale * (m // den)
+    for e, n in terms.items():
+        acc[e] = acc.get(e, 0) + f * n
+
+
+def _reduced(slot: list) -> IntPoly:
+    return integer_form({e: n for e, n in slot[1].items() if n}, slot[0])
 
 
 class HeckeAlgebra:
@@ -47,10 +74,10 @@ class HeckeAlgebra:
         self._unextended: Optional[HeckeAlgebra] = None
         # P -> (ParabolicDatum, H_P), filled by modules.parabolic_algebra
         self.parabolics: Dict[Tuple[int, ...], tuple] = {}
-        # (letter, exponent) -> image of that monomial, filled by _map_linear;
-        # a letter is ('s', i) for s_i, ('d', i) for Delta_i (independent of
-        # k) or ('g', label) for the inverse of that Gamma element
-        self.monomial_images: Dict[tuple, Poly] = {}
+        # (letter, exponent) -> integer form of the monomial's image; a letter
+        # is ('s', i) for s_i, ('d', i) for Delta_i (independent of k) or
+        # ('g', label) for the inverse of that Gamma element
+        self.monomial_images: Dict[tuple, IntPoly] = {}
 
     # -- constructors of elements -------------------------------------------
 
@@ -100,75 +127,78 @@ class HeckeAlgebra:
 
     # -- normal ordering -----------------------------------------------------
 
-    def _map_linear(self, letter: tuple, p: Poly) -> Poly:
-        """Image of p under the linear map `letter`, summed from cached
-        images of its monomials; a miss computes one exactly, with every
-        check of act_matrix / divided_difference applied to that monomial."""
-        images = self.monomial_images
-        out: Dict[Tuple[int, ...], Fraction] = {}
-        for e, c in p.terms.items():
-            img = images.get((letter, e))
-            if img is None:
-                mono = Poly(self.nvars, {e: Fraction(1)})
-                kind, arg = letter
-                if kind == "s":
-                    img = act_matrix(self.datum.reflection_matrix(arg), mono)
-                elif kind == "d":
-                    img = divided_difference(self.datum, arg, mono)
-                else:
-                    g = self.group.gamma.by_label[arg]
-                    img = act_matrix(self.group.gamma.inv(g).matrix, mono)
-                images[(letter, e)] = img
-            for e2, c2 in img.terms.items():
-                out[e2] = out.get(e2, 0) + c * c2
-        return Poly(self.nvars, out)
-
-    def _push_poly(self, p: Poly, gamma_label: str,
-                   word: Tuple[int, ...], kvals) -> Dict[ExtendedWeylElement, Poly]:
-        """Normal form of p * (gamma * s_word) as {group element: poly}."""
-        group = self.group
-        if gamma_label == "e":
-            start = p
-            acc = group.identity
+    def _image(self, letter: tuple, e: Tuple[int, ...]) -> IntPoly:
+        """Cache the integer form of x^e under `letter`, computed with every
+        check of act_matrix / divided_difference, and return it."""
+        mono = Poly(self.nvars, {e: Fraction(1)})
+        kind, arg = letter
+        if kind == "s":
+            img = act_matrix(self.datum.reflection_matrix(arg), mono)
+        elif kind == "d":
+            img = divided_difference(self.datum, arg, mono)
         else:
-            start = self._map_linear(("g", gamma_label), p)
+            g = self.group.gamma.by_label[arg]
+            img = act_matrix(self.group.gamma.inv(g).matrix, mono)
+        self.monomial_images[(letter, e)] = form = integer_form(img.terms)
+        return form
+
+    def _apply(self, letter: tuple, scale: int, den: int,
+               terms: Dict[Tuple[int, ...], int], slot: list) -> None:
+        """Add the image of scale * terms / den under `letter` to `slot`."""
+        images = self.monomial_images
+        for e, c in terms.items():
+            d, img = images.get((letter, e)) or self._image(letter, e)
+            if img:
+                _add_into(slot, scale * c, den * d, img)
+
+    def _push_poly(self, p: IntPoly, gamma_label: str, word: Tuple[int, ...],
+                   kvals) -> Dict[ExtendedWeylElement, IntPoly]:
+        """Normal form of p * (gamma * s_word) as {group element: integer
+        form}; branches are summed per group element after every letter."""
+        group = self.group
+        acc = group.identity
+        if gamma_label != "e":
+            slot = [1, {}]
+            self._apply(("g", gamma_label), 1, p[0], p[1], slot)
+            p = _reduced(slot)
             acc = group.gamma_element(gamma_label)
-        pending: List[Tuple[ExtendedWeylElement, Poly]] = [(acc, start)]
+        pending = {acc: p}
         for i in word:
-            s_i = group.simple(i)
-            nxt: Dict[ExtendedWeylElement, Poly] = {}
-            for g_el, q in pending:
-                sq = self._map_linear(("s", i), q)
-                key = group.mult(g_el, s_i)
-                cur = nxt.get(key)
-                nxt[key] = sq if cur is None else cur + sq
-                if kvals[i]:
-                    dq = self._map_linear(("d", i), q)
-                    if not dq.is_zero():
-                        dq = dq * kvals[i]
-                        cur = nxt.get(g_el)
-                        nxt[g_el] = dq if cur is None else cur + dq
-            pending = [(g, q) for g, q in nxt.items() if not q.is_zero()]
-        return dict(pending)
+            s_i, k = group.simple(i), kvals[i]
+            nxt: Dict[ExtendedWeylElement, list] = {}
+            for g_el, (den, terms) in pending.items():
+                self._apply(("s", i), 1, den, terms,
+                            nxt.setdefault(group.mult(g_el, s_i), [1, {}]))
+                if k:  # k_i scales the numerators and the denominator
+                    self._apply(("d", i), k.numerator, den * k.denominator,
+                                terms, nxt.setdefault(g_el, [1, {}]))
+            pending = {g_el: q for g_el, slot in nxt.items()
+                       if (q := _reduced(slot))[1]}
+        return pending
 
     def multiply(self, a: "HeckeElement", b: "HeckeElement",
                  k_override: Optional[ParameterMap] = None) -> "HeckeElement":
         if a.algebra is not b.algebra or a.algebra is not self:
             raise HeckeError("elements belong to different parent algebras")
         kvals = self.kmap if k_override is None else k_override
-        out: Dict[ExtendedWeylElement, Poly] = {}
+        right = [(v, integer_form(q.terms)) for v, q in b.terms.items()]
+        sums: Dict[ExtendedWeylElement, list] = {}
         for w, p in a.terms.items():
-            for v, q in b.terms.items():
-                pushed = self._push_poly(p, v.gamma, v.word, kvals)
-                for u, r in pushed.items():
-                    key = self.group.mult(w, u)
-                    term = r * q
-                    cur = out.get(key)
-                    s = term if cur is None else cur + term
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+            left = integer_form(p.terms)
+            for v, (dq, tq) in right:
+                pushed = self._push_poly(left, v.gamma, v.word, kvals)
+                for u, (dr, tr) in pushed.items():  # r * q, term by term of q
+                    slot = sums.setdefault(self.group.mult(w, u), [1, {}])
+                    for e2, c2 in tq.items():
+                        _add_into(slot, c2, dr * dq,
+                                  {tuple(map(add, e1, e2)): c1
+                                   for e1, c1 in tr.items()})
+        out: Dict[ExtendedWeylElement, Poly] = {}
+        for key, slot in sums.items():
+            den, terms = _reduced(slot)
+            if terms:
+                out[key] = Poly(self.nvars, {e: Fraction(n, den)
+                                             for e, n in terms.items()})
         return HeckeElement(self, out)
 
     # -- derived operations ---------------------------------------------------
@@ -295,9 +325,7 @@ def scale_map(z, a: HeckeElement, target: HeckeAlgebra) -> HeckeElement:
         raise HeckeError("source algebra must have parameters z * k")
     out: Dict[ExtendedWeylElement, Poly] = {}
     for w, p in a.terms.items():
-        q = Poly(p.nvars)
-        for e, c in p.terms.items():
-            q = q + Poly(p.nvars, {e: c * z ** sum(e)})
+        q = Poly(p.nvars, {e: c * z ** sum(e) for e, c in p.terms.items()})
         if not q.is_zero():
             out[target.group.element(w.matrix)] = q
     return HeckeElement(target, out)

@@ -14,14 +14,16 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .hecke import HeckeAlgebra
 from .linalg import GradedHeckeError, Q, Vec, rank, restrict_matrix
-from .modules import DSCatalogEntry, auto_catalog, irr0_census
 from .poly import PoincareSeries, molien_forms, sum_series
 from .rootdata import RootDatum
 from .weyl import WeylGroup, enumerate_group, permutation_bfs
+
+if TYPE_CHECKING:
+    from .modules import DSCatalogEntry
 
 SIZE_BOUND = 10 ** 6
 
@@ -432,8 +434,6 @@ class PointModuleReport:
     stabilizer_classes: int
     constituents: int
     match: bool
-    iso_within_orbit: bool
-    noniso_across_orbits: Optional[bool]
 
 
 def _hom_cells(perms: Sequence[Tuple[int, ...]], right, x: int, y: int):
@@ -460,8 +460,7 @@ def _hom_cells(perms: Sequence[Tuple[int, ...]], right, x: int, y: int):
 
 
 def crossed_point_module(perms: Sequence[Tuple[int, ...]], x: int,
-                         bound: int = 3000,
-                         compare_point: Optional[int] = None) -> PointModuleReport:
+                         bound: int = 3000) -> PointModuleReport:
     """Build I_x for functions on the orbit Gx, count its constituents.
 
     G is generated by `perms` (p[i] the image of i); I_x has the basis v_g,
@@ -478,8 +477,8 @@ def crossed_point_module(perms: Sequence[Tuple[int, ...]], x: int,
     if bad is not None:
         raise HomologyError(f"generator {tuple(bad)} is not a permutation "
                             f"of range({n})")
-    if not all(0 <= p < n for p in (x, compare_point) if p is not None):
-        raise HomologyError(f"points must lie in range({n})")
+    if not 0 <= x < n:
+        raise HomologyError(f"the point must lie in range({n})")
     group, _, right = permutation_bfs(perms, bound * 10)
     stab = [k for k, g in enumerate(group) if g[x] == x]
     if len(group) * len(stab) > bound * 10:  # also if the BFS stopped early
@@ -499,14 +498,9 @@ def crossed_point_module(perms: Sequence[Tuple[int, ...]], x: int,
             brackets[i][j * dim + k] = brackets[i].get(j * dim + k, 0) + 1
             brackets[j][i * dim + k] = brackets[j].get(i * dim + k, 0) - 1
     constituents = dim - rank(brackets)
-    other = next((y for y in orbit if y != x), x)
-    apart = compare_point is not None and compare_point not in orbit
     return PointModuleReport(
         orbit=orbit, stabilizer_order=len(stab), stabilizer_classes=classes,
-        constituents=constituents, match=(constituents == classes),
-        iso_within_orbit=_hom_cells(group, right, x, other)[1] > 0,
-        noniso_across_orbits=(_hom_cells(group, right, x, compare_point)[1]
-                              == 0) if apart else None)
+        constituents=constituents, match=(constituents == classes))
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +531,7 @@ def verify_basis_theorem(algebra: HeckeAlgebra,
     A rank or count failure is reported as a falsification flag, never
     silently absorbed.
     """
+    from .modules import auto_catalog, irr0_census
     if catalog is None:
         catalog = auto_catalog(algebra, warn_rank2=warn_rank2)
     census = algebra.group.census

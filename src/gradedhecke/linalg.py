@@ -245,9 +245,7 @@ def rank(rows: Sequence) -> int:
 def _integer_rank(rows: Sequence[dict]) -> int:
     pivots = {}  # leading column -> primitive integer row
     for row in rows:
-        den = math.lcm(*(x.denominator for x in row.values()))
-        row = _primitive({j: x.numerator * (den // x.denominator)
-                         for j, x in row.items() if x})
+        row = integer_form({j: x for j, x in row.items() if x}, 0)[1]
         while row:
             lead = min(row)
             prow = pivots.get(lead)
@@ -264,15 +262,24 @@ def _integer_rank(rows: Sequence[dict]) -> int:
                     row[j] = y
                 else:
                     row.pop(j, None)
-            row = _primitive(row)
+            row = integer_form(row, 0)[1]
     return len(pivots)
 
 
-def _primitive(row: dict) -> dict:
-    g = math.gcd(*row.values())
+def integer_form(row: dict, den: int = 1) -> Tuple[int, dict]:
+    """row / den (nonzero rationals) as (d, {key: integer n}) with n / d equal
+    to it and gcd(d, *n) == 1, d > 0 the least common denominator; den = 0
+    gives the primitive integer multiple of row instead, all a rank needs."""
+    try:
+        g = math.gcd(den, *row.values())
+    except TypeError:  # not all integers: scale by the lcm of denominators
+        m = math.lcm(*(x.denominator for x in row.values()))
+        row = {j: x.numerator * (m // x.denominator) for j, x in row.items()}
+        den *= m
+        g = math.gcd(den, *row.values())
     if g > 1:
-        return {j: x // g for j, x in row.items()}
-    return row
+        return den // g, {j: x // g for j, x in row.items()}
+    return den, row
 
 
 def nullspace(rows: Sequence[Sequence], ncols: Optional[int] = None) -> List[Vec]:

@@ -531,7 +531,8 @@ def test_cli_failed_run_still_prints_its_warnings(tmp_path, capsys,
         "error: stopped after the catalog"]
 
 
-def test_cli_cache_hit_loads_no_engine(tmp_path):
+def _modules_loaded_by(argv):
+    """The gradedhecke modules a fresh interpreter holds after main(argv)."""
     import os
     import subprocess
     import sys
@@ -540,23 +541,38 @@ def test_cli_cache_hit_loads_no_engine(tmp_path):
     src = str(Path(gradedhecke.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    cfg = write(tmp_path, "a.cfg", A1_CFG)
-    out = tmp_path / "out"
-    argv = ["verify-basis", "--config", cfg, "--out", str(out)]
-    subprocess.run([sys.executable, "-m", "gradedhecke.cli", *argv],
-                   env=env, check=True, capture_output=True)
-    cold = (out / "verify-basis.json").read_bytes()
-    (out / "verify-basis.json").unlink()
     probe = ("import sys, gradedhecke.cli\n"
              f"assert gradedhecke.cli.main({argv!r}) == 0\n"
              "print(sorted(m for m in sys.modules "
              "if m.split('.')[0] == 'gradedhecke'))\n")
-    warm = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                          capture_output=True, text=True)
-    loaded = warm.stdout.splitlines()[-1]
+    run = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True)
+    return run.stdout.splitlines()[-1]
+
+
+def test_cli_cache_hit_loads_no_engine(tmp_path):
+    cfg = write(tmp_path, "a.cfg", A1_CFG)
+    out = tmp_path / "out"
+    argv = ["verify-basis", "--config", cfg, "--out", str(out)]
+    _modules_loaded_by(argv)
+    cold = (out / "verify-basis.json").read_bytes()
+    (out / "verify-basis.json").unlink()
+    loaded = _modules_loaded_by(argv)
     assert loaded == repr(["gradedhecke", "gradedhecke.cli",
                            "gradedhecke.config"])
     assert (out / "verify-basis.json").read_bytes() == cold
+
+
+def test_cli_cold_findim_loads_no_modules_engine(tmp_path):
+    # only verify_basis_theorem needs gradedhecke.modules; homology imports
+    # it there, so a bar-complex run never compiles it
+    cfg = write(tmp_path, "a.cfg",
+                A1_CFG + 'findim { kind="matrix", size=2 }\n'
+                         'options { n_max=2 }\n')
+    loaded = _modules_loaded_by(["hh-findim", "--config", cfg,
+                                 "--out", str(tmp_path / "out")])
+    assert "'gradedhecke.homology'" in loaded
+    assert "'gradedhecke.modules'" not in loaded
 
 
 def test_cli_unequal_k_on_conjugate_roots_is_one_error_line(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from oracles import substitution_multiply
 from gradedhecke.hecke import (HeckeAlgebra, HeckeElement, HeckeError,
                                HeckeParseError, filtration_degree,
                                k_sensitive_part, parse_element, scale_map)
+from gradedhecke.linalg import integer_form
 from gradedhecke.poly import Poly, act, divided_difference
 from gradedhecke.rootdata import build_root_datum, make_parameter_map
 from gradedhecke.weyl import make_diagram_automorphism
@@ -27,7 +30,7 @@ def swap_algebra(k=1):
     return HeckeAlgebra(d, k, [g])
 
 
-def random_element(alg, rng, max_terms=2, max_deg=3):
+def random_element(alg, rng, max_terms=2, max_deg=3, max_den=1):
     terms = {}
     els = alg.group.elements
     for _ in range(rng.randint(1, max_terms)):
@@ -37,7 +40,9 @@ def random_element(alg, rng, max_terms=2, max_deg=3):
             e = [0] * alg.nvars
             for _ in range(rng.randint(0, max_deg)):
                 e[rng.randrange(alg.nvars)] += 1
-            p = p + Poly(alg.nvars, {tuple(e): Q(rng.randint(-3, 3))})
+            c = Q(rng.randint(-3, 3), rng.randint(1, max_den)) \
+                if max_den > 1 else Q(rng.randint(-3, 3))
+            p = p + Poly(alg.nvars, {tuple(e): c})
         if not p.is_zero():
             terms[w] = terms.get(w, Poly(alg.nvars)) + p
     return HeckeElement(alg, terms)
@@ -213,7 +218,8 @@ def test_normal_ordering_word_independence():
             p = p + Poly(2, {tuple(e): Q(rng.randint(-3, 3))})
         results = []
         for word in words:
-            results.append(alg._push_poly(p, "e", word, alg.kmap))
+            results.append(alg._push_poly(integer_form(p.terms), "e", word,
+                                          alg.kmap))
         assert results[0] == results[1]
 
 
@@ -243,7 +249,8 @@ def test_parse_documented_example():
 ORACLE_ALGEBRAS = {"G2-k13": lambda: algebra("G2", 2, [1, 3]),
                    "A3": lambda: algebra("A3", 3, 1),
                    "B2-k12": lambda: algebra("B2", 2, [1, 2]),
-                   "A1xA1-swap": lambda: swap_algebra(1)}
+                   "A1xA1-swap": lambda: swap_algebra(1),
+                   "B2-k(1/2,3)": lambda: algebra("B2", 2, [Q(1, 2), 3])}
 
 
 @pytest.fixture(scope="module")
@@ -277,8 +284,12 @@ def from_raw(alg, raw):
 
 
 def assert_images_exact(alg):
-    """Each cached image is act / divided_difference on its monomial."""
-    for ((kind, arg), e), img in alg.monomial_images.items():
+    """Each cached image is a primitive integer form (d, {exponent: n}), d > 0
+    and gcd(d, *n) == 1, of act / divided_difference on its monomial."""
+    for ((kind, arg), e), (den, nums) in alg.monomial_images.items():
+        assert den > 0 and math.gcd(den, *nums.values()) == 1, \
+            ((kind, arg), e)
+        img = Poly(alg.nvars, {e2: Q(n, den) for e2, n in nums.items()})
         mono = Poly(alg.nvars, {e: Q(1)})
         if kind == "s":
             expected = act(alg.group.simple(arg), mono)
@@ -318,3 +329,59 @@ def test_monomial_memo_is_lazy():
     alg.multiply(a, b)
     assert alg.monomial_images
     assert {letter for letter, _ in alg.monomial_images} <= letters
+
+
+# -- the products themselves, against a golden file and a construction count --
+
+GOLDEN_PRODUCTS = Path(__file__).parent / "golden" / "hecke-products.txt"
+
+
+def nonzero_element(alg, rng):
+    while True:
+        x = random_element(alg, rng, max_deg=2, max_den=3)
+        if not x.is_zero():
+            return x
+
+
+def golden_product_lines():
+    """`datum: (ab)c` in canonical text for seeded triples with rational
+    coefficients, four per datum.  Regenerate the golden file only for an
+    intended change of the products:
+
+        PYTHONPATH=src:tests python -c "import test_hecke as t; \\
+            print(*t.golden_product_lines(), sep='\\n')"
+    """
+    rng = random.Random(14)
+    lines = []
+    for name in ("G2-k13", "A3", "B2-k12", "A1xA1-swap"):
+        alg = ORACLE_ALGEBRAS[name]()
+        for _ in range(4):
+            a, b, c = (nonzero_element(alg, rng) for _ in range(3))
+            lines.append(f"{name}: "
+                         + alg.multiply(alg.multiply(a, b), c).to_text())
+    return lines
+
+
+def test_products_match_golden():
+    assert "\n".join(golden_product_lines()) + "\n" == \
+        GOLDEN_PRODUCTS.read_text(encoding="utf-8")
+
+
+def test_warm_product_builds_only_its_result_polys(monkeypatch):
+    # with the image cache warm, a product is integer arithmetic throughout:
+    # the only Poly objects built are the coefficients of its result
+    alg = algebra("G2", 2, [1, 3])
+    rng = random.Random(3)
+    a, b = (nonzero_element(alg, rng) for _ in range(2))
+    expected = alg.multiply(a, b)
+    built = []
+    init = Poly.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "__init__", counting)
+    product = alg.multiply(a, b)
+    assert product == expected and len(expected.terms) > 1
+    assert {id(p) for p in built} == {id(p) for p in product.terms.values()}

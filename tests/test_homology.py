@@ -11,7 +11,7 @@ from oracles import (POINT_MODULE_TEMPLATES, compose_perms,
                      dense_connes_boundary, dense_hochschild_boundary,
                      dense_mixed_total_boundary, permutation_closure)
 
-from gradedhecke import homology
+from gradedhecke import homology, modules
 from gradedhecke.hecke import HeckeAlgebra
 from gradedhecke.homology import (FinDimAlgebra, HomologyError,
                                   SizeBoundExceeded, crossed_point_module,
@@ -224,8 +224,8 @@ def test_hp0_negative_control_basis_theorem(monkeypatch):
     # other; only the computed HP_0 sees the loss
     alg = HeckeAlgebra(build_root_datum("B2", 2), 1)
     _drop_last_class(monkeypatch, alg.group)
-    census = homology.irr0_census
-    monkeypatch.setattr(homology, "irr0_census",
+    census = modules.irr0_census
+    monkeypatch.setattr(modules, "irr0_census",
                         lambda *a, **kw: census(*a, **kw)[:-1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -242,11 +242,9 @@ def test_point_module_examples():
     s2_fix = [(1, 0, 2)]
     rep = crossed_point_module(s2_fix, 2)
     assert rep.stabilizer_classes == 2 and rep.constituents == 2 and rep.match
-    # same orbit gives isomorphic modules; different orbits do not
     s2_two_orbits = [(1, 0, 3, 2)]
-    rep = crossed_point_module(s2_two_orbits, 0, compare_point=2)
-    assert rep.iso_within_orbit
-    assert rep.noniso_across_orbits is True
+    rep = crossed_point_module(s2_two_orbits, 2)
+    assert rep.orbit == (2, 3) and rep.constituents == 1 and rep.match
 
 
 def test_point_module_z4_rationality():
@@ -268,20 +266,19 @@ def test_point_module_symmetric_groups(perms, x, order, classes):
     rep = crossed_point_module(perms, x)
     assert rep.stabilizer_order == order
     assert rep.stabilizer_classes == rep.constituents == classes
-    assert rep.match and rep.iso_within_orbit
+    assert rep.match
 
 
-@pytest.mark.parametrize("perms,x,compare_point,message", [
-    ([], 0, None, "at least one generator"),
-    ([(1, 0), (1, 2, 0)], 0, None, r"\(1, 2, 0\) is not a permutation"),
-    ([(0, 0, 1)], 0, None, r"\(0, 0, 1\) is not a permutation of range\(3\)"),
-    ([(1, 0)], 2, None, r"range\(2\)"),
-    ([(1, 0)], -1, None, r"range\(2\)"),
-    ([(1, 0, 2)], 0, 3, r"range\(3\)"),
+@pytest.mark.parametrize("perms,x,message", [
+    ([], 0, "at least one generator"),
+    ([(1, 0), (1, 2, 0)], 0, r"\(1, 2, 0\) is not a permutation"),
+    ([(0, 0, 1)], 0, r"\(0, 0, 1\) is not a permutation of range\(3\)"),
+    ([(1, 0)], 2, r"range\(2\)"),
+    ([(1, 0)], -1, r"range\(2\)"),
 ])
-def test_point_module_rejects_bad_input(perms, x, compare_point, message):
+def test_point_module_rejects_bad_input(perms, x, message):
     with pytest.raises(HomologyError, match=message):
-        crossed_point_module(perms, x, compare_point=compare_point)
+        crossed_point_module(perms, x)
 
 
 def test_point_module_bound_counts_fibre_block_unknowns():
