@@ -2,6 +2,7 @@ import functools
 import random
 import warnings
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -13,7 +14,7 @@ from oracles import basis_lift_weights, dense_hom_space, rebuild_decompose
 from gradedhecke import modules
 from gradedhecke.catalog import CatalogError, load_catalog
 from gradedhecke.hecke import HeckeAlgebra
-from gradedhecke.linalg import QI, identity, mat_vec, zero_vec
+from gradedhecke.linalg import QI, identity, mat_mul, mat_vec, zero_vec
 from gradedhecke.modules import (DSCatalogEntry, FieldExtensionNeeded,
                                  FinModule, InductionDatum, ModuleError,
                                  UnsplitSpectrumError, association_classes,
@@ -715,3 +716,46 @@ def test_decompose_leaves_the_module_and_reuses_its_commutant():
     assert V.name == "pi'([],trivial,lam)" and V.memo["commutant"]
     assert sorted(m.name for m, _ in dec) == [V.name + "#0", V.name + "#1"]
     assert all(m.memo is not V.memo and m.meta is not V.meta for m, _ in dec)
+
+
+def _scaled(c, m):
+    return tuple(tuple(c * x for x in row) for row in m)
+
+
+PS_NAME = "\"pi'([],trivial,lam)\""
+# (principal series, field to perturb, perturbation, the message verify
+# raises): each breaks exactly one relation, every earlier check still holds
+BROKEN_RELATIONS = (
+    ("A2", "refl", lambda V: {0: _scaled(2, V.refl[0]), 1: V.refl[1]},
+     f"s_0^2 != 1 in module {PS_NAME}"),
+    ("A2", "refl", lambda V: {0: V.refl[0], 1: _scaled(-1, V.refl[1])},
+     f"braid relation (0,1) fails in {PS_NAME}"),
+    ("A1xA1-swap", "gammas", lambda V: {},
+     "missing matrix for gamma 'swap'"),
+    ("A1xA1-swap", "gammas", lambda V: {"swap": _scaled(2, V.gammas["swap"])},
+     "gamma composition fails"),
+    # an involution that commutes with s_0 instead of swapping it with s_1
+    ("A1xA1-swap", "gammas", lambda V: {"swap": identity(V.dim)},
+     "gamma conjugation of s_i fails"),
+    ("A1xA1-swap", "coord", lambda V: (V.gammas["swap"], V.coord[1]),
+     "coordinate matrices do not commute"),
+    ("A1xA1-swap", "coord", lambda V: (_scaled(2, V.coord[0]), V.coord[1]),
+     f"cross relation (x_0, alpha_0) fails in {PS_NAME}"),
+    # swap times the longest element is an involution conjugating s_0 to
+    # s_1, but it moves the coordinates by w_0 as well
+    ("A1xA1-swap", "gammas",
+     lambda V: {"swap": mat_mul(V.gammas["swap"],
+                                mat_mul(V.refl[0], V.refl[1]))},
+     "gamma cross relation fails"),
+)
+
+
+@pytest.mark.parametrize("name, field, perturb, message", BROKEN_RELATIONS,
+                         ids=[c[3].split(" in ")[0] for c in BROKEN_RELATIONS])
+def test_verify_rejects_each_broken_relation(name, field, perturb, message):
+    V = induced((name, (), "trivial"), [1, Q(1, 2)])
+    V.verify()
+    broken = replace(V, **{field: perturb(V)})
+    with pytest.raises(ModuleError) as err:
+        broken.verify()
+    assert str(err.value) == message
