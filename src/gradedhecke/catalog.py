@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .config import matrix, parse_blocks
+from .config import matrix, parse_blocks, root_indices
 from .hecke import HeckeAlgebra
 from .linalg import GradedHeckeError
 from .modules import DSCatalogEntry, FinModule, parabolic_algebra
@@ -37,14 +37,7 @@ def load_catalog(algebra: HeckeAlgebra, text: str) -> List[DSCatalogEntry]:
             raise CatalogError(f"unknown catalog block {name!r}")
         if "p" not in payload:
             raise CatalogError("catalog entry needs p")
-        names = payload["p"]
-        valid = [f"alpha{i + 1}" for i in range(algebra.datum.rank)]
-        P = []
-        for n in names:
-            if n not in valid:
-                raise CatalogError(f"unknown simple root {n!r} in catalog")
-            P.append(valid.index(n))
-        P = tuple(sorted(P))
+        P = tuple(root_indices(algebra.datum, payload["p"], CatalogError))
         _, sub_alg = parabolic_algebra(algebra, P)
         rank = len(P)
         refl = {}

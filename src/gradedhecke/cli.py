@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from . import GradedHeckeError, __version__
 from .config import (ConfigError, RunConfig, apply_k_override, integer,
-                     load_config, number)
+                     load_config, number, root_indices)
 
 if TYPE_CHECKING:
     from .hecke import HeckeAlgebra
@@ -171,7 +171,7 @@ def _cmd_induce(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
         raise ConfigError("the induce command needs an induce block")
     blk = cfg.induce_block
     datum = algebra.datum
-    P = cfg.root_indices(datum, blk.get("p", []))
+    P = root_indices(datum, blk.get("p", []))
     _, sub_alg = parabolic_algebra(algebra, P)
     delta_name = str(blk.get("delta", "steinberg"))
     candidates = one_dim_modules(sub_alg)

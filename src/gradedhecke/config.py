@@ -210,15 +210,12 @@ class RunConfig:
     findim_size: int = 2
     source_text: str = ""
 
-    def root_names(self, datum: RootDatum) -> List[str]:
-        return [f"alpha{i + 1}" for i in range(datum.rank)]
-
     def build_datum(self) -> RootDatum:
         from .rootdata import build_root_datum
         return build_root_datum(self.datum_type, self.ambient, self.gram)
 
     def build_k(self, datum: RootDatum) -> List[Fraction]:
-        names = self.root_names(datum)
+        names = root_names(datum)
         if not self.k_values:
             return [Fraction(0)] * datum.rank
         if set(self.k_values) == {"all"}:
@@ -239,14 +236,22 @@ class RunConfig:
         k = self.build_k(datum)
         return HeckeAlgebra(datum, k, _close_gammas(datum, self.gammas))
 
-    def root_indices(self, datum: RootDatum, names: Sequence[str]) -> List[int]:
-        valid = self.root_names(datum)
-        out = []
-        for n in names:
-            if n not in valid:
-                raise ConfigError(f"unknown simple root {n!r}; expected {valid}")
-            out.append(valid.index(n))
-        return sorted(out)
+
+def root_names(datum: RootDatum) -> List[str]:
+    return [f"alpha{i + 1}" for i in range(datum.rank)]
+
+
+def root_indices(datum: RootDatum, names: Sequence[str],
+                 error: type = ConfigError) -> List[int]:
+    """The sorted positions of the named simple roots; an unknown or
+    repeated name raises `error`."""
+    valid = root_names(datum)
+    for n in names:
+        if n not in valid:
+            raise error(f"unknown simple root {n!r}; expected {valid}")
+        if names.count(n) > 1:
+            raise error(f"simple root {n!r} is named twice")
+    return sorted(map(valid.index, names))
 
 
 def _close_gammas(datum: RootDatum,

@@ -524,8 +524,8 @@ class BasisTheoremReport:
 
 
 def verify_basis_theorem(algebra: HeckeAlgebra,
-                         catalog: Optional[Sequence[DSCatalogEntry]] = None,
-                         warn_rank2: bool = True) -> BasisTheoremReport:
+                         catalog: Optional[Sequence[DSCatalogEntry]] = None
+                         ) -> BasisTheoremReport:
     """Check #Irr_0 = #classes(W') = HP_0 and full rank of the trace matrix.
 
     A rank or count failure is reported as a falsification flag, never
@@ -533,7 +533,7 @@ def verify_basis_theorem(algebra: HeckeAlgebra,
     """
     from .modules import auto_catalog, irr0_census
     if catalog is None:
-        catalog = auto_catalog(algebra, warn_rank2=warn_rank2)
+        catalog = auto_catalog(algebra)
     census = algebra.group.census
     hp = hp_census_hecke(algebra)
     modules = irr0_census(algebra, catalog)

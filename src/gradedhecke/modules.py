@@ -16,15 +16,12 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .hecke import HeckeAlgebra, HeckeElement
+from .hecke import HeckeAlgebra
 from .linalg import (GradedHeckeError, Mat, Q, QI, Vec, canonical_basis,
-                     charpoly, identity, intertwiner_matrices, inverse,
-                     mat_comb, mat_mul, mat_sub, mat_vec, nullspace,
-                     restrict_matrix, roots, scalar_matrix, solve, trace,
-                     transpose, zero_vec)
-from .poly import Poly
-from .rootdata import (ParabolicDatum, RootDatum, in_antidual, pairing,
-                       parabolic)
+                     charpoly, identity, intertwiner_matrices, mat_comb,
+                     mat_mul, mat_sub, mat_vec, nullspace, restrict_matrix,
+                     roots, scalar_matrix, solve, trace, transpose, zero_vec)
+from .rootdata import ParabolicDatum, RootDatum, in_antidual, parabolic
 from .weyl import (ConjugacyClassCensus, ExtendedWeylElement,
                    coset_decomposition, elements_mapping_parabolic)
 
@@ -100,9 +97,6 @@ class FinModule:
         return any(isinstance(c, QI) and c.im != 0
                    for m in self.coord for row in m for c in row)
 
-    def group_matrix(self, e: ExtendedWeylElement) -> Mat:
-        return self.act(e, identity(self.dim))
-
     def act(self, e: ExtendedWeylElement, m: Mat) -> Mat:
         """The matrix of e times m, one generator at a time from the right,
         so a narrow m is never multiplied by a full group matrix."""
@@ -144,9 +138,7 @@ class FinModule:
                         f"braid relation ({i},{j}) fails in {self.name!r}")
         gamma = alg.group.gamma
         for a in gamma.elements:
-            if a.label == "e":
-                continue
-            if a.label not in self.gammas:
+            if a.label != "e" and a.label not in self.gammas:
                 raise ModuleError(f"missing matrix for gamma {a.label!r}")
         for a in gamma.elements:
             ma = self.gammas.get(a.label, ident)
@@ -155,43 +147,44 @@ class FinModule:
                 mc = self.gammas.get(gamma.compose(a, b).label, ident)
                 if mat_mul(ma, mb) != mc:
                     raise ModuleError("gamma composition fails")
+            # g s_i = s_perm(i) g: the composition with a^-1 above shows
+            # that g is invertible
             for i in range(datum.rank):
-                lhs = mat_mul(ma, mat_mul(self.refl[i], inverse(ma)))
-                if lhs != self.refl[a.perm[i]]:
+                if mat_mul(ma, self.refl[i]) != \
+                        mat_mul(self.refl[a.perm[i]], ma):
                     raise ModuleError("gamma conjugation of s_i fails")
         for a in range(len(self.coord)):
             for b in range(a + 1, len(self.coord)):
                 if mat_mul(self.coord[a], self.coord[b]) != \
                         mat_mul(self.coord[b], self.coord[a]):
                     raise ModuleError("coordinate matrices do not commute")
-        # cross relation x s_i - s_i s_i(x) = k_i <x, alpha_i^vee>
+        # x s_i = s_i s_i(x) + k_i <x, alpha_i^vee>, where s_i(x_k) is row k
+        # of the matrix of s_i (as gamma^-1(x_k) is of gamma's, below)
         for i in range(datum.rank):
-            for k, x in enumerate(identity(datum.ambient_dim)):
-                sx = datum.reflect_covector(i, x)
-                lhs = mat_sub(mat_mul(self.coord[k], self.refl[i]),
-                              mat_mul(self.refl[i], self.covector_matrix(sx)))
-                c = alg.kmap[i] * pairing(x, datum.simple_coroots[i])
-                if lhs != scalar_matrix(c, self.dim):
+            s_coord = [mat_mul(self.refl[i], m) for m in self.coord] + [ident]
+            for k, row in enumerate(datum.reflection_matrix(i)):
+                c = alg.kmap[i] * datum.simple_coroots[i][k]
+                if mat_mul(self.coord[k], self.refl[i]) != \
+                        mat_comb(row + (c,), s_coord, self.dim):
                     raise ModuleError(
                         f"cross relation (x_{k}, alpha_{i}) fails "
                         f"in {self.name!r}")
-        # x gamma = gamma gamma^{-1}(x)
+        # x gamma = gamma gamma^-1(x)
         for a in gamma.elements:
             if a.label == "e":
                 continue
             ma = self.gammas[a.label]
-            ainv_t = transpose(gamma.inv(a).matrix)
-            for k, x in enumerate(identity(datum.ambient_dim)):
-                gx = mat_vec(ainv_t, x)
-                lhs = mat_mul(self.coord[k], ma)
-                rhs = mat_mul(ma, self.covector_matrix(gx))
-                if lhs != rhs:
+            g_coord = [mat_mul(ma, m) for m in self.coord]
+            for k in range(datum.ambient_dim):
+                rhs = mat_comb(a.matrix[k], g_coord, self.dim)
+                if mat_mul(self.coord[k], ma) != rhs:
                     raise ModuleError("gamma cross relation fails")
 
     @_memoized
     def restriction_character(self) -> "Character":
         census = self.algebra.group.census
-        values = tuple(trace(self.group_matrix(e.rep)) for e in census.entries)
+        values = tuple(trace(self.act(e.rep, identity(self.dim)))
+                       for e in census.entries)
         return Character(census=census, values=values)
 
 
@@ -292,15 +285,7 @@ def one_dim_modules(algebra: HeckeAlgebra) -> List[FinModule]:
                         coord=coord, name=name, meta={"lambda": lam})
         mod.verify()
         out.append(mod)
-    # at k = 0 distinct sign patterns share lambda = 0 but remain distinct
-    seen = set()
-    dedup = []
-    for m in out:
-        key = (tuple(m.refl[i] for i in range(rank)), m.coord)
-        if key not in seen:
-            seen.add(key)
-            dedup.append(m)
-    return dedup
+    return out
 
 
 @dataclass
@@ -339,36 +324,26 @@ def parabolic_algebra(algebra: HeckeAlgebra,
     return algebra.parabolics[key]
 
 
-def _poly_at_coordinates(p: Poly, mats: Sequence[Mat], dim: int) -> Mat:
-    """Evaluate p at commuting coordinate matrices (exact)."""
-    cache: Dict[Tuple[int, int], Mat] = {}
-
-    def power(i, k):
-        if (i, k) not in cache:
-            if k == 1:
-                cache[(i, k)] = mats[i]
-            else:
-                cache[(i, k)] = mat_mul(power(i, k - 1), mats[i])
-        return cache[(i, k)]
-
-    monomials = []
-    for e in p.terms:
-        m = None
-        for i, k in enumerate(e):
-            if k:
-                m = power(i, k) if m is None else mat_mul(m, power(i, k))
-        monomials.append(identity(dim) if m is None else m)
-    return mat_comb(list(p.terms.values()), monomials, dim)
+def _comb_columns(coeffs: Sequence, cols: Sequence[Dict[int, Mat]],
+                  d: int) -> Dict[int, Mat]:
+    """sum of coeffs[j] * cols[j] over columns {row block: d x d}; a block
+    a column lacks is zero, and mat_comb reads () as the zero matrix."""
+    rows = {b for c, col in zip(coeffs, cols) if c for b in col}
+    return {b: mat_comb(coeffs, [col.get(b, ()) for col in cols], d)
+            for b in rows}
 
 
 def induce(algebra: HeckeAlgebra, xi: InductionDatum,
            extended: bool = True) -> FinModule:
     """Parabolic induction Ind_{H^P}^{H} (extended=False) or Ind_{H^P}^{H'}.
 
-    Basis u (x) v over minimal-length coset representatives u; a generator h
-    acts by normal-ordering h*u in H', splitting along H' = (+)_u u H^P and
-    applying delta_lambda, where H^P = S(t^{P*}) (x) H_P acts through
-    delta_lambda(x) = delta(x_P) + <x^P, lambda>.
+    Basis u (x) v over minimal-length coset representatives u, where H^P =
+    S(t^{P*}) (x) H_P acts on V_delta through delta_lambda(x) = delta(x_P) +
+    <x^P, lambda>.  No product in H' is formed.  W' permutes the blocks:
+    g u = u' h (the coset table) puts delta(h) at block (u', u).  x acts on
+    u (x) v by delta_lambda(u^-1(x)) plus terms on earlier representatives,
+    read off x gamma = gamma gamma^-1(x) and
+    x s_i = s_i s_i(x) + k_i <x, alpha_i^vee>.
     """
     datum = algebra.datum
     if not datum.crystallographic:
@@ -385,13 +360,15 @@ def induce(algebra: HeckeAlgebra, xi: InductionDatum,
     if not parab.in_t_upP(xi.lam_re) or not parab.in_t_upP(xi.lam_im):
         raise ModuleError("lambda does not lie in t^P")
     work = algebra if extended else algebra.unextended()
-    reps, split = coset_decomposition(work.group, xi.P)
+    group = work.group
+    reps, split = coset_decomposition(group, xi.P)
     d = delta.dim
     n = len(reps) * d
+    amb = datum.ambient_dim
     complex_lam = any(c != 0 for c in xi.lam_im)
     # coordinate matrices of delta_lambda on V_delta
     coord_small: List[Mat] = []
-    for k in range(datum.ambient_dim):
+    for k in range(amb):
         lam_k = QI(xi.lam_re[k], xi.lam_im[k]) if complex_lam \
             else xi.lam_re[k]
         mats = [identity(d)]
@@ -399,42 +376,67 @@ def induce(algebra: HeckeAlgebra, xi: InductionDatum,
             mats.append(delta.coord[parab.P.index(k)])
         coord_small.append(mat_comb([lam_k, 1], mats, d))
 
-    # delta of each W_P element, by index; a reduced word of an element of
-    # W_P uses only letters of P, the i-th of which is s_i of the sub datum
-    delta_of: Dict[int, Mat] = {}
+    # delta of a W_P element by its reduced word, whose letters lie in P:
+    # the i-th of them is s_i of the sub datum
+    @functools.lru_cache(maxsize=None)
+    def delta_matrix(word: Tuple[int, ...]) -> Mat:
+        m = identity(d)
+        for i in word:
+            m = mat_mul(m, delta.refl[parab.P.index(i)])
+        return m
 
-    def delta_matrix(w: ExtendedWeylElement) -> Mat:
-        if w.index not in delta_of:
-            m = identity(d)
-            for i in w.word:
-                m = mat_mul(m, delta.refl[parab.P.index(i)])
-            delta_of[w.index] = m
-        return delta_of[w.index]
+    # g u_a = u_b h: the generator g takes column block a to row block b
+    # with delta(h)
+    gens = [group.simple(i) for i in range(datum.rank)] + \
+        [group.gamma_element(c.label) for c in group.gamma.elements
+         if c.label != "e"]
+    moves = {g.index: [split[group.mult(g, u).index] for u in reps]
+             for g in gens}
 
-    def act_matrix_of(h: HeckeElement) -> Mat:
+    def act(g: ExtendedWeylElement, col: Dict[int, Mat]) -> Dict[int, Mat]:
+        out = {}
+        for a, m in col.items():
+            b, h = moves[g.index][a]
+            out[b] = mat_mul(delta_matrix(h.word), m) if h.word else m
+        return out
+
+    def to_matrix(cols: Sequence[Dict[int, Mat]]) -> Mat:
         big = [[Fraction(0)] * n for _ in range(n)]
-        for a, u in enumerate(reps):
-            prod = work.multiply(h, work.from_group(u))
-            for g, p in prod.terms.items():
-                b, w = split[g.index]
-                block = mat_mul(delta_matrix(w),
-                                _poly_at_coordinates(p, coord_small, d))
-                r0 = b * d
-                c0 = a * d
-                for r in range(d):
-                    for s in range(d):
-                        v = block[r][s]
-                        if v:
-                            big[r0 + r][c0 + s] = big[r0 + r][c0 + s] + v
+        for a, col in enumerate(cols):
+            for b, m in col.items():
+                for r, s in itertools.product(range(d), repeat=2):
+                    if m[r][s]:
+                        big[b * d + r][a * d + s] = m[r][s]
         return tuple(tuple(r) for r in big)
 
-    refl = {i: act_matrix_of(work.s(i)) for i in range(datum.rank)}
-    gammas = {}
-    if extended:
-        for gm in algebra.group.gamma.elements:
-            if gm.label != "e":
-                gammas[gm.label] = act_matrix_of(work.gamma(gm.label))
-    coord = tuple(act_matrix_of(work.x(k)) for k in range(datum.ambient_dim))
+    refl, gammas = {}, {}
+    for g in gens:
+        mat = to_matrix([act(g, {a: identity(d)}) for a in range(len(reps))])
+        if g.gamma == "e":
+            refl[g.word[0]] = mat
+        else:
+            gammas[g.gamma] = mat
+    # x_k on u (x) v: the diagonal block is delta_lambda(u^-1(x_k)), and
+    # u^-1(x_k) is row k of the matrix of u.  For u = g u', g the Gamma
+    # letter or first simple reflection of u, the other blocks are g times
+    # those of column u' in g^-1(x_k), plus k_i <x_k, alpha_i^vee> at u'
+    # when g = s_i.  off[k][a] holds the other blocks of column a.
+    off: List[List[Dict[int, Mat]]] = [[{}] for _ in range(amb)]
+    for u in reps[1:]:
+        g = group.gamma_element(u.gamma) if u.gamma != "e" else \
+            group.simple(u.word[0])
+        a, _ = split[group.mult(group.inv(g), u).index]
+        for k in range(amb):
+            col = act(g, _comb_columns(g.matrix[k], [o[a] for o in off], d))
+            c = work.kmap[g.word[0]] * datum.simple_coroots[g.word[0]][k] \
+                if g.word else 0
+            if c:
+                col[a] = scalar_matrix(c, d)
+            off[k].append(col)
+    coord = tuple(to_matrix([{**off[k][b], b: mat_comb(u.matrix[k],
+                                                       coord_small, d)}
+                             for b, u in enumerate(reps)])
+                  for k in range(amb))
     labels = tuple(f"{u!r}(x){lbl}" for u in reps for lbl in delta.labels)
     name = f"pi'({list(xi.P)},{delta.name},lam)" if extended else \
         f"pi({list(xi.P)},{delta.name},lam)"
@@ -446,8 +448,6 @@ def induce(algebra: HeckeAlgebra, xi: InductionDatum,
                         reps=tuple(reps), d=d, coord_small=tuple(coord_small),
                         refl_small={i: delta.refl[parab.P.index(i)]
                                     for i in parab.P}))
-    if mod.dim != len(reps) * delta.dim:
-        raise ModuleError("induced dimension mismatch")
     mod.verify()
     return mod
 
@@ -745,8 +745,8 @@ class DSCatalogEntry:
 
 
 def auto_catalog(algebra: HeckeAlgebra,
-                 user_entries: Sequence[DSCatalogEntry] = (),
-                 warn_rank2: bool = True) -> List[DSCatalogEntry]:
+                 user_entries: Sequence[DSCatalogEntry] = ()
+                 ) -> List[DSCatalogEntry]:
     """One-dimensional discrete series for every parabolic, plus user entries.
 
     Higher-dimensional discrete series cannot be derived here; a parabolic of
@@ -773,7 +773,7 @@ def auto_catalog(algebra: HeckeAlgebra,
                 raise ModuleError(
                     f"catalog entry for P={list(P)} is not discrete series")
             out.append(entry)
-        if len(P) >= 2 and P not in user_by_p and warn_rank2:
+        if len(P) >= 2 and P not in user_by_p:
             warnings.warn(
                 f"parabolic P={list(P)} has rank >= 2 and no user catalog "
                 "entries; higher discrete series may be missing",

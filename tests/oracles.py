@@ -925,3 +925,81 @@ def pairwise_add(a, b):
             witness = (num, den)
     return PoincareSeries(order=order, coeffs=coeffs[:order + 1],
                           witness=witness)
+
+
+def _poly_at_coordinates(p, mats, dim):
+    """Evaluate p at commuting coordinate matrices (exact)."""
+    from gradedhecke.linalg import mat_comb
+    cache = {}
+
+    def power(i, k):
+        if (i, k) not in cache:
+            cache[(i, k)] = mats[i] if k == 1 else \
+                mat_mul(power(i, k - 1), mats[i])
+        return cache[(i, k)]
+
+    monomials = []
+    for e in p.terms:
+        m = None
+        for i, k in enumerate(e):
+            if k:
+                m = power(i, k) if m is None else mat_mul(m, power(i, k))
+        monomials.append(identity(dim) if m is None else m)
+    return mat_comb(list(p.terms.values()), monomials, dim)
+
+
+def multiply_induce(algebra, xi, extended=True):
+    """The generator matrices and labels of pi'(xi) (pi(xi) when not
+    extended) built by normal-ordering h * u in H' for each coset
+    representative u and generator h, splitting along H' = (+)_u u H^P and
+    evaluating each polynomial at delta_lambda: (refl, gammas, coord,
+    labels)."""
+    from gradedhecke.modules import parabolic_algebra
+    from gradedhecke.weyl import coset_decomposition
+    datum = algebra.datum
+    parab, _ = parabolic_algebra(algebra, xi.P)
+    delta = xi.delta
+    work = algebra if extended else algebra.unextended()
+    reps, split = coset_decomposition(work.group, xi.P)
+    d = delta.dim
+    n = len(reps) * d
+    complex_lam = any(c != 0 for c in xi.lam_im)
+    coord_small = []
+    for k in range(datum.ambient_dim):
+        lam_k = QI(xi.lam_re[k], xi.lam_im[k]) if complex_lam \
+            else xi.lam_re[k]
+        mats = [identity(d)]
+        if k in parab.P:
+            mats.append(delta.coord[parab.P.index(k)])
+        from gradedhecke.linalg import mat_comb
+        coord_small.append(mat_comb([lam_k, 1], mats, d))
+
+    def delta_matrix(w):
+        m = identity(d)
+        for i in w.word:
+            m = mat_mul(m, delta.refl[parab.P.index(i)])
+        return m
+
+    def act_matrix_of(h):
+        big = [[Fraction(0)] * n for _ in range(n)]
+        for a, u in enumerate(reps):
+            prod = work.multiply(h, work.from_group(u))
+            for g, p in prod.terms.items():
+                b, w = split[g.index]
+                block = mat_mul(delta_matrix(w),
+                                _poly_at_coordinates(p, coord_small, d))
+                for r in range(d):
+                    for s in range(d):
+                        v = block[r][s]
+                        if v:
+                            big[b * d + r][a * d + s] = \
+                                big[b * d + r][a * d + s] + v
+        return tuple(tuple(r) for r in big)
+
+    refl = {i: act_matrix_of(work.s(i)) for i in range(datum.rank)}
+    gammas = {gm.label: act_matrix_of(work.gamma(gm.label))
+              for gm in algebra.group.gamma.elements
+              if extended and gm.label != "e"}
+    coord = tuple(act_matrix_of(work.x(k)) for k in range(datum.ambient_dim))
+    labels = tuple(f"{u!r}(x){lbl}" for u in reps for lbl in delta.labels)
+    return refl, gammas, coord, labels

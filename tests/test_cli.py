@@ -165,8 +165,12 @@ A2 = 'datum { type="A2", ambient=2, k=1 }\n'
      "induce extended must be a bool"),
     (A2 + 'induce { p="alpha1", delta="steinberg" }',
      "induce p must be a list"),
+    (A2 + 'induce { p=["alpha1", "alpha1"], delta="steinberg" }',
+     "simple root 'alpha1' is named twice"),
+    (A2 + 'induce { p=["alpha3"], delta="steinberg" }',
+     "unknown simple root 'alpha3'; expected ['alpha1', 'alpha2']"),
 ], ids=["re-short", "re-short-face", "im-short-face", "re-long",
-        "extended-string", "p-string"])
+        "extended-string", "p-string", "p-repeated", "p-unknown"])
 def test_cli_induce_rejects_malformed_block(tmp_path, capsys, cfg_text,
                                             message):
     cfg = write(tmp_path, "bad.cfg", cfg_text)
@@ -279,6 +283,23 @@ def test_cli_bad_catalog_is_one_error_line(tmp_path, capsys):
     assert rc == 1
     assert err.splitlines() == ["error: catalog entry needs p"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry, message", [
+    ('p = ["alpha1", "alpha1"], s1 = [[-1]], s2 = [[-1]], x1 = [[-1/2]], '
+     'x2 = [[-1/2]]', "simple root 'alpha1' is named twice"),
+    ('p = ["alpha2"], s1 = [[-1]], x1 = [[-1/2]]',
+     "unknown simple root 'alpha2'; expected ['alpha1']"),
+], ids=["repeated", "unknown"])
+def test_cli_catalog_root_names_are_one_error_line(tmp_path, capsys, entry,
+                                                   message):
+    cfg = write(tmp_path, "a.cfg", A1_CFG)
+    cat = write(tmp_path, "bad.cat", f"entry {{ {entry} }}\n")
+    rc = main(["irr0", "--config", cfg, "--out", str(tmp_path / "o"),
+               "--catalog", cat])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "o" / "irr0.json").exists()
 
 
 @pytest.mark.parametrize("name", [

@@ -9,7 +9,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import basis_lift_weights, dense_hom_space, rebuild_decompose
+from oracles import (basis_lift_weights, dense_hom_space, multiply_induce,
+                     rebuild_decompose)
 
 from gradedhecke import modules
 from gradedhecke.catalog import CatalogError, load_catalog
@@ -476,6 +477,15 @@ def shared_algebra(name):
         d = build_root_datum("A1xA1", 2)
         return HeckeAlgebra(d, 1, [make_diagram_automorphism(
             d, "swap", [[0, 1], [1, 0]])])
+    if name == "B2-khalf3":
+        return HeckeAlgebra(build_root_datum("B2", 2), [Q(1, 2), 3])
+    if name == "A1xA1xA1-rot":  # a Gamma of order 3
+        d = build_root_datum("A1xA1xA1", 3)
+        return HeckeAlgebra(d, 1, [
+            make_diagram_automorphism(d, "rot", [[0, 0, 1], [1, 0, 0],
+                                                 [0, 1, 0]]),
+            make_diagram_automorphism(d, "rot2", [[0, 1, 0], [0, 0, 1],
+                                                  [1, 0, 0]])])
     label, _, k = name.partition("-k")
     return HeckeAlgebra(build_root_datum(label, int(label[-1])),
                         [int(c) for c in k] if k else 1)
@@ -759,3 +769,56 @@ def test_verify_rejects_each_broken_relation(name, field, perturb, message):
     with pytest.raises(ModuleError) as err:
         broken.verify()
     assert str(err.value) == message
+
+
+def _typed(m):
+    return tuple(tuple((x, type(x)) for x in row) for row in m)
+
+
+# the INDUCTIONS, a non-integer k, a Gamma of order 3, and an A3 face
+# where lambda_im pairs to 0 with some u^-1(x_k): its diagonal entries are
+# Fractions, which a sum over earlier columns would turn into QIs
+ORACLE_INDUCTIONS = INDUCTIONS + (
+    ("B2-khalf3", (), "trivial"), ("B2-khalf3", (0,), "steinberg"),
+    ("A1xA1xA1-rot", (), "trivial"), ("A3", (2,), "trivial"))
+
+
+@pytest.mark.parametrize("extended", [True, False],
+                         ids=["extended", "unextended"])
+@pytest.mark.parametrize("re, im", [([0, 0], (0, 0)), ([1, Q(1, 2)], (0, 0)),
+                                    ([Q(1, 2), 0], (Q(1, 3), 2)),
+                                    ([0, 0], (1, 0))],
+                         ids=["zero", "real", "complex", "imaginary"])
+@pytest.mark.parametrize("case", ORACLE_INDUCTIONS, ids=case_id)
+def test_induce_matches_multiply_oracle(case, re, im, extended):
+    # the same matrices, entry by entry and scalar type by scalar type
+    # (Fraction or QI), as normal-ordering h * u in H'
+    V = induced(case, re, im, extended=extended)
+    alg = shared_algebra(case[0])
+    delta = [m for m in one_dim_modules(parabolic_algebra(alg, case[1])[1])
+             if m.name == case[2]][0]
+    refl, gammas, coord, labels = multiply_induce(
+        alg, InductionDatum(P=case[1], delta=delta, lam_re=V.meta["lam_re"],
+                            lam_im=V.meta["lam_im"]), extended)
+    assert V.labels == labels
+    assert {i: _typed(m) for i, m in V.refl.items()} == \
+        {i: _typed(m) for i, m in refl.items()}
+    assert {g: _typed(m) for g, m in V.gammas.items()} == \
+        {g: _typed(m) for g, m in gammas.items()}
+    assert tuple(map(_typed, V.coord)) == tuple(map(_typed, coord))
+
+
+@pytest.mark.parametrize("name", ["G2", "A1xA1-swap"])
+def test_basis_theorem_forms_no_hecke_product(monkeypatch, name):
+    calls = []
+    multiply = HeckeAlgebra.multiply
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return multiply(self, *args, **kwargs)
+
+    monkeypatch.setattr(HeckeAlgebra, "multiply", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        verify_basis_theorem(shared_algebra(name))
+    assert calls == []
