@@ -6,12 +6,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from gradedhecke.linalg import (QI, Mat, Q, Vec, charpoly, identity,
-                                intertwiner_matrices, mat_mul, nullspace,
-                                poly1_divmod, poly1_mul, restrict_matrix,
-                                roots, solve, zero_vec)
+                                intertwiner_matrices, mat_comb, mat_mul,
+                                nullspace, poly1_divmod, poly1_mul,
+                                restrict_matrix, roots, solve, zero_vec)
 from gradedhecke.modules import (FieldExtensionNeeded, FinModule, ModuleError,
                                  UnsplitSpectrumError, _eigen_split_element,
-                                 commutant, equivalent, submodule)
+                                 commutant, equivalent, parabolic_algebra,
+                                 submodule)
+from gradedhecke.weyl import coset_decomposition
 
 
 def all_reduced_words(datum, matrix):
@@ -929,7 +931,6 @@ def pairwise_add(a, b):
 
 def _poly_at_coordinates(p, mats, dim):
     """Evaluate p at commuting coordinate matrices (exact)."""
-    from gradedhecke.linalg import mat_comb
     cache = {}
 
     def power(i, k):
@@ -954,8 +955,6 @@ def multiply_induce(algebra, xi, extended=True):
     representative u and generator h, splitting along H' = (+)_u u H^P and
     evaluating each polynomial at delta_lambda: (refl, gammas, coord,
     labels)."""
-    from gradedhecke.modules import parabolic_algebra
-    from gradedhecke.weyl import coset_decomposition
     datum = algebra.datum
     parab, _ = parabolic_algebra(algebra, xi.P)
     delta = xi.delta
@@ -971,7 +970,6 @@ def multiply_induce(algebra, xi, extended=True):
         mats = [identity(d)]
         if k in parab.P:
             mats.append(delta.coord[parab.P.index(k)])
-        from gradedhecke.linalg import mat_comb
         coord_small.append(mat_comb([lam_k, 1], mats, d))
 
     def delta_matrix(w):
