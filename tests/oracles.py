@@ -367,11 +367,25 @@ def substitution_multiply(alg, a, b, kvals):
     return HeckeElement(self, out)
 
 
-# Dense exact kernels: the `gradedhecke.linalg` bodies from before those
-# routines skipped zero entries, unchanged except that each calls the dense
-# copies here (`_dense_*`) instead of the library's `dot`, `mat_vec`, ...
-# They multiply and add every zero, and `dense_restrict_matrix` solves one
-# system per basis vector.
+# Dense exact kernels: the reference for every public `gradedhecke.linalg`
+# routine that takes or returns a matrix.  These are the library bodies from
+# before matrices became sparse rows (and, for `dense_mat_vec`,
+# `dense_mat_mul`, `dense_charpoly` and `dense_restrict_matrix`, from before
+# those routines skipped zero entries), unchanged except that each calls the
+# dense copies here instead of the library's.  A matrix is a tuple of dense
+# row tuples; `densify` turns a library matrix into one.
+
+def densify(m, ncols):
+    """The library matrix m (sparse rows) as dense rows of width ncols."""
+    from fractions import Fraction
+    out = []
+    for row in m:
+        dense = [Fraction(0)] * ncols
+        for j, x in row:
+            dense[j] = x
+        out.append(tuple(dense))
+    return tuple(out)
+
 
 def _dense_dot(u, v):
     from fractions import Fraction
@@ -380,14 +394,28 @@ def _dense_dot(u, v):
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def dense_identity(n):
+    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
+                 for i in range(n))
+
+
+def dense_transpose(a):
+    if not a:
+        return ()
+    return tuple(zip(*a))
+
+
+def dense_trace(a):
+    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+
+
 def dense_mat_vec(m, v):
     return tuple(_dense_dot(row, v) for row in m)
 
 
 def dense_mat_mul(a, b):
     """Reference for `gradedhecke.linalg.mat_mul`."""
-    from gradedhecke.linalg import transpose
-    bt = transpose(b)
+    bt = dense_transpose(b)
     return tuple(tuple(_dense_dot(row, col) for col in bt) for row in a)
 
 
@@ -399,29 +427,119 @@ def _dense_mat_scale(c, a):
     return tuple(tuple(c * x for x in r) for r in a)
 
 
+def dense_mat_comb(coeffs, mats, n):
+    """Reference for `gradedhecke.linalg.mat_comb`: the n x n matrix sum of
+    coeffs[k] * mats[k]."""
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for c, m in zip(coeffs, mats):
+        for acc, row in zip(out, m):
+            for j, x in enumerate(row):
+                acc[j] = acc[j] + c * x
+    return tuple(tuple(r) for r in out)
+
+
 def dense_charpoly(a):
     """Reference for `gradedhecke.linalg.charpoly` (Faddeev-LeVerrier)."""
-    from fractions import Fraction
-
-    from gradedhecke.linalg import trace
     n = len(a)
     coeffs = [Fraction(1)]
-    m = identity(n)
+    m = dense_identity(n)
     for k in range(1, n + 1):
         am = dense_mat_mul(a, m)
-        ck = -trace(am) / k
+        ck = -dense_trace(am) / k
         coeffs.append(ck)
-        m = _dense_mat_add(am, _dense_mat_scale(ck, identity(n)))
+        m = _dense_mat_add(am, _dense_mat_scale(ck, dense_identity(n)))
     return tuple(coeffs)
+
+
+def dense_rank(rows: Sequence[Sequence]) -> int:
+    """Reference for `gradedhecke.linalg.rank`: dense Gauss-Jordan."""
+    return len(dense_rref(rows)[1])
+
+
+def dense_nullspace(rows, ncols=None):
+    """Reference for `gradedhecke.linalg.nullspace`: the basis of
+    {x : A x = 0} with one free column set to 1 each."""
+    rows = [list(r) for r in rows]
+    if ncols is None:
+        ncols = len(rows[0])
+    if not rows:
+        return list(dense_identity(ncols))
+    red, pivots = dense_rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            x[p] = -red[i][f]
+        basis.append(tuple(x))
+    return basis
+
+
+def dense_canonical_basis(vectors):
+    """Reference for `gradedhecke.linalg.canonical_basis`: the reduced row
+    echelon form of the vectors taken with the columns in reverse order."""
+    red, pivots = dense_rref([list(reversed(v)) for v in vectors])
+    return [tuple(reversed(red[i])) for i in reversed(range(len(pivots)))]
+
+
+def dense_solve(a, b):
+    """Reference for `gradedhecke.linalg.solve`: one exact solution of
+    A x = b, or None if inconsistent."""
+    rows = [list(r) + [bb] for r, bb in zip(a, b)]
+    if not rows:
+        return ()
+    n = len(rows[0]) - 1
+    red, pivots = dense_rref(rows)
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for i, p in enumerate(pivots):
+        x[p] = red[i][n]
+    return tuple(x)
+
+
+def dense_inverse(a):
+    """Reference for `gradedhecke.linalg.inverse`."""
+    n = len(a)
+    rows = [list(r) + list(e) for r, e in zip(a, dense_identity(n))]
+    red, pivots = dense_rref(rows)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(red[i][n:]) for i in range(n))
+
+
+def dense_det(a):
+    """Reference for `gradedhecke.linalg.det`: Gaussian elimination."""
+    n = len(a)
+    m = [list(r) for r in a]
+    d = Fraction(1)
+    for c in range(n):
+        pr = None
+        for i in range(c, n):
+            if m[i][c]:
+                pr = i
+                break
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            d = -d
+        d = d * m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return d
 
 
 def dense_coords_in_basis(basis, v):
     """Coordinates of v in the given basis (columns), or None."""
-    from gradedhecke.linalg import solve
     if not basis:
         return () if not any(v) else None
     a = [[b[i] for b in basis] for i in range(len(v))]
-    return solve(a, list(v))
+    return dense_solve(a, list(v))
 
 
 def dense_restrict_matrix(m, basis):
@@ -435,6 +553,24 @@ def dense_restrict_matrix(m, basis):
         cols.append(c)
     return tuple(tuple(cols[j][i] for j in range(len(basis)))
                  for i in range(len(basis)))
+
+
+def dense_intertwiner_matrices(pairs, nrows, ncols):
+    """Reference for `gradedhecke.linalg.intertwiner_matrices`: basis of
+    {M : X M = M Y for all (X, Y) in pairs}, one dense row per entry."""
+    sys_rows = []
+    for x, y in pairs:
+        for i in range(nrows):
+            for j in range(ncols):
+                row = [Fraction(0)] * (nrows * ncols)
+                for a in range(nrows):
+                    row[a * ncols + j] = row[a * ncols + j] + x[i][a]
+                for b in range(ncols):
+                    row[i * ncols + b] = row[i * ncols + b] - y[b][j]
+                sys_rows.append(row)
+    basis = dense_nullspace(sys_rows, nrows * ncols)
+    return [tuple(tuple(v[i * ncols + j] for j in range(ncols))
+                  for i in range(nrows)) for v in basis]
 
 
 def per_element_molien(action_matrices, n, order=16):
@@ -900,11 +1036,6 @@ def dense_mixed_total_boundary(algebra, n: int) -> List[List[Fraction]]:
                     if v:
                         m[dst_off[j - 1] + r][src_off[j] + c] += v
     return m
-
-
-def dense_rank(rows: Sequence[Sequence]) -> int:
-    """Reference for `gradedhecke.linalg.rank`: dense Gauss-Jordan."""
-    return len(dense_rref(rows)[1])
 
 
 def pairwise_add(a, b):
