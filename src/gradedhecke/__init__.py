@@ -25,7 +25,7 @@ _EXPORTS = {  # submodule -> the public names it defines
         parse_element scale_map""",
     "modules": """Character DSCatalogEntry FieldExtensionNeeded FinModule
         InductionDatum UnsplitSpectrumError auto_catalog central_character
-        commutant decompose hom_space induce intertwiner_space irr0_census
+        commutant decompose hom_space induce irr0_census
         is_discrete_series is_irreducible is_tempered one_dim_modules
         parabolic_algebra weights""",
     "homology": """FinDimAlgebra HomologyCensus HPReport crossed_point_module

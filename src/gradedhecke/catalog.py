@@ -22,7 +22,7 @@ from typing import List
 
 from .config import matrix, parse_blocks, root_indices
 from .hecke import HeckeAlgebra
-from .linalg import GradedHeckeError
+from .linalg import GradedHeckeError, mat
 from .modules import DSCatalogEntry, FinModule, parabolic_algebra
 
 
@@ -47,15 +47,14 @@ def load_catalog(algebra: HeckeAlgebra, text: str) -> List[DSCatalogEntry]:
             key = f"s{i + 1}"
             if key not in payload:
                 raise CatalogError(f"catalog entry missing {key}")
-            m = tuple(map(tuple, matrix(f"catalog {key}", payload[key])))
+            m = mat(matrix(f"catalog {key}", payload[key]))
             refl[i] = m
             dim = len(m) if dim is None else dim
         for i in range(rank):
             key = f"x{i + 1}"
             if key not in payload:
                 raise CatalogError(f"catalog entry missing {key}")
-            coord.append(tuple(map(tuple, matrix(f"catalog {key}",
-                                                 payload[key]))))
+            coord.append(mat(matrix(f"catalog {key}", payload[key])))
         if dim is None:
             raise CatalogError("catalog entry has no matrices")
         known = {"p", "note"} | {f"s{i + 1}" for i in range(rank)} | \

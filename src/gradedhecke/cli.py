@@ -76,10 +76,14 @@ def _base_report(command: str, cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
 
 def _cmd_datum(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
     d = algebra.datum
+
+    def dense(m, n):
+        return [[dict(row).get(j, Fraction(0)) for j in range(n)]
+                for row in m]
     rep = _base_report("datum", cfg, algebra)
     rep.update({
-        "cartan": d.cartan(),
-        "gram": d.gram,
+        "cartan": dense(d.cartan(), d.rank),
+        "gram": dense(d.gram, d.ambient_dim),
         "simple_roots": d.simple_roots,
         "simple_coroots": d.simple_coroots,
         "root_count": len(d.roots),

@@ -243,8 +243,11 @@ def root_names(datum: RootDatum) -> List[str]:
 
 def root_indices(datum: RootDatum, names: Sequence[str],
                  error: type = ConfigError) -> List[int]:
-    """The sorted positions of the named simple roots; an unknown or
-    repeated name raises `error`."""
+    """The sorted positions of the named simple roots (the key p of an
+    induce block or a catalog entry); a value that is not a list, or an
+    unknown or repeated name, raises `error`."""
+    if not isinstance(names, list):
+        raise error(f"p must be a list of simple root names, got {names!r}")
     valid = root_names(datum)
     for n in names:
         if n not in valid:
@@ -265,7 +268,6 @@ def _close_gammas(datum: RootDatum,
                     DiagramAutomorphism("e", tuple(range(datum.rank)),
                                         identity(datum.ambient_dim)))
     changed = True
-    counter = 0
     while changed:
         changed = False
         items = list(have.values())
@@ -273,9 +275,11 @@ def _close_gammas(datum: RootDatum,
             for b in items:
                 m = mat_mul(a.matrix, b.matrix)
                 if m not in have:
-                    counter += 1
-                    label = f"{a.label}*{b.label}"
-                    have[m] = make_diagram_automorphism(datum, label, m)
+                    # a product of automorphisms permutes the simple
+                    # coroots by the composed permutation
+                    have[m] = DiagramAutomorphism(
+                        f"{a.label}*{b.label}",
+                        tuple(a.perm[j] for j in b.perm), m)
                     changed = True
         if len(have) > 64:
             raise ConfigError("diagram-automorphism closure too large")

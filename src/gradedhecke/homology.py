@@ -5,7 +5,7 @@ exact rank computations.  The crossed product W' x| S(t*) is handled through
 its closed-form census: per-conjugacy-class Molien series of invariant forms
 on the fixed spaces, with HP_1 = 0 forced by the contractibility of each
 fixed space and HP_0 = HH_0(Q[W']) checked against the class count.  Point
-modules of A x| G are solved on fibre blocks, with no dense matrix.
+modules of A x| G are solved on fibre blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .hecke import HeckeAlgebra
-from .linalg import GradedHeckeError, Q, Vec, rank, restrict_matrix
+from .linalg import (GradedHeckeError, Mat, Q, Vec, mat, mat_vec, rank,
+                     restrict_matrix, transpose)
 from .poly import PoincareSeries, molien_forms, sum_series
 from .rootdata import RootDatum
 from .weyl import WeylGroup, enumerate_group, permutation_bfs
@@ -26,8 +27,6 @@ if TYPE_CHECKING:
     from .modules import DSCatalogEntry
 
 SIZE_BOUND = 10 ** 6
-
-Column = Dict[int, Q]  # one column of a sparse matrix: {row: nonzero entry}
 
 
 class HomologyError(GradedHeckeError):
@@ -185,40 +184,39 @@ def _basis_index(dim: int, t: Tuple[int, ...]) -> int:
     return out
 
 
-def _add(col: Column, r: int, c: Q) -> None:
+def _add(col: Dict[int, Q], r: int, c: Q) -> None:
     col[r] = col[r] + c if r in col else c
 
 
-def hochschild_boundary(algebra: FinDimAlgebra, n: int) -> List[Column]:
-    """Columns of b : A^{(x)(n+1)} -> A^{(x)n} on tensor basis vectors.
+def hochschild_boundary(algebra: FinDimAlgebra, n: int) -> Mat:
+    """The matrix of b : A^{(x)(n+1)} -> A^{(x)n} on tensor basis vectors.
 
     b(a_0 (x) ... (x) a_n) = sum_{i=0}^{n-1} (-1)^i ... a_i a_{i+1} ...
                              + (-1)^n a_n a_0 (x) a_1 (x) ... (x) a_{n-1}.
-    Column c is {row: coefficient} over the nonzero entries of the image of
-    the c-th basis tensor.
+    Column c is the image of the c-th basis tensor.
     """
     d, table = algebra.dim, algebra.table
     cols = []
     for t in _tensor_basis(d, n + 1):
-        col: Column = {}
+        col: Dict[int, Q] = {}
         for i in range(n):
             for k, c in table[t[i]][t[i + 1]]:
                 _add(col, _basis_index(d, t[:i] + (k,) + t[i + 2:]),
                      -c if i % 2 else c)
         for k, c in table[t[n]][t[0]]:
             _add(col, _basis_index(d, (k,) + t[1:n]), -c if n % 2 else c)
-        cols.append({r: c for r, c in col.items() if c})
-    return cols
+        cols.append(col)
+    return transpose(mat(cols), d ** n)
 
 
-def connes_boundary(algebra: FinDimAlgebra, n: int) -> List[Column]:
-    """Columns of B = (1 - t) s N : A^{(x)(n+1)} -> A^{(x)(n+2)}."""
+def connes_boundary(algebra: FinDimAlgebra, n: int) -> Mat:
+    """The matrix of B = (1 - t) s N : A^{(x)(n+1)} -> A^{(x)(n+2)}."""
     d = algebra.dim
     unit = [(u, c) for u, c in enumerate(algebra.unit) if c]
     sgn_t = -1 if (n + 1) % 2 else 1  # sign of t on n+2 tensor factors
     cols = []
     for t in _tensor_basis(d, n + 1):
-        col: Column = {}
+        col: Dict[int, Q] = {}
         # N = sum_i t^i with t(a_0...a_n) = (-1)^n a_n (x) a_0 ... a_{n-1}
         for i in range(n + 1):
             shifted = t[n + 1 - i:] + t[:n + 1 - i]
@@ -229,8 +227,8 @@ def connes_boundary(algebra: FinDimAlgebra, n: int) -> List[Column]:
                 _add(col, _basis_index(d, s_t), sgn_n * u_c)
                 _add(col, _basis_index(d, s_t[-1:] + s_t[:-1]),
                      -sgn_n * sgn_t * u_c)
-        cols.append({r: c for r, c in col.items() if c})
-    return cols
+        cols.append(col)
+    return transpose(mat(cols), d ** (n + 2))
 
 
 def hochschild_homology(algebra: FinDimAlgebra, n_max: int,
@@ -240,7 +238,7 @@ def hochschild_homology(algebra: FinDimAlgebra, n_max: int,
     d = algebra.dim
     ranks = [0]  # rank of b_0 = 0
     for n in range(1, n_max + 2):
-        ranks.append(rank(_rows(hochschild_boundary(algebra, n), d ** n)))
+        ranks.append(rank(hochschild_boundary(algebra, n)))
     out = []
     for n in range(n_max + 1):
         dim_cn = d ** (n + 1)
@@ -248,38 +246,25 @@ def hochschild_homology(algebra: FinDimAlgebra, n_max: int,
     return out
 
 
-def _rows(cols: List[Column], nrows: int) -> List[Column]:
-    """The rows of a column matrix as {column: entry} maps: rank eliminates
-    the fewer vectors, since a boundary has fewer rows than columns."""
-    rows: List[Column] = [{} for _ in range(nrows)]
-    for c, col in enumerate(cols):
-        for r, v in col.items():
-            rows[r][c] = v
-    return rows
-
-
-def _mixed_total_boundary(algebra: FinDimAlgebra, n: int) -> List[Column]:
-    """Columns of the total differential b + B : B_n -> B_{n-1} of the mixed
-    bicomplex; source block j is A^{(x)(n+1-2j)}, target block j is
-    A^{(x)(n-2j)}."""
+def _mixed_total_boundary(algebra: FinDimAlgebra, n: int) -> Mat:
+    """The matrix of the total differential b + B : B_n -> B_{n-1} of the
+    mixed bicomplex; source block j is A^{(x)(n+1-2j)}, target block j is
+    A^{(x)(n-2j)}.  Target block j is the image of b on source block j and
+    of B on source block j + 1, so each of its rows is a row of b followed
+    by a row of B."""
     d = algebra.dim
-    dst_off = [0]
-    for j in range((n - 1) // 2):
-        dst_off.append(dst_off[-1] + d ** (n - 2 * j))
-    cols = []
-    for j in range((n // 2) + 1):
-        deg = n - 2 * j  # tensor power is deg + 1
-        b = hochschild_boundary(algebra, deg) if deg >= 1 else None
-        big_b = connes_boundary(algebra, deg) if j >= 1 else None
-        for c in range(d ** (deg + 1)):
-            col: Column = {}
-            if b:
-                col.update((dst_off[j] + r, v) for r, v in b[c].items())
-            if big_b:
-                col.update((dst_off[j - 1] + r, v)
-                           for r, v in big_b[c].items())
-            cols.append(col)
-    return cols
+    src_off = [0]
+    for j in range(n // 2):
+        src_off.append(src_off[-1] + d ** (n + 1 - 2 * j))
+    rows = []
+    for j in range((n - 1) // 2 + 1):
+        b = hochschild_boundary(algebra, n - 2 * j)
+        big_b = connes_boundary(algebra, n - 2 * j - 2) if 2 * j + 2 <= n \
+            else ((),) * len(b)
+        rows += [tuple((src_off[j] + c, v) for c, v in rb)
+                 + tuple((src_off[j + 1] + c, v) for c, v in rB)
+                 for rb, rB in zip(b, big_b)]
+    return tuple(rows)
 
 
 def verify_mixed_identities(algebra: FinDimAlgebra, n: int,
@@ -294,24 +279,14 @@ def verify_mixed_identities(algebra: FinDimAlgebra, n: int,
     small_b = connes_boundary(algebra, n - 1)
     for _ in range(trials):
         chain = [Fraction(rng.randint(-3, 3)) for _ in range(d ** (n + 1))]
-        bx = _apply(b_n, chain, d ** n)
+        bx = mat_vec(b_n, chain)
         if b_nm1 is not None:
-            if any(_apply(b_nm1, bx, d ** (n - 1))):
+            if any(mat_vec(b_nm1, bx)):
                 raise HomologyError("b o b != 0")
-        bBx = _apply(b_np1, _apply(big_b, chain, d ** (n + 2)), d ** (n + 1))
-        Bbx = _apply(small_b, bx, d ** (n + 1))
+        bBx = mat_vec(b_np1, mat_vec(big_b, chain))
+        Bbx = mat_vec(small_b, bx)
         if any(x + y for x, y in zip(bBx, Bbx)):
             raise HomologyError("b B + B b != 0")
-
-
-def _apply(cols: List[Column], v: Sequence[Q], nrows: int) -> List[Q]:
-    """The product of the column matrix with v, over nonzero entries only."""
-    out = [Fraction(0)] * nrows
-    for col, x in zip(cols, v):
-        if x:
-            for r, c in col.items():
-                out[r] += c * x
-    return out
 
 
 def cyclic_homology(algebra: FinDimAlgebra, n_max: int,
@@ -324,7 +299,7 @@ def cyclic_homology(algebra: FinDimAlgebra, n_max: int,
     def dim_b(n: int) -> int:
         return sum(d ** (n + 1 - 2 * j) for j in range((n // 2) + 1))
 
-    ranks = [0] + [rank(_rows(_mixed_total_boundary(algebra, n), dim_b(n - 1)))
+    ranks = [0] + [rank(_mixed_total_boundary(algebra, n))
                    for n in range(1, n_max + 2)]
     return [dim_b(n) - ranks[n] - ranks[n + 1] for n in range(n_max + 1)]
 
@@ -411,7 +386,7 @@ def group_hh0(group: WeylGroup) -> int:
             y = group.mult(group.mult(s, x), group.inv(s)).index
             if y != x.index:
                 rows.append({x.index: 1, y: -1})
-    return len(group) - rank(rows)
+    return len(group) - rank(mat(rows))
 
 
 def hp_census_hecke(algebra: HeckeAlgebra) -> HPReport:
@@ -497,7 +472,7 @@ def crossed_point_module(perms: Sequence[Tuple[int, ...]], x: int,
             i, j, k = cls[0, m], cls[m, s], cls[0, s]
             brackets[i][j * dim + k] = brackets[i].get(j * dim + k, 0) + 1
             brackets[j][i * dim + k] = brackets[j].get(i * dim + k, 0) - 1
-    constituents = dim - rank(brackets)
+    constituents = dim - rank(mat(brackets))
     return PointModuleReport(
         orbit=orbit, stabilizer_order=len(stab), stabilizer_classes=classes,
         constituents=constituents, match=(constituents == classes))
@@ -538,7 +513,7 @@ def verify_basis_theorem(algebra: HeckeAlgebra,
     hp = hp_census_hecke(algebra)
     modules = irr0_census(algebra, catalog)
     matrix = tuple(m.restriction_character().values for m in modules)
-    mrank = rank(matrix)
+    mrank = rank(mat(matrix))
     counts_match = (len(modules) == len(census) == hp.hp0)
     full_rank = (mrank == len(census) and len(matrix) == len(census))
     return BasisTheoremReport(

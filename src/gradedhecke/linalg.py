@@ -1,8 +1,13 @@
 """Exact linear algebra over the rationals and Gaussian rationals.
 
-Vectors are tuples of scalars, matrices are tuples of row tuples.  Scalars
-are `fractions.Fraction` or `QI` (Gaussian rationals); every routine here is
-field-generic over those two types.  No floating point anywhere.
+Vectors are tuples of scalars.  A matrix is a tuple of rows, and a row is a
+tuple of (column, value) pairs sorted by column with no zero value: module
+matrices are mostly zero, so every routine reads only the stored entries.
+Matrices are immutable and hashable, and `==` compares them exactly.  A
+matrix does not record its width; a routine that needs it takes `ncols`.
+`mat` builds one.  Scalars are `fractions.Fraction` or `QI` (Gaussian
+rationals); every routine here is field-generic over those two types.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -10,14 +15,15 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import GradedHeckeError  # noqa: F401  (re-exported)
 
 Q = Fraction
 
 Vec = Tuple[Q, ...]
-Mat = Tuple[Vec, ...]
+Row = Tuple[Tuple[int, Q], ...]
+Mat = Tuple[Row, ...]
 
 
 class QI:
@@ -98,8 +104,17 @@ def vec(items) -> Vec:
     return tuple(x if isinstance(x, QI) else Fraction(x) for x in items)
 
 
+def _row(acc: Dict[int, Q]) -> Row:
+    """The row of the nonzero values of {column: value}."""
+    return tuple((j, acc[j]) for j in sorted(acc) if acc[j])
+
+
 def mat(rows) -> Mat:
-    return tuple(vec(r) for r in rows)
+    """The matrix whose rows are dense sequences or {column: value} maps."""
+    return tuple(_row({j: x if isinstance(x, QI) else Fraction(x)
+                       for j, x in (r.items() if isinstance(r, dict)
+                                    else enumerate(r))})
+                 for r in rows)
 
 
 def zero_vec(n: int) -> Vec:
@@ -107,13 +122,7 @@ def zero_vec(n: int) -> Vec:
 
 
 def identity(n: int) -> Mat:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
-                 for i in range(n))
-
-
-def scalar_matrix(c, n: int) -> Mat:
-    return tuple(tuple(c if i == j else Fraction(0) for j in range(n))
-                 for i in range(n))
+    return tuple(((i, Fraction(1)),) for i in range(n))
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
@@ -127,114 +136,111 @@ def dot(u: Vec, v: Vec):
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(dot(row, v) for row in m)
+    zero = Fraction(0)
+    try:
+        return tuple(sum((x * v[j] for j, x in row if v[j]), zero)
+                     for row in m)
+    except IndexError:
+        raise ValueError(f"a column exceeds the length {len(v)}") from None
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    """Row i of the product is the sum of a[i][k] * b[k] over nonzero
-    a[i][k], each taken over the nonzero entries of b[k] only."""
-    width = len(b[0]) if b else 0
-    if not width:
-        return tuple(() for _ in a)
-    support = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    zero = Fraction(0)
+    """Row i of the product is the sum of x * b[k] over the entries (k, x)
+    of a[i]."""
     out = []
-    for row in a:
-        if len(row) != len(b):
-            raise ValueError(f"dimension mismatch: {len(row)} vs {len(b)}")
-        acc = {}
-        for x, bk in zip(row, support):
-            if x:
-                for j, y in bk:
+    try:
+        for row in a:
+            if len(row) == 1:  # a scaled row of b, nonzero in a field
+                k, x = row[0]
+                out.append(tuple((j, x * y) for j, y in b[k]))
+                continue
+            acc = {}
+            for k, x in row:
+                for j, y in b[k]:
                     acc[j] = acc[j] + x * y if j in acc else x * y
-        out.append(tuple(acc.get(j, zero) for j in range(width)))
+            out.append(_row(acc))
+    except IndexError:
+        raise ValueError(f"a column exceeds the {len(b)} rows") from None
     return tuple(out)
 
 
-def mat_comb(coeffs: Sequence, mats: Sequence[Mat], n: int) -> Mat:
-    """The n x n matrix sum of coeffs[k] * mats[k], over nonzero
-    coefficients and nonzero entries only."""
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for c, m in zip(coeffs, mats):
+def mat_comb(terms, n: int) -> Mat:
+    """The n-row matrix sum of c * m over the pairs (c, m) in terms."""
+    out = [{} for _ in range(n)]
+    for c, m in terms:
         if c:
             for acc, row in zip(out, m):
-                for j, x in enumerate(row):
-                    if x:
-                        acc[j] = acc[j] + c * x
-    return tuple(tuple(r) for r in out)
+                for j, x in row:
+                    acc[j] = acc[j] + c * x if j in acc else c * x
+    return tuple(map(_row, out))
 
 
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(vec_sub(r, s) for r, s in zip(a, b))
-
-
-def transpose(a: Mat) -> Mat:
-    if not a:
-        return ()
-    return tuple(zip(*a))
+def transpose(a: Mat, ncols: int) -> Mat:
+    cols: List[list] = [[] for _ in range(ncols)]
+    for i, row in enumerate(a):
+        for j, x in row:
+            cols[j].append((i, x))
+    return tuple(map(tuple, cols))
 
 
 def trace(a: Mat):
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+    return sum((x for i, row in enumerate(a) for j, x in row if i == j),
+               Fraction(0))
 
 
-def rref(rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
-    """Reduced row echelon form; returns (rows, pivot column list).
+def rref(rows: Mat) -> Tuple[Mat, List[int]]:
+    """Reduced row echelon form, zero rows last, and its pivot columns.
 
-    Only the pivot row's nonzero columns are normalised and eliminated, so
-    the work follows the fill, not the width.  Values equal those of dense
-    Gauss-Jordan elimination; a skipped zero keeps its input scalar type.
+    Each row is reduced against the pivot rows found so far (each keyed by
+    its leading column) until it leads a new column; then every pivot row,
+    from the last column back, is cleared above the later pivots.  The
+    result is the unique reduced form, as dense Gauss-Jordan gives it.
     """
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pr = i
+    lead: Dict[int, Dict[int, Q]] = {}
+    for r in rows:
+        row = dict(r)
+        while row:
+            c = min(row)
+            prow = lead.get(c)
+            if prow is None:
+                pv = row[c]
+                lead[c] = {j: x / pv for j, x in row.items()}
                 break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        prow = m[r]
-        pv = prow[c]
-        support = [j for j, x in enumerate(prow) if x]
-        for j in support:
-            prow[j] = prow[j] / pv
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != r:
-                for j in support:
-                    row[j] = row[j] - f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+            _eliminate(row, row[c], prow)
+    pivots = sorted(lead)
+    for c in reversed(pivots):
+        row = lead[c]
+        for p in sorted(j for j in row if j != c and j in lead):
+            _eliminate(row, row[p], lead[p])
+    red = [_row(lead[c]) for c in pivots]
+    return tuple(red) + ((),) * (len(rows) - len(red)), pivots
 
 
-def rank(rows: Sequence) -> int:
-    """Rank over Q or Q(i); a row is a sequence or a {column: value} map.
+def _eliminate(row: Dict[int, Q], f, prow: Dict[int, Q]) -> None:
+    """row -= f * prow, in place, dropping the zeros."""
+    for j, y in prow.items():
+        v = row[j] - f * y if j in row else -(f * y)
+        if v:
+            row[j] = v
+        else:
+            del row[j]
 
-    Fraction-free forward elimination on sparse integer rows: each row is
-    scaled to integers by the lcm of its denominators and reduced by
+
+def rank(rows: Mat) -> int:
+    """Rank over Q or Q(i).
+
+    Fraction-free forward elimination on integer rows: each row is scaled
+    to integers by the lcm of its denominators and reduced by
     a*row - b*pivot_row against pivot rows kept primitive (divided by their
     gcd content).  Gaussian-rational rows are realified: the Q(i)-rank of
     A + iB is half the Q-rank of the rows [Re | -Im] and [Im | Re].
     """
-    items = (row.items() if isinstance(row, dict) else enumerate(row)
-             for row in rows)
-    sparse = [{j: x for j, x in row if x} for row in items]
-    if not any(isinstance(x, QI) for row in sparse for x in row.values()):
-        return _integer_rank(sparse)
-    shift = 1 + max(j for row in sparse for j in row)
+    if not any(isinstance(x, QI) for row in rows for _, x in row):
+        return _integer_rank([dict(row) for row in rows])
+    shift = 1 + max(j for row in rows for j, _ in row)
     real = []
-    for row in sparse:
-        row = [(j, QI.of(x)) for j, x in row.items()]
+    for row in rows:
+        row = [(j, QI.of(x)) for j, x in row]
         real.append({**{j: z.re for j, z in row},
                      **{j + shift: -z.im for j, z in row}})
         real.append({**{j: z.im for j, z in row},
@@ -282,83 +288,73 @@ def integer_form(row: dict, den: int = 1) -> Tuple[int, dict]:
     return den, row
 
 
-def nullspace(rows: Sequence[Sequence], ncols: Optional[int] = None) -> List[Vec]:
+def nullspace(rows: Mat, ncols: int) -> List[Vec]:
     """Basis of {x : A x = 0}, canonical (one free column set to 1 each)."""
-    rows = [list(r) for r in rows]
-    if ncols is None:
-        if not rows:
-            raise ValueError("nullspace of empty system needs ncols")
-        ncols = len(rows[0])
-    if not rows:
-        return list(identity(ncols))
     red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        x = [Fraction(0)] * ncols
+    bound = set(pivots)
+    free = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in bound}
+    for f, x in free.items():
         x[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            x[p] = -red[i][f]
-        basis.append(tuple(x))
-    return basis
+    for row, p in zip(red, pivots):
+        for j, y in row[1:]:
+            free[j][p] = -y
+    return [tuple(x) for x in free.values()]
 
 
-def canonical_basis(vectors: Sequence[Sequence]) -> List[Vec]:
-    """The basis `nullspace` gives for span(vectors), from any spanning set.
+def canonical_basis(vectors: Mat, ncols: int) -> Mat:
+    """The basis `nullspace` gives for the span of the rows, from any
+    spanning set, as the rows of a matrix.
 
     That basis is the reduced row echelon form taken with the columns in
     reverse order: each vector is 1 at its last nonzero column (the free
     column of `nullspace`) and 0 at the others' last nonzero columns.
     """
-    red, pivots = rref([list(reversed(v)) for v in vectors])
-    return [tuple(reversed(red[i])) for i in reversed(range(len(pivots)))]
+    last = ncols - 1
+    red, pivots = rref(tuple(tuple((last - j, x) for j, x in reversed(v))
+                             for v in vectors))
+    return tuple(tuple((last - j, x) for j, x in reversed(red[i]))
+                 for i in reversed(range(len(pivots))))
 
 
-def solve(a: Sequence[Sequence], b: Sequence) -> Optional[Vec]:
-    """One exact solution of A x = b, or None if inconsistent."""
-    rows = [list(r) + [bb] for r, bb in zip(a, b)]
-    if not rows:
-        return ()
-    n = len(rows[0]) - 1
-    red, pivots = rref(rows)
-    if n in pivots:
+def solve(a: Mat, b: Vec, ncols: int) -> Optional[Vec]:
+    """One exact solution x of A x = b in ncols unknowns, or None if
+    inconsistent."""
+    red, pivots = rref(tuple(row + ((ncols, y),) if y else row
+                             for row, y in zip(a, b)))
+    if pivots and pivots[-1] == ncols:
         return None
-    x = [Fraction(0)] * n
-    for i, p in enumerate(pivots):
-        x[p] = red[i][n]
+    x = [Fraction(0)] * ncols
+    for row, p in zip(red, pivots):
+        if row[-1][0] == ncols:
+            x[p] = row[-1][1]
     return tuple(x)
 
 
 def inverse(a: Mat) -> Mat:
     n = len(a)
-    rows = [list(r) + list(e) for r, e in zip(a, identity(n))]
-    red, pivots = rref(rows)
-    if pivots != list(range(n)):
+    red, pivots = rref(tuple(row + ((n + i, Fraction(1)),)
+                             for i, row in enumerate(a)))
+    if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(red[i][n:]) for i in range(n))
+    return tuple(tuple((j - n, x) for j, x in row[1:]) for row in red)
 
 
 def det(a: Mat):
     n = len(a)
-    m = [list(r) for r in a]
+    m = [dict(row) for row in a]
     d = Fraction(1)
     for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if m[i][c]:
-                pr = i
-                break
+        pr = next((i for i in range(c, n) if c in m[i]), None)
         if pr is None:
             return Fraction(0)
         if pr != c:
             m[c], m[pr] = m[pr], m[c]
             d = -d
-        d = d * m[c][c]
-        inv = 1 / m[c][c]
+        pv = m[c][c]
+        d = d * pv
         for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+            if c in m[i]:
+                _eliminate(m[i], m[i][c] / pv, m[c])
     return d
 
 
@@ -369,13 +365,13 @@ def charpoly(a: Mat) -> Tuple:
     """
     n = len(a)
     coeffs = [Fraction(1)]
-    m = identity(n)
+    ident = identity(n)
+    m = ident
     for k in range(1, n + 1):
-        m = [list(r) for r in mat_mul(a, m)]
+        m = mat_mul(a, m)
         ck = -trace(m) / k
         coeffs.append(ck)
-        for i in range(n):
-            m[i][i] = m[i][i] + ck
+        m = mat_comb(((1, m), (ck, ident)), n)
     return tuple(coeffs)
 
 
@@ -389,36 +385,41 @@ def restrict_matrix(m: Mat, basis: Sequence[Vec]) -> Mat:
     if not d:
         return ()
     images = [mat_vec(m, b) for b in basis]
-    rows = [[b[i] for b in basis] + [v[i] for v in images]
-            for i in range(len(basis[0]))]
-    red, pivots = rref(rows)
+    red, pivots = rref(tuple(
+        _row({**{j: b[i] for j, b in enumerate(basis)},
+              **{d + j: v[i] for j, v in enumerate(images)}})
+        for i in range(len(basis[0]))))
     if pivots and pivots[-1] >= d:
         raise ValueError("subspace is not invariant")
-    out = [zero_vec(d)] * d
+    out = [()] * d
     for row, p in zip(red, pivots):
-        out[p] = tuple(row[d:])
+        out[p] = tuple((j - d, x) for j, x in row if j >= d)
     return tuple(out)
 
 
 def intertwiner_matrices(pairs: Sequence[Tuple[Mat, Mat]], nrows: int,
                          ncols: int) -> List[Mat]:
-    """Basis of {M : X M = M Y for all (X, Y) in pairs}; M is nrows x ncols."""
+    """Basis of {M : X M = M Y for all (X, Y) in pairs}; M is nrows x ncols.
+
+    Entry (i, j) of X M - M Y is one equation in the unknowns M[a][b], at
+    a * ncols + b: X[i][a] at (a, j) and -Y[b][j] at (i, b), so it has at
+    most nrows + ncols terms.
+    """
     sys_rows = []
     for x, y in pairs:
+        y_cols = transpose(y, ncols)
         for i in range(nrows):
             for j in range(ncols):
-                row = [Fraction(0)] * (nrows * ncols)
-                for a in range(nrows):
-                    row[a * ncols + j] = row[a * ncols + j] + x[i][a]
-                for b in range(ncols):
-                    row[i * ncols + b] = row[i * ncols + b] - y[b][j]
-                sys_rows.append(row)
-    basis = nullspace(sys_rows, nrows * ncols)
-    out = []
-    for v in basis:
-        out.append(tuple(tuple(v[i * ncols + j] for j in range(ncols))
-                         for i in range(nrows)))
-    return out
+                acc = {a * ncols + j: v for a, v in x[i]}
+                for b, v in y_cols[j]:
+                    k = i * ncols + b
+                    acc[k] = acc[k] - v if k in acc else -v
+                row = _row(acc)
+                if row:
+                    sys_rows.append(row)
+    return [tuple(_row(dict(enumerate(v[i * ncols:(i + 1) * ncols])))
+                  for i in range(nrows))
+            for v in nullspace(sys_rows, nrows * ncols)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .hecke import HeckeAlgebra
 from .linalg import (GradedHeckeError, Mat, Q, QI, Vec, canonical_basis,
-                     charpoly, identity, intertwiner_matrices, mat_comb,
-                     mat_mul, mat_sub, mat_vec, nullspace, restrict_matrix,
-                     roots, scalar_matrix, solve, trace, transpose, zero_vec)
+                     charpoly, identity, intertwiner_matrices, mat, mat_comb,
+                     mat_mul, mat_vec, nullspace, restrict_matrix, roots,
+                     solve, trace, transpose, zero_vec)
 from .rootdata import ParabolicDatum, RootDatum, in_antidual, parabolic
 from .weyl import (ConjugacyClassCensus, ExtendedWeylElement,
                    coset_decomposition, elements_mapping_parabolic)
@@ -95,7 +95,7 @@ class FinModule:
 
     def is_complex(self) -> bool:
         return any(isinstance(c, QI) and c.im != 0
-                   for m in self.coord for row in m for c in row)
+                   for m in self.coord for row in m for _, c in row)
 
     def act(self, e: ExtendedWeylElement, m: Mat) -> Mat:
         """The matrix of e times m, one generator at a time from the right,
@@ -109,7 +109,7 @@ class FinModule:
         """Action of a (complex) covector x + i*x_im of t*."""
         if x_im is not None:
             x = [c + QI(0, 1) * d if d else c for c, d in zip(x, x_im)]
-        return mat_comb(x, self.coord, self.dim)
+        return mat_comb(zip(x, self.coord), self.dim)
 
     def generator_matrices(self) -> List[Mat]:
         gens = [self.refl[i] for i in range(self.algebra.datum.rank)]
@@ -161,11 +161,12 @@ class FinModule:
         # x s_i = s_i s_i(x) + k_i <x, alpha_i^vee>, where s_i(x_k) is row k
         # of the matrix of s_i (as gamma^-1(x_k) is of gamma's, below)
         for i in range(datum.rank):
-            s_coord = [mat_mul(self.refl[i], m) for m in self.coord] + [ident]
+            s_coord = [mat_mul(self.refl[i], m) for m in self.coord]
             for k, row in enumerate(datum.reflection_matrix(i)):
                 c = alg.kmap[i] * datum.simple_coroots[i][k]
+                rhs = [(x, s_coord[j]) for j, x in row] + [(c, ident)]
                 if mat_mul(self.coord[k], self.refl[i]) != \
-                        mat_comb(row + (c,), s_coord, self.dim):
+                        mat_comb(rhs, self.dim):
                     raise ModuleError(
                         f"cross relation (x_{k}, alpha_{i}) fails "
                         f"in {self.name!r}")
@@ -175,8 +176,8 @@ class FinModule:
                 continue
             ma = self.gammas[a.label]
             g_coord = [mat_mul(ma, m) for m in self.coord]
-            for k in range(datum.ambient_dim):
-                rhs = mat_comb(a.matrix[k], g_coord, self.dim)
+            for k, row in enumerate(a.matrix):
+                rhs = mat_comb([(x, g_coord[j]) for j, x in row], self.dim)
                 if mat_mul(self.coord[k], ma) != rhs:
                     raise ModuleError("gamma cross relation fails")
 
@@ -250,8 +251,7 @@ def one_dim_modules(algebra: HeckeAlgebra) -> List[FinModule]:
     rank = datum.rank
     if rank == 0:
         mod = FinModule(algebra=algebra, dim=1, refl={}, gammas={},
-                        coord=tuple(((Fraction(0),),)
-                                    for _ in range(datum.ambient_dim)),
+                        coord=(((),),) * datum.ambient_dim,
                         name="trivial",
                         meta={"lambda": zero_vec(datum.ambient_dim)})
         mod.verify()
@@ -269,12 +269,13 @@ def one_dim_modules(algebra: HeckeAlgebra) -> List[FinModule]:
                 if root[i] == croot:
                     eps[i] = sign
         target = [eps[i] * algebra.kmap[i] for i in range(rank)]
-        coeffs = solve([list(r) for r in cartan], target)
+        coeffs = solve(cartan, target, rank)
         if coeffs is None:
             continue
-        lam = mat_vec(transpose(datum.simple_coroots), coeffs)
-        refl = {i: ((eps[i],),) for i in range(rank)}
-        coord = tuple(((lam[k],),) for k in range(datum.ambient_dim))
+        lam = mat_vec(transpose(mat(datum.simple_coroots), datum.ambient_dim),
+                      coeffs)
+        refl = {i: mat([[eps[i]]]) for i in range(rank)}
+        coord = tuple(mat([[x]]) for x in lam)
         if all(e == 1 for e in eps):
             name = "trivial"
         elif all(e == -1 for e in eps):
@@ -324,15 +325,6 @@ def parabolic_algebra(algebra: HeckeAlgebra,
     return algebra.parabolics[key]
 
 
-def _comb_columns(coeffs: Sequence, cols: Sequence[Dict[int, Mat]],
-                  d: int) -> Dict[int, Mat]:
-    """sum of coeffs[j] * cols[j] over columns {row block: d x d}; a block
-    a column lacks is zero, and mat_comb reads () as the zero matrix."""
-    rows = {b for c, col in zip(coeffs, cols) if c for b in col}
-    return {b: mat_comb(coeffs, [col.get(b, ()) for col in cols], d)
-            for b in rows}
-
-
 def induce(algebra: HeckeAlgebra, xi: InductionDatum,
            extended: bool = True) -> FinModule:
     """Parabolic induction Ind_{H^P}^{H} (extended=False) or Ind_{H^P}^{H'}.
@@ -367,26 +359,27 @@ def induce(algebra: HeckeAlgebra, xi: InductionDatum,
     amb = datum.ambient_dim
     complex_lam = any(c != 0 for c in xi.lam_im)
     # coordinate matrices of delta_lambda on V_delta
+    ident = identity(d)
     coord_small: List[Mat] = []
     for k in range(amb):
         lam_k = QI(xi.lam_re[k], xi.lam_im[k]) if complex_lam \
             else xi.lam_re[k]
-        mats = [identity(d)]
+        terms = [(lam_k, ident)]
         if k in parab.P:
-            mats.append(delta.coord[parab.P.index(k)])
-        coord_small.append(mat_comb([lam_k, 1], mats, d))
+            terms.append((1, delta.coord[parab.P.index(k)]))
+        coord_small.append(mat_comb(terms, d))
 
     # delta of a W_P element by its reduced word, whose letters lie in P:
     # the i-th of them is s_i of the sub datum
     @functools.lru_cache(maxsize=None)
     def delta_matrix(word: Tuple[int, ...]) -> Mat:
-        m = identity(d)
+        m = ident
         for i in word:
             m = mat_mul(m, delta.refl[parab.P.index(i)])
         return m
 
     # g u_a = u_b h: the generator g takes column block a to row block b
-    # with delta(h)
+    # with delta(h).  A column is {row block: d x d block}.
     gens = [group.simple(i) for i in range(datum.rank)] + \
         [group.gamma_element(c.label) for c in group.gamma.elements
          if c.label != "e"]
@@ -400,22 +393,23 @@ def induce(algebra: HeckeAlgebra, xi: InductionDatum,
             out[b] = mat_mul(delta_matrix(h.word), m) if h.word else m
         return out
 
-    def to_matrix(cols: Sequence[Dict[int, Mat]]) -> Mat:
-        big = [[Fraction(0)] * n for _ in range(n)]
+    def assemble(cols: Sequence[Dict[int, Mat]]) -> Mat:
+        """The n x n matrix of the columns, row by row: blocks of later
+        columns append later entries."""
+        rows: List[list] = [[] for _ in range(n)]
         for a, col in enumerate(cols):
             for b, m in col.items():
-                for r, s in itertools.product(range(d), repeat=2):
-                    if m[r][s]:
-                        big[b * d + r][a * d + s] = m[r][s]
-        return tuple(tuple(r) for r in big)
+                for r, row in enumerate(m):
+                    rows[b * d + r] += [(a * d + s, x) for s, x in row]
+        return tuple(map(tuple, rows))
 
     refl, gammas = {}, {}
     for g in gens:
-        mat = to_matrix([act(g, {a: identity(d)}) for a in range(len(reps))])
+        mat_g = assemble([act(g, {a: ident}) for a in range(len(reps))])
         if g.gamma == "e":
-            refl[g.word[0]] = mat
+            refl[g.word[0]] = mat_g
         else:
-            gammas[g.gamma] = mat
+            gammas[g.gamma] = mat_g
     # x_k on u (x) v: the diagonal block is delta_lambda(u^-1(x_k)), and
     # u^-1(x_k) is row k of the matrix of u.  For u = g u', g the Gamma
     # letter or first simple reflection of u, the other blocks are g times
@@ -426,17 +420,19 @@ def induce(algebra: HeckeAlgebra, xi: InductionDatum,
         g = group.gamma_element(u.gamma) if u.gamma != "e" else \
             group.simple(u.word[0])
         a, _ = split[group.mult(group.inv(g), u).index]
-        for k in range(amb):
-            col = act(g, _comb_columns(g.matrix[k], [o[a] for o in off], d))
+        for k, row in enumerate(g.matrix):
+            terms = [(x, off[j][a]) for j, x in row]
+            col = act(g, {b: mat_comb([(x, c[b]) for x, c in terms if b in c],
+                                      d)
+                          for b in {b for _, c in terms for b in c}})
             c = work.kmap[g.word[0]] * datum.simple_coroots[g.word[0]][k] \
                 if g.word else 0
             if c:
-                col[a] = scalar_matrix(c, d)
+                col[a] = mat_comb([(c, ident)], d)
             off[k].append(col)
-    coord = tuple(to_matrix([{**off[k][b], b: mat_comb(u.matrix[k],
-                                                       coord_small, d)}
-                             for b, u in enumerate(reps)])
-                  for k in range(amb))
+    coord = tuple(assemble([{**off[k][b], b: mat_comb(
+        [(x, coord_small[j]) for j, x in u.matrix[k]], d)}
+        for b, u in enumerate(reps)]) for k in range(amb))
     labels = tuple(f"{u!r}(x){lbl}" for u in reps for lbl in delta.labels)
     name = f"pi'({list(xi.P)},{delta.name},lam)" if extended else \
         f"pi({list(xi.P)},{delta.name},lam)"
@@ -466,7 +462,8 @@ def weights(module: FinModule) -> List[Tuple[Tuple[Vec, Vec], int]]:
     """
     n = module.dim
     cmplx = module.is_complex()
-    spaces: List[Tuple[Mat, Tuple]] = [(identity(n), ())]
+    # from the standard basis, which the kernel of no equation gives
+    spaces: List[Tuple[List[Vec], Tuple]] = [(nullspace((), n), ())]
     for m in module.coord:
         new_spaces = []
         for basis, vals in spaces:
@@ -476,10 +473,10 @@ def weights(module: FinModule) -> List[Tuple[Tuple[Vec, Vec], int]]:
             if len(residual) > 1:
                 raise UnsplitSpectrumError(residual)
             dim_b = len(basis)
-            lift = transpose(basis)
+            lift = transpose(mat(basis), n)
             for lam, mult in found:
                 # grow ker (a - lam)^j until it is the generalized eigenspace
-                shifted = mat_sub(a, scalar_matrix(lam, dim_b))
+                shifted = mat_comb(((1, a), (-lam, identity(dim_b))), dim_b)
                 powm = shifted
                 for _ in range(dim_b):
                     ker = nullspace(powm, dim_b)
@@ -566,9 +563,16 @@ def _generators(module: FinModule) -> Tuple:
 def _canonical_matrices(mats: Sequence[Mat], nrows: int,
                         ncols: int) -> List[Mat]:
     """The basis `intertwiner_matrices` returns for the span of `mats`."""
-    flat = canonical_basis([[x for row in m for x in row] for m in mats])
-    return [tuple(v[i * ncols:(i + 1) * ncols] for i in range(nrows))
-            for v in flat]
+    flat = canonical_basis([tuple((i * ncols + j, x) for i, row in enumerate(m)
+                                  for j, x in row) for m in mats],
+                           nrows * ncols)
+    out = []
+    for v in flat:
+        rows: List[list] = [[] for _ in range(nrows)]
+        for k, x in v:
+            rows[k // ncols].append((k % ncols, x))
+        out.append(tuple(map(tuple, rows)))
+    return out
 
 
 def hom_space(src: FinModule, dst: FinModule) -> List[Mat]:
@@ -591,8 +595,10 @@ def hom_space(src: FinModule, dst: FinModule) -> List[Mat]:
     lifts = []
     for psi in intertwiner_matrices(pairs, dst.dim, ind.d):
         blocks = [dst.act(u, psi) for u in ind.reps]
-        lifts.append([[x for blk in blocks for x in blk[r]]
-                      for r in range(dst.dim)])
+        lifts.append(tuple(tuple((b * ind.d + s, x)
+                                 for b, blk in enumerate(blocks)
+                                 for s, x in blk[r])
+                           for r in range(dst.dim)))
     return _canonical_matrices(lifts, dst.dim, src.dim)
 
 
@@ -629,13 +635,14 @@ def _eigen_split_element(basis_mats: List[Mat], dim: int, cmplx: bool):
     for i in range(len(basis_mats)):
         for j in range(i + 1, len(basis_mats)):
             candidates.append(mat_mul(basis_mats[i], basis_mats[j]))
+    ident = identity(dim)
     for c in candidates:
-        if c == scalar_matrix(c[0][0], dim):
+        if c == mat_comb([(dict(c[0]).get(0, 0), ident)], dim):
             continue
         cp = charpoly(c)
         found, residual = roots(cp, gaussian=cmplx)
         for lam, _ in found:
-            ker = nullspace(mat_sub(c, scalar_matrix(lam, dim)), dim)
+            ker = nullspace(mat_comb(((1, c), (-lam, ident)), dim), dim)
             if 0 < len(ker) < dim:
                 return c, lam, ker, None
         if len(residual) > 1 and obstruction is None:
@@ -660,26 +667,28 @@ def _split(module: FinModule) -> List[FinModule]:
         raise FieldExtensionNeeded(
             obstruction if obstruction is not None else (Fraction(1),))
     # idempotent e in span(comm) with image exactly span(ker)
-    rows: List[Vec] = []
+    rows: List = []
     rhs: List = []
     for w in ker:  # e w = w
-        rows += transpose([mat_vec(cb, w) for cb in comm])
+        rows += transpose(mat([mat_vec(cb, w) for cb in comm]), n)
         rhs += w
-    for z in nullspace(ker, n):  # z . (e e_j) = 0 for z with <z, ker> = 0
-        rows += transpose([mat_vec(transpose(cb), z) for cb in comm])
+    comm_t = [transpose(cb, n) for cb in comm]
+    for z in nullspace(mat(ker), n):  # z . (e e_j) = 0 for z with <z, ker> = 0
+        rows += transpose(mat([mat_vec(cb, z) for cb in comm_t]), n)
         rhs += zero_vec(n)
-    coeffs = solve(rows, rhs)
+    coeffs = solve(rows, rhs, len(comm))
     if coeffs is None:
         raise ModuleError("no idempotent projection; module not completely "
                           "reducible over the working field")
-    e = mat_comb(coeffs, comm, n)
+    e = mat_comb(zip(coeffs, comm), n)
     ker_e = nullspace(e, n)
     if len(ker) + len(ker_e) != n:
         raise ModuleError("idempotent split has wrong rank")
     # End(e V) = e End(V) e: each half's commutant is the compression of
     # the parent's, so no summand solves a system of its own
     out = []
-    for proj, basis in ((e, ker), (mat_sub(identity(n), e), ker_e)):
+    for proj, basis in ((e, ker),
+                        (mat_comb(((1, identity(n)), (-1, e)), n), ker_e)):
         sub = submodule(module, basis)
         sub.memo["commutant"] = _canonical_matrices(
             [restrict_matrix(mat_mul(proj, c), basis) for c in comm],
@@ -721,14 +730,6 @@ def decompose(module: FinModule) -> List[Tuple[FinModule, int]]:
         raise ModuleError("decomposition does not fill the module")
     groups.sort(key=lambda t: (t[0].dim, t[0].restriction_character().values))
     return groups
-
-
-def intertwiner_space(algebra: HeckeAlgebra, xi: InductionDatum,
-                      eta: InductionDatum, extended: bool = True) -> List[Mat]:
-    """Basis of Hom_{H'}(pi'(xi), pi'(eta)) by exact linear solve."""
-    v = induce(algebra, xi, extended=extended)
-    w = induce(algebra, eta, extended=extended)
-    return hom_space(v, w)
 
 
 # ---------------------------------------------------------------------------
@@ -795,9 +796,8 @@ def transport_module(algebra: HeckeAlgebra, P: Tuple[int, ...],
         refl[pos] = delta.refl[P.index(src)]
     coord = []
     for qi in Q_target:
-        x = identity(datum.ambient_dim)[qi]
-        pre = mat_vec(transpose(w.matrix), x)  # x o w = w^{-1} . x
-        coord.append(delta.covector_matrix([pre[i] for i in P]))
+        pre = dict(w.matrix[qi])  # x_qi o w = w^{-1} . x_qi, row qi of w
+        coord.append(delta.covector_matrix([pre.get(i, 0) for i in P]))
     mod = FinModule(algebra=target_alg, dim=delta.dim, refl=refl, gammas={},
                     coord=tuple(coord), name=f"{delta.name}^w",
                     meta=dict(delta.meta))

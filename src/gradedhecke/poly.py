@@ -174,8 +174,9 @@ def act_matrix(matrix: Mat, p: Poly) -> Poly:
     (orthogonal for the Gram form, not necessarily for the standard one, so
     the inverse is computed exactly).
     """
-    minv = inverse(matrix)
-    images = [Poly.from_covector(tuple(minv[i])) for i in range(len(minv))]
+    n = len(matrix)
+    images = [Poly(n, {tuple(int(t == j) for t in range(n)): c
+                       for j, c in row}) for row in inverse(matrix)]
     return substitute_linear(p, images)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import (GradedHeckeError, Mat, Q, Vec, dot, identity, mat,
+from .linalg import (GradedHeckeError, Mat, Q, Vec, det, dot, mat, mat_mul,
                      mat_vec, nullspace, rank, solve, transpose, vec,
                      vec_sub, zero_vec)
 
@@ -49,15 +49,15 @@ class RootDatum:
         return len(self.simple_roots)
 
     def cartan(self) -> Mat:
-        return tuple(tuple(pairing(a, bv) for bv in self.simple_coroots)
-                     for a in self.simple_roots)
+        return mat([[pairing(a, bv) for bv in self.simple_coroots]
+                    for a in self.simple_roots])
 
     def reflection_matrix(self, i: int) -> Mat:
         """Matrix of s_i acting on `a`:  lam -> lam - <alpha_i, lam> alpha_i^vee."""
         a, av = self.simple_roots[i], self.simple_coroots[i]
         n = self.ambient_dim
-        return tuple(tuple((1 if r == c else 0) - av[r] * a[c]
-                           for c in range(n)) for r in range(n))
+        return mat([[(1 if r == c else 0) - av[r] * a[c] for c in range(n)]
+                    for r in range(n)])
 
     def reflect_covector(self, i: int, x: Vec) -> Vec:
         a, av = self.simple_roots[i], self.simple_coroots[i]
@@ -78,8 +78,17 @@ class RootDatum:
 
 
 def coords_in_simple_roots(datum: RootDatum, x: Vec) -> Optional[Vec]:
-    rows = [[a[i] for a in datum.simple_roots] for i in range(datum.ambient_dim)]
-    return solve(rows, list(x))
+    return solve(_columns(datum.simple_roots, datum.ambient_dim), x,
+                 datum.rank)
+
+
+def _columns(vectors: Sequence[Vec], n: int) -> Mat:
+    """The n-row matrix whose columns are the vectors."""
+    return transpose(mat(vectors), n)
+
+
+def _unit_vectors(n: int) -> List[Vec]:
+    return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
 
 
 def _close_under_reflections(datum_like) -> Tuple[Tuple[Vec, ...], Tuple[Vec, ...]]:
@@ -111,30 +120,23 @@ def _close_under_reflections(datum_like) -> Tuple[Tuple[Vec, ...], Tuple[Vec, ..
 
 def _validate(datum: RootDatum) -> None:
     d = datum.ambient_dim
-    if len(datum.gram) != d or any(len(r) != d for r in datum.gram):
-        raise RootDatumError("Gram matrix has wrong shape")
-    for i in range(d):
-        for j in range(d):
-            if datum.gram[i][j] != datum.gram[j][i]:
-                raise RootDatumError("Gram matrix is not symmetric")
+    if datum.gram != transpose(datum.gram, d):
+        raise RootDatumError("Gram matrix is not symmetric")
     # positive definiteness via leading principal minors
-    from .linalg import det
     for k in range(1, d + 1):
-        minor = tuple(tuple(datum.gram[i][j] for j in range(k)) for i in range(k))
+        minor = tuple(tuple((j, x) for j, x in row if j < k)
+                      for row in datum.gram[:k])
         if det(minor) <= 0:
             raise RootDatumError("Gram matrix is not positive definite")
     for a, av in zip(datum.simple_roots, datum.simple_coroots):
         if pairing(a, av) != 2:
             raise RootDatumError("<alpha, alpha^vee> must equal 2")
-    if datum.simple_roots:
-        rows = [list(a) for a in datum.simple_roots]
-        if rank(rows) != len(datum.simple_roots):
-            raise RootDatumError("simple roots are not linearly independent")
+    if rank(mat(datum.simple_roots)) != len(datum.simple_roots):
+        raise RootDatumError("simple roots are not linearly independent")
     # reflections must preserve the Gram form
-    from .linalg import mat_mul, transpose
     for i in range(datum.rank):
         s = datum.reflection_matrix(i)
-        if mat_mul(transpose(s), mat_mul(datum.gram, s)) != datum.gram:
+        if mat_mul(transpose(s, d), mat_mul(datum.gram, s)) != datum.gram:
             raise RootDatumError(
                 f"reflection s_{i} does not preserve the Gram form")
     for a, av in zip(datum.roots, datum.coroots):
@@ -159,6 +161,8 @@ def make_root_datum(label: str, ambient_dim: int, gram, simple_roots,
     """Construct and validate a root datum from explicit rational data."""
     sr = tuple(vec(r) for r in simple_roots)
     sc = tuple(vec(r) for r in simple_coroots)
+    if len(gram) != ambient_dim or any(len(r) != ambient_dim for r in gram):
+        raise RootDatumError("Gram matrix has wrong shape")
     g = mat(gram)
     roots, coroots = _close_under_reflections((sr, sc))
     crys = all(pairing(a, bv).denominator == 1
@@ -270,7 +274,7 @@ def build_root_datum(label: str, ambient_dim: int,
     for i in range(total_rank, ambient_dim):
         gram_rows[i][i] = Fraction(1)
     gram = gram_override if gram_override is not None else gram_rows
-    simple_coroots = list(identity(ambient_dim)[:total_rank])
+    simple_coroots = _unit_vectors(ambient_dim)[:total_rank]
     return make_root_datum(label, ambient_dim, gram, simple_roots,
                            simple_coroots)
 
@@ -340,8 +344,9 @@ class ParabolicDatum:
 
     def decompose_covector(self, x: Vec) -> Tuple[Vec, Vec]:
         """Exact splitting x = x_P + x^P along t*_P + t^{P*}."""
-        cols = transpose(self.tstar_P_basis + self.tstar_upP_basis)
-        c = solve(cols, list(x))
+        basis = self.tstar_P_basis + self.tstar_upP_basis
+        cols = _columns(basis, len(x))
+        c = solve(cols, x, len(basis))
         if c is None:
             raise RootDatumError("covector decomposition failed")
         np = len(self.tstar_P_basis)
@@ -367,11 +372,9 @@ def parabolic(datum: RootDatum, P: Sequence[int]) -> ParabolicDatum:
         raise RootDatumError(f"P must be a subset of the simple roots, got {P}")
     d = datum.ambient_dim
     a_P_basis = tuple(datum.simple_coroots[i] for i in P)
-    rows = [list(datum.simple_roots[i]) for i in P]
-    a_upP_basis = tuple(nullspace(rows, d)) if P else tuple(identity(d))
     tstar_P_basis = tuple(datum.simple_roots[i] for i in P)
-    rows_v = [list(datum.simple_coroots[i]) for i in P]
-    tstar_upP_basis = tuple(nullspace(rows_v, d)) if P else tuple(identity(d))
+    a_upP_basis = tuple(nullspace(mat(tstar_P_basis), d))
+    tstar_upP_basis = tuple(nullspace(mat(a_P_basis), d))
     k = len(P)
     sub_cartan_roots = [tuple(pairing(datum.simple_roots[i],
                                       datum.simple_coroots[j]) for j in P)
@@ -381,7 +384,7 @@ def parabolic(datum: RootDatum, P: Sequence[int]) -> ParabolicDatum:
                            dot(datum.simple_coroots[i],
                                mat_vec(datum.gram, datum.simple_coroots[j]))
                            for j in P) for i in P)
-    sub_coroots = list(identity(k))
+    sub_coroots = _unit_vectors(k)
     sub_datum = make_root_datum(f"{datum.label}|P={list(P)}", k, sub_gram,
                                 sub_cartan_roots, sub_coroots)
     return ParabolicDatum(datum=datum, P=P, a_P_basis=a_P_basis,
@@ -414,15 +417,10 @@ class Cone:
 def _antidual_coefficients(datum: RootDatum, lam: Vec):
     """Expand lam over the simple coroots plus the Gram-orthocomplement."""
     basis = list(datum.simple_coroots)
-    if basis:
-        comp = nullspace(
-            [[mat_vec(datum.gram, cv)[i] for i in range(datum.ambient_dim)]
-             for cv in datum.simple_coroots], datum.ambient_dim)
-    else:
-        comp = list(identity(datum.ambient_dim))
-    full = basis + list(comp)
-    rows = [[b[i] for b in full] for i in range(datum.ambient_dim)]
-    c = solve(rows, list(lam))
+    comp = nullspace(mat([mat_vec(datum.gram, cv) for cv in basis]),
+                     datum.ambient_dim)
+    full = basis + comp
+    c = solve(_columns(full, datum.ambient_dim), lam, len(full))
     if c is None:
         raise RootDatumError("antidual expansion failed")
     return c[:len(basis)], c[len(basis):]
@@ -444,8 +442,8 @@ def cone_contains(cone: Cone, lam: Vec, strict: bool = False) -> bool:
     if cone.tag == "a_P+":
         basis = [datum.simple_coroots[i] for i in cone.P]
         if basis:
-            rows = [[b[i] for b in basis] for i in range(datum.ambient_dim)]
-            if solve(rows, list(lam)) is None:
+            if solve(_columns(basis, datum.ambient_dim), lam,
+                     len(basis)) is None:
                 return False
         elif any(lam):
             return False

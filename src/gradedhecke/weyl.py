@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import (GradedHeckeError, Mat, Vec, dot, identity, inverse, mat,
-                     mat_mul, mat_vec, nullspace, transpose)
+from .linalg import (GradedHeckeError, Mat, Vec, identity, inverse, mat,
+                     mat_comb, mat_mul, mat_vec, nullspace, transpose)
 from .rootdata import RootDatum
 
 GROUP_SIZE_BOUND = 100000
@@ -40,15 +40,15 @@ class DiagramAutomorphism:
 
 def make_diagram_automorphism(datum: RootDatum, label: str,
                               matrix) -> DiagramAutomorphism:
-    m = mat(matrix)
     n = datum.ambient_dim
-    if len(m) != n or any(len(r) != n for r in m):
+    if len(matrix) != n or any(len(r) != n for r in matrix):
         raise WeylError("automorphism matrix has wrong shape")
-    if mat_mul(transpose(m), mat_mul(datum.gram, m)) != datum.gram:
+    m = mat(matrix)
+    if mat_mul(transpose(m, n), mat_mul(datum.gram, m)) != datum.gram:
         raise WeylError(f"automorphism {label!r} is not Gram-orthogonal")
     perm = []
     coroot_index = {cv: i for i, cv in enumerate(datum.simple_coroots)}
-    minv_t = transpose(inverse(m))
+    minv_t = transpose(inverse(m), n)
     for i in range(datum.rank):
         img_cv = mat_vec(m, datum.simple_coroots[i])
         j = coroot_index.get(img_cv)
@@ -60,10 +60,10 @@ def make_diagram_automorphism(datum: RootDatum, label: str,
             raise WeylError(
                 f"automorphism {label!r}: root and coroot images disagree")
         perm.append(j)
-    cartan = datum.cartan()
+    cartan = [dict(row) for row in datum.cartan()]
     for i in range(datum.rank):
         for j in range(datum.rank):
-            if cartan[perm[i]][perm[j]] != cartan[i][j]:
+            if cartan[perm[i]].get(perm[j], 0) != cartan[i].get(j, 0):
                 raise WeylError(
                     f"automorphism {label!r} does not preserve the Cartan matrix")
     return DiagramAutomorphism(label=label, perm=tuple(perm), matrix=m)
@@ -237,8 +237,7 @@ class WeylGroup:
 
     def act_covector(self, e: ExtendedWeylElement, x: Vec) -> Vec:
         """Action of e on a covector: coordinates transform by inverse-transpose."""
-        minv = self.inv(e).matrix
-        return tuple(dot(x, col) for col in zip(*minv))
+        return mat_vec(transpose(self.inv(e).matrix, len(x)), x)
 
     def act_point(self, e: ExtendedWeylElement, lam: Vec) -> Vec:
         return mat_vec(e.matrix, lam)
@@ -311,8 +310,9 @@ def enumerate_group(datum: RootDatum,
             if mats[right[i][k]] is None:
                 mats[right[i][k]] = mat_mul(mats[k], r)
     at = {r: n for n, r in enumerate(datum.roots)}
-    gperm = [tuple(at[tuple(dot(r, c) for c in zip(*g.matrix))]
-                   for r in datum.roots) for g in gamma.elements]
+    gperm = [tuple(at[mat_vec(g_t, r)] for r in datum.roots)
+             for g_t in (transpose(g.matrix, datum.ambient_dim)
+                         for g in gamma.elements)]
     pairs = sorted(((g, k) for g in range(len(gamma))
                     for k in range(len(words))),
                    key=lambda t: (len(words[t[1]]), t[0], words[t[1]]))
@@ -378,6 +378,7 @@ def conjugacy_census(group: WeylGroup) -> ConjugacyClassCensus:
     seen = set()
     entries: List[ClassEntry] = []
     n = group.datum.ambient_dim
+    ident = identity(n)
     els = group.elements
     for g in els:
         if g.index in seen:
@@ -390,9 +391,8 @@ def conjugacy_census(group: WeylGroup) -> ConjugacyClassCensus:
             if hg == group._times(g.index, h):
                 centralizer.append(h)
         seen |= orbit
-        rows = [[g.matrix[i][j] - (1 if i == j else 0) for j in range(n)]
-                for i in range(n)]
-        fixed = tuple(nullspace(rows, n))
+        fixed = tuple(nullspace(mat_comb(((1, g.matrix), (-1, ident)), n),
+                                n))
         entries.append(ClassEntry(rep=g, size=len(orbit),
                                   centralizer=tuple(centralizer),
                                   fixed_basis=fixed, fixed_dim=len(fixed)))

@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from gradedhecke.linalg import (QI, Mat, Q, Vec, charpoly, identity,
                                 intertwiner_matrices, mat_comb, mat_mul,
                                 nullspace, poly1_divmod, poly1_mul,
-                                restrict_matrix, roots, solve, zero_vec)
+                                restrict_matrix, roots, zero_vec)
 from gradedhecke.modules import (FieldExtensionNeeded, FinModule, ModuleError,
                                  UnsplitSpectrumError, _eigen_split_element,
                                  commutant, equivalent, parabolic_algebra,
@@ -25,7 +25,7 @@ def all_reduced_words(datum, matrix):
 
     def length(m):
         from gradedhecke.linalg import inverse, mat_vec, transpose
-        minv_t = transpose(inverse(m))
+        minv_t = transpose(inverse(m), len(m))
         return sum(1 for a in pos if mat_vec(minv_t, a) not in posset)
 
     out = []
@@ -53,7 +53,6 @@ def brute_force_form_dimension(matrices, degree, n):
     import itertools
     from fractions import Fraction as Q
 
-    from gradedhecke.linalg import det, inverse, transpose
     from gradedhecke.poly import Poly, monomials_of_degree, substitute_linear
 
     if not matrices:
@@ -62,8 +61,8 @@ def brute_force_form_dimension(matrices, degree, n):
     monos = monomials_of_degree(dim, degree)
     total = Q(0)
     for m in matrices:
-        minv = inverse(m)
-        dual = transpose(minv)
+        minv = dense_inverse(densify(m, dim))
+        dual = dense_transpose(minv)
         images = [Poly.from_covector(tuple(minv[i])) for i in range(dim)]
         tr_poly = Q(0)
         for e in monos:
@@ -72,7 +71,7 @@ def brute_force_form_dimension(matrices, degree, n):
         tr_forms = Q(0)
         for subset in itertools.combinations(range(dim), n):
             sub = tuple(tuple(dual[r][c] for c in subset) for r in subset)
-            tr_forms += det(sub)
+            tr_forms += dense_det(sub)
         total += tr_poly * tr_forms
     val = total / len(matrices)
     assert val.denominator == 1
@@ -231,7 +230,7 @@ def length_by_roots(matrix, positive):
     """Number of positive roots sent negative, on the matrix: transpose(matrix)
     is the action of w^{-1} on covectors, and l(w^{-1}) = l(w)."""
     from gradedhecke.linalg import mat_vec, transpose
-    m_t = transpose(matrix)
+    m_t = transpose(matrix, len(matrix))
     return sum(1 for a in positive if mat_vec(m_t, a) not in positive)
 
 
@@ -258,12 +257,13 @@ def matrix_check_parameters_conjugation(datum, kmap, group_elements):
     """Reference for `gradedhecke.rootdata.check_parameters_conjugation`:
     each simple root composed with each element's matrix, compared with the
     simple roots up to sign."""
-    from gradedhecke.linalg import dot, transpose
+    from gradedhecke.linalg import dot
     from gradedhecke.rootdata import RootDatumError
     simple = {a: i for i, a in enumerate(datum.simple_roots)}
     for g in group_elements:
         for a, i in simple.items():
-            img = tuple(dot(a, col) for col in transpose(g.matrix))
+            img = tuple(dot(a, col) for col in dense_transpose(
+                densify(g.matrix, datum.ambient_dim)))
             for sgn in (1, -1):
                 j = simple.get(tuple(sgn * x for x in img))
                 if j is not None and kmap[i] != kmap[j]:
@@ -279,7 +279,6 @@ OracleCensus = namedtuple("OracleCensus", "group entries")
 def matrix_conjugacy_census(group):
     """Reference for `gradedhecke.weyl.conjugacy_census`: the matrix-keyed
     census body, unchanged, run on `_MatrixKeyedGroup` arithmetic."""
-    from gradedhecke.linalg import nullspace
     from gradedhecke.weyl import WeylError
     group = _MatrixKeyedGroup(group)
     ClassEntry, ConjugacyClassCensus = OracleClassEntry, OracleCensus
@@ -298,9 +297,9 @@ def matrix_conjugacy_census(group):
             if group.mult(h, g) == group.mult(g, h):
                 centralizer.append(h)
         seen |= orbit
-        rows = [[g.matrix[i][j] - (1 if i == j else 0) for j in range(n)]
-                for i in range(n)]
-        fixed = tuple(nullspace(rows, n))
+        rows = [[x - (1 if i == j else 0) for j, x in enumerate(row)]
+                for i, row in enumerate(densify(g.matrix, n))]
+        fixed = tuple(dense_nullspace(rows, n))
         entries.append(ClassEntry(rep=g, size=len(orbit),
                                   centralizer=tuple(centralizer),
                                   fixed_basis=fixed, fixed_dim=len(fixed),
@@ -599,7 +598,7 @@ def per_element_molien(action_matrices, n, order=16):
     for m in group:
         # cp = det(xI - h*) = (1, c_1, ..., c_dim) highest first, so read
         # lowest first it is det(1 - t h*), and (-1)^n c_n = tr Lambda^n h*
-        cp = charpoly(transpose(inverse(m))) if dim else (Fraction(1),)
+        cp = charpoly(transpose(inverse(m), dim)) if dim else (Fraction(1),)
         numer = cp[n] * (-1) ** n
         den = poly1_trim(cp)
         inv = series_inverse(den, order)
@@ -787,7 +786,9 @@ def kronecker_gaussian_roots(coeffs_highest_first) -> Tuple[List[Tuple[QI, int]]
 
 # Module decomposition as it was before summands were split in their own
 # coordinates: the `gradedhecke.modules` bodies of `weights`, `_split_bases`
-# and `decompose`, unchanged but for their names.  `weights` powers
+# and `decompose`, unchanged but for their names and the matrix type
+# (`weights` calls the library on sparse matrices, `_split_bases` the dense
+# references here on densified commutants).  `weights` powers
 # (A - lambda) `dim` times and lifts with a tuple-add loop; `_split_bases`
 # recomputes each piece as a submodule of the whole module, and `decompose`
 # rebuilds every summand from its lifted basis.
@@ -801,7 +802,7 @@ def basis_lift_weights(module: FinModule) -> List[Tuple[Tuple[Vec, Vec], int]]:
     """
     n = module.dim
     cmplx = module.is_complex()
-    spaces: List[Tuple[List[Vec], List]] = [(list(identity(n)), [])]
+    spaces: List[Tuple[List[Vec], List]] = [(list(dense_identity(n)), [])]
     for m in module.coord:
         new_spaces = []
         for basis, vals in spaces:
@@ -816,13 +817,11 @@ def basis_lift_weights(module: FinModule) -> List[Tuple[Tuple[Vec, Vec], int]]:
             dim_b = len(basis)
             for lam, mult in found:
                 lam_s = lam if cmplx else lam.re
-                shifted = tuple(tuple(a[r][c] - (lam_s if r == c else 0)
-                                      for c in range(dim_b))
-                                for r in range(dim_b))
+                shifted = mat_comb(((1, a), (-lam_s, identity(dim_b))), dim_b)
                 powm = identity(dim_b)
                 for _ in range(dim_b):
                     powm = mat_mul(powm, shifted)
-                ker = nullspace([list(r) for r in powm], dim_b)
+                ker = nullspace(powm, dim_b)
                 if len(ker) != mult:
                     raise UnsplitSpectrumError(cp)
                 lifted = []
@@ -850,17 +849,18 @@ def basis_lift_weights(module: FinModule) -> List[Tuple[Tuple[Vec, Vec], int]]:
 def _lift_split_bases(module: FinModule, basis: List[Vec]) -> List[List[Vec]]:
     """Bases of irreducible submodules spanning the given invariant space."""
     sub = submodule(module, basis)
-    comm = commutant(sub)
-    if len(comm) == 1:
+    if len(commutant(sub)) == 1:
         return [list(basis)]
     cmplx = sub.is_complex()
-    c, lam, ker, obstruction = _eigen_split_element(comm, sub.dim, cmplx)
+    c, lam, ker, obstruction = _eigen_split_element(commutant(sub), sub.dim,
+                                                    cmplx)
+    comm = [densify(m, sub.dim) for m in commutant(sub)]
     if c is None:
         raise FieldExtensionNeeded(
             obstruction if obstruction is not None else (Fraction(1),))
     # idempotent e in span(comm) with image exactly span(ker)
     kmat_rows = [list(v) for v in ker]
-    ann = nullspace(kmat_rows, sub.dim)  # z with <z, ker> = 0
+    ann = dense_nullspace(kmat_rows, sub.dim)  # z with <z, ker> = 0
     rows = []
     rhs = []
     for w in ker:  # e w = w
@@ -874,13 +874,13 @@ def _lift_split_bases(module: FinModule, basis: List[Vec]) -> List[List[Vec]]:
             rows.append([sum((z[r] * cv[r] for r in range(sub.dim)),
                              Fraction(0)) for cv in col])
             rhs.append(Fraction(0))
-    coeffs = solve(rows, rhs)
+    coeffs = dense_solve(rows, rhs)
     if coeffs is None:
         raise ModuleError("no idempotent projection; module not completely "
                           "reducible over the working field")
     e = [[sum((coeffs[t] * comm[t][r][s] for t in range(len(comm))),
               Fraction(0)) for s in range(sub.dim)] for r in range(sub.dim)]
-    ker_e = nullspace(e, sub.dim)
+    ker_e = dense_nullspace(e, sub.dim)
     if len(ker) + len(ker_e) != sub.dim:
         raise ModuleError("idempotent split has wrong rank")
 
@@ -905,7 +905,7 @@ def rebuild_decompose(module: FinModule) -> List[Tuple[FinModule, int]]:
     the polynomial to adjoin.
     """
     n = module.dim
-    bases = _lift_split_bases(module, list(identity(n)))
+    bases = _lift_split_bases(module, list(dense_identity(n)))
     mods = [submodule(module, b, name=f"{module.name}#{i}")
             for i, b in enumerate(bases)]
     groups: List[Tuple[FinModule, int]] = []
@@ -1077,7 +1077,7 @@ def _poly_at_coordinates(p, mats, dim):
             if k:
                 m = power(i, k) if m is None else mat_mul(m, power(i, k))
         monomials.append(identity(dim) if m is None else m)
-    return mat_comb(list(p.terms.values()), monomials, dim)
+    return mat_comb(zip(p.terms.values(), monomials), dim)
 
 
 def multiply_induce(algebra, xi, extended=True):
@@ -1085,7 +1085,7 @@ def multiply_induce(algebra, xi, extended=True):
     extended) built by normal-ordering h * u in H' for each coset
     representative u and generator h, splitting along H' = (+)_u u H^P and
     evaluating each polynomial at delta_lambda: (refl, gammas, coord,
-    labels)."""
+    labels), every matrix dense; the blocks are library products."""
     datum = algebra.datum
     parab, _ = parabolic_algebra(algebra, xi.P)
     delta = xi.delta
@@ -1101,7 +1101,7 @@ def multiply_induce(algebra, xi, extended=True):
         mats = [identity(d)]
         if k in parab.P:
             mats.append(delta.coord[parab.P.index(k)])
-        coord_small.append(mat_comb([lam_k, 1], mats, d))
+        coord_small.append(mat_comb(zip([lam_k, 1], mats), d))
 
     def delta_matrix(w):
         m = identity(d)
@@ -1117,12 +1117,10 @@ def multiply_induce(algebra, xi, extended=True):
                 b, w = split[g.index]
                 block = mat_mul(delta_matrix(w),
                                 _poly_at_coordinates(p, coord_small, d))
-                for r in range(d):
-                    for s in range(d):
-                        v = block[r][s]
-                        if v:
-                            big[b * d + r][a * d + s] = \
-                                big[b * d + r][a * d + s] + v
+                for r, row in enumerate(block):
+                    for s, v in row:
+                        big[b * d + r][a * d + s] = \
+                            big[b * d + r][a * d + s] + v
         return tuple(tuple(r) for r in big)
 
     refl = {i: act_matrix_of(work.s(i)) for i in range(datum.rank)}

@@ -290,7 +290,9 @@ def test_cli_bad_catalog_is_one_error_line(tmp_path, capsys):
      'x2 = [[-1/2]]', "simple root 'alpha1' is named twice"),
     ('p = ["alpha2"], s1 = [[-1]], x1 = [[-1/2]]',
      "unknown simple root 'alpha2'; expected ['alpha1']"),
-], ids=["repeated", "unknown"])
+    ('p = "alpha1", s1 = [[-1]], x1 = [[-1/2]]',
+     "p must be a list of simple root names, got 'alpha1'"),
+], ids=["repeated", "unknown", "string"])
 def test_cli_catalog_root_names_are_one_error_line(tmp_path, capsys, entry,
                                                    message):
     cfg = write(tmp_path, "a.cfg", A1_CFG)

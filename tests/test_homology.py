@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from oracles import (POINT_MODULE_TEMPLATES, compose_perms,
                      dense_connes_boundary, dense_hochschild_boundary,
-                     dense_mixed_total_boundary, permutation_closure)
+                     dense_mixed_total_boundary, densify,
+                     permutation_closure)
 
 from gradedhecke import homology, modules
 from gradedhecke.hecke import HeckeAlgebra
@@ -19,7 +20,7 @@ from gradedhecke.homology import (FinDimAlgebra, HomologyError,
                                   hochschild_boundary, hochschild_homology,
                                   hp_census_hecke, connes_boundary,
                                   verify_basis_theorem, verify_mixed_identities)
-from gradedhecke.linalg import intertwiner_matrices, rank
+from gradedhecke.linalg import intertwiner_matrices, mat, rank
 from gradedhecke.rootdata import build_root_datum
 from gradedhecke.weyl import (enumerate_group, make_diagram_automorphism,
                               permutation_bfs)
@@ -83,10 +84,9 @@ def test_b_squared_zero():
     b1 = hochschild_boundary(a, 1)
     for _ in range(5):
         chain = [Q(rng.randint(-3, 3)) for _ in range(a.dim ** 3)]
-        bx = [sum(b2[i].get(r, 0) * chain[i] for i in range(len(chain)))
-              for r in range(a.dim ** 2)]
-        bbx = [sum(b1[i].get(r, 0) * bx[i] for i in range(len(bx)))
-               for r in range(a.dim)]
+        bx = [sum(v * chain[c] for c, v in row) for row in b2]
+        bbx = [sum(v * bx[c] for c, v in row) for row in b1]
+        assert len(bx) == a.dim ** 2 and len(bbx) == a.dim
         assert not any(bbx)
 
 
@@ -97,7 +97,7 @@ def test_mixed_identities_detect_corrupt_boundary(monkeypatch):
 
     def corrupt(algebra, n):
         b = exact(algebra, n)
-        return [{r: 2 * x for r, x in col.items()} for col in b] \
+        return tuple(tuple((c, 2 * x) for c, x in row) for row in b) \
             if n == 2 else b
 
     monkeypatch.setattr(homology, "hochschild_boundary", corrupt)
@@ -321,8 +321,9 @@ def test_point_hom_cells_match_dense_solve(perms, x):
     assert sorted(elements) == group
     source = point_matrices(x)
     for y in range(len(perms[0])):
-        dense = intertwiner_matrices(list(zip(point_matrices(y), source)),
-                                     d, d)
+        dense = intertwiner_matrices(
+            [(mat(a), mat(b)) for a, b in zip(point_matrices(y), source)],
+            d, d)
         assert homology._hom_cells(elements, right, x, y)[1] == len(dense)
 
 
@@ -413,11 +414,10 @@ BOUNDARIES = {
 def assert_columns_match_dense(algebra, kind, n):
     sparse, dense, nrows, ncols = BOUNDARIES[kind]
     d = algebra.dim
-    cols, want = sparse(algebra, n), dense(algebra, n)
-    assert len(cols) == ncols(d, n) and len(want) == nrows(d, n)
-    assert all(0 <= r < nrows(d, n) and v for col in cols
-               for r, v in col.items())
-    assert [[col.get(r, 0) for col in cols] for r in range(len(want))] == want
+    rows, want = sparse(algebra, n), dense(algebra, n)
+    assert len(rows) == nrows(d, n) == len(want)
+    assert all(0 <= c < ncols(d, n) and v for row in rows for c, v in row)
+    assert densify(rows, ncols(d, n)) == tuple(map(tuple, want))
 
 
 CASES = [(name, kind, n) for name, a in ALGEBRAS.items()

@@ -6,18 +6,25 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (dense_charpoly, dense_mat_mul, dense_mat_vec,
-                     dense_rank, dense_restrict_matrix, dense_rref,
+from oracles import (dense_canonical_basis, dense_charpoly, dense_det,
+                     dense_identity, dense_intertwiner_matrices,
+                     dense_inverse, dense_mat_comb, dense_mat_mul,
+                     dense_mat_vec, dense_nullspace, dense_rank,
+                     dense_restrict_matrix, dense_rref, dense_solve,
+                     dense_trace, dense_transpose, densify,
                      divisor_rational_roots, kronecker_gaussian_roots)
 
-from gradedhecke.linalg import (QI, canonical_basis, charpoly, mat_comb,
+from gradedhecke.linalg import (QI, canonical_basis, charpoly, det, identity,
+                                intertwiner_matrices, inverse, mat, mat_comb,
                                 mat_mul, mat_vec, nullspace, poly1_mul, rank,
-                                restrict_matrix, roots, rref)
+                                restrict_matrix, roots, rref, solve, trace,
+                                transpose)
 
 Q = Fraction
 
 fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 gaussians = st.builds(QI, fractions, fractions)
+mixed = st.one_of(fractions, gaussians)
 
 
 @st.composite
@@ -31,34 +38,8 @@ def matrices(draw, scalars):
              for _ in range(ncols)] for _ in range(nrows)]
 
 
-@pytest.mark.parametrize("m", [
-    [],                                            # empty input
-    [[Q(0), Q(0), Q(0)]],                          # one zero row
-    [[Q(0), Q(2)], [Q(0), Q(0)], [Q(0), Q(4)]],    # zero rows between
-    [[Q(3), Q(0), Q(-1), Q(0), Q(5)]],             # 1 x n
-    [[Q(0)], [Q(2)], [Q(-1)]],                     # n x 1
-    [[Q(1), Q(2)], [Q(2), Q(4)], [Q(0), Q(1)], [Q(1), Q(0)]],  # tall
-    [[QI(0, 1), Q(0), QI(2, 0)], [Q(0), QI(1, -1), Q(0)],
-     [QI(1, 1), Q(0), Q(0)]],                      # mixed scalar types
-])
-def test_rref_matches_dense_edge_cases(m):
-    assert rref(m) == dense_rref(m)
-    assert rank(m) == dense_rank(m)
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(matrices(fractions))
-def test_rref_matches_dense_rational(m):
-    assert rref(m) == dense_rref(m)
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(matrices(gaussians))
-def test_rref_matches_dense_gaussian(m):
-    assert rref(m) == dense_rref(m)
-
-
-mixed = st.one_of(fractions, gaussians)
+def rows_of(m):
+    return tuple(map(tuple, m))
 
 
 def exactly_equal(x, y):
@@ -78,6 +59,166 @@ def filled(draw, scalars, nrows, ncols):
                        for _ in range(ncols)) for _ in range(nrows))
 
 
+# ---------------------------------------------------------------------------
+# Every public matrix routine against the dense reference in `oracles`.
+# ---------------------------------------------------------------------------
+
+@st.composite
+def shaped(draw, scalars, square=False):
+    """(m, ncols): a dense matrix of every shape 0..7 x 0..7, square or
+    not, with all-zero rows and, half the time, a row that combines two
+    others, so that square ones are often singular."""
+    nrows = draw(st.integers(0, 7))
+    ncols = nrows if square else draw(st.integers(0, 7))
+    m = list(draw(filled(scalars, nrows, ncols)))
+    if nrows >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(nrows)))[:3]
+        c = draw(scalars)
+        m[k] = tuple(x + c * y for x, y in zip(m[i], m[j]))
+    if nrows and draw(st.booleans()):
+        m[draw(st.integers(0, nrows - 1))] = (Q(0),) * ncols
+    return tuple(m), ncols
+
+
+def matches_dense_reference(m, ncols, b, other):
+    """Each routine on mat(m) against its dense reference on m; `b` is a
+    vector of length nrows, `other` a matrix with ncols rows."""
+    a, nrows = mat(m), len(m)
+    assert densify(a, ncols) == m
+    assert mat_vec(a, b[:ncols] + (Q(0),) * (ncols - len(b))) == \
+        dense_mat_vec(m, b[:ncols] + (Q(0),) * (ncols - len(b)))
+    width = len(other[0]) if other else 0
+    expected = dense_mat_mul(m, other) if ncols and width else \
+        ((Q(0),) * width,) * nrows
+    assert exactly_equal(densify(mat_mul(a, mat(other)), width), expected)
+    assert densify(transpose(a, ncols), nrows) == \
+        (dense_transpose(m) if nrows and ncols else ((),) * ncols)
+    red, pivots = rref(a)
+    dense_red, dense_pivots = dense_rref(m)
+    assert (densify(red, ncols), pivots) == (rows_of(dense_red), dense_pivots)
+    assert rank(a) == dense_rank(m)
+    assert nullspace(a, ncols) == dense_nullspace(m, ncols)
+    assert densify(canonical_basis(a, ncols), ncols) == \
+        tuple(dense_canonical_basis(m))
+    assert solve(a, b, ncols) == (dense_solve(m, b) if m else (Q(0),) * ncols)
+    if 0 < nrows * ncols <= 16:  # M = m solves (m m^T) M = M (m^T m)
+        mt = dense_transpose(m)
+        pairs = [(dense_mat_mul(m, mt), dense_mat_mul(mt, m))]
+        assert [densify(x, ncols) for x in intertwiner_matrices(
+            [(mat(x), mat(y)) for x, y in pairs], nrows, ncols)] == \
+            dense_intertwiner_matrices(pairs, nrows, ncols)
+    if nrows != ncols:
+        return
+    n = nrows
+    assert densify(identity(n), n) == dense_identity(n)
+    assert trace(a) == dense_trace(m)
+    assert det(a) == dense_det(m)
+    assert charpoly(a) == dense_charpoly(m)
+    try:
+        expected = dense_inverse(m)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(a)
+    else:
+        assert densify(inverse(a), n) == expected
+    coeffs = (b[0] if b else Q(1), Q(-1))
+    assert exactly_equal(densify(mat_comb(zip(coeffs, (a, mat(other))), n),
+                                 n), dense_mat_comb(coeffs, (m, other), n))
+    if n <= 4:  # the system has n^2 unknowns and 2 n^2 equations
+        pairs = [(m, m), (other, other)]
+        assert [densify(x, n) for x in intertwiner_matrices(
+            [(mat(x), mat(y)) for x, y in pairs], n, n)] == \
+            dense_intertwiner_matrices(pairs, n, n)
+    restrict_agrees(m, nullspace(mat_comb(((1, a), (-1, mat(other))), n), n))
+    restrict_agrees(m, [v for v in dense_rref(other)[0] if any(v)])
+
+
+@st.composite
+def differential_cases(draw, scalars):
+    m, ncols = draw(shaped(scalars, square=draw(st.booleans())))
+    b = draw(filled(scalars, 1, len(m)))[0]
+    width = draw(st.integers(0, 7)) if len(m) != ncols else ncols
+    return m, ncols, b, draw(filled(scalars, ncols, width))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(differential_cases(fractions))
+def test_every_routine_matches_dense_reference_rational(case):
+    matches_dense_reference(*case)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(differential_cases(mixed))
+def test_every_routine_matches_dense_reference_mixed(case):
+    matches_dense_reference(*case)
+
+
+@pytest.mark.parametrize("m, ncols", [
+    ((), 0), ((), 3), (((),) * 2, 0),                  # no rows or no columns
+    ((((Q(0),) * 3),) * 3, 3),                          # zero matrix
+    (((Q(1), Q(2)), (Q(2), Q(4))), 2),                  # singular
+    (((Q(0), Q(1)), (Q(1), Q(0))), 2),                  # needs a row swap
+    (((QI(0, 1), Q(0)), (Q(0), QI(0, -1))), 2),         # i and -i
+    (((Q(1), Q(0), Q(2)),), 3),                         # 1 x n
+])
+def test_every_routine_matches_dense_reference_edge_cases(m, ncols):
+    for b in ((Q(1),) * len(m), (Q(0),) * len(m)):
+        matches_dense_reference(m, ncols, b, (((Q(1),) * ncols),) * ncols)
+
+
+def test_solve_without_a_solution_and_restrict_without_invariance():
+    assert solve(mat([[1, 1], [2, 2]]), (Q(1), Q(3)), 2) is None
+    assert dense_solve([[1, 1], [2, 2]], (Q(1), Q(3))) is None
+    assert solve(mat([[1, 1], [2, 2]]), (Q(1), Q(2)), 2) == (Q(1), Q(0))
+    with pytest.raises(ValueError, match="singular"):
+        inverse(mat([[1, 1], [2, 2]]))
+
+
+def test_mat_reads_dense_rows_and_maps():
+    rows = [[0, Q(1, 2), 0], {2: 3, 0: QI(0, 1), 1: 0}, {}, [QI(0), 0, 0]]
+    a = mat(rows)
+    assert a == (((1, Q(1, 2)),), ((0, QI(0, 1)), (2, Q(3))), (), ())
+    assert all(type(x) in (Fraction, QI) for row in a for _, x in row)
+    assert hash(a) == hash(mat(rows)) and a != mat(rows[:3])
+
+
+@pytest.mark.parametrize("m", [
+    [],                                            # empty input
+    [[Q(0), Q(0), Q(0)]],                          # one zero row
+    [[Q(0), Q(2)], [Q(0), Q(0)], [Q(0), Q(4)]],    # zero rows between
+    [[Q(3), Q(0), Q(-1), Q(0), Q(5)]],             # 1 x n
+    [[Q(0)], [Q(2)], [Q(-1)]],                     # n x 1
+    [[Q(1), Q(2)], [Q(2), Q(4)], [Q(0), Q(1)], [Q(1), Q(0)]],  # tall
+    [[QI(0, 1), Q(0), QI(2, 0)], [Q(0), QI(1, -1), Q(0)],
+     [QI(1, 1), Q(0), Q(0)]],                      # mixed scalar types
+])
+def test_rref_matches_dense_edge_cases(m):
+    red, pivots = rref(mat(m))
+    dense_red, dense_pivots = dense_rref(m)
+    ncols = len(m[0]) if m else 0
+    assert (densify(red, ncols), pivots) == (rows_of(dense_red), dense_pivots)
+    assert rank(mat(m)) == dense_rank(m)
+
+
+def rref_agrees(m):
+    red, pivots = rref(mat(m))
+    dense_red, dense_pivots = dense_rref(m)
+    return (densify(red, len(m[0]) if m else 0), pivots) == \
+        (rows_of(dense_red), dense_pivots)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(matrices(fractions))
+def test_rref_matches_dense_rational(m):
+    assert rref_agrees(m)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(matrices(gaussians))
+def test_rref_matches_dense_gaussian(m):
+    assert rref_agrees(m)
+
+
 @st.composite
 def products(draw, scalars):
     """(a, b) with a n x k and b k x m, every size 0..6 (empty, zero-width)."""
@@ -92,39 +233,52 @@ def products(draw, scalars):
     (((Q(0), Q(0)),), ((Q(1),), (Q(2),)), ((Q(0),),)),  # zero row
 ])
 def test_mat_mul_edge_shapes(a, b, expected):
-    assert mat_mul(a, b) == expected == dense_mat_mul(a, b)
+    assert expected == dense_mat_mul(a, b)
+    width = len(expected[0]) if expected else 0
+    assert densify(mat_mul(mat(a), mat(b)), width) == expected
+
+
+def product_agrees(a, b):
+    width = len(b[0]) if b else 0
+    expected = dense_mat_mul(a, b) if b and width else \
+        ((Q(0),) * width,) * len(a)
+    assert exactly_equal(densify(mat_mul(mat(a), mat(b)), width), expected)
+    for v in zip(*b):
+        assert exactly_equal([mat_vec(mat(a), v)], [dense_mat_vec(a, v)])
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(products(fractions))
 def test_mat_mul_matches_dense_rational(ab):
-    a, b = ab
-    assert exactly_equal(mat_mul(a, b), dense_mat_mul(a, b))
-    for v in zip(*b):
-        assert exactly_equal([mat_vec(a, v)], [dense_mat_vec(a, v)])
+    product_agrees(*ab)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(products(mixed))
 def test_mat_mul_matches_dense_mixed(ab):
-    a, b = ab
-    assert exactly_equal(mat_mul(a, b), dense_mat_mul(a, b))
-    for v in zip(*b):
-        assert exactly_equal([mat_vec(a, v)], [dense_mat_vec(a, v)])
+    product_agrees(*ab)
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
        st.integers(1, 5), st.data())
 def test_shape_mismatch_raises(n, k, kb, m, data):
+    # a matrix does not record its width, so a product can only see a
+    # stored entry of a in a column past the rows of b, or of a vector
     assume(k != kb)
     a = data.draw(filled(mixed, n, k))
     b = data.draw(filled(mixed, kb, m))
-    for f in (mat_mul, dense_mat_mul):
-        with pytest.raises(ValueError):
-            f(a, b)
     with pytest.raises(ValueError):
-        mat_vec(a, tuple(r[0] for r in b))
+        dense_mat_mul(a, b)
+    a = a[:-1] + (a[-1][:-1] + (Q(1),),)
+    v = tuple(r[0] for r in b)
+    if k > kb:
+        with pytest.raises(ValueError):
+            mat_mul(mat(a), mat(b))
+        with pytest.raises(ValueError):
+            mat_vec(mat(a), v)
+    else:
+        assert len(mat_mul(mat(a), mat(b))) == n
 
 
 @st.composite
@@ -136,12 +290,12 @@ def subspaces(draw, scalars):
     v = draw(filled(scalars, 1, n))[0]
     if draw(st.booleans()):
         basis = []
-        while any(v) and rank(basis + [v]) > len(basis):
+        while any(v) and dense_rank(basis + [v]) > len(basis):
             basis.append(v)
             v = dense_mat_vec(m, v)
     else:
         rows = draw(filled(scalars, draw(st.integers(0, n)), n))
-        basis = [r for r in rref(rows)[0] if any(r)]
+        basis = [r for r in dense_rref(rows)[0] if any(r)]
     return m, basis
 
 
@@ -150,9 +304,10 @@ def restrict_agrees(m, basis):
         expected = dense_restrict_matrix(m, basis)
     except ValueError:
         with pytest.raises(ValueError, match="not invariant"):
-            restrict_matrix(m, basis)
+            restrict_matrix(mat(m), basis)
         return False
-    assert exactly_equal(restrict_matrix(m, basis), expected)
+    assert exactly_equal(densify(restrict_matrix(mat(m), basis), len(basis)),
+                         expected)
     return True
 
 
@@ -175,14 +330,15 @@ def test_restrict_matrix_edge_cases():
     assert restrict_agrees(swap, [(Q(1), Q(0)), (Q(0), Q(1))])  # whole space
     assert not restrict_agrees(swap, [(Q(1), Q(0))])            # not invariant
     with pytest.raises(ValueError, match="not invariant"):
-        restrict_matrix(swap, [(Q(0), Q(1))])
-    assert restrict_matrix(((QI(0, 1),),), [(Q(2),)]) == ((QI(0, 1),),)
+        restrict_matrix(mat(swap), [(Q(0), Q(1))])
+    assert restrict_matrix(mat([[QI(0, 1)]]), [(Q(2),)]) == \
+        ((((0, QI(0, 1)),),))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.integers(0, 5).flatmap(lambda n: filled(mixed, n, n)))
 def test_charpoly_matches_dense(a):
-    assert charpoly(a) == dense_charpoly(a)
+    assert charpoly(mat(a)) == dense_charpoly(a)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -193,7 +349,7 @@ def test_charpoly_matches_sympy(a):
     coeffs = sympy.Matrix(len(a), len(a),
                           [sympy.Rational(c.numerator, c.denominator)
                            for row in a for c in row]).charpoly(x).all_coeffs()
-    assert charpoly(a) == tuple(Q(int(c.p), int(c.q)) for c in coeffs)
+    assert charpoly(mat(a)) == tuple(Q(int(c.p), int(c.q)) for c in coeffs)
 
 
 def test_qi_keeps_fraction_parts_and_converts_the_rest():
@@ -217,24 +373,22 @@ def combinations(draw, scalars):
     return coeffs, [draw(filled(scalars, n, n)) for _ in range(count)], n
 
 
-def dense_comb(coeffs, mats, n):
-    out = tuple(tuple(Q(0) for _ in range(n)) for _ in range(n))
-    for c, m in zip(coeffs, mats):
-        out = tuple(tuple(x + c * y for x, y in zip(r, s))
-                    for r, s in zip(out, m))
-    return out
+def comb_agrees(coeffs, mats, n):
+    assert exactly_equal(
+        densify(mat_comb(zip(coeffs, map(mat, mats)), n), n),
+        dense_mat_comb(coeffs, mats, n))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(combinations(fractions))
 def test_mat_comb_matches_dense_rational(case):
-    assert exactly_equal(mat_comb(*case), dense_comb(*case))
+    comb_agrees(*case)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(combinations(mixed))
 def test_mat_comb_matches_dense_mixed(case):
-    assert exactly_equal(mat_comb(*case), dense_comb(*case))
+    comb_agrees(*case)
 
 
 # ---------------------------------------------------------------------------
@@ -383,33 +537,34 @@ def wide_matrices(draw, scalars):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(wide_matrices(big_fractions))
 def test_rank_matches_dense_on_large_fractions(m):
-    assert rank(m) == dense_rank(m)
+    assert rank(mat(m)) == dense_rank(m)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(wide_matrices(fractions))
 def test_rank_matches_dense_rational(m):
-    assert rank(m) == dense_rank(m)
+    assert rank(mat(m)) == dense_rank(m)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(wide_matrices(mixed))
 def test_rank_matches_dense_mixed_gaussian(m):
-    assert rank(m) == dense_rank(m)
+    assert rank(mat(m)) == dense_rank(m)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(wide_matrices(st.one_of(big_fractions, gaussians)), st.randoms(
     use_true_random=False))
 def test_rank_of_dict_rows(m, rnd):
-    # a dict row lists its nonzero entries, in any order, possibly with
-    # explicit zeros
+    # `mat` reads a dict row, which lists its nonzero entries in any order,
+    # possibly with explicit zeros, as the dense row
     rows = []
     for row in m:
         items = [(j, x) for j, x in enumerate(row) if x or rnd.random() < .3]
         rnd.shuffle(items)
         rows.append(dict(items))
-    assert rank(rows) == dense_rank(m)
+    assert mat(rows) == mat(m)
+    assert rank(mat(rows)) == dense_rank(m)
 
 
 @pytest.mark.parametrize("rows,expect", [
@@ -425,7 +580,7 @@ def test_rank_of_dict_rows(m, rnd):
     ([[QI(1, 1), 1], [2, QI(1, -1)]], 1),           # det (1+i)(1-i) - 2 = 0
 ])
 def test_rank_edge_cases(rows, expect):
-    assert rank(rows) == expect
+    assert rank(mat(rows)) == expect
 
 
 def test_qi_rational_operand_acts_on_parts():
@@ -454,8 +609,9 @@ def test_canonical_basis_is_the_nullspace_basis_of_any_spanning_set(m, mix):
     # the nullspace basis, mixed into a spanning set with repeats and zero
     # vectors, comes back as the same list
     ncols = len(m[0]) if m else 3
-    basis = nullspace(m, ncols)
+    basis = nullspace(mat(m), ncols)
     span = basis + [tuple(sum((c * b[j] for c, b in zip(coeffs, basis)), Q(0))
                           for j in range(ncols)) for coeffs in mix]
-    assert canonical_basis(span[::-1]) == basis
-    assert canonical_basis(span + [(Q(0),) * ncols]) == basis
+    assert canonical_basis(mat(span[::-1]), ncols) == mat(basis)
+    assert canonical_basis(mat(span + [(Q(0),) * ncols]), ncols) == \
+        mat(basis)

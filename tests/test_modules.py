@@ -9,19 +9,19 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import (basis_lift_weights, dense_hom_space, multiply_induce,
-                     rebuild_decompose)
+from oracles import (basis_lift_weights, dense_hom_space, densify,
+                     multiply_induce, rebuild_decompose)
 
 from gradedhecke import modules
 from gradedhecke.catalog import CatalogError, load_catalog
 from gradedhecke.hecke import HeckeAlgebra
-from gradedhecke.linalg import QI, identity, mat_mul, mat_vec, zero_vec
+from gradedhecke.linalg import QI, identity, mat, mat_mul, mat_vec, zero_vec
 from gradedhecke.modules import (DSCatalogEntry, FieldExtensionNeeded,
                                  FinModule, InductionDatum, ModuleError,
                                  UnsplitSpectrumError, association_classes,
                                  auto_catalog, cc_norm2, central_character,
                                  commutant, decompose, hom_space, induce,
-                                 intertwiner_space, irr0_census,
+                                 irr0_census,
                                  is_discrete_series, is_irreducible,
                                  is_tempered, one_dim_modules,
                                  parabolic_algebra, submodule,
@@ -64,9 +64,9 @@ def test_one_dim_modules_a1():
     a = alg.datum.simple_roots[0]
     st_lambda = mods["steinberg"].meta["lambda"]
     assert pairing(a, st_lambda) == -1
-    assert mods["steinberg"].refl[0] == ((Q(-1),),)
+    assert mods["steinberg"].refl[0] == mat([[-1]])
     assert pairing(a, mods["trivial"].meta["lambda"]) == 1
-    assert mods["trivial"].refl[0] == ((Q(1),),)
+    assert mods["trivial"].refl[0] == mat([[1]])
 
 
 def test_one_dim_modules_k0():
@@ -75,7 +75,7 @@ def test_one_dim_modules_k0():
     assert len(mods) == 2
     for m in mods:
         assert m.meta["lambda"] == (Q(0),)
-        assert m.refl[0] in (((Q(1),),), ((Q(-1),),))
+        assert m.refl[0] in (mat([[1]]), mat([[-1]]))
 
 
 def test_one_dim_modules_b2():
@@ -109,7 +109,7 @@ def test_induce_from_whole_algebra_returns_delta():
     V = induce(a2, InductionDatum(P=(0, 1), delta=st, lam_re=zero_vec(2),
                                   lam_im=zero_vec(2)), extended=False)
     assert V.dim == 1
-    assert V.refl[0] == ((Q(-1),),) and V.refl[1] == ((Q(-1),),)
+    assert V.refl[0] == mat([[-1]]) and V.refl[1] == mat([[-1]])
 
 
 def test_induced_weights_generic():
@@ -140,7 +140,7 @@ def test_unsplit_spectrum_error():
     # sqrt(2) weights on an empty-root-system module
     alg = algebra("empty", 1, [])
     mod = FinModule(algebra=alg, dim=2, refl={}, gammas={},
-                    coord=(((Q(0), Q(2)), (Q(1), Q(0))),), name="sqrt2")
+                    coord=(mat([[0, 2], [1, 0]]),), name="sqrt2")
     mod.verify()
     with pytest.raises(UnsplitSpectrumError) as err:
         weights(mod)
@@ -193,7 +193,7 @@ def test_multiple_central_characters_error():
     # direct sum of two different characters on the empty datum
     alg = algebra("empty", 1, [])
     mod = FinModule(algebra=alg, dim=2, refl={}, gammas={},
-                    coord=(((Q(1), Q(0)), (Q(0), Q(2))),), name="sum")
+                    coord=(mat([[1, 0], [0, 2]]),), name="sum")
     with pytest.raises(ModuleError):
         central_character(mod)
 
@@ -288,7 +288,7 @@ def test_intertwiner_with_associate_datum():
                         lam_im=zero_vec(2))
     eta = InductionDatum(P=(1,), delta=moved, lam_re=zero_vec(2),
                          lam_im=zero_vec(2))
-    basis = intertwiner_space(a2, xi, eta, extended=True)
+    basis = hom_space(induce(a2, xi), induce(a2, eta))
     assert len(basis) >= 1
 
 
@@ -425,13 +425,13 @@ def test_cross_relation_holds_in_every_module():
     # FinModule.verify checks the cross relations; spot-check one manually
     a1 = algebra(k=Q(3, 2))
     V = principal_series(a1)
-    from gradedhecke.linalg import mat_mul, mat_sub
+    from gradedhecke.linalg import mat_comb, mat_mul
     x, s = V.coord[0], V.refl[0]
     sx = a1.datum.reflect_covector(0, (Q(1),))
-    lhs = mat_sub(mat_mul(x, s), mat_mul(s, V.covector_matrix(sx)))
+    lhs = mat_comb(((1, mat_mul(x, s)),
+                    (-1, mat_mul(s, V.covector_matrix(sx)))), 2)
     c = Q(3, 2) * pairing((Q(1),), a1.datum.simple_coroots[0])
-    assert lhs == tuple(tuple(c if i == j else Q(0) for j in range(2))
-                        for i in range(2))
+    assert lhs == mat([[c, 0], [0, c]])
 
 
 def test_irr0_census_b2_g2_at_k0():
@@ -729,7 +729,7 @@ def test_decompose_leaves_the_module_and_reuses_its_commutant():
 
 
 def _scaled(c, m):
-    return tuple(tuple(c * x for x in row) for row in m)
+    return tuple(tuple((j, c * x) for j, x in row) for row in m)
 
 
 PS_NAME = "\"pi'([],trivial,lam)\""
@@ -775,6 +775,10 @@ def _typed(m):
     return tuple(tuple((x, type(x)) for x in row) for row in m)
 
 
+def _dense_typed(m, n):
+    return _typed(densify(m, n))
+
+
 # the INDUCTIONS, a non-integer k, a Gamma of order 3, and an A3 face
 # where lambda_im pairs to 0 with some u^-1(x_k): its diagonal entries are
 # Fractions, which a sum over earlier columns would turn into QIs
@@ -801,11 +805,13 @@ def test_induce_matches_multiply_oracle(case, re, im, extended):
         alg, InductionDatum(P=case[1], delta=delta, lam_re=V.meta["lam_re"],
                             lam_im=V.meta["lam_im"]), extended)
     assert V.labels == labels
-    assert {i: _typed(m) for i, m in V.refl.items()} == \
+    n = V.dim
+    assert {i: _dense_typed(m, n) for i, m in V.refl.items()} == \
         {i: _typed(m) for i, m in refl.items()}
-    assert {g: _typed(m) for g, m in V.gammas.items()} == \
+    assert {g: _dense_typed(m, n) for g, m in V.gammas.items()} == \
         {g: _typed(m) for g, m in gammas.items()}
-    assert tuple(map(_typed, V.coord)) == tuple(map(_typed, coord))
+    assert tuple(_dense_typed(m, n) for m in V.coord) == \
+        tuple(map(_typed, coord))
 
 
 @pytest.mark.parametrize("name", ["G2", "A1xA1-swap"])

@@ -52,3 +52,25 @@ def test_runtime_is_stdlib_only():
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or \
                     top == "gradedhecke", f"{path.name} imports {name}"
+
+
+def test_every_benchmark_tracer_target_resolves():
+    # the tracer wraps its TARGETS by module and attribute path, and reads
+    # `rows` of rref and rank and (nrows, ncols) of intertwiner_matrices
+    import importlib.util
+    import inspect
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name, module, attr_path, _, sizes, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"gradedhecke.{module}")
+        for attr in attr_path.split("."):
+            assert hasattr(owner, attr), name
+            owner = getattr(owner, attr)
+        assert callable(owner), name
+        params = list(inspect.signature(owner).parameters)
+        if "cells" in sizes:
+            assert params[0] == "rows", name
+        if "unknowns" in sizes:
+            assert params[1:3] == ["nrows", "ncols"], name

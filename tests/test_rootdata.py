@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedhecke.linalg import dot, mat_vec, solve
+from gradedhecke.linalg import dot, mat, mat_vec, solve
 from gradedhecke.rootdata import (Cone, RootDatumError, build_root_datum,
                                   cone_contains, in_antidual, make_root_datum,
                                   pairing, parabolic)
@@ -20,7 +20,7 @@ def test_a1_defining_normalization():
 def test_a2_cartan_from_reflection_closure():
     d = build_root_datum("A2", 2)
     # reflection closure reproduces the standard Cartan matrix
-    assert d.cartan() == ((Q(2), Q(-1)), (Q(-1), Q(2)))
+    assert d.cartan() == mat([[2, -1], [-1, 2]])
     assert len(d.roots) == 6
     assert pairing(d.simple_roots[0], d.simple_coroots[1]) == -1
 
@@ -103,15 +103,14 @@ def test_antidual_matches_direct_inequalities():
         d = build_root_datum(label, amb)
         gens = []
         for i in range(d.rank):  # fundamental-weight style generators
-            rows = [[cv[t] for t in range(amb)] for cv in d.simple_coroots]
+            rows = mat(d.simple_coroots)
             target = [Q(1 if j == i else 0) for j in range(d.rank)]
-            w = solve(rows, target)
+            w = solve(rows, target, amb)
             assert w is not None
             gens.append(tuple(w))
         comp = []
         from gradedhecke.linalg import nullspace
-        rows = [[cv[t] for t in range(amb)] for cv in d.simple_coroots]
-        for u in nullspace(rows, amb):
+        for u in nullspace(mat(d.simple_coroots), amb):
             comp.append(u)
             comp.append(tuple(-c for c in u))
         for _ in range(200):
@@ -189,7 +188,7 @@ def test_parabolic_projection_equivariance():
 
 def test_gram_override():
     d = build_root_datum("A1", 1, gram_override=[[Fraction(4)]])
-    assert d.gram == ((Q(4),),)
+    assert d.gram == mat([[4]])
 
 
 def test_nonreduced_closure_rejected():

@@ -80,9 +80,8 @@ def test_census_invariants():
         for h in group:
             conj = group.mult(group.mult(h, e.rep), group.inv(h))
             n = d.ambient_dim
-            rows = [[conj.matrix[i][j] - (1 if i == j else 0)
-                     for j in range(n)] for i in range(n)]
-            from gradedhecke.linalg import nullspace
+            from gradedhecke.linalg import mat_comb, nullspace
+            rows = mat_comb(((1, conj.matrix), (-1, identity(n))), n)
             assert len(nullspace(rows, n)) == e.fixed_dim
 
 
@@ -335,7 +334,7 @@ def test_gamma_meeting_w_is_rejected():
 
 @pytest.mark.parametrize("label", DIFF_GROUPS)
 def test_root_permutation_enumeration_matches_matrix_oracle(label):
-    from gradedhecke.linalg import dot, inverse
+    from gradedhecke.linalg import inverse, mat_vec, transpose
     group = indexed_group(label)
     d = group.datum
     want = matrix_enumerate_group(d, group.gamma)
@@ -352,7 +351,7 @@ def test_root_permutation_enumeration_matches_matrix_oracle(label):
     pos = {r: n for n, r in enumerate(d.roots)}
     for e in group:
         assert group.root_perm[e.index] == tuple(
-            pos[tuple(dot(r, col) for col in zip(*e.matrix))]
+            pos[mat_vec(transpose(e.matrix, d.ambient_dim), r)]
             for r in d.roots)
 
 
@@ -431,7 +430,10 @@ def test_enumeration_operation_counts(monkeypatch, with_triality, products):
     gamma = GammaGroup(d, triality(d) if with_triality else ())
     mat_muls = count_calls(monkeypatch, "mat_mul")
     dots = count_calls(monkeypatch, "dot")
+    mat_vecs = count_calls(monkeypatch, "mat_vec")
     group = enumerate_group(d, gamma)
     assert len(group) - 1 == products
     assert len(mat_muls) <= products
-    assert len(dots) <= (d.rank + len(gamma)) * len(d.roots) * d.ambient_dim
+    # a root image is a dot per coordinate or one mat_vec
+    assert len(dots) + d.ambient_dim * len(mat_vecs) <= \
+        (d.rank + len(gamma)) * len(d.roots) * d.ambient_dim
