@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .hecke import HeckeAlgebra
 from .linalg import (GradedHeckeError, Mat, Q, Vec, mat, mat_vec, rank,
-                     restrict_matrix, transpose)
+                     restrict_matrix)
 from .poly import PoincareSeries, molien_forms, sum_series
 from .rootdata import RootDatum
 from .weyl import WeylGroup, enumerate_group, permutation_bfs
@@ -184,8 +184,10 @@ def _basis_index(dim: int, t: Tuple[int, ...]) -> int:
     return out
 
 
-def _add(col: Dict[int, Q], r: int, c: Q) -> None:
-    col[r] = col[r] + c if r in col else c
+def _add(rows: List[Dict[int, Q]], r: int, c: int, v: Q) -> None:
+    """rows[r][c] += v."""
+    row = rows[r]
+    row[c] = row[c] + v if c in row else v
 
 
 def hochschild_boundary(algebra: FinDimAlgebra, n: int) -> Mat:
@@ -196,17 +198,16 @@ def hochschild_boundary(algebra: FinDimAlgebra, n: int) -> Mat:
     Column c is the image of the c-th basis tensor.
     """
     d, table = algebra.dim, algebra.table
-    cols = []
-    for t in _tensor_basis(d, n + 1):
-        col: Dict[int, Q] = {}
+    rows: List[Dict[int, Q]] = [{} for _ in range(d ** n)]
+    for col, t in enumerate(_tensor_basis(d, n + 1)):
         for i in range(n):
             for k, c in table[t[i]][t[i + 1]]:
-                _add(col, _basis_index(d, t[:i] + (k,) + t[i + 2:]),
+                _add(rows, _basis_index(d, t[:i] + (k,) + t[i + 2:]), col,
                      -c if i % 2 else c)
         for k, c in table[t[n]][t[0]]:
-            _add(col, _basis_index(d, (k,) + t[1:n]), -c if n % 2 else c)
-        cols.append(col)
-    return transpose(mat(cols), d ** n)
+            _add(rows, _basis_index(d, (k,) + t[1:n]), col,
+                 -c if n % 2 else c)
+    return mat(rows)
 
 
 def connes_boundary(algebra: FinDimAlgebra, n: int) -> Mat:
@@ -214,9 +215,8 @@ def connes_boundary(algebra: FinDimAlgebra, n: int) -> Mat:
     d = algebra.dim
     unit = [(u, c) for u, c in enumerate(algebra.unit) if c]
     sgn_t = -1 if (n + 1) % 2 else 1  # sign of t on n+2 tensor factors
-    cols = []
-    for t in _tensor_basis(d, n + 1):
-        col: Dict[int, Q] = {}
+    rows: List[Dict[int, Q]] = [{} for _ in range(d ** (n + 2))]
+    for col, t in enumerate(_tensor_basis(d, n + 1)):
         # N = sum_i t^i with t(a_0...a_n) = (-1)^n a_n (x) a_0 ... a_{n-1}
         for i in range(n + 1):
             shifted = t[n + 1 - i:] + t[:n + 1 - i]
@@ -224,11 +224,10 @@ def connes_boundary(algebra: FinDimAlgebra, n: int) -> Mat:
             # s: prepend the unit; then (1 - t') on n+2 tensor factors
             for u, u_c in unit:
                 s_t = (u,) + shifted
-                _add(col, _basis_index(d, s_t), sgn_n * u_c)
-                _add(col, _basis_index(d, s_t[-1:] + s_t[:-1]),
+                _add(rows, _basis_index(d, s_t), col, sgn_n * u_c)
+                _add(rows, _basis_index(d, s_t[-1:] + s_t[:-1]), col,
                      -sgn_n * sgn_t * u_c)
-        cols.append(col)
-    return transpose(mat(cols), d ** (n + 2))
+    return mat(rows)
 
 
 def hochschild_homology(algebra: FinDimAlgebra, n_max: int,

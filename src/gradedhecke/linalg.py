@@ -111,7 +111,7 @@ def _row(acc: Dict[int, Q]) -> Row:
 
 def mat(rows) -> Mat:
     """The matrix whose rows are dense sequences or {column: value} maps."""
-    return tuple(_row({j: x if isinstance(x, QI) else Fraction(x)
+    return tuple(_row({j: x if type(x) in (Fraction, QI) else Fraction(x)
                        for j, x in (r.items() if isinstance(r, dict)
                                     else enumerate(r))})
                  for r in rows)

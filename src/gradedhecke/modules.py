@@ -421,10 +421,10 @@ def induce(algebra: HeckeAlgebra, xi: InductionDatum,
             group.simple(u.word[0])
         a, _ = split[group.mult(group.inv(g), u).index]
         for k, row in enumerate(g.matrix):
-            terms = [(x, off[j][a]) for j, x in row]
-            col = act(g, {b: mat_comb([(x, c[b]) for x, c in terms if b in c],
-                                      d)
-                          for b in {b for _, c in terms for b in c}})
+            terms = [(x, off[j][a]) for j, x in row]  # g^-1(x_k) = sum x x_j
+            blocks = {b for _, o in terms for b in o}
+            col = act(g, {b: mat_comb([(x, o[b]) for x, o in terms if b in o],
+                                      d) for b in blocks})
             c = work.kmap[g.word[0]] * datum.simple_coroots[g.word[0]][k] \
                 if g.word else 0
             if c:
@@ -462,7 +462,7 @@ def weights(module: FinModule) -> List[Tuple[Tuple[Vec, Vec], int]]:
     """
     n = module.dim
     cmplx = module.is_complex()
-    # from the standard basis, which the kernel of no equation gives
+    # nullspace((), n) is the standard basis
     spaces: List[Tuple[List[Vec], Tuple]] = [(nullspace((), n), ())]
     for m in module.coord:
         new_spaces = []

@@ -87,10 +87,6 @@ def _columns(vectors: Sequence[Vec], n: int) -> Mat:
     return transpose(mat(vectors), n)
 
 
-def _unit_vectors(n: int) -> List[Vec]:
-    return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-
-
 def _close_under_reflections(datum_like) -> Tuple[Tuple[Vec, ...], Tuple[Vec, ...]]:
     """Reflection closure of (Pi, Pi^vee); returns matched (roots, coroots)."""
     simple_roots, simple_coroots = datum_like
@@ -274,7 +270,8 @@ def build_root_datum(label: str, ambient_dim: int,
     for i in range(total_rank, ambient_dim):
         gram_rows[i][i] = Fraction(1)
     gram = gram_override if gram_override is not None else gram_rows
-    simple_coroots = _unit_vectors(ambient_dim)[:total_rank]
+    # nullspace((), n) is the standard basis
+    simple_coroots = nullspace((), ambient_dim)[:total_rank]
     return make_root_datum(label, ambient_dim, gram, simple_roots,
                            simple_coroots)
 
@@ -384,7 +381,7 @@ def parabolic(datum: RootDatum, P: Sequence[int]) -> ParabolicDatum:
                            dot(datum.simple_coroots[i],
                                mat_vec(datum.gram, datum.simple_coroots[j]))
                            for j in P) for i in P)
-    sub_coroots = _unit_vectors(k)
+    sub_coroots = nullspace((), k)
     sub_datum = make_root_datum(f"{datum.label}|P={list(P)}", k, sub_gram,
                                 sub_cartan_roots, sub_coroots)
     return ParabolicDatum(datum=datum, P=P, a_P_basis=a_P_basis,

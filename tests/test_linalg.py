@@ -166,7 +166,7 @@ def test_every_routine_matches_dense_reference_edge_cases(m, ncols):
         matches_dense_reference(m, ncols, b, (((Q(1),) * ncols),) * ncols)
 
 
-def test_solve_without_a_solution_and_restrict_without_invariance():
+def test_solve_without_a_solution_and_inverse_of_a_singular_matrix():
     assert solve(mat([[1, 1], [2, 2]]), (Q(1), Q(3)), 2) is None
     assert dense_solve([[1, 1], [2, 2]], (Q(1), Q(3))) is None
     assert solve(mat([[1, 1], [2, 2]]), (Q(1), Q(2)), 2) == (Q(1), Q(0))
