@@ -56,8 +56,9 @@ class RootDatum:
         """Matrix of s_i acting on `a`:  lam -> lam - <alpha_i, lam> alpha_i^vee."""
         a, av = self.simple_roots[i], self.simple_coroots[i]
         n = self.ambient_dim
-        return mat([[(1 if r == c else 0) - av[r] * a[c] for c in range(n)]
-                    for r in range(n)])
+        return tuple(tuple((c, x) for c in range(n)
+                           if (x := (r == c) - av[r] * a[c]))
+                     for r in range(n))
 
     def reflect_covector(self, i: int, x: Vec) -> Vec:
         a, av = self.simple_roots[i], self.simple_coroots[i]
