@@ -13,24 +13,24 @@ class GradedHeckeError(ValueError):
 
 
 _EXPORTS = {  # submodule -> the public names it defines
-    "rootdata": """Cone ParabolicDatum ParameterMap RootDatum RootDatumError
-        build_root_datum cone_contains in_antidual make_parameter_map
+    "rootdata": """ParabolicDatum ParameterMap RootDatum RootDatumError
+        build_root_datum in_antidual make_parameter_map
         make_root_datum pairing parabolic""",
     "weyl": """ConjugacyClassCensus DiagramAutomorphism ExtendedWeylElement
-        GammaGroup WeylGroup association_action conjugacy_census coset_reps
+        GammaGroup WeylGroup association_action conjugacy_census
         enumerate_group make_diagram_automorphism""",
     "poly": """PoincareSeries Poly act divided_difference invariant_polys
         molien_forms parse_poly reynolds""",
-    "hecke": """HeckeAlgebra HeckeElement filtration_degree k_sensitive_part
+    "hecke": """HeckeAlgebra HeckeElement k_sensitive_part
         parse_element scale_map""",
     "modules": """Character DSCatalogEntry FieldExtensionNeeded FinModule
         InductionDatum UnsplitSpectrumError auto_catalog central_character
         commutant decompose hom_space induce irr0_census
         is_discrete_series is_irreducible is_tempered one_dim_modules
         parabolic_algebra weights""",
-    "homology": """FinDimAlgebra HomologyCensus HPReport crossed_point_module
+    "homology": """FinDimAlgebra HomologyCensus crossed_point_module
         crossed_product_census cyclic_homology hochschild_homology
-        hp_census_hecke verify_basis_theorem"""}
+        verify_basis_theorem"""}
 _MODULE_OF = {n: m for m, names in _EXPORTS.items() for n in names.split()}
 __all__ = ["GradedHeckeError", *_MODULE_OF]
 

@@ -1,6 +1,6 @@
 """Batch front-end: parse a config, run a pipeline, emit deterministic reports.
 
-Commands: datum, group, molien, hh-findim, hc-findim, crossed-census, hp,
+Commands: datum, group, molien, hh-findim, hc-findim, crossed-census,
 induce, irr0, verify-basis.  Reports are versioned JSON (plus a CSV mirror
 of the verify-basis trace matrix), byte-identical across repeated runs and
 cached on disk under a digest of the library version, the package's source
@@ -8,7 +8,7 @@ files, the effective config and the catalog file's contents; a hit imports
 no engine module, a miss only what its command's handler uses.
 
 Exit codes: 0 success, 2 falsification flag (count/rank mismatch), 1 error
-(any library error or unreadable file).
+(any library error, unreadable file or usage error).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ if TYPE_CHECKING:
 SCHEMA = "gradedhecke-report/1"
 
 COMMANDS = ("datum", "group", "molien", "hh-findim", "hc-findim",
-            "crossed-census", "hp", "induce", "irr0", "verify-basis")
+            "crossed-census", "induce", "irr0", "verify-basis")
 
 
 def _dump(report: Dict[str, Any]) -> str:
@@ -134,14 +134,6 @@ def _cmd_crossed_census(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
         "hp1": census.hp1,
         "totals": [_series_payload(s) for s in census.totals],
     })
-    return rep
-
-
-def _cmd_hp(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
-    from .homology import hp_census_hecke
-    r = hp_census_hecke(algebra)
-    rep = _base_report("hp", cfg, algebra)
-    rep.update({"class_count": r.class_count, "hp0": r.hp0, "hp1": r.hp1})
     return rep
 
 
@@ -274,7 +266,7 @@ def _cmd_verify_basis(cfg: RunConfig, algebra: HeckeAlgebra, catalog_text) -> Di
 _HANDLERS = {"datum": _cmd_datum, "group": _cmd_group, "molien": _cmd_molien,
              "hh-findim": _findim_handler("hh-findim", "hh", cyclic=False),
              "hc-findim": _findim_handler("hc-findim", "hc", cyclic=True),
-             "crossed-census": _cmd_crossed_census, "hp": _cmd_hp,
+             "crossed-census": _cmd_crossed_census,
              "induce": _cmd_induce, "irr0": _cmd_irr0,
              "verify-basis": _cmd_verify_basis}
 CATALOG_COMMANDS = ("irr0", "verify-basis")  # the handlers that read it
@@ -379,8 +371,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="discrete-series catalog file")
     parser.add_argument("--k-override", default=None,
                         help="parameter override, e.g. 'alpha1=2,alpha2=2'")
-    args = parser.parse_args(argv)
+
+    def usage_error(message: str):  # exit 2 is reserved for falsification
+        raise ConfigError(message)
+    parser.error = usage_error
     try:
+        args = parser.parse_args(argv)
         cfg = load_config(Path(args.config).read_text(encoding="utf-8"))
         if args.k_override is not None:
             apply_k_override(cfg, args.k_override)

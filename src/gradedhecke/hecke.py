@@ -296,10 +296,6 @@ class HeckeElement:
         return f"HeckeElement({self.to_text()})"
 
 
-def filtration_degree(a: HeckeElement) -> int:
-    return a.degree()
-
-
 def k_sensitive_part(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """multiply(a, b) at parameter k minus the same product at parameter 0.
 

@@ -327,9 +327,8 @@ class HomologyCensus:
     hp1: int
 
     def __post_init__(self):
-        if self.hp1 != 0 or self.hp0 != self.class_count:
-            raise HomologyError(
-                "HP census must satisfy HP0 = #classes, HP1 = 0")
+        if self.hp0 != self.class_count:
+            raise HomologyError("HP census must satisfy HP0 = #classes")
 
 
 def crossed_product_census(datum: RootDatum, gammas=(), truncation: int = 16,
@@ -362,15 +361,6 @@ def crossed_product_census(datum: RootDatum, gammas=(), truncation: int = 16,
                           hp1=0)
 
 
-@dataclass
-class HPReport:
-    datum_label: str
-    k_values: Tuple[Q, ...]
-    class_count: int
-    hp0: int
-    hp1: int
-
-
 def group_hh0(group: WeylGroup) -> int:
     """dim HH_0(Q[W']) = |W'| - rank of the commutator span, the image of b_1.
 
@@ -386,15 +376,6 @@ def group_hh0(group: WeylGroup) -> int:
             if y != x.index:
                 rows.append({x.index: 1, y: -1})
     return len(group) - rank(mat(rows))
-
-
-def hp_census_hecke(algebra: HeckeAlgebra) -> HPReport:
-    """HP_*(H') = HP_*(Q[W']) = (HH_0(Q[W']), 0), independent of k: Q[W'] is
-    semisimple, so HP_0 = HH_0; the parameters document the k-independence."""
-    return HPReport(datum_label=algebra.datum.label,
-                    k_values=algebra.kmap.values,
-                    class_count=len(algebra.group.census),
-                    hp0=group_hh0(algebra.group), hp1=0)
 
 
 # ---------------------------------------------------------------------------
@@ -502,22 +483,23 @@ def verify_basis_theorem(algebra: HeckeAlgebra,
                          ) -> BasisTheoremReport:
     """Check #Irr_0 = #classes(W') = HP_0 and full rank of the trace matrix.
 
-    A rank or count failure is reported as a falsification flag, never
-    silently absorbed.
+    HP_0(H') = HH_0(Q[W']) for every k, Q[W'] being semisimple.  A rank or
+    count failure is reported as a falsification flag, never silently
+    absorbed.
     """
     from .modules import auto_catalog, irr0_census
     if catalog is None:
         catalog = auto_catalog(algebra)
     census = algebra.group.census
-    hp = hp_census_hecke(algebra)
+    hp0 = group_hh0(algebra.group)
     modules = irr0_census(algebra, catalog)
     matrix = tuple(m.restriction_character().values for m in modules)
     mrank = rank(mat(matrix))
-    counts_match = (len(modules) == len(census) == hp.hp0)
+    counts_match = (len(modules) == len(census) == hp0)
     full_rank = (mrank == len(census) and len(matrix) == len(census))
     return BasisTheoremReport(
         datum_label=algebra.datum.label, k_values=algebra.kmap.values,
-        class_count=len(census), hp0=hp.hp0, irr0_count=len(modules),
+        class_count=len(census), hp0=hp0, irr0_count=len(modules),
         module_names=tuple(m.name for m in modules),
         module_dims=tuple(m.dim for m in modules),
         trace_matrix=matrix, matrix_rank=mrank,

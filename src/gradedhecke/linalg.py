@@ -125,10 +125,6 @@ def identity(n: int) -> Mat:
     return tuple(((i, Fraction(1)),) for i in range(n))
 
 
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def dot(u: Vec, v: Vec):
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")

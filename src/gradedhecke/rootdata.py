@@ -1,4 +1,4 @@
-"""Degenerate root data, parameters, parabolic subdata and positivity cones.
+"""Degenerate root data, parameters, parabolic subdata and the antidual cone.
 
 A root datum lives on a rational ambient space `a` of dimension d.  Simple
 coroots are realized as the first standard basis vectors, simple roots as
@@ -13,11 +13,10 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .linalg import (GradedHeckeError, Mat, Q, Vec, det, dot, mat, mat_mul,
-                     mat_vec, nullspace, rank, solve, transpose, vec,
-                     vec_sub, zero_vec)
+                     mat_vec, nullspace, rank, solve, transpose, vec)
 
 ROOT_CLOSURE_BOUND = 10000
 
@@ -66,9 +65,10 @@ class RootDatum:
         return tuple(xx - c * aa for xx, aa in zip(x, a))
 
     def positive_roots(self) -> Tuple[Vec, ...]:
+        cols = _columns(self.simple_roots, self.ambient_dim)
         pos = []
         for r in self.roots:
-            coeffs = coords_in_simple_roots(self, r)
+            coeffs = solve(cols, r, self.rank)
             if coeffs is not None and all(c >= 0 for c in coeffs):
                 pos.append(r)
         return tuple(pos)
@@ -76,11 +76,6 @@ class RootDatum:
     def norm2(self, lam: Vec) -> Q:
         """Gram norm squared of a vector of `a`."""
         return dot(lam, mat_vec(self.gram, lam))
-
-
-def coords_in_simple_roots(datum: RootDatum, x: Vec) -> Optional[Vec]:
-    return solve(_columns(datum.simple_roots, datum.ambient_dim), x,
-                 datum.rank)
 
 
 def _columns(vectors: Sequence[Vec], n: int) -> Mat:
@@ -330,33 +325,11 @@ def check_parameters_conjugation(datum: RootDatum, kmap: ParameterMap,
 
 @dataclass(frozen=True)
 class ParabolicDatum:
-    """Subspace decompositions and induced data attached to P subset of Pi."""
+    """The sub-datum attached to P subset of Pi, and membership in t^P."""
 
     datum: RootDatum
     P: Tuple[int, ...]
-    a_P_basis: Tuple[Vec, ...]      # span of the P-coroots
-    a_upP_basis: Tuple[Vec, ...]    # annihilator of the P-roots
-    tstar_P_basis: Tuple[Vec, ...]  # span of the P-roots (covectors)
-    tstar_upP_basis: Tuple[Vec, ...]
     sub_datum: RootDatum            # R~_P on ambient a_P
-
-    def decompose_covector(self, x: Vec) -> Tuple[Vec, Vec]:
-        """Exact splitting x = x_P + x^P along t*_P + t^{P*}."""
-        basis = self.tstar_P_basis + self.tstar_upP_basis
-        cols = _columns(basis, len(x))
-        c = solve(cols, x, len(basis))
-        if c is None:
-            raise RootDatumError("covector decomposition failed")
-        np = len(self.tstar_P_basis)
-        x_p = mat_vec(cols, c[:np] + zero_vec(len(c) - np))
-        return x_p, vec_sub(x, x_p)
-
-    def embed_point(self, c: Vec) -> Vec:
-        """Point of a_P given in sub coordinates, as an ambient vector."""
-        out = [Fraction(0)] * self.datum.ambient_dim
-        for coeff, i in zip(c, self.P):
-            out[i] = coeff
-        return tuple(out)
 
     def in_t_upP(self, lam: Vec) -> bool:
         return all(pairing(self.datum.simple_roots[i], lam) == 0
@@ -368,11 +341,6 @@ def parabolic(datum: RootDatum, P: Sequence[int]) -> ParabolicDatum:
     P = tuple(sorted(set(P)))
     if any(i < 0 or i >= datum.rank for i in P):
         raise RootDatumError(f"P must be a subset of the simple roots, got {P}")
-    d = datum.ambient_dim
-    a_P_basis = tuple(datum.simple_coroots[i] for i in P)
-    tstar_P_basis = tuple(datum.simple_roots[i] for i in P)
-    a_upP_basis = tuple(nullspace(mat(tstar_P_basis), d))
-    tstar_upP_basis = tuple(nullspace(mat(a_P_basis), d))
     k = len(P)
     sub_cartan_roots = [tuple(pairing(datum.simple_roots[i],
                                       datum.simple_coroots[j]) for j in P)
@@ -385,82 +353,31 @@ def parabolic(datum: RootDatum, P: Sequence[int]) -> ParabolicDatum:
     sub_coroots = nullspace((), k)
     sub_datum = make_root_datum(f"{datum.label}|P={list(P)}", k, sub_gram,
                                 sub_cartan_roots, sub_coroots)
-    return ParabolicDatum(datum=datum, P=P, a_P_basis=a_P_basis,
-                          a_upP_basis=a_upP_basis,
-                          tstar_P_basis=tstar_P_basis,
-                          tstar_upP_basis=tstar_upP_basis,
-                          sub_datum=sub_datum)
+    return ParabolicDatum(datum=datum, P=P, sub_datum=sub_datum)
 
 
 # ---------------------------------------------------------------------------
-# Cones.
+# The antidual cone.
 # ---------------------------------------------------------------------------
-
-CONE_TAGS = ("a*+", "a-", "a_P+", "aP+", "aP++")
-
-
-@dataclass(frozen=True)
-class Cone:
-    """One of the positivity cones attached to the datum (and optionally P)."""
-
-    datum: RootDatum
-    tag: str
-    P: Tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.tag not in CONE_TAGS:
-            raise RootDatumError(f"unknown cone tag {self.tag!r}")
-
-
-def _antidual_coefficients(datum: RootDatum, lam: Vec):
-    """Expand lam over the simple coroots plus the Gram-orthocomplement."""
-    basis = list(datum.simple_coroots)
-    comp = nullspace(mat([mat_vec(datum.gram, cv) for cv in basis]),
-                     datum.ambient_dim)
-    full = basis + comp
-    c = solve(_columns(full, datum.ambient_dim), lam, len(full))
-    if c is None:
-        raise RootDatumError("antidual expansion failed")
-    return c[:len(basis)], c[len(basis):]
-
-
-def cone_contains(cone: Cone, lam: Vec, strict: bool = False) -> bool:
-    """Exact membership of lam in the closed cone (strict for aP++)."""
-    datum = cone.datum
-    lam = vec(lam)
-    if cone.tag == "a*+":
-        return all(pairing(lam, cv) >= 0 for cv in datum.simple_coroots)
-    if cone.tag == "a-":
-        coeffs, rest = _antidual_coefficients(datum, lam)
-        if any(r != 0 for r in rest):
-            return False
-        if strict:
-            return all(c < 0 for c in coeffs) and len(coeffs) == datum.ambient_dim
-        return all(c <= 0 for c in coeffs)
-    if cone.tag == "a_P+":
-        basis = [datum.simple_coroots[i] for i in cone.P]
-        if basis:
-            if solve(_columns(basis, datum.ambient_dim), lam,
-                     len(basis)) is None:
-                return False
-        elif any(lam):
-            return False
-        return all(pairing(datum.simple_roots[i], lam) >= 0 for i in cone.P)
-    if cone.tag in ("aP+", "aP++"):
-        if any(pairing(datum.simple_roots[i], lam) != 0 for i in cone.P):
-            return False
-        others = [i for i in range(datum.rank) if i not in cone.P]
-        if cone.tag == "aP++" or strict:
-            return all(pairing(datum.simple_roots[i], lam) > 0 for i in others)
-        return all(pairing(datum.simple_roots[i], lam) >= 0 for i in others)
-    raise RootDatumError(f"unknown cone tag {cone.tag!r}")
-
 
 def in_antidual(datum: RootDatum, lam: Vec, strict: bool = False) -> bool:
     """Membership of lam in a^- (or its interior a^-- when strict).
 
-    The interior is nonempty only when Pi spans a*; for strict membership
-    every ambient direction must be accounted for by a negative coroot
-    coefficient.
+    lam is expanded over the simple coroots plus the Gram-orthocomplement of
+    their span.  The interior is nonempty only when Pi spans a*; for strict
+    membership every ambient direction must be accounted for by a negative
+    coroot coefficient.
     """
-    return cone_contains(Cone(datum, "a-"), lam, strict=strict)
+    basis = list(datum.simple_coroots)
+    comp = nullspace(mat([mat_vec(datum.gram, cv) for cv in basis]),
+                     datum.ambient_dim)
+    full = basis + comp
+    c = solve(_columns(full, datum.ambient_dim), vec(lam), len(full))
+    if c is None:
+        raise RootDatumError("antidual expansion failed")
+    coeffs, rest = c[:len(basis)], c[len(basis):]
+    if any(r != 0 for r in rest):
+        return False
+    if strict:
+        return all(c < 0 for c in coeffs) and len(coeffs) == datum.ambient_dim
+    return all(c <= 0 for c in coeffs)

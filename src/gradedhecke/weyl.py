@@ -445,11 +445,6 @@ def coset_decomposition(group: WeylGroup, P: Sequence[int]):
     return reps, split
 
 
-def coset_reps(group: WeylGroup, P: Sequence[int]) -> List[ExtendedWeylElement]:
-    """Minimal-length representatives of the cosets w W_P, in canonical order."""
-    return coset_decomposition(group, P)[0]
-
-
 class AssociationError(WeylError):
     pass
 

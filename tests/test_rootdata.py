@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from gradedhecke.linalg import dot, mat, mat_vec, solve
-from gradedhecke.rootdata import (Cone, RootDatumError, build_root_datum,
-                                  cone_contains, in_antidual, make_root_datum,
-                                  pairing, parabolic)
+from gradedhecke.linalg import dot, mat, mat_vec, nullspace, solve
+from gradedhecke.rootdata import (RootDatumError, build_root_datum,
+                                  in_antidual, make_root_datum, pairing,
+                                  parabolic)
 from gradedhecke.weyl import enumerate_group
 
 Q = Fraction
@@ -121,69 +121,25 @@ def test_antidual_matches_direct_inequalities():
             assert in_antidual(d, lam) == direct
 
 
-def test_cone_tags():
-    d = build_root_datum("A2", 2)
-    # the highest root is dominant; a negative simple root is not
-    high = tuple(a + b for a, b in zip(d.simple_roots[0], d.simple_roots[1]))
-    assert cone_contains(Cone(d, "a*+"), high)
-    assert not cone_contains(Cone(d, "a*+"),
-                             tuple(-c for c in d.simple_roots[0]))
-    with pytest.raises(RootDatumError):
-        Cone(d, "bogus")
-    # a^{P+} and a^{P++} for P = {alpha}
-    pd = parabolic(d, [0])
-    lam = pd.a_upP_basis[0]
-    sign = pairing(d.simple_roots[1], lam)
-    lam_pos = lam if sign > 0 else tuple(-c for c in lam)
-    assert cone_contains(Cone(d, "aP+", (0,)), lam_pos)
-    assert cone_contains(Cone(d, "aP++", (0,)), lam_pos)
-    assert not cone_contains(Cone(d, "aP++", (0,)),
-                             tuple(Q(0) for _ in range(2)))
-    assert cone_contains(Cone(d, "a_P+", (0,)), d.simple_coroots[0])
-
-
 def test_parabolic_extremes():
     d = build_root_datum("A2", 2)
     p_empty = parabolic(d, [])
-    assert p_empty.tstar_P_basis == () and len(p_empty.tstar_upP_basis) == 2
+    assert p_empty.sub_datum.rank == 0
+    assert p_empty.in_t_upP(d.simple_coroots[0])
     p_full = parabolic(d, [0, 1])
-    assert len(p_full.tstar_P_basis) == 2 and p_full.tstar_upP_basis == ()
+    assert p_full.sub_datum.cartan() == d.cartan()
+    assert p_full.in_t_upP((Q(0), Q(0)))
+    assert not p_full.in_t_upP(d.simple_coroots[1])
 
 
 def test_parabolic_one_root():
     d = build_root_datum("A2", 2)
     pd = parabolic(d, [0])
-    assert len(pd.a_P_basis) == 1 and len(pd.a_upP_basis) == 1
-    # t^P is orthogonal to alpha (kills the root), per the defining equations
-    lam = pd.a_upP_basis[0]
-    assert pairing(d.simple_roots[0], lam) == 0
-    # exact decomposition x = x_P + x^P
-    rng = random.Random(3)
-    for _ in range(20):
-        x = tuple(Q(rng.randint(-5, 5)) for _ in range(2))
-        x_p, x_up = pd.decompose_covector(x)
-        assert tuple(a + b for a, b in zip(x_p, x_up)) == x
-        assert all(pairing(x_up, cv) == 0 for cv in pd.a_P_basis)
-        # idempotent
-        assert pd.decompose_covector(x_p)[0] == x_p
-        assert pd.decompose_covector(x_up)[1] == x_up
-
-
-def test_parabolic_projection_equivariance():
-    # projections commute with W_P on t*
-    d = build_root_datum("B2", 2)
-    group = enumerate_group(d)
-    for P in ([0], [1]):
-        pd = parabolic(d, P)
-        s = group.simple(P[0])
-        rng = random.Random(7)
-        for _ in range(10):
-            x = tuple(Q(rng.randint(-4, 4)) for _ in range(2))
-            x_p, x_up = pd.decompose_covector(x)
-            sx = group.act_covector(s, x)
-            sx_p, sx_up = pd.decompose_covector(sx)
-            assert group.act_covector(s, x_p) == sx_p
-            assert group.act_covector(s, x_up) == sx_up
+    assert pd.P == (0,) and pd.sub_datum.rank == 1
+    # t^P kills the root alpha, per the defining equations
+    (lam,) = nullspace(mat([d.simple_roots[0]]), 2)
+    assert pd.in_t_upP(lam) and pairing(d.simple_roots[1], lam) != 0
+    assert not pd.in_t_upP(d.simple_coroots[0])
 
 
 def test_gram_override():
