@@ -311,6 +311,12 @@ def matrix(what: str, value) -> List[List[Fraction]]:
     return [[number(f"{what} entry", x) for x in row] for row in value]
 
 
+def _reject_unknown(block: str, payload: Dict[str, Any], keys) -> None:
+    unknown = set(payload) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {block} keys {sorted(unknown)}")
+
+
 def load_config(text: str) -> RunConfig:
     blocks = parse_blocks(text)
     datum_block = None
@@ -320,37 +326,27 @@ def load_config(text: str) -> RunConfig:
         if name == "datum":
             if datum_block is not None:
                 raise ConfigError("duplicate datum block")
-            unknown = set(payload) - _DATUM_KEYS
-            if unknown:
-                raise ConfigError(f"unknown datum keys {sorted(unknown)}")
+            _reject_unknown("datum", payload, _DATUM_KEYS)
             datum_block = payload
         elif name == "gamma":
-            unknown = set(payload) - _GAMMA_KEYS
-            if unknown:
-                raise ConfigError(f"unknown gamma keys {sorted(unknown)}")
+            _reject_unknown("gamma", payload, _GAMMA_KEYS)
             if "name" not in payload or "matrix" not in payload:
                 raise ConfigError("gamma block needs name and matrix")
             gammas.append((payload["name"],
                            matrix("gamma matrix", payload["matrix"])))
         elif name == "options":
-            unknown = set(payload) - _OPTIONS_KEYS
-            if unknown:
-                raise ConfigError(f"unknown options keys {sorted(unknown)}")
+            _reject_unknown("options", payload, _OPTIONS_KEYS)
             for key in sorted(_OPTIONS_KEYS & set(payload)):
                 cfg_kwargs[key] = integer(f"option {key}", payload[key])
         elif name == "induce":
-            unknown = set(payload) - _INDUCE_TYPES.keys()
-            if unknown:
-                raise ConfigError(f"unknown induce keys {sorted(unknown)}")
+            _reject_unknown("induce", payload, _INDUCE_TYPES)
             for key in sorted(payload):
                 if not isinstance(payload[key], _INDUCE_TYPES[key]):
                     raise ConfigError(f"induce {key} must be a "
                                       f"{_INDUCE_TYPES[key].__name__}")
             cfg_kwargs["induce_block"] = payload
         elif name == "findim":
-            unknown = set(payload) - _FINDIM_KEYS
-            if unknown:
-                raise ConfigError(f"unknown findim keys {sorted(unknown)}")
+            _reject_unknown("findim", payload, _FINDIM_KEYS)
             if "kind" in payload:
                 kind = payload["kind"]
                 if kind not in ("group", "matrix", "ground"):

@@ -10,18 +10,19 @@ modules of A x| G are solved on fibre blocks.
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .hecke import HeckeAlgebra
-from .linalg import (GradedHeckeError, Mat, Q, Vec, mat, mat_vec, rank,
-                     restrict_matrix)
+from .linalg import GradedHeckeError, Mat, Q, Vec, mat, rank, trace
 from .poly import PoincareSeries, molien_forms, sum_series
 from .rootdata import RootDatum
-from .weyl import WeylGroup, enumerate_group, permutation_bfs
+from .weyl import ClassEntry, WeylGroup, enumerate_group, permutation_bfs
 
 if TYPE_CHECKING:
     from .modules import DSCatalogEntry
@@ -35,6 +36,10 @@ class HomologyError(GradedHeckeError):
 
 class SizeBoundExceeded(HomologyError):
     pass
+
+
+def _unit_vectors(d: int) -> List[Vec]:
+    return [tuple(Fraction(int(t == i)) for t in range(d)) for i in range(d)]
 
 
 @dataclass
@@ -51,7 +56,7 @@ class FinDimAlgebra:
     label: str = ""
 
     def __post_init__(self):
-        d = self.dim
+        d, e = self.dim, _unit_vectors(self.dim)
         for i in range(d):
             for j in range(d):
                 if len(self.mult[i][j]) != d:
@@ -59,18 +64,13 @@ class FinDimAlgebra:
         for i in range(d):
             for j in range(d):
                 for k in range(d):
-                    left = self._mul_vec(self.mult[i][j],
-                                         self._basis_vec(k))
-                    right = self._mul_vec(self._basis_vec(i),
-                                          self.mult[j][k])
-                    if left != right:
+                    if self._mul_vec(self.mult[i][j], e[k]) != \
+                            self._mul_vec(e[i], self.mult[j][k]):
                         raise HomologyError(
                             f"associativity fails at ({i},{j},{k})")
         for i in range(d):
-            if self._mul_vec(self.unit, self._basis_vec(i)) != \
-                    self._basis_vec(i) or \
-                    self._mul_vec(self._basis_vec(i), self.unit) != \
-                    self._basis_vec(i):
+            if self._mul_vec(self.unit, e[i]) != e[i] or \
+                    self._mul_vec(e[i], self.unit) != e[i]:
                 raise HomologyError("unit laws fail")
 
     @cached_property
@@ -79,9 +79,6 @@ class FinDimAlgebra:
         c = (e_i * e_j)_k nonzero."""
         return tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c)
                            for v in row) for row in self.mult)
-
-    def _basis_vec(self, i: int) -> Vec:
-        return tuple(Fraction(1 if t == i else 0) for t in range(self.dim))
 
     def _mul_vec(self, a: Vec, b: Vec) -> Vec:
         out = [Fraction(0)] * self.dim
@@ -104,25 +101,13 @@ class FinDimAlgebra:
 
     @staticmethod
     def matrix_algebra(n: int) -> "FinDimAlgebra":
+        """M_n(Q) on the matrix units e_rc = basis vector r * n + c."""
         d = n * n
-
-        def idx(r, c):
-            return r * n + c
-
-        mult = [[None] * d for _ in range(d)]
-        for r1 in range(n):
-            for c1 in range(n):
-                for r2 in range(n):
-                    for c2 in range(n):
-                        out = [Fraction(0)] * d
-                        if c1 == r2:
-                            out[idx(r1, c2)] = Fraction(1)
-                        mult[idx(r1, c1)][idx(r2, c2)] = tuple(out)
-        unit = [Fraction(0)] * d
-        for r in range(n):
-            unit[idx(r, r)] = Fraction(1)
-        return FinDimAlgebra(dim=d, mult=tuple(tuple(r) for r in mult),
-                             unit=tuple(unit), label=f"M{n}(Q)")
+        e, zero = _unit_vectors(d), (Fraction(0),) * d
+        mult = tuple(tuple(e[a // n * n + b % n] if a % n == b // n else zero
+                           for b in range(d)) for a in range(d))
+        unit = tuple(Fraction(int(t % (n + 1) == 0)) for t in range(d))
+        return FinDimAlgebra(dim=d, mult=mult, unit=unit, label=f"M{n}(Q)")
 
     @staticmethod
     def group_algebra(elements, mult_fn, label="Q[G]") -> "FinDimAlgebra":
@@ -130,22 +115,15 @@ class FinDimAlgebra:
         elements = list(elements)
         index = {g: i for i, g in enumerate(elements)}
         d = len(elements)
-        mult = []
-        for a in elements:
-            row = []
-            for b in elements:
-                out = [Fraction(0)] * d
-                out[index[mult_fn(a, b)]] = Fraction(1)
-                row.append(tuple(out))
-            mult.append(tuple(row))
+        e = _unit_vectors(d)
+        mult = tuple(tuple(e[index[mult_fn(a, b)]] for b in elements)
+                     for a in elements)
         identity_idx = next((i for i, g in enumerate(elements)
                              if all(mult_fn(g, h) == h and mult_fn(h, g) == h
                                     for h in elements)), None)
         if identity_idx is None:
             raise HomologyError("group has no identity element")
-        unit = [Fraction(0)] * d
-        unit[identity_idx] = Fraction(1)
-        return FinDimAlgebra(dim=d, mult=tuple(mult), unit=tuple(unit),
+        return FinDimAlgebra(dim=d, mult=mult, unit=e[identity_idx],
                              label=label)
 
     @staticmethod
@@ -234,73 +212,75 @@ def hochschild_homology(algebra: FinDimAlgebra, n_max: int,
                         bound: int = SIZE_BOUND) -> List[int]:
     """Exact Betti numbers HH_0..HH_{n_max} of the Hochschild complex."""
     check_size_bound(algebra.dim, n_max, bound)
-    d = algebra.dim
-    ranks = [0]  # rank of b_0 = 0
-    for n in range(1, n_max + 2):
-        ranks.append(rank(hochschild_boundary(algebra, n)))
-    out = []
-    for n in range(n_max + 1):
-        dim_cn = d ** (n + 1)
-        out.append(dim_cn - ranks[n] - ranks[n + 1])
-    return out
+    ranks = [0] + [rank(hochschild_boundary(algebra, n))  # b_0 = 0
+                   for n in range(1, n_max + 2)]
+    return [algebra.dim ** (n + 1) - ranks[n] - ranks[n + 1]
+            for n in range(n_max + 1)]
 
 
-def _mixed_total_boundary(algebra: FinDimAlgebra, n: int) -> Mat:
+def _mixed_total_boundary(algebra: FinDimAlgebra, n: int,
+                          b: Optional[Dict[int, Mat]] = None) -> Mat:
     """The matrix of the total differential b + B : B_n -> B_{n-1} of the
     mixed bicomplex; source block j is A^{(x)(n+1-2j)}, target block j is
     A^{(x)(n-2j)}.  Target block j is the image of b on source block j and
     of B on source block j + 1, so each of its rows is a row of b followed
-    by a row of B."""
+    by a row of B.  `b` may hold the b_m already built, by m."""
+    b = b or {m: hochschild_boundary(algebra, m) for m in range(n, 0, -2)}
     d = algebra.dim
     src_off = [0]
     for j in range(n // 2):
         src_off.append(src_off[-1] + d ** (n + 1 - 2 * j))
     rows = []
     for j in range((n - 1) // 2 + 1):
-        b = hochschild_boundary(algebra, n - 2 * j)
         big_b = connes_boundary(algebra, n - 2 * j - 2) if 2 * j + 2 <= n \
-            else ((),) * len(b)
+            else ((),) * len(b[n - 2 * j])
         rows += [tuple((src_off[j] + c, v) for c, v in rb)
                  + tuple((src_off[j + 1] + c, v) for c, v in rB)
-                 for rb, rB in zip(b, big_b)]
+                 for rb, rB in zip(b[n - 2 * j], big_b)]
     return tuple(rows)
 
 
 def verify_mixed_identities(algebra: FinDimAlgebra, n: int,
-                            trials: int = 5, seed: int = 7) -> None:
-    """Check b b = 0 and b B + B b = 0 exactly on random chains."""
+                            trials: int = 5, seed: int = 7,
+                            b: Optional[Dict[int, Mat]] = None) -> None:
+    """Check b b = 0 and b B + B b = 0 exactly on random chains, with every
+    boundary scaled to integers by the common denominator of the structure
+    constants and the unit, which scales both identities alike.  `b` may
+    hold some of b_{n-1}, b_n and b_{n+1} already built, by degree."""
     rng = random.Random(seed)
-    d = algebra.dim
-    b_n = hochschild_boundary(algebra, n)
-    b_nm1 = hochschild_boundary(algebra, n - 1) if n >= 2 else None
-    b_np1 = hochschild_boundary(algebra, n + 1)
-    big_b = connes_boundary(algebra, n)
-    small_b = connes_boundary(algebra, n - 1)
+    b = b or {}
+    den = math.lcm(*(c.denominator for row in algebra.table for cell in row
+                     for _, c in cell), *(c.denominator for c in algebra.unit))
+
+    def scaled(m: Mat):
+        return [[(c, int(x * den)) for c, x in row] for row in m]
+    b_nm1, b_n, b_np1 = (scaled(b[m] if m in b else hochschild_boundary(
+        algebra, m)) if m else None for m in (n - 1, n, n + 1))
+    big_b, small_b = (scaled(connes_boundary(algebra, m)) for m in (n, n - 1))
+
+    def apply(m, v):
+        return [sum(x * v[c] for c, x in row) for row in m]
     for _ in range(trials):
-        chain = [Fraction(rng.randint(-3, 3)) for _ in range(d ** (n + 1))]
-        bx = mat_vec(b_n, chain)
-        if b_nm1 is not None:
-            if any(mat_vec(b_nm1, bx)):
-                raise HomologyError("b o b != 0")
-        bBx = mat_vec(b_np1, mat_vec(big_b, chain))
-        Bbx = mat_vec(small_b, bx)
-        if any(x + y for x, y in zip(bBx, Bbx)):
+        chain = [rng.randint(-3, 3) for _ in range(algebra.dim ** (n + 1))]
+        bx = apply(b_n, chain)
+        if n >= 2 and any(apply(b_nm1, bx)):
+            raise HomologyError("b o b != 0")
+        if any(x + y for x, y in zip(apply(b_np1, apply(big_b, chain)),
+                                     apply(small_b, bx))):
             raise HomologyError("b B + B b != 0")
 
 
 def cyclic_homology(algebra: FinDimAlgebra, n_max: int,
                     bound: int = SIZE_BOUND) -> List[int]:
-    """HC_0..HC_{n_max} from the mixed bicomplex with total differential b + B."""
+    """HC_0..HC_{n_max} from the mixed bicomplex with total differential b + B;
+    the identity check and the ranks share the b_m."""
     check_size_bound(algebra.dim, n_max, bound, cyclic=True)
-    verify_mixed_identities(algebra, min(2, n_max + 1))
-    d = algebra.dim
-
-    def dim_b(n: int) -> int:
-        return sum(d ** (n + 1 - 2 * j) for j in range((n // 2) + 1))
-
-    ranks = [0] + [rank(_mixed_total_boundary(algebra, n))
+    b = {m: hochschild_boundary(algebra, m) for m in range(1, n_max + 2)}
+    verify_mixed_identities(algebra, min(2, n_max + 1), b=b)
+    ranks = [0] + [rank(_mixed_total_boundary(algebra, n, b))
                    for n in range(1, n_max + 2)]
-    return [dim_b(n) - ranks[n] - ranks[n + 1] for n in range(n_max + 1)]
+    return [sum(algebra.dim ** (n + 1 - 2 * j) for j in range(n // 2 + 1))
+            - ranks[n] - ranks[n + 1] for n in range(n_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +323,13 @@ def crossed_product_census(datum: RootDatum, gammas=(), truncation: int = 16,
     if group is None:
         group = enumerate_group(datum, gammas)
     census = group.census
+    traces = [int(trace(e.matrix)) for e in group.elements]
     entries = []
     for cls in census.entries:
-        restricted = [restrict_matrix(z.matrix, cls.fixed_basis)
-                      for z in cls.centralizer]
         entries.append(CensusClassEntry(
             rep_word=repr(cls.rep), size=cls.size, fixed_dim=cls.fixed_dim,
-            series=molien_forms(restricted, datum.ambient_dim, truncation)))
+            series=molien_forms(_fixed_space_charpolys(group, cls, traces),
+                                datum.ambient_dim, truncation)))
     totals = [sum_series(column)
               for column in zip(*(e.series for e in entries))]
     if totals[0].coeffs[0] != len(census.entries):
@@ -359,6 +339,30 @@ def crossed_product_census(datum: RootDatum, gammas=(), truncation: int = 16,
                           truncation=truncation, entries=tuple(entries),
                           totals=tuple(totals), hp0=group_hh0(group),
                           hp1=0)
+
+
+def _fixed_space_charpolys(group: WeylGroup, cls: ClassEntry,
+                           traces: Sequence[int]) -> Counter:
+    """Tally of det(xI - z | t^w), highest first, over the centralizer of
+    w = cls.rep.  The mean of w^j, j < ord w, projects onto t^w and commutes
+    with z, so tr(z^k | t^w) is the mean of the traces of z^k w^j; Newton's
+    identities turn these power sums, k <= dim t^w, into the charpoly."""
+    w, one = cls.rep, group.identity.index
+    order, x = 1, group._times(one, w)
+    while x != one:
+        order, x = order + 1, group._times(x, w)
+    tally: Counter = Counter()
+    for z in cls.centralizer:
+        cp, powers, zk = [1], [], one
+        for k in range(1, cls.fixed_dim + 1):
+            zk = x = group._times(zk, z)
+            total = 0
+            for _ in range(order):
+                total, x = total + traces[x], group._times(x, w)
+            powers.append(total // order)
+            cp.append(-sum(c * p for c, p in zip(cp, reversed(powers))) // k)
+        tally[tuple(cp)] += 1
+    return tally
 
 
 def group_hh0(group: WeylGroup) -> int:
@@ -440,8 +444,14 @@ def crossed_point_module(perms: Sequence[Tuple[int, ...]], x: int,
         raise HomologyError(f"point module exceeds the bound of {bound * 10} "
                             "fibre-block unknowns |G| * |G_x|")
     orbit = tuple(sorted({g[x] for g in group}))
-    members = [group[k] for k in stab]  # Burnside: commuting pairs / |G_x|
-    classes = sum(tuple(map(g.__getitem__, h)) == tuple(map(h.__getitem__, g))
+    # Burnside: commuting pairs / |G_x|.  g h and h g lie in G_x, so they
+    # are equal iff they agree on a base: points whose images tell G_x apart
+    members, base = [group[k] for k in stab], []
+    for p in range(n):
+        if len({tuple(g[b] for b in base) for g in members}) == len(members):
+            break
+        base.append(p)
+    classes = sum(all(g[h[b]] == h[g[b]] for b in base)
                   for g in members for h in members) // len(stab)
     cls, dim = _hom_cells(group, right, x, x)
     # c_i c_j at the cell (1, s) of class k sums c_i[1, m] c_j[m, s], m in G_x;

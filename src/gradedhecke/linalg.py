@@ -442,7 +442,7 @@ def poly1_scale(c, p):
 def poly1_mul(p, q):
     if not p or not q:
         return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if not a:
             continue
@@ -451,14 +451,22 @@ def poly1_mul(p, q):
     return poly1_trim(out)
 
 
+def _unit_inverse(c):
+    """1 / c, an integer when c is 1 or -1."""
+    return c if c in (1, -1) else Fraction(1) / c
+
+
 def poly1_divmod(p, q):
+    """Quotient and remainder; integer p and q with leading coefficient
+    1 or -1 in q give integer ones."""
     q = poly1_trim(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(poly1_trim(p))
-    quo = [Fraction(0)] * max(0, len(r) - len(q) + 1)
+    quo = [0] * max(0, len(r) - len(q) + 1)
+    u = _unit_inverse(q[-1])
     while len(r) >= len(q):
-        f = r[-1] / q[-1]
+        f = r[-1] * u
         d = len(r) - len(q)
         quo[d] = f
         for i, b in enumerate(q):
@@ -473,22 +481,21 @@ def poly1_gcd(p, q):
     while q:
         p, q = q, poly1_divmod(p, q)[1]
     if p:
-        lead = p[-1]
-        p = tuple(a / lead for a in p)
+        u = _unit_inverse(p[-1])
+        p = tuple(a * u for a in p)
     return p
 
 
 def series_inverse(p: Sequence, order: int) -> Tuple:
-    """Power series inverse of p to the given order; p[0] must be nonzero."""
+    """Power series inverse of p to the given order; p[0] must be nonzero,
+    and integer p with p[0] = 1 or -1 gives an integer inverse."""
     if not p or not p[0]:
         raise ValueError("series has no inverse (zero constant term)")
-    inv = [Fraction(0)] * (order + 1)
-    inv[0] = 1 / p[0]
+    u = _unit_inverse(p[0])
+    inv = [u] + [0] * order
     for n in range(1, order + 1):
-        s = Fraction(0)
-        for k in range(1, min(n, len(p) - 1) + 1):
-            s += p[k] * inv[n - k]
-        inv[n] = -s / p[0]
+        inv[n] = -u * sum(p[k] * inv[n - k]
+                          for k in range(1, min(n, len(p) - 1) + 1))
     return tuple(inv)
 
 

@@ -7,14 +7,15 @@ Fractions; zero coefficients are never stored.
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .linalg import (GradedHeckeError, Mat, Q, Vec, charpoly, inverse,
-                     poly1_add, poly1_divmod, poly1_gcd, poly1_mul,
-                     poly1_scale, poly1_trim, series_inverse)
+from .linalg import (GradedHeckeError, Mat, Q, Vec, inverse, mat, poly1_add,
+                     poly1_divmod, poly1_mul, poly1_scale, poly1_trim, rank,
+                     series_inverse)
 from .rootdata import RootDatum
 
 
@@ -237,48 +238,24 @@ def reynolds(p: Poly, elements) -> Poly:
 
 
 def monomials_of_degree(nvars: int, d: int) -> List[Tuple[int, ...]]:
-    if nvars == 0:
-        return [()] if d == 0 else []
-    out = []
-
-    def rec(prefix, rem, pos):
-        if pos == nvars - 1:
-            out.append(tuple(prefix + [rem]))
-            return
-        for k in range(rem, -1, -1):
-            rec(prefix + [k], rem - k, pos + 1)
-
-    rec([], d, 0)
-    return out
+    """Exponent tuples of total degree d, lexicographically descending."""
+    return [e for e in itertools.product(range(d, -1, -1), repeat=nvars)
+            if sum(e) == d]
 
 
 def invariant_polys(elements, nvars: int, degree: int) -> List[Poly]:
-    """Basis of the degree-d invariants, from Reynolds-averaged monomials."""
+    """Basis of the degree-d invariants: each Reynolds-averaged monomial
+    that is independent of those kept before it."""
     monos = monomials_of_degree(nvars, degree)
-    averaged = []
+    at = {e: i for i, e in enumerate(monos)}
+    basis: List[Poly] = []
+    rows: List[Dict[int, Q]] = []
     for e in monos:
         avg = reynolds(Poly(nvars, {e: Fraction(1)}), elements)
-        if not avg.is_zero():
-            averaged.append(avg)
-    # reduce to an independent set by exact elimination on coefficient vectors
-    basis: List[Poly] = []
-    echelon: List[Tuple[Dict, Tuple[int, ...], Q]] = []
-    for p in averaged:
-        terms = dict(p.terms)
-        for rowterms, lead, leadc in echelon:
-            c = terms.get(lead)
-            if c:
-                f = c / leadc
-                for e2, c2 in rowterms.items():
-                    s = terms.get(e2, Fraction(0)) - f * c2
-                    if s:
-                        terms[e2] = s
-                    else:
-                        terms.pop(e2, None)
-        if terms:
-            lead = sorted(terms)[0]
-            echelon.append((terms, lead, terms[lead]))
-            basis.append(p)
+        row = {at[m]: c for m, c in avg.terms.items()}
+        if row and rank(mat(rows + [row])) > len(rows):
+            rows.append(row)
+            basis.append(avg)
     return basis
 
 
@@ -291,45 +268,60 @@ class PoincareSeries:
     """Truncated dimension series c_0..c_N, optionally with a rational witness.
 
     The witness (num, den) is in lowest-first coefficient form and, when
-    present, expands to the stored coefficients.
+    present, expands to the stored coefficients.  `molien_forms` and
+    `sum_series` make it integral, with den(0) = +-1 and leading coefficient 1.
     """
 
     order: int
     coeffs: Tuple[int, ...]
-    witness: Optional[Tuple[Tuple[Q, ...], Tuple[Q, ...]]] = None
+    witness: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
 
     def __post_init__(self):
         if any(c < 0 for c in self.coeffs):
             raise ValueError("Poincare coefficients must be dimensions >= 0")
         if self.witness is not None:
-            num, den = self.witness
-            expand = poly1_mul(num, series_inverse(den, self.order))
-            got = tuple(int(expand[i]) if i < len(expand) else 0
-                        for i in range(self.order + 1))
-            if got != self.coeffs:
+            (num, den), n = self.witness, self.order + 1
+            expand = poly1_mul(num, series_inverse(den, self.order)) + (0,) * n
+            if expand[:n] != self.coeffs:
                 raise ValueError("witness does not expand to the coefficients")
 
     def __add__(self, other: "PoincareSeries") -> "PoincareSeries":
         return sum_series([self, other])
 
 
+# Witness arithmetic runs on integer polynomials, lowest degree first.  Every
+# denominator is a product of charpolys det(1 - t h), with constant term 1 and
+# leading coefficient +-1, so dividing by one and by its factors stays in Z.
+
+def _gcd(p, q) -> Tuple[int, ...]:
+    """The gcd with leading coefficient 1 of integer polynomials p and q, q
+    with leading coefficient +-1: primitive pseudo-remainders."""
+    while q:
+        r = list(p)
+        while len(r) >= len(q):
+            c, d = r[-1], len(r) - len(q)
+            r = [x * q[-1] for x in r]
+            for i, b in enumerate(q):
+                r[d + i] -= c * b
+            r = list(poly1_trim(r))
+        g = math.gcd(*map(int, r)) if r else 1
+        p, q = q, tuple(x // g for x in r)
+    return poly1_scale(p[-1], p)
+
+
 def _reduce_fraction(num, den):
+    """num / den in lowest terms, den with leading coefficient +-1 made 1."""
     if not num:
-        return (), (Fraction(1),)
-    g = poly1_gcd(num, den)
-    if len(g) > 1:
-        num = poly1_divmod(num, g)[0]
-        den = poly1_divmod(den, g)[0]
-    lead = den[-1]
-    num = poly1_scale(1 / lead, num)
-    den = poly1_scale(1 / lead, den)
-    return poly1_trim(num), poly1_trim(den)
+        return (), (1,)
+    g = _gcd(num, den)
+    num, den = poly1_divmod(num, g)[0], poly1_divmod(den, g)[0]
+    return poly1_scale(den[-1], num), poly1_scale(den[-1], den)
 
 
-def _lcm(polys) -> Tuple[Q, ...]:
-    out: Tuple[Q, ...] = (Fraction(1),)
+def _lcm(polys) -> Tuple[int, ...]:
+    out: Tuple[int, ...] = (1,)
     for p in polys:
-        out = poly1_mul(out, poly1_divmod(p, poly1_gcd(out, p))[0])
+        out = poly1_mul(out, poly1_divmod(p, _gcd(out, p))[0])
     return out
 
 
@@ -345,7 +337,7 @@ def sum_series(series: Sequence[PoincareSeries]) -> PoincareSeries:
     witness = None
     if all(s.witness is not None for s in series):
         lcm = _lcm(s.witness[1] for s in series)
-        num: Tuple[Q, ...] = ()
+        num: Tuple[int, ...] = ()
         for n, d in (s.witness for s in series):
             num = poly1_add(num, poly1_mul(n, poly1_divmod(lcm, d)[0]))
         num, den = _reduce_fraction(num, lcm)
@@ -354,48 +346,47 @@ def sum_series(series: Sequence[PoincareSeries]) -> PoincareSeries:
     return PoincareSeries(order=order, coeffs=coeffs, witness=witness)
 
 
-def molien_forms(action_matrices: Sequence[Mat], n_max: int,
+def molien_forms(charpolys: Mapping[Tuple[int, ...], int], n_max: int,
                  order: int = 16) -> Tuple[PoincareSeries, ...]:
     """Graded dimensions of H-invariant polynomial n-forms on V, n = 0..n_max.
 
-    `action_matrices` give the H-action on V (one matrix per group element,
-    the full group).  Entry n has c_d = dim of the degree-d part of
+    `charpolys` tallies det(xI - h) = (1, c_1, .., c_dim), integer
+    coefficients highest first, over the elements h of the finite group H
+    acting on V.  Entry n has c_d = dim of the degree-d part of
     (S(V*) (x) Lambda^n V*)^H, by classical Molien averaging of
-    det(1 + y h*)/det(1 - t h*) on the dual action.  An element enters every
-    degree only through its charpoly, so the group is tallied by charpoly;
-    each degree's witness is one fraction over the lcm of the distinct ones.
+    det(1 + y h*)/det(1 - t h*) on the dual action.  h^-1 runs over H as h
+    does and transposing keeps charpolys, so read lowest first cp is
+    det(1 - t h*), and (-1)^n c_n = tr Lambda^n h*.  Each degree's witness is
+    one fraction over the lcm of the distinct charpolys.
     """
-    group = list(action_matrices)
-    if not group:
-        raise ValueError("need at least the identity matrix")
+    if not charpolys:
+        raise ValueError("need at least the identity")
     if n_max < 0:
         raise ValueError("form degree must be >= 0")
-    dim = len(group[0])
-    # h^-1 runs over the group as h does and transposing keeps charpolys, so
-    # charpoly(h) tallies cp = det(xI - h*) = (1, c_1, .., c_dim) highest
-    # first: lowest first it is det(1 - t h*), and (-1)^n c_n = tr Lambda^n h*
-    tally = Counter(charpoly(m) if dim else (Fraction(1),) for m in group)
-    lcm = _lcm(tally)
+    size = sum(charpolys.values())
+    dim = len(next(iter(charpolys))) - 1
+    lcm = _lcm(charpolys)
     terms = [(count, cp, series_inverse(cp, order), poly1_divmod(lcm, cp)[0])
-             for cp, count in tally.items()]
+             for cp, count in charpolys.items()]
     out = []
     for n in range(min(n_max, dim) + 1):
-        total = [Fraction(0)] * (order + 1)
-        wnum: Tuple[Q, ...] = ()
+        total = [0] * (order + 1)
+        wnum: Tuple[int, ...] = ()
         for count, cp, inv, cofactor in terms:
             numer = count * (-1) ** n * cp[n]
             total = [t + numer * x for t, x in zip(total, inv)]
             wnum = poly1_add(wnum, poly1_scale(numer, cofactor))
-        coeffs = [c / len(group) for c in total]
-        if any(c.denominator != 1 or c < 0 for c in coeffs):
+        if any(c % size or c < 0 for c in total):
             raise ValueError("Molien coefficient is not a dimension")
-        wnum, wden = _reduce_fraction(
-            poly1_scale(Fraction(1, len(group)), wnum), lcm)
+        # wnum / (size * wden) has integer coefficients and wden(0) = +-1,
+        # so size divides wnum
+        wnum, wden = _reduce_fraction(wnum, lcm)
         out.append(PoincareSeries(
-            order=order, coeffs=tuple(int(c) for c in coeffs),
-            witness=(wnum, wden) if len(wden) - 1 <= order else None))
+            order=order, coeffs=tuple(c // size for c in total),
+            witness=(tuple(c // size for c in wnum), wden)
+            if len(wden) - 1 <= order else None))
     zero = PoincareSeries(order=order, coeffs=(0,) * (order + 1),
-                          witness=((), (Fraction(1),)))
+                          witness=((), (1,)))
     return tuple(out) + (zero,) * (n_max + 1 - len(out))
 
 

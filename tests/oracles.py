@@ -572,16 +572,70 @@ def dense_intertwiner_matrices(pairs, nrows, ncols):
                   for i in range(nrows)) for v in basis]
 
 
+def field_reduce_fraction(num, den):
+    """Reference for `gradedhecke.poly._reduce_fraction`: its body from
+    before witnesses were integer polynomials, Euclid's gcd over Q."""
+    from gradedhecke.linalg import (poly1_divmod, poly1_gcd, poly1_scale,
+                                    poly1_trim)
+    if not num:
+        return (), (Fraction(1),)
+    g = poly1_gcd(num, den)
+    if len(g) > 1:
+        num = poly1_divmod(num, g)[0]
+        den = poly1_divmod(den, g)[0]
+    lead = den[-1]
+    num = poly1_scale(Fraction(1) / lead, num)
+    den = poly1_scale(Fraction(1) / lead, den)
+    return poly1_trim(num), poly1_trim(den)
+
+
+def matrix_molien(action_matrices, n_max, order=16):
+    """`gradedhecke.poly.molien_forms` on the tally of the charpolys of the
+    given matrices, one per group element: the route of the census before
+    it read its charpolys off the traces of the group table."""
+    from collections import Counter
+
+    from gradedhecke.poly import molien_forms
+    tally = Counter()
+    for m in action_matrices:
+        cp = charpoly(m)
+        assert all(c.denominator == 1 for c in cp)
+        tally[tuple(c.numerator for c in cp)] += 1
+    return molien_forms(tally, n_max, order)
+
+
+def matrix_census(datum, gammas=(), truncation=16):
+    """Reference for the entries' series and the totals of
+    `gradedhecke.homology.crossed_product_census`: each centralizer
+    element restricted to the fixed space (`restrict_matrix`), one charpoly
+    and one reduced Fraction witness per element and degree
+    (`per_element_molien`), and the totals folded by `pairwise_add`."""
+    from gradedhecke.weyl import enumerate_group
+    entries = []
+    for cls in enumerate_group(datum, gammas).census.entries:
+        mats = [restrict_matrix(z.matrix, cls.fixed_basis)
+                for z in cls.centralizer]
+        entries.append(tuple(per_element_molien(mats, n, truncation)
+                             for n in range(datum.ambient_dim + 1)))
+    totals = []
+    for column in zip(*entries):
+        total = column[0]
+        for s in column[1:]:
+            total = pairwise_add(total, s)
+        totals.append(total)
+    return entries, totals
+
+
 def per_element_molien(action_matrices, n, order=16):
     """Reference for `gradedhecke.poly.molien_forms`: one degree at a time,
-    one charpoly of the dual action and one reduced fraction per element."""
-    from fractions import Fraction
+    one charpoly of the dual action and one reduced fraction per element,
+    in Fraction arithmetic."""
     from typing import Tuple
 
-    from gradedhecke.linalg import (Q, charpoly, inverse, poly1_add,
-                                    poly1_mul, poly1_scale, poly1_trim,
-                                    series_inverse, transpose)
-    from gradedhecke.poly import PoincareSeries, _reduce_fraction
+    from gradedhecke.linalg import (Q, inverse, poly1_add, poly1_mul,
+                                    poly1_scale, poly1_trim, series_inverse,
+                                    transpose)
+    from gradedhecke.poly import PoincareSeries
 
     group = list(action_matrices)
     if not group:
@@ -606,7 +660,7 @@ def per_element_molien(action_matrices, n, order=16):
             total[i] += numer * inv[i]
         wnum = poly1_add(poly1_mul(wnum, den), poly1_scale(numer, wden))
         wden = poly1_mul(wden, den)
-        wnum, wden = _reduce_fraction(wnum, wden)
+        wnum, wden = field_reduce_fraction(wnum, wden)
     size = Fraction(len(group))
     coeffs = []
     for c in total:
@@ -615,7 +669,7 @@ def per_element_molien(action_matrices, n, order=16):
             raise ValueError("Molien coefficient is not a dimension")
         coeffs.append(int(c))
     wnum = poly1_scale(Fraction(1, len(group)), wnum)
-    wnum, wden = _reduce_fraction(wnum, wden)
+    wnum, wden = field_reduce_fraction(wnum, wden)
     witness = (wnum, wden) if len(wden) - 1 <= order else None
     return PoincareSeries(order=order, coeffs=tuple(coeffs), witness=witness)
 
@@ -1042,7 +1096,7 @@ def pairwise_add(a, b):
     """Reference for `gradedhecke.poly.sum_series`: the body of
     `PoincareSeries.__add__` before sums were taken in one pass."""
     from gradedhecke.linalg import poly1_add, poly1_mul
-    from gradedhecke.poly import PoincareSeries, _reduce_fraction
+    from gradedhecke.poly import PoincareSeries
 
     self, other = a, b
     order = min(self.order, other.order)
@@ -1053,7 +1107,7 @@ def pairwise_add(a, b):
         n2, d2 = other.witness
         num = poly1_add(poly1_mul(n1, d2), poly1_mul(n2, d1))
         den = poly1_mul(d1, d2)
-        num, den = _reduce_fraction(num, den)
+        num, den = field_reduce_fraction(num, den)
         if len(den) - 1 <= order:
             witness = (num, den)
     return PoincareSeries(order=order, coeffs=coeffs[:order + 1],

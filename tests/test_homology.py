@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import (POINT_MODULE_TEMPLATES, compose_perms,
                      dense_connes_boundary, dense_hochschild_boundary,
                      dense_mixed_total_boundary, densify,
-                     permutation_closure)
+                     permutation_closure, stabilizer_class_count)
 
 from gradedhecke import homology, modules
 from gradedhecke.hecke import HeckeAlgebra
@@ -263,6 +263,21 @@ def test_point_module_symmetric_groups(perms, x, order, classes):
     rep = crossed_point_module(perms, x)
     assert rep.stabilizer_order == order
     assert rep.stabilizer_classes == rep.constituents == classes
+    assert rep.match
+
+
+@pytest.mark.parametrize("perms,x,classes", [
+    ([(1, 2, 3, 0), (1, 0, 2, 3)], 0, 3),  # S4 fixing a point: G_x = S3
+    # S3 x S3 on two orbits fixing 6: a base needs points of both orbits
+    ([(1, 2, 0, 3, 4, 5, 6), (1, 0, 2, 3, 4, 5, 6), (0, 1, 2, 4, 5, 3, 6),
+      (0, 1, 2, 4, 3, 5, 6)], 6, 9),
+])
+def test_point_module_counts_nonabelian_stabilizer_classes(perms, x, classes):
+    # commuting pairs of G_x are found on a base of G_x, not on all points;
+    # the oracle counts conjugation orbits on whole permutations
+    rep = crossed_point_module(perms, x)
+    assert rep.stabilizer_classes == rep.constituents == classes == \
+        stabilizer_class_count(permutation_closure(perms), x)
     assert rep.match
 
 

@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedhecke import poly
+from gradedhecke import homology, linalg, poly, weyl
 from gradedhecke.homology import crossed_product_census
-from gradedhecke.linalg import (charpoly, det, inverse, restrict_matrix,
-                                transpose)
+from gradedhecke.linalg import det, inverse, restrict_matrix, transpose
 from gradedhecke.poly import (PoincareSeries, Poly, act, divided_difference,
-                              invariant_polys, molien_forms,
-                              monomials_of_degree, parse_poly, reynolds,
-                              sum_series)
+                              invariant_polys, monomials_of_degree,
+                              parse_poly, reynolds, sum_series)
 from gradedhecke.rootdata import build_root_datum
 from gradedhecke.weyl import enumerate_group, make_diagram_automorphism
 
@@ -98,16 +96,16 @@ def test_reynolds():
             assert act(h, r) == r
 
 
-from oracles import (brute_force_form_dimension, pairwise_add,  # noqa: E402
-                     per_element_molien)
+from oracles import (brute_force_form_dimension, matrix_census,  # noqa: E402
+                     matrix_molien, pairwise_add, per_element_molien)
 
 
 def test_molien_a1_against_brute_force():
     d = build_root_datum("A1", 1)
     group = enumerate_group(d)
     mats = [e.matrix for e in group.elements]
-    s0 = molien_forms(mats, 0, 10)[0]
-    s1 = molien_forms(mats, 1, 10)[1]
+    s0 = matrix_molien(mats, 0, 10)[0]
+    s1 = matrix_molien(mats, 1, 10)[1]
     assert s0.coeffs == (1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)
     assert s1.coeffs == (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0)
     for deg in range(11):
@@ -117,9 +115,9 @@ def test_molien_a1_against_brute_force():
 
 def test_molien_point_class():
     # the fixed space of the reflection class is a point
-    s0 = molien_forms([()], 0, 6)[0]
+    s0 = matrix_molien([()], 0, 6)[0]
     assert s0.coeffs == (1, 0, 0, 0, 0, 0, 0)
-    s1 = molien_forms([()], 1, 6)[1]
+    s1 = matrix_molien([()], 1, 6)[1]
     assert s1.coeffs == (0,) * 7
 
 
@@ -133,7 +131,7 @@ def test_molien_brute_force_cross_check(label, amb, gammas):
     group = enumerate_group(d, gs)
     mats = [e.matrix for e in group.elements]
     for n in (0, 1, 2):
-        series = molien_forms(mats, n, 6)[n]
+        series = matrix_molien(mats, n, 6)[n]
         for deg in range(7):
             assert series.coeffs[deg] == \
                 brute_force_form_dimension(mats, deg, n)
@@ -144,7 +142,7 @@ def test_molien_invariant_polys_agree():
     d = build_root_datum("B2", 2)
     group = enumerate_group(d)
     mats = [e.matrix for e in group.elements]
-    series = molien_forms(mats, 0, 6)[0]
+    series = matrix_molien(mats, 0, 6)[0]
     for deg in range(7):
         basis = invariant_polys(group.elements, 2, deg)
         assert len(basis) == series.coeffs[deg]
@@ -153,14 +151,14 @@ def test_molien_invariant_polys_agree():
 @pytest.mark.parametrize("n_max", [0, 1, 3])
 def test_molien_forms_degrees_above_dim_and_negative(n_max):
     group = enumerate_group(build_root_datum("A1", 1))
-    series = molien_forms([e.matrix for e in group.elements], n_max, 4)
+    series = matrix_molien([e.matrix for e in group.elements], n_max, 4)
     assert len(series) == n_max + 1
     for s in series[2:]:
         assert s.coeffs == (0,) * 5 and s.witness == ((), (Q(1),))
     with pytest.raises(ValueError):
-        molien_forms([e.matrix for e in group.elements], -1, 4)
+        matrix_molien([e.matrix for e in group.elements], -1, 4)
     with pytest.raises(ValueError):
-        molien_forms([], 0, 4)
+        matrix_molien([], 0, 4)
 
 
 def _fixed_space_actions():
@@ -188,28 +186,57 @@ def test_molien_forms_matches_per_element_oracle(index, order, rng):
     dim_t, mats = FIXED_SPACE_ACTIONS[index]
     mats = list(mats)
     rng.shuffle(mats)
-    series = molien_forms(mats, dim_t + 1, order)
+    series = matrix_molien(mats, dim_t + 1, order)
     for n in range(dim_t + 2):
         ref = per_element_molien(mats, n, order)
         assert series[n].coeffs == ref.coeffs
         assert series[n].witness == ref.witness
 
 
-def test_crossed_census_takes_one_charpoly_per_element(monkeypatch):
+def test_crossed_census_takes_no_charpoly_or_restriction(monkeypatch):
+    # the charpolys come from the traces of the group table: no matrix of a
+    # centralizer element is restricted, reduced or given a charpoly (the
+    # class census, cached on the group, finds the fixed spaces once)
+    group = enumerate_group(build_root_datum("A4", 4))
+    group.census
     calls = []
 
-    def counted(a):
-        calls.append(len(a))
-        return charpoly(a)
+    def counted(name, f):
+        return lambda *args: calls.append(name) or f(*args)
+    for module in (linalg, poly, homology, weyl):
+        for name in ("charpoly", "restrict_matrix", "rref"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    census = crossed_product_census(group.datum, truncation=16, group=group)
+    assert calls == []
+    assert census.totals[0].coeffs[0] == census.class_count == 7
 
-    monkeypatch.setattr(poly, "charpoly", counted)
-    group = enumerate_group(build_root_datum("A4", 4))
-    crossed_product_census(group.datum, truncation=16, group=group)
-    # one per centralizer element on a nonzero fixed space; the
-    # per-degree, per-element computation took 710
-    assert len(calls) <= sum(len(c.centralizer)
-                             for c in group.census.entries) == 161
-    assert all(calls)
+
+CENSUS_DATA = {
+    "A1": ("A1", 1, ()), "A2": ("A2", 2, ()), "B2": ("B2", 2, ()),
+    "G2": ("G2", 2, ()), "A3": ("A3", 3, ()), "A4": ("A4", 4, ()),
+    "A1xA1-swap": ("A1xA1", 2, (("swap", [[0, 1], [1, 0]]),)),
+    # a Gamma of order 3, as in test_modules
+    "A1xA1xA1-rot": ("A1xA1xA1", 3, (
+        ("rot", [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+        ("rot2", [[0, 1, 0], [0, 0, 1], [1, 0, 0]]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_DATA))
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(st.integers(0, 16))
+def test_crossed_census_matches_matrix_oracle(name, truncation):
+    # charpolys from traces and integer witnesses against restricted
+    # matrices, charpolys and Fraction witnesses element by element
+    label, amb, auts = CENSUS_DATA[name]
+    d = build_root_datum(label, amb)
+    gammas = [make_diagram_automorphism(d, lbl, m) for lbl, m in auts]
+    census = crossed_product_census(d, gammas, truncation=truncation)
+    entries, totals = matrix_census(d, gammas, truncation)
+    assert [e.series for e in census.entries] == entries
+    assert list(census.totals) == totals
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -225,7 +252,7 @@ def test_sum_series_matches_pairwise_fold(datum, order, n, rng):
     gs = [make_diagram_automorphism(d, "swap", [[0, 1], [1, 0]])] \
         if swap else []
     group = enumerate_group(d, gs)
-    column = [molien_forms([restrict_matrix(z.matrix, cls.fixed_basis)
+    column = [matrix_molien([restrict_matrix(z.matrix, cls.fixed_basis)
                             for z in cls.centralizer], amb, order)[min(n, amb)]
               for cls in group.census.entries]
     column = rng.sample(column, rng.randint(1, len(column)))
@@ -262,9 +289,9 @@ def test_poincare_series_witness_and_add():
     d = build_root_datum("A1", 1)
     group = enumerate_group(d)
     mats = [e.matrix for e in group.elements]
-    s = molien_forms(mats, 0, 8)[0]
+    s = matrix_molien(mats, 0, 8)[0]
     assert s.witness is not None  # 1/(1 - t^2), checked by __post_init__
-    total = s + molien_forms([()], 0, 8)[0]
+    total = s + matrix_molien([()], 0, 8)[0]
     assert total.coeffs == (2, 0, 1, 0, 1, 0, 1, 0, 1)
     with pytest.raises(ValueError):
         PoincareSeries(order=2, coeffs=(1, -1, 0))
