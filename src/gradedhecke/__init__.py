@@ -23,7 +23,7 @@ _EXPORTS = {  # submodule -> the public names it defines
         molien_forms parse_poly reynolds""",
     "hecke": """HeckeAlgebra HeckeElement k_sensitive_part
         parse_element scale_map""",
-    "modules": """Character DSCatalogEntry FieldExtensionNeeded FinModule
+    "modules": """DSCatalogEntry FieldExtensionNeeded FinModule
         InductionDatum UnsplitSpectrumError auto_catalog central_character
         commutant decompose hom_space induce irr0_census
         is_discrete_series is_irreducible is_tempered one_dim_modules

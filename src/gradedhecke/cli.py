@@ -201,7 +201,7 @@ def _cmd_induce(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
         "real_central_character": real,
         "tempered": is_tempered(module),
         "commutant_dim": len(commutant(module)),
-        "restriction_character": module.restriction_character().values,
+        "restriction_character": module.restriction_character(),
     })
     if dec is not None:
         rep["decomposition"] = [{"dim": m.dim, "multiplicity": c}
@@ -235,7 +235,7 @@ def _cmd_irr0(cfg: RunConfig, algebra: HeckeAlgebra, catalog_text) -> Dict:
             "tempered": True,
             "central_character": [{"re": re, "im": im}
                                   for re, im in central_character(m)[0]],
-            "restriction_character": m.restriction_character().values,
+            "restriction_character": m.restriction_character(),
         } for m in modules],
     })
     return rep

@@ -284,13 +284,8 @@ class HeckeElement:
     def to_text(self) -> str:
         if not self.terms:
             return "0"
-        group = self.algebra.group
-        keys = sorted(self.terms, key=group.sort_key)
-        chunks = []
-        for w in keys:
-            head = repr(w)
-            chunks.append(f"{head}*({self.terms[w].to_text()})")
-        return " + ".join(chunks)
+        keys = sorted(self.terms, key=lambda w: w.index)
+        return " + ".join(f"{w!r}*({self.terms[w].to_text()})" for w in keys)
 
     def __repr__(self):
         return f"HeckeElement({self.to_text()})"
@@ -317,13 +312,17 @@ def scale_map(z, a: HeckeElement, target: HeckeAlgebra) -> HeckeElement:
     """
     z = Fraction(z)
     src = a.algebra
+    if src.datum != target.datum or \
+            src.group.gamma.elements != target.group.gamma.elements:
+        raise HeckeError("source and target must share the root datum "
+                         "and Gamma")
     if src.kmap.values != target.kmap.scaled(z).values:
         raise HeckeError("source algebra must have parameters z * k")
     out: Dict[ExtendedWeylElement, Poly] = {}
     for w, p in a.terms.items():
         q = Poly(p.nvars, {e: c * z ** sum(e) for e, c in p.terms.items()})
         if not q.is_zero():
-            out[target.group.element(w.matrix)] = q
+            out[target.group.elements[w.index]] = q
     return HeckeElement(target, out)
 
 

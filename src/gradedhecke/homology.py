@@ -14,7 +14,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -38,93 +37,85 @@ class SizeBoundExceeded(HomologyError):
     pass
 
 
-def _unit_vectors(d: int) -> List[Vec]:
-    return [tuple(Fraction(int(t == i)) for t in range(d)) for i in range(d)]
-
-
 @dataclass
 class FinDimAlgebra:
-    """A finite-dimensional unital algebra by structure constants over Q.
+    """A finite-dimensional unital algebra by sparse structure constants.
 
-    mult[i][j] is the coordinate vector of e_i * e_j; associativity and the
-    unit laws are checked at construction.
+    table[i][j] lists pairs (k, c): e_i * e_j is the sum of the c e_k.  The
+    shape, the unit's length, associativity and the unit laws are checked
+    at construction.
     """
 
     dim: int
-    mult: Tuple[Tuple[Vec, ...], ...]
+    table: Tuple[Tuple[Tuple[Tuple[int, Q], ...], ...], ...]
     unit: Vec
     label: str = ""
 
     def __post_init__(self):
-        d, e = self.dim, _unit_vectors(self.dim)
-        for i in range(d):
-            for j in range(d):
-                if len(self.mult[i][j]) != d:
-                    raise HomologyError("structure constants have wrong shape")
+        d, table = self.dim, self.table
+        if len(table) != d or any(len(row) != d for row in table):
+            raise HomologyError("structure constants have wrong shape")
+        if any(not 0 <= k < d for row in table for cell in row
+               for k, _ in cell):
+            raise HomologyError("structure constant index out of range")
+        if len(self.unit) != d:
+            raise HomologyError(f"unit has {len(self.unit)} coordinates, "
+                                f"not {d}")
         for i in range(d):
             for j in range(d):
                 for k in range(d):
-                    if self._mul_vec(self.mult[i][j], e[k]) != \
-                            self._mul_vec(e[i], self.mult[j][k]):
+                    if self._product(table[i][j], ((k, 1),)) != \
+                            self._product(((i, 1),), table[j][k]):
                         raise HomologyError(
                             f"associativity fails at ({i},{j},{k})")
+        unit = [(u, c) for u, c in enumerate(self.unit) if c]
         for i in range(d):
-            if self._mul_vec(self.unit, e[i]) != e[i] or \
-                    self._mul_vec(e[i], self.unit) != e[i]:
+            if self._product(unit, ((i, 1),)) != {i: 1} or \
+                    self._product(((i, 1),), unit) != {i: 1}:
                 raise HomologyError("unit laws fail")
 
-    @cached_property
-    def table(self) -> Tuple[Tuple[Tuple[Tuple[int, Q], ...], ...], ...]:
-        """Sparse structure constants: table[i][j] lists the (k, c) with
-        c = (e_i * e_j)_k nonzero."""
-        return tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c)
-                           for v in row) for row in self.mult)
-
-    def _mul_vec(self, a: Vec, b: Vec) -> Vec:
-        out = [Fraction(0)] * self.dim
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if not cb:
-                    continue
+    def _product(self, a, b) -> Dict[int, Q]:
+        """The nonzero coordinates of a * b, for a and b given as (k, c)."""
+        out: Dict[int, Q] = {}
+        for i, ca in a:
+            for j, cb in b:
                 for k, c in self.table[i][j]:
-                    out[k] += ca * cb * c
-        return tuple(out)
+                    out[k] = out.get(k, 0) + ca * cb * c
+        return {k: c for k, c in out.items() if c}
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def ground_field() -> "FinDimAlgebra":
-        one = (Fraction(1),)
-        return FinDimAlgebra(dim=1, mult=((one,),), unit=one, label="Q")
+        one = Fraction(1)
+        return FinDimAlgebra(dim=1, table=((((0, one),),),), unit=(one,),
+                             label="Q")
 
     @staticmethod
     def matrix_algebra(n: int) -> "FinDimAlgebra":
         """M_n(Q) on the matrix units e_rc = basis vector r * n + c."""
-        d = n * n
-        e, zero = _unit_vectors(d), (Fraction(0),) * d
-        mult = tuple(tuple(e[a // n * n + b % n] if a % n == b // n else zero
-                           for b in range(d)) for a in range(d))
+        d, one = n * n, Fraction(1)
+        table = tuple(tuple(((a // n * n + b % n, one),) if a % n == b // n
+                            else () for b in range(d)) for a in range(d))
         unit = tuple(Fraction(int(t % (n + 1) == 0)) for t in range(d))
-        return FinDimAlgebra(dim=d, mult=mult, unit=unit, label=f"M{n}(Q)")
+        return FinDimAlgebra(dim=d, table=table, unit=unit,
+                             label=f"M{n}(Q)")
 
     @staticmethod
     def group_algebra(elements, mult_fn, label="Q[G]") -> "FinDimAlgebra":
         """Group algebra from an element list and a multiplication callback."""
         elements = list(elements)
         index = {g: i for i, g in enumerate(elements)}
-        d = len(elements)
-        e = _unit_vectors(d)
-        mult = tuple(tuple(e[index[mult_fn(a, b)]] for b in elements)
-                     for a in elements)
+        d, one = len(elements), Fraction(1)
+        table = tuple(tuple(((index[mult_fn(a, b)], one),) for b in elements)
+                      for a in elements)
         identity_idx = next((i for i, g in enumerate(elements)
                              if all(mult_fn(g, h) == h and mult_fn(h, g) == h
                                     for h in elements)), None)
         if identity_idx is None:
             raise HomologyError("group has no identity element")
-        return FinDimAlgebra(dim=d, mult=mult, unit=e[identity_idx],
-                             label=label)
+        unit = tuple(Fraction(int(t == identity_idx)) for t in range(d))
+        return FinDimAlgebra(dim=d, table=table, unit=unit, label=label)
 
     @staticmethod
     def of_weyl_group(group: WeylGroup) -> "FinDimAlgebra":
@@ -503,7 +494,7 @@ def verify_basis_theorem(algebra: HeckeAlgebra,
     census = algebra.group.census
     hp0 = group_hh0(algebra.group)
     modules = irr0_census(algebra, catalog)
-    matrix = tuple(m.restriction_character().values for m in modules)
+    matrix = tuple(m.restriction_character() for m in modules)
     mrank = rank(mat(matrix))
     counts_match = (len(modules) == len(census) == hp0)
     full_rank = (mrank == len(census) and len(matrix) == len(census))

@@ -476,10 +476,27 @@ def poly1_divmod(p, q):
     return poly1_trim(quo), poly1_trim(r)
 
 
+def _parts(x) -> Tuple:
+    return (x.re, x.im) if isinstance(x, QI) else (x,)
+
+
 def poly1_gcd(p, q):
+    """The gcd with leading coefficient 1 of polynomials over Z, or over
+    Z[i] as `QI` with integer parts: a primitive pseudo-remainder sequence,
+    each remainder divided by the gcd of its coefficients' parts.  The gcd
+    is integral when its primitive form has leading coefficient 1 or -1."""
     p, q = poly1_trim(p), poly1_trim(q)
     while q:
-        p, q = q, poly1_divmod(p, q)[1]
+        r = list(p)
+        while len(r) >= len(q):
+            c, d = r[-1], len(r) - len(q)
+            r = [x * q[-1] for x in r]
+            for i, b in enumerate(q):
+                r[d + i] -= c * b
+            r = list(poly1_trim(r))
+        g = math.gcd(*(int(y) for x in r for y in _parts(x))) if r else 1
+        p, q = q, tuple(QI(x.re / g, x.im / g) if isinstance(x, QI)
+                        else x // g for x in r)
     if p:
         u = _unit_inverse(p[-1])
         p = tuple(a * u for a in p)
@@ -545,8 +562,11 @@ def _lifted_candidates(p: List, gaussian: bool) -> set:
     a - b*iota of the images of g under i -> +iota and i -> -iota.
     """
     low = tuple(reversed(p))
-    low = poly1_divmod(low, poly1_gcd(low, [j * c for j, c in
-                                           enumerate(low)][1:]))[0]
+    den = math.lcm(*(x.denominator for c in low for x in _parts(c)))
+    scaled = [c * den if gaussian else c.numerator * (den // c.denominator)
+              for c in low]  # over Z or Z[i]
+    low = poly1_divmod(low, poly1_gcd(scaled, [j * c for j, c in
+                                              enumerate(scaled)][1:]))[0]
     f = [QI.of(c / low[-1]) for c in reversed(low)]
     if len(f) < 3:  # a constant has no root, a linear factor one
         return {-f[1] if gaussian else -f[1].re} if f[1:] else set()

@@ -22,8 +22,8 @@ from .linalg import (GradedHeckeError, Mat, Q, QI, Vec, canonical_basis,
                      mat_mul, mat_vec, nullspace, restrict_matrix, roots,
                      solve, trace, transpose, zero_vec)
 from .rootdata import ParabolicDatum, RootDatum, in_antidual, parabolic
-from .weyl import (ConjugacyClassCensus, ExtendedWeylElement,
-                   coset_decomposition, elements_mapping_parabolic)
+from .weyl import (ExtendedWeylElement, coset_decomposition,
+                   elements_mapping_parabolic)
 
 
 class ModuleError(GradedHeckeError):
@@ -81,17 +81,12 @@ class FinModule:
     refl: Dict[int, Mat]
     gammas: Dict[str, Mat]
     coord: Tuple[Mat, ...]
-    labels: Tuple[str, ...] = ()
     name: str = ""
     meta: dict = field(default_factory=dict)
     memo: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
     induced: Optional["InducedBasis"] = field(default=None, repr=False,
                                               compare=False)
-
-    def __post_init__(self):
-        if not self.labels:
-            self.labels = tuple(f"v{i}" for i in range(self.dim))
 
     def is_complex(self) -> bool:
         return any(isinstance(c, QI) and c.im != 0
@@ -182,11 +177,11 @@ class FinModule:
                     raise ModuleError("gamma cross relation fails")
 
     @_memoized
-    def restriction_character(self) -> "Character":
-        census = self.algebra.group.census
-        values = tuple(trace(self.act(e.rep, identity(self.dim)))
-                       for e in census.entries)
-        return Character(census=census, values=values)
+    def restriction_character(self) -> Tuple[Q, ...]:
+        """The trace of each class of W' on the module, in the order of
+        `algebra.group.census`."""
+        return tuple(trace(self.act(e.rep, identity(self.dim)))
+                     for e in self.algebra.group.census.entries)
 
 
 def _braid_order(datum: RootDatum, i: int, j: int) -> int:
@@ -218,20 +213,6 @@ def _components(n: int, linked) -> List[int]:
             if find(i) != find(j) and linked(i, j):
                 parent[find(i)] = find(j)
     return [find(i) for i in range(n)]
-
-
-@dataclass(frozen=True)
-class Character:
-    """Class function on W', stored by the census's canonical class order."""
-
-    census: ConjugacyClassCensus
-    values: Tuple[Q, ...]
-
-    def __eq__(self, other):
-        return isinstance(other, Character) and self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +278,6 @@ class InductionDatum:
     delta: FinModule
     lam_re: Vec
     lam_im: Vec
-    discrete_series: bool = True
 
 
 @dataclass(frozen=True)
@@ -433,11 +413,10 @@ def induce(algebra: HeckeAlgebra, xi: InductionDatum,
     coord = tuple(assemble([{**off[k][b], b: mat_comb(
         [(x, coord_small[j]) for j, x in u.matrix[k]], d)}
         for b, u in enumerate(reps)]) for k in range(amb))
-    labels = tuple(f"{u!r}(x){lbl}" for u in reps for lbl in delta.labels)
     name = f"pi'({list(xi.P)},{delta.name},lam)" if extended else \
         f"pi({list(xi.P)},{delta.name},lam)"
     mod = FinModule(algebra=work, dim=n, refl=refl, gammas=gammas,
-                    coord=coord, labels=labels, name=name,
+                    coord=coord, name=name,
                     meta={"P": xi.P, "delta": delta.name,
                           "lam_re": xi.lam_re, "lam_im": xi.lam_im},
                     induced=InducedBasis(
@@ -718,7 +697,7 @@ def decompose(module: FinModule) -> List[Tuple[FinModule, int]]:
     """
     groups: List[Tuple[FinModule, int]] = []
     for i, leaf in enumerate(_split(module)):
-        m = replace(leaf, name=f"{module.name}#{i}", labels=(),
+        m = replace(leaf, name=f"{module.name}#{i}",
                     meta=dict(leaf.meta))
         for g, (rep, count) in enumerate(groups):
             if equivalent(rep, m):
@@ -728,7 +707,7 @@ def decompose(module: FinModule) -> List[Tuple[FinModule, int]]:
             groups.append((m, 1))
     if sum(c * m.dim for m, c in groups) != module.dim:
         raise ModuleError("decomposition does not fill the module")
-    groups.sort(key=lambda t: (t[0].dim, t[0].restriction_character().values))
+    groups.sort(key=lambda t: (t[0].dim, t[0].restriction_character()))
     return groups
 
 
@@ -787,12 +766,12 @@ def transport_module(algebra: HeckeAlgebra, P: Tuple[int, ...],
                      Q_target: Tuple[int, ...],
                      target_alg: HeckeAlgebra) -> FinModule:
     """delta o psi_w^{-1} over H_Q, for w in W'(P, Q)."""
-    datum = algebra.datum
+    group = algebra.group
+    simple = {p: i for i, p in enumerate(group._simple_pos)}
     refl = {}
     for pos, qi in enumerate(Q_target):
-        pre = algebra.group.act_covector(algebra.group.inv(w),
-                                         datum.simple_roots[qi])
-        src = datum.simple_roots.index(pre)
+        # alpha_qi o w is the simple root alpha_src
+        src = simple[group.root_perm[w.index][group._simple_pos[qi]]]
         refl[pos] = delta.refl[P.index(src)]
     coord = []
     for qi in Q_target:
@@ -852,7 +831,7 @@ def irr0_census(algebra: HeckeAlgebra,
         xi = InductionDatum(P=entry.P, delta=entry.module,
                             lam_re=lam0, lam_im=lam0)
         big = induce(algebra, xi, extended=True)
-        for mod, mult in decompose(big):
+        for mod, _ in decompose(big):
             if not is_tempered(mod):
                 raise ModuleError(
                     f"summand of pi'({list(entry.P)},{entry.module.name},0) "
@@ -862,7 +841,6 @@ def irr0_census(algebra: HeckeAlgebra,
                 raise ModuleError("summand has non-real central character")
             mod.meta["P"] = entry.P
             mod.meta["delta"] = entry.module.name
-            mod.meta["multiplicity_in_induced"] = mult
             found.append(mod)
     # dedup across association classes: a summand of pi'(P, delta, 0) may
     # realize a stratum with larger central-character norm and reappear
@@ -873,5 +851,5 @@ def irr0_census(algebra: HeckeAlgebra,
         unique.append(m)
     unique.sort(key=lambda m: (-cc_norm2(m), len(m.meta.get("P", ())),
                                m.meta.get("P", ()), m.dim,
-                               m.restriction_character().values))
+                               m.restriction_character()))
     return unique

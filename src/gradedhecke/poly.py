@@ -8,13 +8,12 @@ Fractions; zero coefficients are never stored.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .linalg import (GradedHeckeError, Mat, Q, Vec, inverse, mat, poly1_add,
-                     poly1_divmod, poly1_mul, poly1_scale, poly1_trim, rank,
+                     poly1_divmod, poly1_gcd, poly1_mul, poly1_scale, rank,
                      series_inverse)
 from .rootdata import RootDatum
 
@@ -293,27 +292,11 @@ class PoincareSeries:
 # denominator is a product of charpolys det(1 - t h), with constant term 1 and
 # leading coefficient +-1, so dividing by one and by its factors stays in Z.
 
-def _gcd(p, q) -> Tuple[int, ...]:
-    """The gcd with leading coefficient 1 of integer polynomials p and q, q
-    with leading coefficient +-1: primitive pseudo-remainders."""
-    while q:
-        r = list(p)
-        while len(r) >= len(q):
-            c, d = r[-1], len(r) - len(q)
-            r = [x * q[-1] for x in r]
-            for i, b in enumerate(q):
-                r[d + i] -= c * b
-            r = list(poly1_trim(r))
-        g = math.gcd(*map(int, r)) if r else 1
-        p, q = q, tuple(x // g for x in r)
-    return poly1_scale(p[-1], p)
-
-
 def _reduce_fraction(num, den):
     """num / den in lowest terms, den with leading coefficient +-1 made 1."""
     if not num:
         return (), (1,)
-    g = _gcd(num, den)
+    g = poly1_gcd(num, den)
     num, den = poly1_divmod(num, g)[0], poly1_divmod(den, g)[0]
     return poly1_scale(den[-1], num), poly1_scale(den[-1], den)
 
@@ -321,7 +304,7 @@ def _reduce_fraction(num, den):
 def _lcm(polys) -> Tuple[int, ...]:
     out: Tuple[int, ...] = (1,)
     for p in polys:
-        out = poly1_mul(out, poly1_divmod(p, _gcd(out, p))[0])
+        out = poly1_mul(out, poly1_divmod(p, poly1_gcd(out, p))[0])
     return out
 
 

@@ -1,11 +1,12 @@
 """Enumeration of W, Gamma and W' = Gamma x| W, with censuses and cosets.
 
-Elements are canonically identified by their exact matrices on the ambient
-space; each also knows its position `index` in the group's canonical
-(length, gamma, word) order.  Products, inverses, root images, the class
-census and coset bookkeeping are read off index tables built once by
-`enumerate_group`, which enumerates on root permutations.  All censuses are
-deterministic: classes are listed by their first-discovered representative.
+An element is its position `index` in the group's canonical (length, gamma,
+word) order: each group builds each element once, so elements compare by
+identity.  Its exact matrix on the ambient space is data, not identity.
+Products, inverses, root images, the class census and coset bookkeeping are
+read off index tables built once by `enumerate_group`, which enumerates on
+root permutations.  All censuses are deterministic: classes are listed by
+their first-discovered representative.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import (GradedHeckeError, Mat, Vec, identity, inverse, mat,
-                     mat_comb, mat_mul, mat_vec, nullspace, transpose)
+from .linalg import (GradedHeckeError, Mat, identity, inverse, mat, mat_comb,
+                     mat_mul, mat_vec, rank, transpose)
 from .rootdata import RootDatum
 
 GROUP_SIZE_BOUND = 100000
@@ -121,10 +122,10 @@ class GammaGroup:
 
 
 class ExtendedWeylElement:
-    """An element gamma*w of W': exact matrix, word/label data and its
-    position `index` in the canonical order of its group."""
+    """An element gamma*w of W': its position `index` in the canonical order
+    of its group, word/label data and exact matrix."""
 
-    __slots__ = ("gamma", "word", "matrix", "length", "index", "_hash")
+    __slots__ = ("gamma", "word", "matrix", "length", "index")
 
     def __init__(self, gamma: str, word: Tuple[int, ...], matrix: Mat,
                  length: int, index: int):
@@ -133,16 +134,6 @@ class ExtendedWeylElement:
         self.matrix = matrix
         self.length = length
         self.index = index
-        self._hash = None
-
-    def __eq__(self, other):
-        return isinstance(other, ExtendedWeylElement) and \
-            self.matrix == other.matrix
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.matrix)
-        return self._hash
 
     def __repr__(self):
         w = "*".join(f"s{i + 1}" for i in self.word) or "1"
@@ -157,8 +148,7 @@ class WeylGroup:
     `rmul_simple[i][a]` is the index of elements[a] * s_i and
     `rmul_gamma[label][a]` that of elements[a] * gamma; a product a * b walks
     b's gamma letter and word from a, and `root_perm[a]` is elements[a] on
-    root positions.  Only `element` looks up by matrix: it maps a matrix,
-    possibly from another group, to this group's element.
+    root positions.
     """
 
     def __init__(self, datum: RootDatum, gamma: GammaGroup,
@@ -169,9 +159,7 @@ class WeylGroup:
         self.datum = datum
         self.gamma = gamma
         self.elements: Tuple[ExtendedWeylElement, ...] = tuple(elements)
-        self.by_matrix: Dict[Mat, ExtendedWeylElement] = {
-            e.matrix: e for e in self.elements}
-        if len(self.by_matrix) != len(self.elements):
+        if len({e.matrix for e in self.elements}) != len(self.elements):
             raise WeylError("matrix collision between distinct (gamma, w) "
                             "pairs; Gamma must meet W trivially")
         self.root_perm = root_perm
@@ -199,15 +187,6 @@ class WeylGroup:
     def __iter__(self):
         return iter(self.elements)
 
-    def sort_key(self, e: ExtendedWeylElement):
-        return (e.length, self.gamma.index[e.gamma], e.word)
-
-    def element(self, matrix: Mat) -> ExtendedWeylElement:
-        el = self.by_matrix.get(matrix)
-        if el is None:
-            raise WeylError("matrix does not belong to the enumerated group")
-        return el
-
     def _times(self, a: int, b: ExtendedWeylElement) -> int:
         """Index of elements[a] * b."""
         a = self._rmul_gamma[b.gamma][a]
@@ -234,13 +213,6 @@ class WeylGroup:
         if self._census is None:
             self._census = conjugacy_census(self)
         return self._census
-
-    def act_covector(self, e: ExtendedWeylElement, x: Vec) -> Vec:
-        """Action of e on a covector: coordinates transform by inverse-transpose."""
-        return mat_vec(transpose(self.inv(e).matrix, len(x)), x)
-
-    def act_point(self, e: ExtendedWeylElement, lam: Vec) -> Vec:
-        return mat_vec(e.matrix, lam)
 
 
 def permutation_bfs(gens: Sequence[Tuple[int, ...]], bound: int):
@@ -292,8 +264,8 @@ def enumerate_group(datum: RootDatum,
     The BFS runs on the permutations of `datum.roots`; each element's matrix
     is one product, from its BFS parent or, off the identity coset, by its
     Gamma factor.  A matrix shared by distinct (gamma, w) pairs is rejected:
-    the canonical identification of elements with matrices requires Gamma to
-    meet W trivially.  Every word length is checked against the inversion
+    the pairs are distinct elements only when Gamma meets W trivially.
+    Every word length is checked against the inversion
     count l(w) = #{a > 0 : a o w < 0}, read off the permutations kept as
     `root_perm`.  The right-multiplication tables come from the BFS and from
     conjugating words by Gamma.
@@ -357,7 +329,6 @@ class ClassEntry:
     rep: ExtendedWeylElement
     size: int
     centralizer: Tuple[ExtendedWeylElement, ...]
-    fixed_basis: Tuple[Vec, ...]
     fixed_dim: int
 
 
@@ -371,7 +342,8 @@ class ConjugacyClassCensus:
 
 
 def conjugacy_census(group: WeylGroup) -> ConjugacyClassCensus:
-    """One entry per class: representative, size, centralizer, fixed space.
+    """One entry per class: representative, size, centralizer and the
+    dimension of the fixed space t^w.
 
     Callers use the copy cached as `group.census`.
     """
@@ -391,11 +363,10 @@ def conjugacy_census(group: WeylGroup) -> ConjugacyClassCensus:
             if hg == group._times(g.index, h):
                 centralizer.append(h)
         seen |= orbit
-        fixed = tuple(nullspace(mat_comb(((1, g.matrix), (-1, ident)), n),
-                                n))
+        fixed_dim = n - rank(mat_comb(((1, g.matrix), (-1, ident)), n))
         entries.append(ClassEntry(rep=g, size=len(orbit),
                                   centralizer=tuple(centralizer),
-                                  fixed_basis=fixed, fixed_dim=len(fixed)))
+                                  fixed_dim=fixed_dim))
     total = sum(e.size for e in entries)
     if total != len(group):
         raise WeylError("class sizes do not sum to the group order")

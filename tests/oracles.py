@@ -177,19 +177,32 @@ class _MatrixKeyedGroup:
     matrix product or exact inverse, looked up by matrix."""
 
     def __init__(self, group):
-        self.group = group
         self.datum = group.datum
         self.elements = group.elements
+        self.by_matrix = {e.matrix: e for e in group.elements}
 
     def __len__(self):
         return len(self.elements)
 
     def mult(self, a, b):
-        return self.group.element(mat_mul(a.matrix, b.matrix))
+        return self.by_matrix[mat_mul(a.matrix, b.matrix)]
 
     def inv(self, a):
         from gradedhecke.linalg import inverse
-        return self.group.element(inverse(a.matrix))
+        return self.by_matrix[inverse(a.matrix)]
+
+
+def fixed_basis(w, n: int) -> Tuple[Vec, ...]:
+    """The canonical basis of the fixed space of w on the n-dimensional
+    ambient space, the null space of w - 1."""
+    return tuple(nullspace(mat_comb(((1, w.matrix), (-1, identity(n))), n),
+                           n))
+
+
+def act_covector(group, w, x: Vec) -> Vec:
+    """w on a covector: coordinates transform by the inverse transpose."""
+    from gradedhecke.linalg import mat_vec, transpose
+    return mat_vec(transpose(group.inv(w).matrix, len(x)), x)
 
 
 def matrix_enumerate_weyl_words(datum, bound):
@@ -572,14 +585,24 @@ def dense_intertwiner_matrices(pairs, nrows, ncols):
                   for i in range(nrows)) for v in basis]
 
 
+def euclid_gcd(p, q):
+    """Reference for `gradedhecke.linalg.poly1_gcd`: Euclid's algorithm over
+    Q or Q(i), the result with leading coefficient 1."""
+    from gradedhecke.linalg import poly1_trim
+    p, q = poly1_trim(p), poly1_trim(q)
+    while q:
+        p, q = q, poly1_divmod(p, q)[1]
+    u = Fraction(1) / p[-1] if p else 0
+    return tuple(a * u for a in p)
+
+
 def field_reduce_fraction(num, den):
     """Reference for `gradedhecke.poly._reduce_fraction`: its body from
     before witnesses were integer polynomials, Euclid's gcd over Q."""
-    from gradedhecke.linalg import (poly1_divmod, poly1_gcd, poly1_scale,
-                                    poly1_trim)
+    from gradedhecke.linalg import poly1_scale, poly1_trim
     if not num:
         return (), (Fraction(1),)
-    g = poly1_gcd(num, den)
+    g = euclid_gcd(num, den)
     if len(g) > 1:
         num = poly1_divmod(num, g)[0]
         den = poly1_divmod(den, g)[0]
@@ -613,8 +636,8 @@ def matrix_census(datum, gammas=(), truncation=16):
     from gradedhecke.weyl import enumerate_group
     entries = []
     for cls in enumerate_group(datum, gammas).census.entries:
-        mats = [restrict_matrix(z.matrix, cls.fixed_basis)
-                for z in cls.centralizer]
+        basis = fixed_basis(cls.rep, datum.ambient_dim)
+        mats = [restrict_matrix(z.matrix, basis) for z in cls.centralizer]
         entries.append(tuple(per_element_molien(mats, n, truncation)
                              for n in range(datum.ambient_dim + 1)))
     totals = []
@@ -974,7 +997,7 @@ def rebuild_decompose(module: FinModule) -> List[Tuple[FinModule, int]]:
             groups.append((m, 1))
     if sum(c * m.dim for m, c in groups) != module.dim:
         raise ModuleError("decomposition does not fill the module")
-    groups.sort(key=lambda t: (t[0].dim, t[0].restriction_character().values))
+    groups.sort(key=lambda t: (t[0].dim, t[0].restriction_character()))
     return groups
 
 
@@ -1018,17 +1041,22 @@ def dense_hochschild_boundary(algebra, n: int) -> List[List[Fraction]]:
     d = algebra.dim
     rows = d ** n
     cols = d ** (n + 1)
+    mult = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    for i, row in enumerate(algebra.table):
+        for j, cell in enumerate(row):
+            for k, c in cell:
+                mult[i][j][k] += c
     m = [[Fraction(0)] * cols for _ in range(rows)]
     for t in _tensor_basis(d, n + 1):
         col = _basis_index(d, t)
         for i in range(n):
-            prod = algebra.mult[t[i]][t[i + 1]]
+            prod = mult[t[i]][t[i + 1]]
             sgn = Fraction(-1) ** i
             for k, c in enumerate(prod):
                 if c:
                     tgt = t[:i] + (k,) + t[i + 2:]
                     m[_basis_index(d, tgt)][col] += sgn * c
-        prod = algebra.mult[t[n]][t[0]]
+        prod = mult[t[n]][t[0]]
         sgn = Fraction(-1) ** n
         for k, c in enumerate(prod):
             if c:
@@ -1135,11 +1163,11 @@ def _poly_at_coordinates(p, mats, dim):
 
 
 def multiply_induce(algebra, xi, extended=True):
-    """The generator matrices and labels of pi'(xi) (pi(xi) when not
-    extended) built by normal-ordering h * u in H' for each coset
-    representative u and generator h, splitting along H' = (+)_u u H^P and
-    evaluating each polynomial at delta_lambda: (refl, gammas, coord,
-    labels), every matrix dense; the blocks are library products."""
+    """The generator matrices of pi'(xi) (pi(xi) when not extended) built
+    by normal-ordering h * u in H' for each coset representative u and
+    generator h, splitting along H' = (+)_u u H^P and evaluating each
+    polynomial at delta_lambda: (refl, gammas, coord), every matrix dense;
+    the blocks are library products."""
     datum = algebra.datum
     parab, _ = parabolic_algebra(algebra, xi.P)
     delta = xi.delta
@@ -1182,5 +1210,4 @@ def multiply_induce(algebra, xi, extended=True):
               for gm in algebra.group.gamma.elements
               if extended and gm.label != "e"}
     coord = tuple(act_matrix_of(work.x(k)) for k in range(datum.ambient_dim))
-    labels = tuple(f"{u!r}(x){lbl}" for u in reps for lbl in delta.labels)
-    return refl, gammas, coord, labels
+    return refl, gammas, coord

@@ -11,8 +11,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import (POINT_MODULE_TEMPLATES, brute_force_conjugacy_count,
-                     brute_force_form_dimension, densify, matrix_molien,
-                     permutation_closure, stabilizer_class_count)
+                     brute_force_form_dimension, densify, fixed_basis,
+                     matrix_molien, permutation_closure,
+                     stabilizer_class_count)
 
 from gradedhecke.cli import run as cli_run
 from gradedhecke.config import load_config
@@ -174,7 +175,8 @@ def test_criterion_5_theorem_1_2_census_a1():
     from gradedhecke.linalg import restrict_matrix as _rm
     from gradedhecke.weyl import conjugacy_census as _cc
     for cls in _cc(enumerate_group(datum)).entries:
-        mats = [_rm(z.matrix, cls.fixed_basis) for z in cls.centralizer]
+        mats = [_rm(z.matrix, fixed_basis(cls.rep, datum.ambient_dim))
+                for z in cls.centralizer]
         for n in (2, 3):
             assert matrix_molien(mats, n, 10)[n].coeffs == (0,) * 11
     # independent brute-force count through degree 10, summed over classes
@@ -186,7 +188,8 @@ def test_criterion_5_theorem_1_2_census_a1():
         for deg in range(11):
             total = 0
             for cls in wcensus.entries:
-                mats = [restrict_matrix(z.matrix, cls.fixed_basis)
+                basis = fixed_basis(cls.rep, datum.ambient_dim)
+                mats = [restrict_matrix(z.matrix, basis)
                         for z in cls.centralizer]
                 if n <= cls.fixed_dim:
                     total += brute_force_form_dimension(mats, deg, n)

@@ -157,6 +157,17 @@ def test_scale_map_requires_matching_parameters():
         scale_map(2, algebra(k=1).one(), algebra(k=1))
 
 
+def test_scale_map_requires_matching_datum_and_gamma():
+    # C2 and B2 have the same parameters but different root data; A1xA1
+    # with and without the swap have different W'
+    c, b = algebra("C2", 2, 2), algebra("B2", 2, 1)
+    for a in (c.one() + c.x(0), c.s(0)):
+        with pytest.raises(HeckeError, match="share the root datum"):
+            scale_map(2, a, b)
+    with pytest.raises(HeckeError, match="share the root datum"):
+        scale_map(1, algebra("A1xA1", 2).s(0), swap_algebra())
+
+
 def test_filtration_and_k_part():
     alg = algebra(k=1)
     a = alg.from_covector(alg.datum.simple_roots[0])

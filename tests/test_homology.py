@@ -40,9 +40,17 @@ def s3_algebra():
 
 
 def test_structure_constant_validation():
-    bad = (((Q(0),),),)
-    with pytest.raises(HomologyError):
-        FinDimAlgebra(dim=1, mult=bad, unit=(Q(1),))
+    one = ((((0, Q(1)),),),)  # e0 e0 = e0
+    for dim, table, unit, message in (
+            (1, (((),),), (Q(1),), "unit laws fail"),  # e0 e0 = 0
+            (1, one, (Q(1), Q(0)), "unit has 2 coordinates, not 1"),
+            (1, one, (), "unit has 0 coordinates, not 1"),
+            (1, ((((1, Q(1)),),),), (Q(1),), "index out of range"),
+            (1, ((((-1, Q(1)),),),), (Q(1),), "index out of range"),
+            (2, one, (Q(1), Q(0)), "wrong shape"),  # 1 row for dim 2
+            (1, ((((0, Q(1)),), ((0, Q(1)),)),), (Q(1),), "wrong shape")):
+        with pytest.raises(HomologyError, match=message):
+            FinDimAlgebra(dim=dim, table=table, unit=unit)
 
 
 def test_hh_ground_field():
@@ -391,12 +399,13 @@ def test_verify_basis_falsification_flag():
 def rescaled(algebra, scales, label):
     """The same algebra in the basis s_i e_i: e'_i e'_j has coordinates
     s_i s_j c_ijk / s_k, and the unit has u_k / s_k."""
-    d = algebra.dim
-    mult = tuple(tuple(tuple(scales[i] * scales[j] * algebra.mult[i][j][k]
-                             / scales[k] for k in range(d))
-                       for j in range(d)) for i in range(d))
+    table = tuple(tuple(tuple((k, scales[i] * scales[j] * c / scales[k])
+                              for k, c in cell)
+                        for j, cell in enumerate(row))
+                  for i, row in enumerate(algebra.table))
     unit = tuple(u / s for u, s in zip(algebra.unit, scales))
-    return FinDimAlgebra(dim=d, mult=mult, unit=unit, label=label)
+    return FinDimAlgebra(dim=algebra.dim, table=table, unit=unit,
+                         label=label)
 
 
 ALGEBRAS = {

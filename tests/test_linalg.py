@@ -12,13 +12,14 @@ from oracles import (dense_canonical_basis, dense_charpoly, dense_det,
                      dense_mat_vec, dense_nullspace, dense_rank,
                      dense_restrict_matrix, dense_rref, dense_solve,
                      dense_trace, dense_transpose, densify,
-                     divisor_rational_roots, kronecker_gaussian_roots)
+                     divisor_rational_roots, euclid_gcd,
+                     kronecker_gaussian_roots)
 
 from gradedhecke.linalg import (QI, canonical_basis, charpoly, det, identity,
                                 intertwiner_matrices, inverse, mat, mat_comb,
-                                mat_mul, mat_vec, nullspace, poly1_mul, rank,
-                                restrict_matrix, roots, rref, solve, trace,
-                                transpose)
+                                mat_mul, mat_vec, nullspace, poly1_gcd,
+                                poly1_mul, rank, restrict_matrix, roots, rref,
+                                solve, trace, transpose)
 
 Q = Fraction
 
@@ -501,6 +502,24 @@ def test_roots_of_huge_quadratics_return_at_once(coeffs, gaussian, expected):
     assert time.perf_counter() - start < 1
     assert found == [(z, 1) for z in expected]
     assert len(residual) == (1 if expected else 3)
+
+
+# polynomials over Z or Z[i], lowest degree first, and a common factor
+int_polys = st.lists(st.integers(-30, 30), max_size=5)
+gaussian_polys = st.lists(st.builds(QI, st.integers(-30, 30),
+                                    st.integers(-30, 30)), max_size=5)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(int_polys, int_polys, int_polys),
+                 st.tuples(gaussian_polys, gaussian_polys, gaussian_polys)))
+@example(([], [], []))
+@example(([1, 1], [-1, 1], [3, 0, -1]))
+@example(([QI(0, 1), 1], [QI(0, -1), 1], [QI(2, 2), 4]))
+def test_poly1_gcd_matches_euclid(polys):
+    a, b, c = polys
+    p, q = poly1_mul(a, c), poly1_mul(b, c)
+    assert poly1_gcd(p, q) == euclid_gcd(p, q)
 
 
 def test_roots_edge_cases():

@@ -96,8 +96,9 @@ def test_reynolds():
             assert act(h, r) == r
 
 
-from oracles import (brute_force_form_dimension, matrix_census,  # noqa: E402
-                     matrix_molien, pairwise_add, per_element_molien)
+from oracles import (brute_force_form_dimension, fixed_basis,  # noqa: E402
+                     matrix_census, matrix_molien, pairwise_add,
+                     per_element_molien)
 
 
 def test_molien_a1_against_brute_force():
@@ -171,7 +172,8 @@ def _fixed_space_actions():
         gs = [make_diagram_automorphism(d, "swap", [[0, 1], [1, 0]])] \
             if swap else []
         for cls in enumerate_group(d, gs).census.entries:
-            out.append((amb, [restrict_matrix(z.matrix, cls.fixed_basis)
+            basis = fixed_basis(cls.rep, amb)
+            out.append((amb, [restrict_matrix(z.matrix, basis)
                               for z in cls.centralizer]))
     return out
 
@@ -252,9 +254,10 @@ def test_sum_series_matches_pairwise_fold(datum, order, n, rng):
     gs = [make_diagram_automorphism(d, "swap", [[0, 1], [1, 0]])] \
         if swap else []
     group = enumerate_group(d, gs)
-    column = [matrix_molien([restrict_matrix(z.matrix, cls.fixed_basis)
+    bases = [fixed_basis(cls.rep, amb) for cls in group.census.entries]
+    column = [matrix_molien([restrict_matrix(z.matrix, basis)
                             for z in cls.centralizer], amb, order)[min(n, amb)]
-              for cls in group.census.entries]
+              for cls, basis in zip(group.census.entries, bases)]
     column = rng.sample(column, rng.randint(1, len(column)))
     fold = column[0]
     for s in column[1:]:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import act_covector
+
 from gradedhecke.linalg import dot, mat, mat_vec, nullspace, solve
 from gradedhecke.rootdata import (RootDatumError, build_root_datum,
                                   in_antidual, make_root_datum, pairing,
@@ -70,7 +72,7 @@ def test_reflection_closure_is_fixed_point():
         roots = set(d.roots)
         for w in group:
             for r in d.roots:
-                assert group.act_covector(w, r) in roots
+                assert act_covector(group, w, r) in roots
 
 
 def test_pairing_invariance_under_group():
@@ -81,8 +83,8 @@ def test_pairing_invariance_under_group():
         x = tuple(Q(rng.randint(-4, 4)) for _ in range(2))
         lam = tuple(Q(rng.randint(-4, 4)) for _ in range(2))
         for w in group:
-            wx = group.act_covector(w, x)
-            wlam = group.act_point(w, lam)
+            wx = act_covector(group, w, x)
+            wlam = mat_vec(w.matrix, lam)
             assert pairing(wx, wlam) == pairing(x, lam)
 
 
