@@ -14,9 +14,9 @@ Unknown keys are rejected; diagnostics carry line and column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from . import GradedHeckeError
 
@@ -30,8 +30,7 @@ class ConfigError(GradedHeckeError):
     pass
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str  # ident, number, string, punct
     text: str
     line: int
@@ -194,21 +193,35 @@ _INDUCE_TYPES = {"p": list, "delta": str, "lambda_re": list,
 _FINDIM_KEYS = {"kind", "size"}
 
 
-@dataclass
 class RunConfig:
-    datum_type: str
-    ambient: int
-    k_values: Dict[str, Fraction]
-    gram: Optional[List[List[Fraction]]] = None
-    gammas: List[Tuple[str, List[List[Fraction]]]] = field(default_factory=list)
-    truncation: int = 16
-    max_dim: int = 10 ** 6
-    n_max: int = 2
-    catalog_path: Optional[str] = None
-    induce_block: Optional[Dict[str, Any]] = None
-    findim_kind: str = "group"
-    findim_size: int = 2
-    source_text: str = ""
+    """A validated config, built by `load_config`."""
+
+    __slots__ = ("datum_type", "ambient", "k_values", "gram", "gammas",
+                 "truncation", "max_dim", "n_max", "catalog_path",
+                 "induce_block", "findim_kind", "findim_size", "source_text")
+
+    def __init__(self, datum_type: str, ambient: int,
+                 k_values: Dict[str, Fraction],
+                 gram: Optional[List[List[Fraction]]],
+                 gammas: List[Tuple[str, List[List[Fraction]]]],
+                 truncation: int = 16, max_dim: int = 10 ** 6, n_max: int = 2,
+                 catalog_path: Optional[str] = None,
+                 induce_block: Optional[Dict[str, Any]] = None,
+                 findim_kind: str = "group", findim_size: int = 2,
+                 source_text: str = ""):
+        self.datum_type = datum_type
+        self.ambient = ambient
+        self.k_values = k_values
+        self.gram = gram
+        self.gammas = gammas
+        self.truncation = truncation
+        self.max_dim = max_dim
+        self.n_max = n_max
+        self.catalog_path = catalog_path
+        self.induce_block = induce_block
+        self.findim_kind = findim_kind
+        self.findim_size = findim_size
+        self.source_text = source_text
 
     def build_datum(self) -> RootDatum:
         from .rootdata import build_root_datum

@@ -18,14 +18,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .linalg import GradedHeckeError, Vec, integer_form
-from .poly import Poly, PolyParseError, act_matrix, divided_difference, \
-    invariant_polys, parse_poly
 from .rootdata import (ParameterMap, RootDatum, check_parameters_conjugation,
                        make_parameter_map)
 from .weyl import ExtendedWeylElement, WeylGroup, enumerate_group
+
+if TYPE_CHECKING:  # a run that builds no polynomial never compiles poly
+    from .poly import Poly
 
 
 class HeckeError(GradedHeckeError):
@@ -85,10 +86,10 @@ class HeckeAlgebra:
         return HeckeElement(self, {})
 
     def one(self) -> "HeckeElement":
-        return HeckeElement(
-            self, {self.group.identity: Poly.constant(self.nvars, 1)})
+        return self.from_group(self.group.identity)
 
     def from_group(self, e: ExtendedWeylElement) -> "HeckeElement":
+        from .poly import Poly
         return HeckeElement(self, {e: Poly.constant(self.nvars, 1)})
 
     def s(self, i: int) -> "HeckeElement":
@@ -98,6 +99,7 @@ class HeckeAlgebra:
         return self.from_group(self.group.gamma_element(label))
 
     def x(self, i: int) -> "HeckeElement":
+        from .poly import Poly
         return self.from_poly(Poly.variable(self.nvars, i))
 
     def from_poly(self, p: Poly) -> "HeckeElement":
@@ -106,6 +108,7 @@ class HeckeAlgebra:
         return HeckeElement(self, {self.group.identity: p})
 
     def from_covector(self, x: Vec) -> "HeckeElement":
+        from .poly import Poly
         return self.from_poly(Poly.from_covector(x))
 
     def generators(self) -> List["HeckeElement"]:
@@ -130,6 +133,7 @@ class HeckeAlgebra:
     def _image(self, letter: tuple, e: Tuple[int, ...]) -> IntPoly:
         """Cache the integer form of x^e under `letter`, computed with every
         check of act_matrix / divided_difference, and return it."""
+        from .poly import Poly, act_matrix, divided_difference
         mono = Poly(self.nvars, {e: Fraction(1)})
         kind, arg = letter
         if kind == "s":
@@ -178,6 +182,7 @@ class HeckeAlgebra:
 
     def multiply(self, a: "HeckeElement", b: "HeckeElement",
                  k_override: Optional[ParameterMap] = None) -> "HeckeElement":
+        from .poly import Poly
         if a.algebra is not b.algebra or a.algebra is not self:
             raise HeckeError("elements belong to different parent algebras")
         kvals = self.kmap if k_override is None else k_override
@@ -215,6 +220,7 @@ class HeckeAlgebra:
         Elements are canonically matrices here, so the W'-action on t* is
         always faithful and the invariant ring is the whole center.
         """
+        from .poly import invariant_polys
         out = []
         for m in range(d + 1):
             for p in invariant_polys(self.group.elements, self.nvars, m):
@@ -310,6 +316,7 @@ def scale_map(z, a: HeckeElement, target: HeckeAlgebra) -> HeckeElement:
     Multiplies t* by z degree-wise; for z = 0 it kills every positive-degree
     polynomial part and stops being bijective.
     """
+    from .poly import Poly
     z = Fraction(z)
     src = a.algebra
     if src.datum != target.datum or \
@@ -369,6 +376,7 @@ def _split_top_level(text: str) -> List[str]:
 
 
 def _parse_term(algebra: HeckeAlgebra, chunk: str) -> HeckeElement:
+    from .poly import PolyParseError, parse_poly
     chunk = chunk.strip()
     if chunk == "0":
         return algebra.zero()

@@ -13,18 +13,18 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .hecke import HeckeAlgebra
 from .linalg import GradedHeckeError, Mat, Q, Vec, mat, rank, trace
-from .poly import PoincareSeries, molien_forms, sum_series
 from .rootdata import RootDatum
 from .weyl import ClassEntry, WeylGroup, enumerate_group, permutation_bfs
 
 if TYPE_CHECKING:
     from .modules import DSCatalogEntry
+    from .poly import PoincareSeries
 
 SIZE_BOUND = 10 ** 6
 
@@ -37,7 +37,6 @@ class SizeBoundExceeded(HomologyError):
     pass
 
 
-@dataclass
 class FinDimAlgebra:
     """A finite-dimensional unital algebra by sparse structure constants.
 
@@ -46,13 +45,13 @@ class FinDimAlgebra:
     at construction.
     """
 
-    dim: int
-    table: Tuple[Tuple[Tuple[Tuple[int, Q], ...], ...], ...]
-    unit: Vec
-    label: str = ""
+    __slots__ = ("dim", "table", "unit", "label")
 
-    def __post_init__(self):
-        d, table = self.dim, self.table
+    def __init__(self, dim: int,
+                 table: Tuple[Tuple[Tuple[Tuple[int, Q], ...], ...], ...],
+                 unit: Vec, label: str = ""):
+        self.dim, self.table, self.unit, self.label = dim, table, unit, label
+        d = dim
         if len(table) != d or any(len(row) != d for row in table):
             raise HomologyError("structure constants have wrong shape")
         if any(not 0 <= k < d for row in table for cell in row
@@ -278,28 +277,30 @@ def cyclic_homology(algebra: FinDimAlgebra, n_max: int,
 # Crossed-product censuses: closed forms from fixed-space invariant forms.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CensusClassEntry:
+class CensusClassEntry(NamedTuple):
     rep_word: str
     size: int
     fixed_dim: int
     series: Tuple[PoincareSeries, ...]  # per form degree 0..dim t
 
 
-@dataclass
 class HomologyCensus:
-    datum_label: str
-    group_order: int
-    class_count: int
-    truncation: int
-    entries: Tuple[CensusClassEntry, ...]
-    totals: Tuple[PoincareSeries, ...]
-    hp0: int
-    hp1: int
+    __slots__ = ("datum_label", "group_order", "class_count", "truncation",
+                 "entries", "totals", "hp0", "hp1")
 
-    def __post_init__(self):
-        if self.hp0 != self.class_count:
+    def __init__(self, datum_label: str, group_order: int, class_count: int,
+                 truncation: int, entries: Tuple[CensusClassEntry, ...],
+                 totals: Tuple[PoincareSeries, ...], hp0: int, hp1: int):
+        if hp0 != class_count:
             raise HomologyError("HP census must satisfy HP0 = #classes")
+        self.datum_label = datum_label
+        self.group_order = group_order
+        self.class_count = class_count
+        self.truncation = truncation
+        self.entries = entries
+        self.totals = totals
+        self.hp0 = hp0
+        self.hp1 = hp1
 
 
 def crossed_product_census(datum: RootDatum, gammas=(), truncation: int = 16,
@@ -311,6 +312,7 @@ def crossed_product_census(datum: RootDatum, gammas=(), truncation: int = 16,
     n > dim t and HP_1 = 0.  HP_0 = HH_0(Q[W']) is computed by `group_hh0`
     and must equal the class count.
     """
+    from .poly import molien_forms, sum_series
     if group is None:
         group = enumerate_group(datum, gammas)
     census = group.census
@@ -360,25 +362,36 @@ def group_hh0(group: WeylGroup) -> int:
     """dim HH_0(Q[W']) = |W'| - rank of the commutator span, the image of b_1.
 
     x - h x h^-1 telescopes along a word for h, so the rows x - s x s^-1 with
-    s a simple reflection or a Gamma element span it.
+    s a simple reflection or a Gamma element span it.  Rows x - y have rank
+    |W'| minus the number of connected components of the graph with the
+    edges {x, y}, so HH_0 is that number, counted by union-find.
     """
     gens = [group.simple(i) for i in range(group.datum.rank)] + \
         [group.gamma_element(c.label) for c in group.gamma.elements]
-    rows = []
+    root = list(range(len(group)))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    components = len(group)
     for s in gens:
+        s_inv = group.inv(s)
         for x in group.elements:
-            y = group.mult(group.mult(s, x), group.inv(s)).index
-            if y != x.index:
-                rows.append({x.index: 1, y: -1})
-    return len(group) - rank(mat(rows))
+            a = find(x.index)
+            b = find(group.mult(group.mult(s, x), s_inv).index)
+            if a != b:
+                root[a] = b
+                components -= 1
+    return components
 
 
 # ---------------------------------------------------------------------------
 # Crossed-product point modules (induced from a point of a finite orbit).
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PointModuleReport:
+class PointModuleReport(NamedTuple):
     orbit: Tuple[int, ...]
     stabilizer_order: int
     stabilizer_classes: int
@@ -463,8 +476,7 @@ def crossed_point_module(perms: Sequence[Tuple[int, ...]], x: int,
 # The main theorem at desk scale.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BasisTheoremReport:
+class BasisTheoremReport(NamedTuple):
     datum_label: str
     k_values: Tuple[Q, ...]
     class_count: int

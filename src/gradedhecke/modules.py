@@ -12,9 +12,8 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .hecke import HeckeAlgebra
 from .linalg import (GradedHeckeError, Mat, Q, QI, Vec, canonical_basis,
@@ -64,29 +63,38 @@ def _memoized(compute):
     return cached
 
 
-@dataclass
 class FinModule:
     """A finite-dimensional module over a (possibly extended) Hecke algebra.
 
     Nothing mutates a module's matrices after construction, so `memo` keeps
     the invariants computed from them (weights, central character, commutant,
-    restriction character).  It is excluded from `==` and `repr`, and
-    `submodule` and `dataclasses.replace` start with an empty one.
-    `induced` is what `induce` built the matrices from; `dataclasses.replace`
-    keeps it and `submodule`, whose basis differs, starts without one.
+    restriction character).  It is excluded from `==`, and `submodule` and
+    the summands of `decompose` start with an empty one.  `induced`, also
+    excluded from `==`, is what `induce` built the matrices from; a summand
+    keeps its leaf's and `submodule`, whose basis differs, starts without one.
     """
 
-    algebra: HeckeAlgebra
-    dim: int
-    refl: Dict[int, Mat]
-    gammas: Dict[str, Mat]
-    coord: Tuple[Mat, ...]
-    name: str = ""
-    meta: dict = field(default_factory=dict)
-    memo: dict = field(default_factory=dict, init=False, repr=False,
-                       compare=False)
-    induced: Optional["InducedBasis"] = field(default=None, repr=False,
-                                              compare=False)
+    __slots__ = ("algebra", "dim", "refl", "gammas", "coord", "name", "meta",
+                 "memo", "induced")
+
+    def __init__(self, algebra: HeckeAlgebra, dim: int, refl: Dict[int, Mat],
+                 gammas: Dict[str, Mat], coord: Tuple[Mat, ...],
+                 name: str = "", meta: Optional[dict] = None,
+                 induced: Optional[InducedBasis] = None):
+        self.algebra = algebra
+        self.dim = dim
+        self.refl = refl
+        self.gammas = gammas
+        self.coord = coord
+        self.name = name
+        self.meta = {} if meta is None else meta
+        self.memo: dict = {}
+        self.induced = induced
+
+    def __eq__(self, other):
+        return type(other) is FinModule and all(
+            getattr(self, f) == getattr(other, f) for f in (
+                "algebra", "dim", "refl", "gammas", "coord", "name", "meta"))
 
     def is_complex(self) -> bool:
         return any(isinstance(c, QI) and c.im != 0
@@ -270,8 +278,7 @@ def one_dim_modules(algebra: HeckeAlgebra) -> List[FinModule]:
     return out
 
 
-@dataclass
-class InductionDatum:
+class InductionDatum(NamedTuple):
     """A triple (P, delta, lambda) with delta over H_P and lambda in t^P."""
 
     P: Tuple[int, ...]
@@ -280,8 +287,7 @@ class InductionDatum:
     lam_im: Vec
 
 
-@dataclass(frozen=True)
-class InducedBasis:
+class InducedBasis(NamedTuple):
     """What `induce` built a module's basis u (x) v from: the coset
     representatives u (`reps`, identity first), d = dim delta, the matrix of
     delta_lambda on V_delta for each ambient coordinate (`coord_small`) and
@@ -697,8 +703,10 @@ def decompose(module: FinModule) -> List[Tuple[FinModule, int]]:
     """
     groups: List[Tuple[FinModule, int]] = []
     for i, leaf in enumerate(_split(module)):
-        m = replace(leaf, name=f"{module.name}#{i}",
-                    meta=dict(leaf.meta))
+        m = FinModule(algebra=leaf.algebra, dim=leaf.dim, refl=leaf.refl,
+                      gammas=leaf.gammas, coord=leaf.coord,
+                      name=f"{module.name}#{i}", meta=dict(leaf.meta),
+                      induced=leaf.induced)
         for g, (rep, count) in enumerate(groups):
             if equivalent(rep, m):
                 groups[g] = (rep, count + 1)
@@ -715,8 +723,7 @@ def decompose(module: FinModule) -> List[Tuple[FinModule, int]]:
 # Discrete-series catalog and the Irr_0 census.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DSCatalogEntry:
+class DSCatalogEntry(NamedTuple):
     """A discrete-series module of H_P with a provenance note."""
 
     P: Tuple[int, ...]

@@ -8,7 +8,6 @@ Fractions; zero coefficients are never stored.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -262,7 +261,6 @@ def invariant_polys(elements, nvars: int, degree: int) -> List[Poly]:
 # Poincare series of invariant differential forms (Molien averaging).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PoincareSeries:
     """Truncated dimension series c_0..c_N, optionally with a rational witness.
 
@@ -271,18 +269,29 @@ class PoincareSeries:
     `sum_series` make it integral, with den(0) = +-1 and leading coefficient 1.
     """
 
-    order: int
-    coeffs: Tuple[int, ...]
-    witness: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
+    __slots__ = ("order", "coeffs", "witness")
 
-    def __post_init__(self):
-        if any(c < 0 for c in self.coeffs):
+    def __init__(self, order: int, coeffs: Tuple[int, ...],
+                 witness: Optional[Tuple[Tuple[int, ...],
+                                         Tuple[int, ...]]] = None):
+        if any(c < 0 for c in coeffs):
             raise ValueError("Poincare coefficients must be dimensions >= 0")
-        if self.witness is not None:
-            (num, den), n = self.witness, self.order + 1
-            expand = poly1_mul(num, series_inverse(den, self.order)) + (0,) * n
-            if expand[:n] != self.coeffs:
+        if witness is not None:
+            (num, den), n = witness, order + 1
+            expand = poly1_mul(num, series_inverse(den, order)) + (0,) * n
+            if expand[:n] != coeffs:
                 raise ValueError("witness does not expand to the coefficients")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "witness", witness)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return type(other) is PoincareSeries and \
+            (self.order, self.coeffs, self.witness) == \
+            (other.order, other.coeffs, other.witness)
 
     def __add__(self, other: "PoincareSeries") -> "PoincareSeries":
         return sum_series([self, other])

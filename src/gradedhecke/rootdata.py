@@ -11,9 +11,8 @@ coroot span; the orthocomplement is carried explicitly.
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .linalg import (GradedHeckeError, Mat, Q, Vec, det, dot, mat, mat_mul,
                      mat_vec, nullspace, rank, solve, transpose, vec)
@@ -30,18 +29,32 @@ def pairing(x: Vec, lam: Vec) -> Q:
     return dot(x, lam)
 
 
-@dataclass(frozen=True)
 class RootDatum:
     """The tuple (a*, R, a, R^vee, Pi) with rational coordinates."""
 
-    label: str
-    ambient_dim: int
-    gram: Mat
-    simple_roots: Tuple[Vec, ...]
-    simple_coroots: Tuple[Vec, ...]
-    roots: Tuple[Vec, ...] = field(default=())
-    coroots: Tuple[Vec, ...] = field(default=())
-    crystallographic: bool = True
+    __slots__ = ("label", "ambient_dim", "gram", "simple_roots",
+                 "simple_coroots", "roots", "coroots", "crystallographic")
+
+    def __init__(self, label: str, ambient_dim: int, gram: Mat,
+                 simple_roots: Tuple[Vec, ...],
+                 simple_coroots: Tuple[Vec, ...], roots: Tuple[Vec, ...],
+                 coroots: Tuple[Vec, ...], crystallographic: bool):
+        for name, value in zip(RootDatum.__slots__, (
+                label, ambient_dim, gram, simple_roots, simple_coroots,
+                roots, coroots, crystallographic)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in RootDatum.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is RootDatum and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def rank(self) -> int:
@@ -271,11 +284,22 @@ def build_root_datum(label: str, ambient_dim: int,
 # Parameters.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ParameterMap:
     """Map Pi -> Q of deformation parameters k_alpha, one per simple root."""
 
-    values: Tuple[Q, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: Tuple[Q, ...]):
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return type(other) is ParameterMap and self.values == other.values
+
+    def __hash__(self):
+        return hash(self.values)
 
     def __getitem__(self, i: int) -> Q:
         return self.values[i]
@@ -318,8 +342,7 @@ def check_parameters_conjugation(datum: RootDatum, kmap: ParameterMap,
 # Parabolic data.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParabolicDatum:
+class ParabolicDatum(NamedTuple):
     """The sub-datum attached to P subset of Pi, and membership in t^P."""
 
     datum: RootDatum

@@ -11,8 +11,7 @@ their first-discovered representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import (GradedHeckeError, Mat, identity, inverse, mat, mat_comb,
                      mat_mul, mat_vec, rank, transpose)
@@ -25,8 +24,7 @@ class WeylError(GradedHeckeError):
     pass
 
 
-@dataclass(frozen=True)
-class DiagramAutomorphism:
+class DiagramAutomorphism(NamedTuple):
     """A Dynkin-diagram automorphism with an explicit orthogonal matrix.
 
     The extension of the permutation of Pi to the whole ambient space is part
@@ -324,18 +322,22 @@ def enumerate_group(datum: RootDatum,
 # Conjugacy census.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassEntry:
+class ClassEntry(NamedTuple):
     rep: ExtendedWeylElement
     size: int
     centralizer: Tuple[ExtendedWeylElement, ...]
     fixed_dim: int
 
 
-@dataclass(frozen=True)
 class ConjugacyClassCensus:
-    group: WeylGroup
-    entries: Tuple[ClassEntry, ...]
+    __slots__ = ("group", "entries")
+
+    def __init__(self, group: WeylGroup, entries: Tuple[ClassEntry, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __len__(self):
         return len(self.entries)

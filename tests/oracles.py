@@ -6,8 +6,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from gradedhecke.linalg import (QI, Mat, Q, Vec, charpoly, identity,
-                                intertwiner_matrices, mat_comb, mat_mul,
-                                nullspace, poly1_divmod, poly1_mul,
+                                intertwiner_matrices, mat, mat_comb, mat_mul,
+                                nullspace, poly1_divmod, poly1_mul, rank,
                                 restrict_matrix, roots, zero_vec)
 from gradedhecke.modules import (FieldExtensionNeeded, FinModule, ModuleError,
                                  UnsplitSpectrumError, _eigen_split_element,
@@ -324,6 +324,21 @@ def matrix_conjugacy_census(group):
         if e.size * len(e.centralizer) != len(group):
             raise WeylError("orbit-stabilizer failure in census")
     return ConjugacyClassCensus(group=group, entries=tuple(entries))
+
+
+def rank_group_hh0(group):
+    """Reference for `gradedhecke.homology.group_hh0`: |W'| minus the rank,
+    by elimination, of the rows x - s x s^-1 for s a simple reflection or a
+    Gamma element."""
+    gens = [group.simple(i) for i in range(group.datum.rank)] + \
+        [group.gamma_element(c.label) for c in group.gamma.elements]
+    rows = []
+    for s in gens:
+        for x in group.elements:
+            y = group.mult(group.mult(s, x), group.inv(s)).index
+            if y != x.index:
+                rows.append({x.index: 1, y: -1})
+    return len(group) - rank(mat(rows))
 
 
 def substitution_multiply(alg, a, b, kvals):

@@ -126,10 +126,10 @@ def test_cli_findim_bound_is_checked_before_the_algebra_is_built(
     # without building it and running its 24^3 associativity checks
     from gradedhecke.homology import FinDimAlgebra
 
-    def built(self):
+    def built(self, *args, **kwargs):
         raise AssertionError("FinDimAlgebra constructed")
 
-    monkeypatch.setattr(FinDimAlgebra, "__post_init__", built)
+    monkeypatch.setattr(FinDimAlgebra, "__init__", built)
     cfg = write(tmp_path, "a3.cfg", 'datum { type="A3", ambient=3, k=1 }\n')
     rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 1
@@ -558,7 +558,9 @@ def test_cli_failed_run_still_prints_its_warnings(tmp_path, capsys,
 
 
 def _modules_loaded_by(argv):
-    """The gradedhecke modules a fresh interpreter holds after main(argv)."""
+    """Every module, standard library included, that a fresh interpreter
+    holds after main(argv)."""
+    import ast
     import os
     import subprocess
     import sys
@@ -569,11 +571,19 @@ def _modules_loaded_by(argv):
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     probe = ("import sys, gradedhecke.cli\n"
              f"assert gradedhecke.cli.main({argv!r}) == 0\n"
-             "print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'gradedhecke'))\n")
+             "print(sorted(sys.modules))\n")
     run = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True)
-    return run.stdout.splitlines()[-1]
+    return ast.literal_eval(run.stdout.splitlines()[-1])
+
+
+def _ours(loaded):
+    return [m for m in loaded if m.split(".")[0] == "gradedhecke"]
+
+
+# `dataclasses` imports `inspect`, `ast`, `dis` and `tokenize`; no run pays
+# for them
+UNUSED_STDLIB = {"dataclasses", "inspect"}
 
 
 def test_cli_cache_hit_loads_no_engine(tmp_path):
@@ -584,21 +594,36 @@ def test_cli_cache_hit_loads_no_engine(tmp_path):
     cold = (out / "verify-basis.json").read_bytes()
     (out / "verify-basis.json").unlink()
     loaded = _modules_loaded_by(argv)
-    assert loaded == repr(["gradedhecke", "gradedhecke.cli",
-                           "gradedhecke.config"])
+    assert _ours(loaded) == ["gradedhecke", "gradedhecke.cli",
+                             "gradedhecke.config"]
+    assert not UNUSED_STDLIB & set(loaded)
     assert (out / "verify-basis.json").read_bytes() == cold
+
+
+FINDIM_CFG = 'findim { kind="matrix", size=2 }\noptions { n_max=2 }\n'
 
 
 def test_cli_cold_findim_loads_no_modules_engine(tmp_path):
     # only verify_basis_theorem needs gradedhecke.modules; homology imports
     # it there, so a bar-complex run never compiles it
-    cfg = write(tmp_path, "a.cfg",
-                A1_CFG + 'findim { kind="matrix", size=2 }\n'
-                         'options { n_max=2 }\n')
+    cfg = write(tmp_path, "a.cfg", A1_CFG + FINDIM_CFG)
     loaded = _modules_loaded_by(["hh-findim", "--config", cfg,
                                  "--out", str(tmp_path / "out")])
-    assert "'gradedhecke.homology'" in loaded
-    assert "'gradedhecke.modules'" not in loaded
+    assert "gradedhecke.homology" in loaded
+    assert "gradedhecke.modules" not in loaded
+
+
+@pytest.mark.parametrize("command, loads_poly", [
+    ("verify-basis", False), ("group", False), ("hh-findim", False),
+    ("hc-findim", False), ("crossed-census", True)])
+def test_cli_cold_run_loads_neither_dataclasses_nor_unused_poly(
+        tmp_path, command, loads_poly):
+    # only the Molien census reads a polynomial
+    cfg = write(tmp_path, "a.cfg", SWAP_CFG + FINDIM_CFG)
+    loaded = _modules_loaded_by([command, "--config", cfg,
+                                 "--out", str(tmp_path / "out")])
+    assert not UNUSED_STDLIB & set(loaded)
+    assert ("gradedhecke.poly" in loaded) == loads_poly
 
 
 def test_cli_unequal_k_on_conjugate_roots_is_one_error_line(tmp_path, capsys):

@@ -1,7 +1,7 @@
-import dataclasses
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from oracles import (POINT_MODULE_TEMPLATES, compose_perms,
                      dense_connes_boundary, dense_hochschild_boundary,
                      dense_mixed_total_boundary, densify,
-                     permutation_closure, stabilizer_class_count)
+                     permutation_closure, rank_group_hh0,
+                     stabilizer_class_count)
 
 from gradedhecke import homology, modules
+from gradedhecke.config import load_config
 from gradedhecke.hecke import HeckeAlgebra
 from gradedhecke.homology import (FinDimAlgebra, HomologyError,
                                   SizeBoundExceeded, crossed_point_module,
@@ -22,8 +24,8 @@ from gradedhecke.homology import (FinDimAlgebra, HomologyError,
                                   verify_basis_theorem, verify_mixed_identities)
 from gradedhecke.linalg import intertwiner_matrices, mat, rank
 from gradedhecke.rootdata import build_root_datum
-from gradedhecke.weyl import (enumerate_group, make_diagram_automorphism,
-                              permutation_bfs)
+from gradedhecke.weyl import (ConjugacyClassCensus, enumerate_group,
+                              make_diagram_automorphism, permutation_bfs)
 
 Q = Fraction
 
@@ -210,11 +212,22 @@ def test_group_hh0_against_bar_boundary(label, amb, gammas, expect):
         assert len(group) - rank(hochschild_boundary(algebra, 1)) == expect
 
 
+BENCH_CONFIGS = sorted(
+    (Path(__file__).resolve().parents[1] / "bench" / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", BENCH_CONFIGS, ids=lambda p: p.stem)
+def test_group_hh0_components_match_rank_oracle(path):
+    # the union-find count against elimination on the same rows
+    group = load_config(path.read_text(encoding="utf-8")).build_algebra().group
+    assert homology.group_hh0(group) == rank_group_hh0(group)
+
+
 def _drop_last_class(monkeypatch, group):
     census = group.census
     monkeypatch.setattr(group, "_census",
-                        dataclasses.replace(census,
-                                            entries=census.entries[:-1]))
+                        ConjugacyClassCensus(census.group,
+                                             census.entries[:-1]))
 
 
 def test_hp0_negative_control_crossed_census(monkeypatch):

@@ -2,7 +2,6 @@ import functools
 import random
 import warnings
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -28,7 +27,7 @@ from gradedhecke.modules import (DSCatalogEntry, FieldExtensionNeeded,
                                  parabolic_algebra, submodule,
                                  transport_module, weights)
 from gradedhecke.homology import verify_basis_theorem
-from gradedhecke.rootdata import build_root_datum, pairing
+from gradedhecke.rootdata import RootDatum, build_root_datum, pairing
 from gradedhecke.weyl import elements_mapping_parabolic, make_diagram_automorphism
 
 Q = Fraction
@@ -114,10 +113,9 @@ def test_induce_rejects_lambda_off_t_upP(field):
     a2 = algebra("A2", 2, 1)
     _, sub = parabolic_algebra(a2, [0])
     st = [m for m in one_dim_modules(sub) if m.name == "steinberg"][0]
-    xi = InductionDatum(P=(0,), delta=st, lam_re=zero_vec(2),
-                        lam_im=zero_vec(2))
+    lam = {"lam_re": zero_vec(2), "lam_im": zero_vec(2), field: (Q(1), Q(0))}
     with pytest.raises(ModuleError, match="lambda does not lie in t"):
-        induce(a2, replace(xi, **{field: (Q(1), Q(0))}))
+        induce(a2, InductionDatum(P=(0,), delta=st, **lam))
 
 
 def test_induce_from_whole_algebra_returns_delta():
@@ -392,9 +390,11 @@ def test_irr0_census_order_by_cc_norm():
 
 
 def test_census_refuses_noncrystallographic():
-    import dataclasses
     alg = algebra(k=1)
-    fake = dataclasses.replace(alg.datum, crystallographic=False)
+    d = alg.datum
+    fake = RootDatum(d.label, d.ambient_dim, d.gram, d.simple_roots,
+                     d.simple_coroots, d.roots, d.coroots,
+                     crystallographic=False)
     fake_alg = HeckeAlgebra.__new__(HeckeAlgebra)
     fake_alg.__dict__.update(alg.__dict__)
     fake_alg.datum = fake
@@ -785,7 +785,10 @@ BROKEN_RELATIONS = (
 def test_verify_rejects_each_broken_relation(name, field, perturb, message):
     V = induced((name, (), "trivial"), [1, Q(1, 2)])
     V.verify()
-    broken = replace(V, **{field: perturb(V)})
+    matrices = {"refl": V.refl, "gammas": V.gammas, "coord": V.coord,
+                field: perturb(V)}
+    broken = FinModule(algebra=V.algebra, dim=V.dim, name=V.name,
+                       meta=V.meta, induced=V.induced, **matrices)
     with pytest.raises(ModuleError) as err:
         broken.verify()
     assert str(err.value) == message

@@ -54,6 +54,21 @@ def test_runtime_is_stdlib_only():
                     top == "gradedhecke", f"{path.name} imports {name}"
 
 
+def test_no_module_imports_dataclasses():
+    # `dataclasses` imports `inspect`, and each class it builds runs
+    # generated source: both cost every cold CLI process
+    src = pathlib.Path(gradedhecke.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            assert "dataclasses" not in names, path.name
+
+
 def test_every_benchmark_tracer_target_resolves():
     # the tracer wraps its TARGETS by module and attribute path, and reads
     # `rows` of rref and rank and (nrows, ncols) of intertwiner_matrices

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -270,7 +269,7 @@ def test_sum_series_drops_witness_like_add():
     geometric = PoincareSeries(order=3, coeffs=(1, 1, 1, 1),
                                witness=((Q(1),), (Q(1), Q(-1))))
     assert geometric.witness is not None
-    free = dataclasses.replace(geometric, witness=None)
+    free = PoincareSeries(order=geometric.order, coeffs=geometric.coeffs)
     assert sum_series([one, one]).witness == ((Q(2),), (Q(1),))
     assert sum_series([geometric, geometric]) == geometric + geometric == \
         pairwise_add(geometric, geometric)
