@@ -7,10 +7,15 @@ rightward past one letter at a time,
     p * s_a = s_a * s_a(p) + k_a * Delta_a(p),      p * g = g * g^{-1}(p),
 
 on integer forms (`linalg.integer_form`): one denominator over coprime integer
-coefficients.  Monomial images under s_a, Delta_a and g^{-1} are cached per
-algebra in that form and summed by integer multiply-adds over a common
-denominator; Fractions are built only for the result.  Branches merge per group
-element after every letter, so a word of length l costs <= l * |W'| image sums.
+coefficients.  Each algebra memoizes in `pushes`, keyed by the parameter
+values k and then by (v.index, e), the normal form of x^e * v.  A product
+(w p)(v q) sums these forms over the monomials of p, multiplies each u-part by
+q and adds it into the slot of w u, all by integer multiply-adds over a common
+denominator, so a warm product pushes nothing; Fractions are built only for
+the result.  A miss pushes the one monomial through v's letters with the
+monomial images under s_a, Delta_a and g^{-1}, themselves memoized; branches
+merge per group element after every letter, so a miss on a word of length l
+costs at most l * |W'| image sums.
 """
 
 from __future__ import annotations
@@ -37,17 +42,28 @@ class HeckeError(GradedHeckeError):
 IntPoly = Tuple[int, Dict[Tuple[int, ...], int]]
 
 
-def _add_into(slot: list, scale: int, den: int, terms: dict) -> None:
-    """Add scale * terms / den to slot = [d, {exponent: n}], an integer
-    polynomial over d, first moving it to the lcm of the denominators."""
+def _rescale(slot: list, den: int) -> int:
+    """Move slot = [d, {exponent: n}], an integer polynomial over d, to the
+    lcm of d and den; return the factor lcm // den that scales a summand."""
     m = slot[0]
     if m % den:
         f = den // math.gcd(m, den)
         m *= f
         slot[:] = m, {e: f * n for e, n in slot[1].items()}
-    acc, f = slot[1], scale * (m // den)
-    for e, n in terms.items():
+    return m // den
+
+
+def _add_into(slot: list, scale: int, den: int, terms) -> None:
+    """Add scale * terms / den to slot; terms are (exponent, n) pairs."""
+    f = scale * _rescale(slot, den)
+    acc = slot[1]
+    for e, n in terms:
         acc[e] = acc.get(e, 0) + f * n
+
+
+def _parameter_map(datum: RootDatum, k) -> ParameterMap:
+    return make_parameter_map(datum, k.values if isinstance(k, ParameterMap)
+                              else k)
 
 
 def _reduced(slot: list) -> IntPoly:
@@ -60,17 +76,10 @@ class HeckeAlgebra:
     def __init__(self, datum: RootDatum, k, gammas: Sequence = (),
                  group: Optional[WeylGroup] = None):
         self.datum = datum
-        self.kmap: ParameterMap = k if isinstance(k, ParameterMap) else \
-            make_parameter_map(datum, k)
+        self.kmap = _parameter_map(datum, k)
         self.group: WeylGroup = group if group is not None else \
             enumerate_group(datum, gammas)
-        check_parameters_conjugation(datum, self.kmap, self.group.root_perm)
-        for g in self.group.gamma.elements:
-            for i in range(datum.rank):
-                if self.kmap[g.perm[i]] != self.kmap[i]:
-                    raise HeckeError(
-                        "parameters must be Gamma-invariant: "
-                        f"k[{i}] != k[{g.perm[i]}] under {g.label!r}")
+        self._check_parameters(self.kmap)
         self.nvars = datum.ambient_dim
         self._unextended: Optional[HeckeAlgebra] = None
         # P -> (ParabolicDatum, H_P), filled by modules.parabolic_algebra
@@ -79,6 +88,20 @@ class HeckeAlgebra:
         # is ('s', i) for s_i, ('d', i) for Delta_i (independent of k) or
         # ('g', label) for the inverse of that Gamma element
         self.monomial_images: Dict[tuple, IntPoly] = {}
+        # k.values -> {(v.index, e): normal form of x^e * v at k}, a tuple of
+        # (u, d, exponents, numerators) for sum_u u * sum_j n_j / d x^exp_j
+        self.pushes: Dict[tuple, Dict[tuple, tuple]] = {}
+        # one copy of each exponent or numerator tuple that `pushes` holds
+        self._tuples: Dict[tuple, tuple] = {}
+
+    def _check_parameters(self, kmap: ParameterMap) -> None:
+        check_parameters_conjugation(self.datum, kmap, self.group.root_perm)
+        for g in self.group.gamma.elements:
+            for i in range(self.datum.rank):
+                if kmap[g.perm[i]] != kmap[i]:
+                    raise HeckeError(
+                        "parameters must be Gamma-invariant: "
+                        f"k[{i}] != k[{g.perm[i]}] under {g.label!r}")
 
     # -- constructors of elements -------------------------------------------
 
@@ -153,7 +176,7 @@ class HeckeAlgebra:
         for e, c in terms.items():
             d, img = images.get((letter, e)) or self._image(letter, e)
             if img:
-                _add_into(slot, scale * c, den * d, img)
+                _add_into(slot, scale * c, den * d, img.items())
 
     def _push_poly(self, p: IntPoly, gamma_label: str, word: Tuple[int, ...],
                    kvals) -> Dict[ExtendedWeylElement, IntPoly]:
@@ -180,24 +203,53 @@ class HeckeAlgebra:
                        if (q := _reduced(slot))[1]}
         return pending
 
+    def _normal_form(self, kvals, v: ExtendedWeylElement,
+                     e: Tuple[int, ...]) -> tuple:
+        """Memoize and return the normal form of x^e * v at parameters
+        kvals, in the layout of `pushes`."""
+        share, form = self._tuples.setdefault, []
+        for u, (d, terms) in self._push_poly((1, {e: 1}), v.gamma, v.word,
+                                             kvals).items():
+            exps, nums = tuple(terms), tuple(terms.values())
+            form.append((u, d, share(exps, exps), share(nums, nums)))
+        form = tuple(form)
+        self.pushes[kvals][v.index, e] = form
+        return form
+
     def multiply(self, a: "HeckeElement", b: "HeckeElement",
                  k_override: Optional[ParameterMap] = None) -> "HeckeElement":
         from .poly import Poly
         if a.algebra is not b.algebra or a.algebra is not self:
             raise HeckeError("elements belong to different parent algebras")
-        kvals = self.kmap if k_override is None else k_override
+        k = self.kmap if k_override is None else k_override
+        memo = self.pushes.get(k.values)
+        if memo is None:  # the first product at k checks k like __init__
+            k = _parameter_map(self.datum, k)
+            self._check_parameters(k)
+            memo = self.pushes[k.values] = {}
+        mult = self.group.mult
         right = [(v, integer_form(q.terms)) for v, q in b.terms.items()]
         sums: Dict[ExtendedWeylElement, list] = {}
         for w, p in a.terms.items():
-            left = integer_form(p.terms)
+            dp, tp = integer_form(p.terms)
             for v, (dq, tq) in right:
-                pushed = self._push_poly(left, v.gamma, v.word, kvals)
-                for u, (dr, tr) in pushed.items():  # r * q, term by term of q
-                    slot = sums.setdefault(self.group.mult(w, u), [1, {}])
-                    for e2, c2 in tq.items():
-                        _add_into(slot, c2, dr * dq,
-                                  {tuple(map(add, e1, e2)): c1
-                                   for e1, c1 in tr.items()})
+                pushed: Dict[ExtendedWeylElement, list] = {}  # p * v, by u
+                for e, c in tp.items():
+                    form = memo.get((v.index, e)) or \
+                        self._normal_form(k.values, v, e)
+                    for u, dr, exps, nums in form:
+                        _add_into(pushed.setdefault(u, [1, {}]), c, dr,
+                                  zip(exps, nums))
+                for u, (dr, tr) in pushed.items():  # times q, into w u
+                    slot = sums.setdefault(mult(w, u), [1, {}])
+                    f = _rescale(slot, dp * dr * dq)
+                    acc = slot[1]
+                    for e1, c1 in tr.items():
+                        if c1:
+                            c1 *= f
+                            for e2, c2 in tq.items():
+                                x = tuple(map(add, e1, e2))
+                                acc[x] = acc.get(x, 0) + c1 * c2
         out: Dict[ExtendedWeylElement, Poly] = {}
         for key, slot in sums.items():
             den, terms = _reduced(slot)
@@ -217,8 +269,9 @@ class HeckeAlgebra:
     def center_basis(self, d: int) -> List["HeckeElement"]:
         """Basis of S(t*)^{W'} up to degree d, each verified central.
 
-        Elements are canonically matrices here, so the W'-action on t* is
-        always faithful and the invariant ring is the whole center.
+        W' acts faithfully on t*: `WeylGroup` refuses a group in which two
+        elements share a matrix, as they do when Gamma meets W.  So the
+        invariant ring is the whole center.
         """
         from .poly import invariant_polys
         out = []

@@ -12,9 +12,10 @@ from oracles import substitution_multiply
 from gradedhecke.hecke import (HeckeAlgebra, HeckeElement, HeckeError,
                                HeckeParseError, k_sensitive_part,
                                parse_element, scale_map)
-from gradedhecke.linalg import integer_form
+from gradedhecke.linalg import GradedHeckeError, integer_form
 from gradedhecke.poly import Poly, act, divided_difference
-from gradedhecke.rootdata import build_root_datum, make_parameter_map
+from gradedhecke.rootdata import (ParameterMap, build_root_datum,
+                                  make_parameter_map)
 from gradedhecke.weyl import make_diagram_automorphism
 
 Q = Fraction
@@ -332,9 +333,34 @@ def test_multiply_matches_substitution_oracle(warm_algebras, data):
         assert_images_exact(fresh)
 
 
+def test_pushes_match_substitution_oracle(warm_algebras):
+    # each memoized normal form of x^e * v, at k and at 0 (the entries the
+    # oracle test above left, plus one product's), is a primitive integer
+    # form of the oracle's product x^e * v at its own parameters
+    for name, alg in warm_algebras.items():
+        zero_k = make_parameter_map(alg.datum, 0)
+        x, v = alg.x(0), alg.from_group(alg.group.elements[-1])
+        for override in (None, zero_k):
+            alg.multiply(x * x + x, v, k_override=override)
+        assert set(alg.pushes) == {alg.kmap.values, zero_k.values}, name
+        for kvals, memo in alg.pushes.items():
+            kmap = ParameterMap(kvals)
+            for (index, e), form in memo.items():
+                terms = {}
+                for u, den, exps, nums in form:
+                    assert den > 0 and math.gcd(den, *nums) == 1 and \
+                        all(nums) and len(exps) == len(nums), (name, e, u)
+                    terms[u] = Poly(alg.nvars, {e2: Q(n, den)
+                                                for e2, n in zip(exps, nums)})
+                mono = alg.from_poly(Poly(alg.nvars, {e: Q(1)}))
+                g = alg.from_group(alg.group.elements[index])
+                assert HeckeElement(alg, terms) == \
+                    substitution_multiply(alg, mono, g, kmap), (name, e)
+
+
 def test_monomial_memo_is_lazy():
     alg = swap_algebra(k=1)
-    assert alg.monomial_images == {}
+    assert alg.monomial_images == {} and alg.pushes == {}
     a = alg.from_poly(Poly(2, {(2, 1): Q(1), (0, 1): Q(-3)}))
     g = alg.group.mult(alg.group.gamma_element("swap"), alg.group.simple(0))
     b = HeckeElement(alg, {g: Poly(2, {(1, 0): Q(1)})})
@@ -343,6 +369,61 @@ def test_monomial_memo_is_lazy():
     alg.multiply(a, b)
     assert alg.monomial_images
     assert {letter for letter, _ in alg.monomial_images} <= letters
+    # one normal form per monomial of a, pushed through b's group element
+    assert list(alg.pushes) == [alg.kmap.values]
+    assert set(alg.pushes[alg.kmap.values]) == {(v.index, (2, 1)),
+                                                (v.index, (0, 1))}
+
+
+def test_warm_product_pushes_nothing(monkeypatch):
+    # once a product has filled the memo, repeating it at k and at 0 pushes
+    # no polynomial and reads no monomial image
+    calls = []
+    for name in ("_push_poly", "_image"):
+        method = getattr(HeckeAlgebra, name)
+
+        def counting(self, *args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(HeckeAlgebra, name, counting)
+    alg = algebra("G2", 2, [1, 3])
+    rng = random.Random(5)
+    a, b = (nonzero_element(alg, rng) for _ in range(2))
+    overrides = (None, make_parameter_map(alg.datum, 0))
+    expected = [alg.multiply(a, b, k_override=k) for k in overrides]
+    assert {"_push_poly", "_image"} <= set(calls)  # the cold products did
+    calls.clear()
+    assert [alg.multiply(a, b, k_override=k) for k in overrides] == expected
+    assert calls == []
+
+
+def test_k_override_is_checked_like_the_constructor():
+    # k = (1, 2) on A2 breaks the braid relation s1 s2 s1 = s2 s1 s2, and a
+    # map of the wrong length is no parameter: the constructor refuses both,
+    # and so must a product at such an override, storing no memo entry
+    alg = algebra("A2", 2, 1)
+    x, s1 = alg.x(0), alg.s(0)
+    for values, match in ((Q(1), Q(2)), "conjugate simple roots"), \
+            ((Q(1),), "need 2 parameter values"), \
+            ((Q(1),) * 3, "need 2 parameter values"):
+        with pytest.raises(GradedHeckeError, match=match):
+            HeckeAlgebra(alg.datum, ParameterMap(values), group=alg.group)
+        with pytest.raises(GradedHeckeError, match=match):
+            alg.multiply(x, s1, k_override=ParameterMap(values))
+    assert alg.pushes == {}
+    swap = swap_algebra(k=1)
+    with pytest.raises(GradedHeckeError) as built:
+        HeckeAlgebra(swap.datum, [1, 2], group=swap.group)
+    with pytest.raises(GradedHeckeError) as multiplied:
+        swap.multiply(swap.x(0), swap.s(0),
+                      k_override=ParameterMap((Q(1), Q(2))))
+    assert str(multiplied.value) == str(built.value) and swap.pushes == {}
+    # the checked overrides still work: x1 s1 = s1 s1(x1) + k <x1, a1^v>
+    part = k_sensitive_part(x, s1)
+    assert part == alg.one() * alg.datum.simple_coroots[0][0]
+    assert set(alg.pushes) == {alg.kmap.values,
+                               make_parameter_map(alg.datum, 0).values}
 
 
 # -- the products themselves, against a golden file and a construction count --
