@@ -1,28 +1,32 @@
 """Arithmetic in the extended graded Hecke algebra H' = Gamma x| H(R~, k).
 
-Elements are kept in normal form: a finite map from group elements of W' to
-polynomials, group part on the left.  Multiplication moves polynomials
-rightward past one letter at a time,
+An element is its normal form, group part on the left, stored only as integer
+forms {w: (d, {packed e: n})} = sum_w w * sum_e n/d x^e (d > 0, gcd(d, *n) ==
+1, no zero part).  A packed exponent holds e_i in a 16-bit field, x1 highest,
+under a field for the total degree, so a monomial product is one int addition;
+a degree that could reach DEGREE_LIMIT = 2^16 raises HeckeError.  `terms` is a
+{w: Poly} view built on first read.  Products move polynomials rightward past
+one letter at a time,
 
-    p * s_a = s_a * s_a(p) + k_a * Delta_a(p),      p * g = g * g^{-1}(p),
+    p * s_a = s_a * s_a(p) + k_a * Delta_a(p),      p * g = g * g^{-1}(p).
 
-on integer forms (`linalg.integer_form`): one denominator over coprime integer
-coefficients.  Each algebra memoizes in `pushes`, keyed by the parameter
-values k and then by (v.index, e), the normal form of x^e * v.  A product
-(w p)(v q) sums these forms over the monomials of p, multiplies each u-part by
-q and adds it into the slot of w u, all by integer multiply-adds over a common
-denominator, so a warm product pushes nothing; Fractions are built only for
-the result.  A miss pushes the one monomial through v's letters with the
-monomial images under s_a, Delta_a and g^{-1}, themselves memoized; branches
-merge per group element after every letter, so a miss on a word of length l
-costs at most l * |W'| image sums.
+Each algebra memoizes in `pushes`, keyed by the parameter values k and then by
+(v.index, packed e), the normal form of x^e * v.  A product (w p)(v q) sums
+these forms over the monomials of p, multiplies each u-part by q and adds it
+into the slot of w u by integer multiply-adds over a common denominator, so a
+warm product pushes nothing and builds no Fraction or Poly.  A miss pushes the
+one monomial, unpacked, through v's letters with the monomial images under
+s_a, Delta_a and g^{-1}, themselves memoized; branches merge per group element
+after every letter, so a miss on a word of length l costs at most l * |W'|
+image sums.
 """
-
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from numbers import Rational
+from operator import mul
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .linalg import GradedHeckeError, Vec, integer_form
@@ -38,8 +42,18 @@ class HeckeError(GradedHeckeError):
     pass
 
 
-# (d, {exponent: n}) is the polynomial sum n / d x^e; d > 0, gcd(d, *n) == 1
-IntPoly = Tuple[int, Dict[Tuple[int, ...], int]]
+# (d, {exponent: n}) is the polynomial sum n / d x^e; d > 0, gcd(d, *n) == 1;
+# exponents are tuples in the monomial images and packed ints everywhere else
+IntPoly = Tuple[int, Dict]
+
+_BITS = 16
+DEGREE_LIMIT = 1 << _BITS
+
+
+def _check_degree(degree: int) -> None:
+    if degree >= DEGREE_LIMIT:
+        raise HeckeError(f"degree {degree} reaches the packing limit "
+                         f"{DEGREE_LIMIT} of {_BITS}-bit exponent fields")
 
 
 def _rescale(slot: list, den: int) -> int:
@@ -80,16 +94,20 @@ class HeckeAlgebra:
         self.group: WeylGroup = group if group is not None else \
             enumerate_group(datum, gammas)
         self._check_parameters(self.kmap)
-        self.nvars = datum.ambient_dim
+        self.nvars = n = datum.ambient_dim
+        # e packs as sum_i e_i * units[i]: e_i << shifts[i], plus the degree
+        self.degree_shift = n * _BITS
+        self._shifts = tuple(range((n - 1) * _BITS, -1, -_BITS))
+        self._units = [(1 << n * _BITS) + (1 << s) for s in self._shifts]
         self._unextended: Optional[HeckeAlgebra] = None
         # P -> (ParabolicDatum, H_P), filled by modules.parabolic_algebra
         self.parabolics: Dict[Tuple[int, ...], tuple] = {}
-        # (letter, exponent) -> integer form of the monomial's image; a letter
-        # is ('s', i) for s_i, ('d', i) for Delta_i (independent of k) or
-        # ('g', label) for the inverse of that Gamma element
+        # (letter, exponent tuple) -> integer form of the monomial's image; a
+        # letter is ('s', i) for s_i, ('d', i) for Delta_i (independent of k)
+        # or ('g', label) for the inverse of that Gamma element
         self.monomial_images: Dict[tuple, IntPoly] = {}
-        # k.values -> {(v.index, e): normal form of x^e * v at k}, a tuple of
-        # (u, d, exponents, numerators) for sum_u u * sum_j n_j / d x^exp_j
+        # k.values -> {(v.index, packed e): normal form of x^e * v at k}, a
+        # tuple of (u, d, exponents, numerators): sum_u u sum_j n_j / d x^e_j
         self.pushes: Dict[tuple, Dict[tuple, tuple]] = {}
         # one copy of each exponent or numerator tuple that `pushes` holds
         self._tuples: Dict[tuple, tuple] = {}
@@ -103,17 +121,22 @@ class HeckeAlgebra:
                         "parameters must be Gamma-invariant: "
                         f"k[{i}] != k[{g.perm[i]}] under {g.label!r}")
 
+    def pack(self, e: Tuple[int, ...]) -> int:
+        return sum(map(mul, e, self._units))
+
+    def unpack(self, key: int) -> Tuple[int, ...]:
+        return tuple(key >> s & DEGREE_LIMIT - 1 for s in self._shifts)
+
     # -- constructors of elements -------------------------------------------
 
     def zero(self) -> "HeckeElement":
-        return HeckeElement(self, {})
+        return HeckeElement.of_forms(self, {})
 
     def one(self) -> "HeckeElement":
         return self.from_group(self.group.identity)
 
     def from_group(self, e: ExtendedWeylElement) -> "HeckeElement":
-        from .poly import Poly
-        return HeckeElement(self, {e: Poly.constant(self.nvars, 1)})
+        return HeckeElement.of_forms(self, {e: (1, {0: 1})})
 
     def s(self, i: int) -> "HeckeElement":
         return self.from_group(self.group.simple(i))
@@ -122,17 +145,15 @@ class HeckeAlgebra:
         return self.from_group(self.group.gamma_element(label))
 
     def x(self, i: int) -> "HeckeElement":
-        from .poly import Poly
-        return self.from_poly(Poly.variable(self.nvars, i))
+        return self.from_covector([int(j == i) for j in range(self.nvars)])
 
     def from_poly(self, p: Poly) -> "HeckeElement":
-        if p.is_zero():
-            return self.zero()
         return HeckeElement(self, {self.group.identity: p})
 
     def from_covector(self, x: Vec) -> "HeckeElement":
-        from .poly import Poly
-        return self.from_poly(Poly.from_covector(x))
+        row = {u: c for u, c in zip(self._units, x) if c}
+        return HeckeElement.of_forms(
+            self, {self.group.identity: integer_form(row)} if row else {})
 
     def generators(self) -> List["HeckeElement"]:
         gens = [self.s(i) for i in range(self.datum.rank)]
@@ -203,14 +224,13 @@ class HeckeAlgebra:
                        if (q := _reduced(slot))[1]}
         return pending
 
-    def _normal_form(self, kvals, v: ExtendedWeylElement,
-                     e: Tuple[int, ...]) -> tuple:
+    def _normal_form(self, kvals, v: ExtendedWeylElement, e: int) -> tuple:
         """Memoize and return the normal form of x^e * v at parameters
         kvals, in the layout of `pushes`."""
         share, form = self._tuples.setdefault, []
-        for u, (d, terms) in self._push_poly((1, {e: 1}), v.gamma, v.word,
-                                             kvals).items():
-            exps, nums = tuple(terms), tuple(terms.values())
+        for u, (d, terms) in self._push_poly((1, {self.unpack(e): 1}),
+                                             v.gamma, v.word, kvals).items():
+            exps, nums = tuple(map(self.pack, terms)), tuple(terms.values())
             form.append((u, d, share(exps, exps), share(nums, nums)))
         form = tuple(form)
         self.pushes[kvals][v.index, e] = form
@@ -218,7 +238,6 @@ class HeckeAlgebra:
 
     def multiply(self, a: "HeckeElement", b: "HeckeElement",
                  k_override: Optional[ParameterMap] = None) -> "HeckeElement":
-        from .poly import Poly
         if a.algebra is not b.algebra or a.algebra is not self:
             raise HeckeError("elements belong to different parent algebras")
         k = self.kmap if k_override is None else k_override
@@ -227,11 +246,11 @@ class HeckeAlgebra:
             k = _parameter_map(self.datum, k)
             self._check_parameters(k)
             memo = self.pushes[k.values] = {}
+        _check_degree(a.degree() + b.degree())  # no field can carry
         mult = self.group.mult
-        right = [(v, integer_form(q.terms)) for v, q in b.terms.items()]
+        right = b.forms.items()
         sums: Dict[ExtendedWeylElement, list] = {}
-        for w, p in a.terms.items():
-            dp, tp = integer_form(p.terms)
+        for w, (dp, tp) in a.forms.items():
             for v, (dq, tq) in right:
                 pushed: Dict[ExtendedWeylElement, list] = {}  # p * v, by u
                 for e, c in tp.items():
@@ -248,15 +267,11 @@ class HeckeAlgebra:
                         if c1:
                             c1 *= f
                             for e2, c2 in tq.items():
-                                x = tuple(map(add, e1, e2))
+                                x = e1 + e2
                                 acc[x] = acc.get(x, 0) + c1 * c2
-        out: Dict[ExtendedWeylElement, Poly] = {}
-        for key, slot in sums.items():
-            den, terms = _reduced(slot)
-            if terms:
-                out[key] = Poly(self.nvars, {e: Fraction(n, den)
-                                             for e, n in terms.items()})
-        return HeckeElement(self, out)
+        return HeckeElement.of_forms(self, {
+            w: form for w, slot in sums.items()
+            if (form := _reduced(slot))[1]})
 
     # -- derived operations ---------------------------------------------------
 
@@ -285,31 +300,52 @@ class HeckeAlgebra:
 
 
 class HeckeElement:
-    """Normal form sum_{w'} w' * p_{w'} with no zero polynomials stored."""
+    """Normal form sum_{w'} w' * p_{w'}, kept as integer forms of p_{w'}."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "forms", "_terms")
 
     def __init__(self, algebra: HeckeAlgebra,
                  terms: Dict[ExtendedWeylElement, Poly]):
-        self.algebra = algebra
-        self.terms = {w: p for w, p in terms.items() if not p.is_zero()}
+        _check_degree(max((p.degree() for p in terms.values()), default=-1))
+        self.algebra, self._terms, pack = algebra, None, algebra.pack
+        self.forms = {w: integer_form({pack(e): c for e, c in p.terms.items()})
+                      for w, p in terms.items() if p.terms}
+
+    @classmethod
+    def of_forms(cls, algebra: HeckeAlgebra, forms: Dict) -> "HeckeElement":
+        """The element with these canonical integer forms, as they are."""
+        el = cls.__new__(cls)
+        el.algebra, el.forms, el._terms = algebra, forms, None
+        return el
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only {w: Poly} view of the forms, built on first read."""
+        if self._terms is None:
+            from .poly import Poly
+            n, unpack = self.algebra.nvars, self.algebra.unpack
+            self._terms = MappingProxyType({
+                w: Poly(n, {unpack(e): Fraction(c, d) for e, c in t.items()})
+                for w, (d, t) in self.forms.items()})
+        return self._terms
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         if other.algebra is not self.algebra:
             raise HeckeError("elements belong to different parent algebras")
-        out = dict(self.terms)
-        for w, p in other.terms.items():
-            s = out.get(w)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return HeckeElement(self.algebra, out)
+        out = dict(self.forms)
+        for w, form in other.forms.items():
+            if w in out:
+                slot = [out[w][0], dict(out[w][1])]
+                _add_into(slot, 1, form[0], form[1].items())
+                form = _reduced(slot)
+            out[w] = form
+        return HeckeElement.of_forms(self.algebra,
+                                     {w: f for w, f in out.items() if f[1]})
 
     def __neg__(self) -> "HeckeElement":
-        return HeckeElement(self.algebra,
-                            {w: -p for w, p in self.terms.items()})
+        return HeckeElement.of_forms(self.algebra, {
+            w: (d, {e: -c for e, c in t.items()})
+            for w, (d, t) in self.forms.items()})
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
         return self + (-other)
@@ -317,37 +353,47 @@ class HeckeElement:
     def __mul__(self, other) -> "HeckeElement":
         if isinstance(other, HeckeElement):
             return self.algebra.multiply(self, other)
-        return HeckeElement(self.algebra,
-                            {w: p * Fraction(other)
-                             for w, p in self.terms.items()})
+        num, den = _exact(other).as_integer_ratio()
+        return HeckeElement.of_forms(self.algebra, {
+            w: integer_form({e: c * num for e, c in t.items()}, d * den)
+            for w, (d, t) in self.forms.items() if num})
 
     def __rmul__(self, other) -> "HeckeElement":
         return self * other  # scalars commute with everything
 
     def __eq__(self, other):
         return isinstance(other, HeckeElement) and \
-            self.algebra is other.algebra and self.terms == other.terms
+            self.algebra is other.algebra and self.forms == other.forms
 
     def __hash__(self):
-        return hash(frozenset((w, hash(p)) for w, p in self.terms.items()))
+        return hash(frozenset((w, d, frozenset(t.items()))
+                              for w, (d, t) in self.forms.items()))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.forms
 
     def degree(self) -> int:
         """Filtration degree: max polynomial degree over the support; -1 if 0."""
-        if not self.terms:
-            return -1
-        return max(p.degree() for p in self.terms.values())
+        shift = self.algebra.degree_shift  # the degree is the top field
+        return max((max(t) >> shift for _, t in self.forms.values()),
+                   default=-1)
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self.forms:
             return "0"
-        keys = sorted(self.terms, key=lambda w: w.index)
+        keys = sorted(self.forms, key=lambda w: w.index)
         return " + ".join(f"{w!r}*({self.terms[w].to_text()})" for w in keys)
 
     def __repr__(self):
         return f"HeckeElement({self.to_text()})"
+
+
+def _exact(z) -> Fraction:
+    """z as a Fraction; a float, str or Decimal would not be exact."""
+    if not isinstance(z, Rational):
+        raise HeckeError(f"scalars must be int or Fraction, not "
+                         f"{type(z).__name__}")
+    return Fraction(z)
 
 
 def k_sensitive_part(a: HeckeElement, b: HeckeElement) -> HeckeElement:
@@ -370,7 +416,7 @@ def scale_map(z, a: HeckeElement, target: HeckeAlgebra) -> HeckeElement:
     polynomial part and stops being bijective.
     """
     from .poly import Poly
-    z = Fraction(z)
+    z = _exact(z)
     src = a.algebra
     if src.datum != target.datum or \
             src.group.gamma.elements != target.group.gamma.elements:
@@ -439,10 +485,12 @@ def _parse_term(algebra: HeckeAlgebra, chunk: str) -> HeckeElement:
     if not rest.endswith(")"):
         raise HeckeParseError(f"term {chunk!r} must end with ')'")
     body = rest[:-1]
+    if not body.strip():
+        raise HeckeParseError(f"term {chunk!r} has an empty polynomial part")
     head = head.strip()
     if not head.endswith("*"):
         raise HeckeParseError(f"group part in {chunk!r} must end with '*'")
-    letters = [t for t in head[:-1].split("*") if t]
+    letters = head[:-1].split("*")
     el = algebra.group.identity
     for letter in letters:
         if letter == "e":

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from oracles import substitution_multiply
 
-from gradedhecke.hecke import (HeckeAlgebra, HeckeElement, HeckeError,
-                               HeckeParseError, k_sensitive_part,
+from gradedhecke.hecke import (DEGREE_LIMIT, HeckeAlgebra, HeckeElement,
+                               HeckeError, HeckeParseError, k_sensitive_part,
                                parse_element, scale_map)
 from gradedhecke.linalg import GradedHeckeError, integer_form
 from gradedhecke.poly import Poly, act, divided_difference
@@ -153,6 +154,24 @@ def test_scale_map_composition():
         assert via == direct
 
 
+@pytest.mark.parametrize("scalar", [0.1, 0.5, "1/2", Decimal("0.5")],
+                         ids=["float", "float-exact", "str", "Decimal"])
+def test_scalars_must_be_int_or_fraction(scalar):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, and a string would
+    # be parsed: neither belongs in exact arithmetic
+    alg = algebra("A2", 2, 1)
+    a = alg.one() + alg.x(0)
+    for scaled in (lambda: a * scalar, lambda: scalar * a,
+                   lambda: scale_map(scalar, a, alg)):
+        with pytest.raises(HeckeError, match="scalars must be int or "
+                                             "Fraction"):
+            scaled()
+    assert (a * Q(1, 10)).terms[alg.group.identity] == \
+        Poly(2, {(0, 0): Q(1, 10), (1, 0): Q(1, 10)})
+    assert 3 * a == a + a + a and (a * 0).is_zero()
+    assert scale_map(Q(1), a, alg) == scale_map(1, a, alg) == a
+
+
 def test_scale_map_requires_matching_parameters():
     with pytest.raises(HeckeError):
         scale_map(2, algebra(k=1).one(), algebra(k=1))
@@ -256,6 +275,37 @@ def test_parse_documented_example():
         parse_element(alg, "s1*x1")
 
 
+@pytest.mark.parametrize("text", ["s1*()", "s1*( )", "s1**(x1)", "*(x1)",
+                                  "e*(x2) + s1**(1)", "s1*s2**(1)"])
+def test_parse_rejects_text_to_text_never_writes(text):
+    # an empty polynomial part or an empty group letter is not the canonical
+    # form; before, "s1*()" parsed as 0 and "s1**(x1)" as s1*(x1)
+    with pytest.raises(HeckeParseError):
+        parse_element(algebra("A2", 2, 1), text)
+
+
+def test_packing_limit_is_exact():
+    # exponents are packed in fields that hold degrees below DEGREE_LIMIT;
+    # group parts are the identity, so no monomial is pushed past a letter
+    alg = algebra("A2", 2, 1)
+    h = DEGREE_LIMIT // 2
+    p = Poly(2, {(h, 0): Q(1), (h - 1, 1): Q(-1, 2)})
+    q = Poly(2, {(0, h - 1): Q(2), (h - 2, 1): Q(3), (0, 0): Q(1)})
+    a, b = alg.from_poly(p), alg.from_poly(q)
+    product = alg.multiply(a, b)  # degree DEGREE_LIMIT - 1, exact
+    assert product.degree() == DEGREE_LIMIT - 1
+    assert dict(product.terms) == {alg.group.identity: p * q}
+    top = alg.from_poly(Poly(2, {(DEGREE_LIMIT - 1, 0): Q(1)}))
+    for x, y in ((a, alg.multiply(b, alg.x(1))), (top, alg.x(0)),
+                 (alg.x(1), top)):
+        assert x.degree() + y.degree() == DEGREE_LIMIT
+        with pytest.raises(HeckeError, match=f"packing limit {DEGREE_LIMIT}"):
+            alg.multiply(x, y)
+    with pytest.raises(HeckeError, match=f"packing limit {DEGREE_LIMIT}"):
+        alg.from_poly(Poly(2, {(0, DEGREE_LIMIT): Q(1)}))
+    assert alg.monomial_images == {}
+
+
 # -- products from cached monomial images against the substitution oracle ----
 
 ORACLE_ALGEBRAS = {"G2-k13": lambda: algebra("G2", 2, [1, 3]),
@@ -333,6 +383,58 @@ def test_multiply_matches_substitution_oracle(warm_algebras, data):
         assert_images_exact(fresh)
 
 
+@st.composite
+def element_texts(draw, alg):
+    """1-2 terms in the text form, each a word of 0-4 letters (Gamma labels
+    included, not necessarily reduced) times a polynomial of degree <= 3."""
+    letters = [f"s{i + 1}" for i in range(alg.datum.rank)] + \
+        [g.label for g in alg.group.gamma.elements if g.label != "e"]
+    coeffs = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        word = draw(st.lists(st.sampled_from(letters), max_size=4)) or ["e"]
+        poly = {}
+        for _ in range(draw(st.integers(1, 3))):
+            e = [0] * alg.nvars
+            for _ in range(draw(st.integers(0, 3))):
+                e[draw(st.integers(0, alg.nvars - 1))] += 1
+            poly[tuple(e)] = draw(coeffs)
+        terms.append(f"{'*'.join(word)}*({Poly(alg.nvars, poly).to_text()})")
+    return " + ".join(terms)
+
+
+def assert_canonical(x):
+    """Each stored form (d, {packed exponent: n}) has d > 0, gcd(d, *n) == 1
+    and no zero n, and no form is empty: equal elements store equal forms."""
+    for w, (den, nums) in x.forms.items():
+        assert nums and all(nums.values()), w
+        assert den > 0 and math.gcd(den, *nums.values()) == 1, w
+
+
+@settings(derandomize=True, max_examples=20, deadline=None,
+          phases=[p for p in Phase if p is not Phase.shrink])
+@given(st.data())
+def test_parsed_products_match_oracle_and_hash_alike(warm_algebras, data):
+    # parsed operands, Gamma letters included, multiplied at k and at 0; an
+    # element equal to a product, one parsed and one computed, hashes alike
+    for name, alg in warm_algebras.items():
+        a, b = (parse_element(alg, data.draw(element_texts(alg), label=name))
+                for _ in range(2))
+        for override in (None, make_parameter_map(alg.datum, 0)):
+            kvals = alg.kmap if override is None else override
+            product = alg.multiply(a, b, k_override=override)
+            assert product == substitution_multiply(alg, a, b, kvals), name
+            parsed = parse_element(alg, product.to_text())
+            assert parsed == product and hash(parsed) == hash(product), name
+            assert_canonical(product)
+        right_unit = alg.multiply(a, alg.one())
+        assert right_unit == a and hash(right_unit) == hash(a), name
+        half = a * Q(1, 2)
+        for x in (a, b, half, half + half, a - b, -b):
+            assert_canonical(x)
+        assert half + half == a and hash(half + half) == hash(a), name
+
+
 def test_pushes_match_substitution_oracle(warm_algebras):
     # each memoized normal form of x^e * v, at k and at 0 (the entries the
     # oracle test above left, plus one product's), is a primitive integer
@@ -345,12 +447,12 @@ def test_pushes_match_substitution_oracle(warm_algebras):
         assert set(alg.pushes) == {alg.kmap.values, zero_k.values}, name
         for kvals, memo in alg.pushes.items():
             kmap = ParameterMap(kvals)
-            for (index, e), form in memo.items():
-                terms = {}
+            for (index, packed), form in memo.items():
+                e, terms = alg.unpack(packed), {}
                 for u, den, exps, nums in form:
                     assert den > 0 and math.gcd(den, *nums) == 1 and \
                         all(nums) and len(exps) == len(nums), (name, e, u)
-                    terms[u] = Poly(alg.nvars, {e2: Q(n, den)
+                    terms[u] = Poly(alg.nvars, {alg.unpack(e2): Q(n, den)
                                                 for e2, n in zip(exps, nums)})
                 mono = alg.from_poly(Poly(alg.nvars, {e: Q(1)}))
                 g = alg.from_group(alg.group.elements[index])
@@ -371,8 +473,9 @@ def test_monomial_memo_is_lazy():
     assert {letter for letter, _ in alg.monomial_images} <= letters
     # one normal form per monomial of a, pushed through b's group element
     assert list(alg.pushes) == [alg.kmap.values]
-    assert set(alg.pushes[alg.kmap.values]) == {(v.index, (2, 1)),
-                                                (v.index, (0, 1))}
+    assert {(index, alg.unpack(e)) for index, e in
+            alg.pushes[alg.kmap.values]} == {(v.index, (2, 1)),
+                                             (v.index, (0, 1))}
 
 
 def test_warm_product_pushes_nothing(monkeypatch):
@@ -462,21 +565,28 @@ def test_products_match_golden():
         GOLDEN_PRODUCTS.read_text(encoding="utf-8")
 
 
-def test_warm_product_builds_only_its_result_polys(monkeypatch):
-    # with the image cache warm, a product is integer arithmetic throughout:
-    # the only Poly objects built are the coefficients of its result
+def test_warm_product_builds_no_poly_and_no_fraction(monkeypatch):
+    # with the memo warm, a product is integer arithmetic throughout, on the
+    # operands' integer forms and into the result's
     alg = algebra("G2", 2, [1, 3])
     rng = random.Random(3)
     a, b = (nonzero_element(alg, rng) for _ in range(2))
     expected = alg.multiply(a, b)
     built = []
-    init = Poly.__init__
+    init, new = Poly.__init__, Fraction.__new__
 
-    def counting(self, *args, **kwargs):
-        built.append(self)
+    def counting_init(self, *args, **kwargs):
+        built.append(Poly)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Poly, "__init__", counting)
+    def counting_new(cls, *args, **kwargs):
+        built.append(Fraction)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
     product = alg.multiply(a, b)
-    assert product == expected and len(expected.terms) > 1
-    assert {id(p) for p in built} == {id(p) for p in product.terms.values()}
+    monkeypatch.undo()
+    assert built == []
+    assert product == expected and len(expected.forms) > 1
+    assert product.terms == expected.terms
