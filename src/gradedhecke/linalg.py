@@ -7,7 +7,9 @@ Matrices are immutable and hashable, and `==` compares them exactly.  A
 matrix does not record its width; a routine that needs it takes `ncols`.
 `mat` builds one.  Scalars are `fractions.Fraction` or `QI` (Gaussian
 rationals); every routine here is field-generic over those two types.  No
-floating point anywhere.
+floating point anywhere.  There is one elimination, `_forward`: `rank` counts
+its pivots, and `rref`, which every solve runs, finishes it.  It is
+fraction-free on integer rows when no entry is a `QI`.
 """
 
 from __future__ import annotations
@@ -187,91 +189,78 @@ def trace(a: Mat):
 def rref(rows: Mat) -> Tuple[Mat, List[int]]:
     """Reduced row echelon form, zero rows last, and its pivot columns.
 
-    Each row is reduced against the pivot rows found so far (each keyed by
-    its leading column) until it leads a new column; then every pivot row,
-    from the last column back, is cleared above the later pivots.  The
+    After `_forward`, every pivot row, from the last column back, is
+    cleared above the later pivots and then divided by its pivot.  The
     result is the unique reduced form, as dense Gauss-Jordan gives it.
     """
-    lead: Dict[int, Dict[int, Q]] = {}
+    lead, integral = _forward(rows)
+    pivots = sorted(lead)
+    for c in reversed(pivots):
+        row = lead[c]
+        for p in sorted(j for j in row if j != c and j in lead):
+            row = _clear(row, lead[p], p, integral)
+        lead[c] = row
+    red = [tuple((j, Fraction(row[j], row[c])) for j in sorted(row))
+           if integral else _row(row) for c, row in sorted(lead.items())]
+    return tuple(red) + ((),) * (len(rows) - len(red)), pivots
+
+
+def rank(rows: Mat) -> int:
+    """Rank over Q or Q(i): the pivot count of `_forward`."""
+    return len(_forward(rows)[0])
+
+
+def _forward(rows: Mat) -> Tuple[Dict[int, dict], bool]:
+    """Forward elimination: ({leading column: pivot row}, integral).
+
+    Each row is reduced against the pivot rows found so far until it leads
+    a new column.  Without a `QI` entry the rows are primitive integer rows
+    (fraction-free, kept primitive by gcd) and `integral` is True;
+    otherwise a pivot row is divided by its leading value, so every value
+    keeps its type.
+    """
+    integral = not any(isinstance(x, QI) for row in rows for _, x in row)
+    lead: Dict[int, dict] = {}
     for r in rows:
-        row = dict(r)
+        row = integer_form(dict(r), 0)[1] if integral else dict(r)
         while row:
             c = min(row)
             prow = lead.get(c)
             if prow is None:
                 pv = row[c]
-                lead[c] = {j: x / pv for j, x in row.items()}
+                lead[c] = row if integral else {j: x / pv
+                                                for j, x in row.items()}
                 break
-            _eliminate(row, row[c], prow)
-    pivots = sorted(lead)
-    for c in reversed(pivots):
-        row = lead[c]
-        for p in sorted(j for j in row if j != c and j in lead):
-            _eliminate(row, row[p], lead[p])
-    red = [_row(lead[c]) for c in pivots]
-    return tuple(red) + ((),) * (len(rows) - len(red)), pivots
+            row = _clear(row, prow, c, integral)
+    return lead, integral
 
 
-def _eliminate(row: Dict[int, Q], f, prow: Dict[int, Q]) -> None:
-    """row -= f * prow, in place, dropping the zeros."""
+def _clear(row: dict, prow: dict, c: int, integral: bool) -> dict:
+    """row with column c cleared by the pivot row prow; row may change.
+
+    Integer rows: a*row - b*prow with a/b = prow[c]/row[c] in lowest
+    terms, made primitive.  Otherwise prow[c] is 1: row - row[c]*prow.
+    """
+    b = row[c]
+    if integral:
+        g = math.gcd(prow[c], b)
+        a, b = prow[c] // g, b // g
+        if a != 1:
+            row = {j: a * x for j, x in row.items()}
     for j, y in prow.items():
-        v = row[j] - f * y if j in row else -(f * y)
+        v = row[j] - b * y if j in row else -(b * y)
         if v:
             row[j] = v
         else:
             del row[j]
-
-
-def rank(rows: Mat) -> int:
-    """Rank over Q or Q(i).
-
-    Fraction-free forward elimination on integer rows: each row is scaled
-    to integers by the lcm of its denominators and reduced by
-    a*row - b*pivot_row against pivot rows kept primitive (divided by their
-    gcd content).  Gaussian-rational rows are realified: the Q(i)-rank of
-    A + iB is half the Q-rank of the rows [Re | -Im] and [Im | Re].
-    """
-    if not any(isinstance(x, QI) for row in rows for _, x in row):
-        return _integer_rank([dict(row) for row in rows])
-    shift = 1 + max(j for row in rows for j, _ in row)
-    real = []
-    for row in rows:
-        row = [(j, QI.of(x)) for j, x in row]
-        real.append({**{j: z.re for j, z in row},
-                     **{j + shift: -z.im for j, z in row}})
-        real.append({**{j: z.im for j, z in row},
-                     **{j + shift: z.re for j, z in row}})
-    return _integer_rank(real) // 2
-
-
-def _integer_rank(rows: Sequence[dict]) -> int:
-    pivots = {}  # leading column -> primitive integer row
-    for row in rows:
-        row = integer_form({j: x for j, x in row.items() if x}, 0)[1]
-        while row:
-            lead = min(row)
-            prow = pivots.get(lead)
-            if prow is None:
-                pivots[lead] = row
-                break
-            g = math.gcd(prow[lead], row[lead])
-            a, b = prow[lead] // g, row[lead] // g
-            if a != 1:
-                row = {j: a * x for j, x in row.items()}
-            for j, x in prow.items():
-                y = row.get(j, 0) - b * x
-                if y:
-                    row[j] = y
-                else:
-                    row.pop(j, None)
-            row = integer_form(row, 0)[1]
-    return len(pivots)
+    return integer_form(row, 0)[1] if integral else row
 
 
 def integer_form(row: dict, den: int = 1) -> Tuple[int, dict]:
     """row / den (nonzero rationals) as (d, {key: integer n}) with n / d equal
     to it and gcd(d, *n) == 1, d > 0 the least common denominator; den = 0
-    gives the primitive integer multiple of row instead, all a rank needs."""
+    gives the primitive integer multiple of row instead, the row that
+    fraction-free elimination works on."""
     try:
         g = math.gcd(den, *row.values())
     except TypeError:  # not all integers: scale by the lcm of denominators
@@ -333,25 +322,6 @@ def inverse(a: Mat) -> Mat:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple((j - n, x) for j, x in row[1:]) for row in red)
-
-
-def det(a: Mat):
-    n = len(a)
-    m = [dict(row) for row in a]
-    d = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if c in m[i]), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            d = -d
-        pv = m[c][c]
-        d = d * pv
-        for i in range(c + 1, n):
-            if c in m[i]:
-                _eliminate(m[i], m[i][c] / pv, m[c])
-    return d
 
 
 def charpoly(a: Mat) -> Tuple:

@@ -14,8 +14,8 @@ import re as _re
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .linalg import (GradedHeckeError, Mat, Q, Vec, det, dot, mat, mat_mul,
-                     mat_vec, nullspace, rank, solve, transpose, vec)
+from .linalg import (GradedHeckeError, Mat, Q, Vec, charpoly, dot, mat,
+                     mat_mul, mat_vec, nullspace, rank, solve, transpose, vec)
 
 ROOT_CLOSURE_BOUND = 10000
 
@@ -127,12 +127,10 @@ def _validate(datum: RootDatum) -> None:
     d = datum.ambient_dim
     if datum.gram != transpose(datum.gram, d):
         raise RootDatumError("Gram matrix is not symmetric")
-    # positive definiteness via leading principal minors
-    for k in range(1, d + 1):
-        minor = tuple(tuple((j, x) for j, x in row if j < k)
-                      for row in datum.gram[:k])
-        if det(minor) <= 0:
-            raise RootDatumError("Gram matrix is not positive definite")
+    # a symmetric form has real eigenvalues; they are all positive iff the
+    # coefficients c_k of det(xI - G) alternate strictly: (-1)^k c_k > 0
+    if any((-1) ** k * c <= 0 for k, c in enumerate(charpoly(datum.gram))):
+        raise RootDatumError("Gram matrix is not positive definite")
     for a, av in zip(datum.simple_roots, datum.simple_coroots):
         if pairing(a, av) != 2:
             raise RootDatumError("<alpha, alpha^vee> must equal 2")

@@ -537,7 +537,8 @@ def dense_inverse(a):
 
 
 def dense_det(a):
-    """Reference for `gradedhecke.linalg.det`: Gaussian elimination."""
+    """Determinant by Gaussian elimination: the exterior-power traces of
+    `brute_force_form_dimension` are sums of principal minors."""
     n = len(a)
     m = [list(r) for r in a]
     d = Fraction(1)

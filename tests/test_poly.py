@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gradedhecke import homology, linalg, poly, weyl
 from gradedhecke.homology import crossed_product_census
-from gradedhecke.linalg import det, inverse, restrict_matrix, transpose
+from gradedhecke.linalg import inverse, restrict_matrix, transpose
 from gradedhecke.poly import (PoincareSeries, Poly, act, divided_difference,
                               invariant_polys, monomials_of_degree,
                               parse_poly, reynolds, sum_series)

@@ -149,6 +149,19 @@ def test_gram_override():
     assert d.gram == mat([[4]])
 
 
+@pytest.mark.parametrize("label, ambient, gram", [
+    ("A1", 1, [[-1]]),
+    ("A1", 1, [[0]]),
+    ("A2", 2, [[1, 0], [0, -1]]),
+    ("A2", 2, [[-1, 0], [0, -1]]),  # positive determinant, negative minor
+    ("A2", 2, [[1, 2], [2, 1]]),
+])
+def test_gram_override_must_be_positive_definite(label, ambient, gram):
+    with pytest.raises(RootDatumError,
+                       match="Gram matrix is not positive definite"):
+        build_root_datum(label, ambient, gram_override=gram)
+
+
 def test_nonreduced_closure_rejected():
     # asymmetric rescaling of odd-linked nodes closes to proportional roots
     with pytest.raises(RootDatumError):
