@@ -9,7 +9,8 @@ Grammar (UTF-8, '#' comments, commas between pairs optional):
     findim { kind="group" }
     catalog = "entries.cat"
 
-Unknown keys are rejected; diagnostics carry line and column.
+Unknown keys are rejected; diagnostics carry line and column.  A gamma block
+names a generator of Gamma; `weyl.GammaGroup` closes them, "e" is reserved.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from . import GradedHeckeError
 if TYPE_CHECKING:  # parsing needs no engine; building imports it on demand
     from .hecke import HeckeAlgebra
     from .rootdata import RootDatum
-    from .weyl import DiagramAutomorphism
 
 
 class ConfigError(GradedHeckeError):
@@ -245,9 +245,11 @@ class RunConfig:
 
     def build_algebra(self) -> HeckeAlgebra:
         from .hecke import HeckeAlgebra
+        from .weyl import make_diagram_automorphism
         datum = self.build_datum()
         k = self.build_k(datum)
-        return HeckeAlgebra(datum, k, _close_gammas(datum, self.gammas))
+        return HeckeAlgebra(datum, k, [make_diagram_automorphism(datum, *g)
+                                       for g in self.gammas])
 
 
 def root_names(datum: RootDatum) -> List[str]:
@@ -268,35 +270,6 @@ def root_indices(datum: RootDatum, names: Sequence[str],
         if names.count(n) > 1:
             raise error(f"simple root {n!r} is named twice")
     return sorted(map(valid.index, names))
-
-
-def _close_gammas(datum: RootDatum,
-                  named: List[Tuple[str, Any]]) -> List[DiagramAutomorphism]:
-    """The named automorphisms, closed under composition (bounded)."""
-    from .linalg import identity, mat_mul
-    from .weyl import DiagramAutomorphism, make_diagram_automorphism
-    have = {g.matrix: g for g in (make_diagram_automorphism(datum, name, m)
-                                  for name, m in named)}
-    have.setdefault(identity(datum.ambient_dim),
-                    DiagramAutomorphism("e", tuple(range(datum.rank)),
-                                        identity(datum.ambient_dim)))
-    changed = True
-    while changed:
-        changed = False
-        items = list(have.values())
-        for a in items:
-            for b in items:
-                m = mat_mul(a.matrix, b.matrix)
-                if m not in have:
-                    # a product of automorphisms permutes the simple
-                    # coroots by the composed permutation
-                    have[m] = DiagramAutomorphism(
-                        f"{a.label}*{b.label}",
-                        tuple(a.perm[j] for j in b.perm), m)
-                    changed = True
-        if len(have) > 64:
-            raise ConfigError("diagram-automorphism closure too large")
-    return [g for g in have.values() if g.label != "e"]
 
 
 def number(what: str, value) -> Fraction:
@@ -345,6 +318,8 @@ def load_config(text: str) -> RunConfig:
             _reject_unknown("gamma", payload, _GAMMA_KEYS)
             if "name" not in payload or "matrix" not in payload:
                 raise ConfigError("gamma block needs name and matrix")
+            if not isinstance(payload["name"], str):
+                raise ConfigError("gamma name must be a string")
             gammas.append((payload["name"],
                            matrix("gamma matrix", payload["matrix"])))
         elif name == "options":

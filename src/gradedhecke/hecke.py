@@ -85,7 +85,8 @@ def _reduced(slot: list) -> IntPoly:
 
 
 class HeckeAlgebra:
-    """H' = Gamma x| H(R~, k) with a cached enumeration of W'."""
+    """H' = Gamma x| H(R~, k) with a cached enumeration of W'.  k is checked
+    on the W'-orbits of simple roots, so it is Gamma-invariant."""
 
     def __init__(self, datum: RootDatum, k, gammas: Sequence = (),
                  group: Optional[WeylGroup] = None):
@@ -93,7 +94,7 @@ class HeckeAlgebra:
         self.kmap = _parameter_map(datum, k)
         self.group: WeylGroup = group if group is not None else \
             enumerate_group(datum, gammas)
-        self._check_parameters(self.kmap)
+        check_parameters_conjugation(datum, self.kmap, self.group.root_perm)
         self.nvars = n = datum.ambient_dim
         # e packs as sum_i e_i * units[i]: e_i << shifts[i], plus the degree
         self.degree_shift = n * _BITS
@@ -111,15 +112,6 @@ class HeckeAlgebra:
         self.pushes: Dict[tuple, Dict[tuple, tuple]] = {}
         # one copy of each exponent or numerator tuple that `pushes` holds
         self._tuples: Dict[tuple, tuple] = {}
-
-    def _check_parameters(self, kmap: ParameterMap) -> None:
-        check_parameters_conjugation(self.datum, kmap, self.group.root_perm)
-        for g in self.group.gamma.elements:
-            for i in range(self.datum.rank):
-                if kmap[g.perm[i]] != kmap[i]:
-                    raise HeckeError(
-                        "parameters must be Gamma-invariant: "
-                        f"k[{i}] != k[{g.perm[i]}] under {g.label!r}")
 
     def pack(self, e: Tuple[int, ...]) -> int:
         return sum(map(mul, e, self._units))
@@ -244,7 +236,7 @@ class HeckeAlgebra:
         memo = self.pushes.get(k.values)
         if memo is None:  # the first product at k checks k like __init__
             k = _parameter_map(self.datum, k)
-            self._check_parameters(k)
+            check_parameters_conjugation(self.datum, k, self.group.root_perm)
             memo = self.pushes[k.values] = {}
         _check_degree(a.degree() + b.degree())  # no field can carry
         mult = self.group.mult

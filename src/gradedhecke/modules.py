@@ -20,8 +20,8 @@ from .linalg import (GradedHeckeError, Mat, Q, QI, Vec, canonical_basis,
                      charpoly, identity, intertwiner_matrices, mat, mat_comb,
                      mat_mul, mat_vec, nullspace, restrict_matrix, roots,
                      solve, trace, transpose, zero_vec)
-from .rootdata import ParabolicDatum, RootDatum, in_antidual, parabolic
-from .weyl import (ExtendedWeylElement, coset_decomposition,
+from .rootdata import ParabolicDatum, in_antidual, parabolic
+from .weyl import (ExtendedWeylElement, WeylGroup, coset_decomposition,
                    elements_mapping_parabolic)
 
 
@@ -134,7 +134,7 @@ class FinModule:
             for j in range(i + 1, datum.rank):
                 rep = mat_mul(self.refl[i], self.refl[j])
                 acc_m = rep
-                for _ in range(_braid_order(datum, i, j) - 1):
+                for _ in range(_braid_order(alg.group, i, j) - 1):
                     acc_m = mat_mul(acc_m, rep)
                 if acc_m != ident:
                     raise ModuleError(
@@ -192,16 +192,12 @@ class FinModule:
                      for e in self.algebra.group.census.entries)
 
 
-def _braid_order(datum: RootDatum, i: int, j: int) -> int:
-    """The order m_ij of s_i s_j in W, by powering its matrix."""
-    prod = mat_mul(datum.reflection_matrix(i), datum.reflection_matrix(j))
-    ident = identity(datum.ambient_dim)
-    acc, order = prod, 1
-    while acc != ident:
-        acc = mat_mul(acc, prod)
-        order += 1
-        if order > 64:
-            raise ModuleError("runaway braid order")
+def _braid_order(group: WeylGroup, i: int, j: int) -> int:
+    """The order m_ij of s_i s_j in W, walked on the group's index tables."""
+    step = group.mult(group.simple(i), group.simple(j))
+    a, order = step.index, 1
+    while a != group.identity.index:
+        a, order = group._times(a, step), order + 1
     return order
 
 
@@ -238,15 +234,9 @@ def one_dim_modules(algebra: HeckeAlgebra) -> List[FinModule]:
         raise ModuleError("one_dim_modules expects an unextended algebra")
     datum = algebra.datum
     rank = datum.rank
-    if rank == 0:
-        mod = FinModule(algebra=algebra, dim=1, refl={}, gammas={},
-                        coord=(((),),) * datum.ambient_dim,
-                        name="trivial",
-                        meta={"lambda": zero_vec(datum.ambient_dim)})
-        mod.verify()
-        return [mod]
     # link i ~ j when the braid order m_ij is odd
-    root = _components(rank, lambda i, j: _braid_order(datum, i, j) % 2 == 1)
+    root = _components(
+        rank, lambda i, j: _braid_order(algebra.group, i, j) % 2 == 1)
     comps = sorted(set(root))
     cartan = datum.cartan()
     out: List[FinModule] = []

@@ -437,6 +437,9 @@ def parse_poly(text: str, nvars: int) -> Poly:
                     if d0 == pos:
                         raise PolyParseError(f"bad fraction at {start} in {text!r}")
                     den = int(s[d0:pos])
+                    if den == 0:
+                        raise PolyParseError(
+                            f"bad fraction {s[start:pos]!r} in {text!r}")
                 coeff *= Fraction(num, den)
                 saw_factor = True
             elif pos < len(s) and s[pos] == "x":

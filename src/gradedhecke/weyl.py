@@ -1,5 +1,7 @@
 """Enumeration of W, Gamma and W' = Gamma x| W, with censuses and cosets.
 
+The one owner of W' facts: `GammaGroup` closes the given automorphisms, and
+other layers read braid orders, W_P and root images off the enumerated group.
 An element is its position `index` in the group's canonical (length, gamma,
 word) order: each group builds each element once, so elements compare by
 identity.  Its exact matrix on the ambient space is data, not identity.
@@ -68,44 +70,49 @@ def make_diagram_automorphism(datum: RootDatum, label: str,
     return DiagramAutomorphism(label=label, perm=tuple(perm), matrix=m)
 
 
-def trivial_automorphism(datum: RootDatum) -> DiagramAutomorphism:
-    return DiagramAutomorphism(label="e", perm=tuple(range(datum.rank)),
-                               matrix=identity(datum.ambient_dim))
-
-
 class GammaGroup:
-    """A finite group of diagram automorphisms, closed under composition."""
+    """The group the diagram automorphisms generate.  The identity is known
+    by its matrix and labelled "e"; a product new to the group is labelled
+    "a*b" after the first pair, in discovery order, that gives it.  At most
+    64 elements, listed identity first, then by label."""
 
     def __init__(self, datum: RootDatum,
                  automorphisms: Sequence[DiagramAutomorphism] = ()):
         self.datum = datum
-        elems = list(automorphisms)
-        if not any(a.matrix == identity(datum.ambient_dim) for a in elems):
-            elems.insert(0, trivial_automorphism(datum))
-        labels = [a.label for a in elems]
-        if len(set(labels)) != len(labels):
-            raise WeylError("duplicate diagram-automorphism labels")
-        by_matrix = {a.matrix: a for a in elems}
-        if len(by_matrix) != len(elems):
-            raise WeylError("duplicate diagram-automorphism matrices")
+        one = DiagramAutomorphism("e", tuple(range(datum.rank)),
+                                  identity(datum.ambient_dim))
+        have = {one.matrix: one}
+        for a in automorphisms:
+            if have.setdefault(a.matrix, a) not in (a, one):
+                raise WeylError("duplicate diagram-automorphism matrices")
         self._product: Dict[Tuple[str, str], DiagramAutomorphism] = {}
-        for a in elems:
-            for b in elems:
-                c = by_matrix.get(mat_mul(a.matrix, b.matrix))
-                if c is None:
-                    raise WeylError(
-                        "diagram automorphisms are not closed under composition")
-                self._product[a.label, b.label] = c
-        identity_first = sorted(
-            elems, key=lambda a: (a.matrix != identity(datum.ambient_dim),
-                                  a.label))
-        self.elements: Tuple[DiagramAutomorphism, ...] = tuple(identity_first)
+        changed = True
+        while changed:  # the last pass takes every product once more
+            changed = False
+            items = list(have.values())
+            for a in items:
+                for b in items:
+                    m = mat_mul(a.matrix, b.matrix)
+                    if m not in have:
+                        # a product of automorphisms permutes the simple
+                        # coroots by the composed permutation
+                        have[m] = DiagramAutomorphism(
+                            f"{a.label}*{b.label}",
+                            tuple(a.perm[j] for j in b.perm), m)
+                        changed = True
+                    self._product[a.label, b.label] = have[m]
+            if len(have) > 64:
+                raise WeylError("diagram-automorphism closure too large")
+        self.elements: Tuple[DiagramAutomorphism, ...] = tuple(sorted(
+            have.values(), key=lambda a: (a is not one, a.label)))
         self.by_label: Dict[str, DiagramAutomorphism] = {
             a.label: a for a in self.elements}
+        if len(self.by_label) != len(self.elements):
+            raise WeylError("duplicate diagram-automorphism labels")
         self.index: Dict[str, int] = {
             a.label: i for i, a in enumerate(self.elements)}
-        one = self.elements[0]
-        self._inverse = {a.label: b for a in elems for b in elems
+        self._inverse = {a.label: b for a in self.elements
+                         for b in self.elements
                          if self._product[a.label, b.label] is one}
 
     def __len__(self):
@@ -384,20 +391,12 @@ def conjugacy_census(group: WeylGroup) -> ConjugacyClassCensus:
 
 def parabolic_subgroup_elements(group: WeylGroup,
                                 P: Sequence[int]) -> List[ExtendedWeylElement]:
-    """Elements of W_P inside the enumerated group (no Gamma part)."""
-    P = sorted(set(P))
-    frontier = [group.identity]
-    members = {group.identity.index: group.identity}
-    while frontier:
-        new = []
-        for g in frontier:
-            for i in P:
-                h = group.mult(g, group.simple(i))
-                if h.index not in members:
-                    members[h.index] = h
-                    new.append(h)
-        frontier = new
-    return [members[i] for i in sorted(members)]
+    """Elements of W_P inside the enumerated group: no Gamma part and a
+    reduced word in the letters of P only (every reduced word of an element
+    uses the same letters)."""
+    P = set(P)
+    return [e for e in group.elements
+            if e.gamma == "e" and P.issuperset(e.word)]
 
 
 def coset_decomposition(group: WeylGroup, P: Sequence[int]):

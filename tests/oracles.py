@@ -266,6 +266,37 @@ def matrix_enumerate_group(datum, gamma):
     return out
 
 
+def matrix_braid_order(datum, i, j):
+    """Reference for `gradedhecke.modules._braid_order`: the order of
+    s_i s_j, by powering its matrix."""
+    prod = mat_mul(datum.reflection_matrix(i), datum.reflection_matrix(j))
+    ident = identity(datum.ambient_dim)
+    acc, order = prod, 1
+    while acc != ident:
+        acc = mat_mul(acc, prod)
+        order += 1
+        assert order <= 64, "runaway braid order"
+    return order
+
+
+def bfs_parabolic_subgroup_elements(group, P):
+    """Reference for `gradedhecke.weyl.parabolic_subgroup_elements`: W_P by
+    a breadth-first search from the identity through the s_i, i in P."""
+    P = sorted(set(P))
+    frontier = [group.identity]
+    members = {group.identity.index: group.identity}
+    while frontier:
+        new = []
+        for g in frontier:
+            for i in P:
+                h = group.mult(g, group.simple(i))
+                if h.index not in members:
+                    members[h.index] = h
+                    new.append(h)
+        frontier = new
+    return [members[i] for i in sorted(members)]
+
+
 def matrix_check_parameters_conjugation(datum, kmap, group_elements):
     """Reference for `gradedhecke.rootdata.check_parameters_conjugation`:
     each simple root composed with each element's matrix, compared with the

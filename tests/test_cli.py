@@ -636,6 +636,46 @@ def test_cli_unequal_k_on_conjugate_roots_is_one_error_line(tmp_path, capsys):
         "error: k must agree on conjugate simple roots 1 and 0"]
 
 
+A1XA1_CFG = 'datum { type="A1xA1", ambient=2, k=1 }\n'
+
+
+@pytest.mark.parametrize("gamma, message", [
+    ('gamma { name=3, matrix=[[0,1],[1,0]] }', "gamma name must be a string"),
+    ('gamma { name="e", matrix=[[0,1],[1,0]] }',
+     "duplicate diagram-automorphism labels"),
+], ids=["name-not-string", "swap-named-e"])
+@pytest.mark.parametrize("command", ["group", "verify-basis"])
+def test_cli_bad_gamma_name_is_one_error_line(tmp_path, capsys, gamma,
+                                              message, command):
+    # "e" names the identity: a swap so named was once dropped, and
+    # verify-basis exited 0 with the 4 classes of A1xA1 for the 5 of W'
+    cfg = write(tmp_path, "a.cfg", A1XA1_CFG + gamma + "\n")
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "o" / f"{command}.json").exists()
+
+
+def test_load_config_requires_a_string_gamma_name():
+    with pytest.raises(ConfigError, match="^gamma name must be a string$"):
+        load_config(A1XA1_CFG + 'gamma { name=3, matrix=[[0,1],[1,0]] }')
+
+
+def test_cli_identity_gamma_adds_nothing(tmp_path):
+    # the identity is "e" whatever a gamma block calls it: once it was
+    # relabelled "id" and verify-basis died with an IndexError
+    reports = []
+    for name, gamma in (("plain", ""), ("id", 'gamma { name="id", '
+                                              'matrix=[[1,0],[0,1]] }\n')):
+        cfg = write(tmp_path, f"{name}.cfg", A1XA1_CFG + gamma)
+        out = tmp_path / name
+        for command in ("group", "verify-basis"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        reports.append([(out / f).read_bytes() for f in (
+            "group.json", "verify-basis.json", "verify-basis.csv")])
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["hp", "--config", "a.cfg"], "argument command: invalid choice: 'hp'"),
     (["datum", "--config", "a.cfg", "--truncation", "x"],

@@ -284,6 +284,12 @@ def test_parse_rejects_text_to_text_never_writes(text):
         parse_element(algebra("A2", 2, 1), text)
 
 
+def test_parse_rejects_a_zero_denominator():
+    # the polynomial parser's error, not a ZeroDivisionError, reaches here
+    with pytest.raises(HeckeParseError, match="bad fraction '1/0'"):
+        parse_element(algebra("A2", 2, 1), "e*(1/0)")
+
+
 def test_packing_limit_is_exact():
     # exponents are packed in fields that hold degrees below DEGREE_LIMIT;
     # group parts are the identity, so no monomial is pushed past a letter

@@ -95,6 +95,21 @@ def test_one_dim_modules_a2_signs_linked():
     assert {m.name for m in one_dim_modules(alg)} == {"trivial", "steinberg"}
 
 
+@pytest.mark.parametrize("rank0", ["A2 at P = ()", "empty"])
+def test_one_dim_modules_rank0_is_the_trivial_module(rank0):
+    # the general path builds what a rank-0 special case once built: one
+    # trivial module, no reflections, lambda = 0 on every ambient direction
+    if rank0 == "empty":
+        alg = algebra("empty", 2, [])
+    else:
+        alg = parabolic_algebra(algebra("A2", 2, 1), ())[1]
+    n = alg.datum.ambient_dim
+    expected = FinModule(algebra=alg, dim=1, refl={}, gammas={},
+                         coord=(((),),) * n, name="trivial",
+                         meta={"lambda": zero_vec(n)})
+    assert one_dim_modules(alg) == [expected]
+
+
 def test_induce_dimensions():
     a1 = algebra(k=1)
     V = principal_series(a1)

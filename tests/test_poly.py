@@ -306,3 +306,10 @@ def test_text_round_trip():
         assert parse_poly(p.to_text(), 3) == p
     assert parse_poly("3/2*x1^2*x3 - x2", 3).to_text() == "3/2*x1^2*x3 - x2"
     assert parse_poly("0", 2).is_zero()
+
+
+@pytest.mark.parametrize("text", ["1/0", "x1 - 3/0*x2"])
+def test_parse_rejects_a_zero_denominator(text):
+    # before, the coefficient raised ZeroDivisionError, not a parse error
+    with pytest.raises(poly.PolyParseError, match=r"bad fraction '\d/0'"):
+        parse_poly(text, 2)

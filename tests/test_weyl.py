@@ -3,11 +3,13 @@ import random
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (act_covector, fixed_basis,
+from oracles import (act_covector, bfs_parabolic_subgroup_elements,
+                     fixed_basis, matrix_braid_order,
                      matrix_check_parameters_conjugation,
                      matrix_conjugacy_census, matrix_enumerate_group)
 
@@ -161,17 +163,61 @@ def test_gamma_stabilizes_dominant_cone():
 
 
 def test_gamma_closure_required():
-    # a 3-cycle without its square is not closed under composition
+    # GammaGroup closes what it is given: a 3-cycle brings its square,
+    # labelled after the product that first gives it
     d = build_root_datum("A1xA1xA1", 3)
     rot = make_diagram_automorphism(
         d, "rot", [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     from gradedhecke.weyl import GammaGroup
-    with pytest.raises(WeylError):
-        GammaGroup(d, [rot])
-    rot2 = make_diagram_automorphism(
-        d, "rot2", [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    group = enumerate_group(d, GammaGroup(d, [rot, rot2]))
+    gamma = GammaGroup(d, [rot])
+    assert [a.label for a in gamma.elements] == ["e", "rot", "rot*rot"]
+    assert gamma.by_label["rot*rot"].matrix == mat_mul(rot.matrix, rot.matrix)
+    group = enumerate_group(d, gamma)
     assert len(group) == 24  # |Gamma| * |W| = 3 * 8
+
+
+def test_gamma_identity_is_e_and_closure_is_bounded():
+    from gradedhecke.weyl import GammaGroup
+    d, swap = swap_datum()
+    ident = make_diagram_automorphism(d, "id", [[1, 0], [0, 1]])
+    assert [a.label for a in GammaGroup(d, [ident]).elements] == ["e"]
+    assert [a.label for a in GammaGroup(d, [swap, ident, swap]).elements] \
+        == ["e", "swap"]
+    for gens, message in (([swap._replace(label="e")], "labels"),
+                          ([swap, swap._replace(label="flip")], "matrices")):
+        with pytest.raises(WeylError, match=f"automorphism {message}$"):
+            GammaGroup(d, gens)
+    # an orthogonal map of infinite order on the complement of the roots
+    a1 = build_root_datum("A1", 3)
+    rot = make_diagram_automorphism(
+        a1, "rot", [[1, 0, 0], [0, Q(3, 5), Q(-4, 5)], [0, Q(4, 5), Q(3, 5)]])
+    with pytest.raises(WeylError, match="closure too large"):
+        GammaGroup(a1, [rot])
+
+
+ROOT = Path(__file__).resolve().parent.parent
+TABLE_CONFIGS = sorted((ROOT / "bench" / "configs").glob("*.cfg")) + \
+    [ROOT / "tests" / "golden" / "d4-triality.cfg"]
+
+
+@pytest.mark.parametrize("path", TABLE_CONFIGS, ids=lambda p: p.stem)
+def test_braid_orders_and_parabolics_match_matrix_oracles(path):
+    # m_ij and W_P read off the group tables agree with matrix powering and
+    # a BFS; m_ij is 2, 3, 4 or 6 as a_ij a_ji is 0, 1, 2 or 3
+    from gradedhecke.config import load_config
+    from gradedhecke.modules import _braid_order
+    group = load_config(path.read_text()).build_algebra().group
+    d = group.datum
+    cartan = [dict(row) for row in d.cartan()]
+    for i, j in itertools.combinations(range(d.rank), 2):
+        m = _braid_order(group, i, j)
+        assert m == matrix_braid_order(d, i, j)
+        assert m == {0: 2, 1: 3, 2: 4, 3: 6}[
+            cartan[i].get(j, 0) * cartan[j].get(i, 0)]
+    for n in range(d.rank + 1):
+        for P in itertools.combinations(range(d.rank), n):
+            assert parabolic_subgroup_elements(group, P) == \
+                bfs_parabolic_subgroup_elements(group, P)
 
 
 def test_lex_least_words():
