@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from . import GradedHeckeError, __version__
-from .config import (ConfigError, RunConfig, apply_k_override, integer,
-                     load_config, number, root_indices)
+from .config import (BuiltGroup, ConfigError, RunConfig, apply_k_override,
+                     integer, load_config, number, root_indices)
 
 if TYPE_CHECKING:
     from .hecke import HeckeAlgebra
@@ -62,7 +62,7 @@ def _series_payload(series) -> Dict[str, Any]:
     return payload
 
 
-def _base_report(command: str, cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
+def _base_report(command: str, cfg: RunConfig, algebra: BuiltGroup) -> Dict:
     return {
         "schema": SCHEMA,
         "command": command,
@@ -74,7 +74,7 @@ def _base_report(command: str, cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
     }
 
 
-def _cmd_datum(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
+def _cmd_datum(cfg: RunConfig, algebra: BuiltGroup) -> Dict:
     d = algebra.datum
 
     def dense(m, n):
@@ -93,7 +93,7 @@ def _cmd_datum(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
     return rep
 
 
-def _cmd_group(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
+def _cmd_group(cfg: RunConfig, algebra: BuiltGroup) -> Dict:
     census = algebra.group.census
     rep = _base_report("group", cfg, algebra)
     rep.update({
@@ -106,7 +106,7 @@ def _cmd_group(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
     return rep
 
 
-def _census_report(command: str, cfg: RunConfig, algebra: HeckeAlgebra):
+def _census_report(command: str, cfg: RunConfig, algebra: BuiltGroup):
     """The census and a report holding its truncation and per-class series."""
     from .homology import crossed_product_census
     census = crossed_product_census(algebra.datum, truncation=cfg.truncation,
@@ -122,11 +122,11 @@ def _census_report(command: str, cfg: RunConfig, algebra: HeckeAlgebra):
     return census, rep
 
 
-def _cmd_molien(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
+def _cmd_molien(cfg: RunConfig, algebra: BuiltGroup) -> Dict:
     return _census_report("molien", cfg, algebra)[1]
 
 
-def _cmd_crossed_census(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
+def _cmd_crossed_census(cfg: RunConfig, algebra: BuiltGroup) -> Dict:
     census, rep = _census_report("crossed-census", cfg, algebra)
     rep.update({
         "class_count": census.class_count,
@@ -138,7 +138,7 @@ def _cmd_crossed_census(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
 
 
 def _findim_handler(command: str, key: str, cyclic: bool):
-    def handler(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
+    def handler(cfg: RunConfig, algebra: BuiltGroup) -> Dict:
         from .homology import (FinDimAlgebra, check_size_bound,
                                cyclic_homology, hochschild_homology)
         size, group = cfg.findim_size, algebra.group
@@ -270,6 +270,8 @@ _HANDLERS = {"datum": _cmd_datum, "group": _cmd_group, "molien": _cmd_molien,
              "induce": _cmd_induce, "irr0": _cmd_irr0,
              "verify-basis": _cmd_verify_basis}
 CATALOG_COMMANDS = ("irr0", "verify-basis")  # the handlers that read it
+# the handlers that read H'; the others get `RunConfig.build_group`'s record
+HECKE_COMMANDS = ("induce",) + CATALOG_COMMANDS
 
 
 def _source_digest() -> str:
@@ -317,7 +319,8 @@ def run(command: str, cfg: RunConfig, out_dir: str = "out",
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                algebra = cfg.build_algebra()
+                algebra = cfg.build_algebra() if command in HECKE_COMMANDS \
+                    else cfg.build_group()
                 extra = (catalog_text,) if command in CATALOG_COMMANDS else ()
                 report = _HANDLERS[command](cfg, algebra, *extra)
             finally:  # a run that fails still shows what it warned about

@@ -23,7 +23,8 @@ from . import GradedHeckeError
 
 if TYPE_CHECKING:  # parsing needs no engine; building imports it on demand
     from .hecke import HeckeAlgebra
-    from .rootdata import RootDatum
+    from .rootdata import ParameterMap, RootDatum
+    from .weyl import WeylGroup
 
 
 class ConfigError(GradedHeckeError):
@@ -243,13 +244,29 @@ class RunConfig:
             raise ConfigError(f"missing parameter values for {sorted(missing)}")
         return [self.k_values[n] for n in names]
 
-    def build_algebra(self) -> HeckeAlgebra:
-        from .hecke import HeckeAlgebra
-        from .weyl import make_diagram_automorphism
+    def build_group(self) -> BuiltGroup:
+        """The datum, k and W', checked as `HeckeAlgebra` checks them."""
+        from .rootdata import check_parameters_conjugation, make_parameter_map
+        from .weyl import enumerate_group, make_diagram_automorphism
         datum = self.build_datum()
         k = self.build_k(datum)
-        return HeckeAlgebra(datum, k, [make_diagram_automorphism(datum, *g)
-                                       for g in self.gammas])
+        gammas = [make_diagram_automorphism(datum, *g) for g in self.gammas]
+        kmap = make_parameter_map(datum, k)
+        group = enumerate_group(datum, gammas)
+        check_parameters_conjugation(datum, kmap, group.root_perm)
+        return BuiltGroup(datum, kmap, group)
+
+    def build_algebra(self) -> HeckeAlgebra:
+        from .hecke import HeckeAlgebra
+        datum, kmap, group = self.build_group()
+        return HeckeAlgebra(datum, kmap, group=group)
+
+
+class BuiltGroup(NamedTuple):
+    """What the commands that multiply nothing in H' read of an algebra."""
+    datum: RootDatum
+    kmap: ParameterMap
+    group: WeylGroup
 
 
 def root_names(datum: RootDatum) -> List[str]:

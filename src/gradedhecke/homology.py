@@ -1,28 +1,28 @@
 """Hochschild/cyclic homology engines, point modules and the basis theorem.
 
 Finite-dimensional algebras get the literal bar and mixed complexes with
-exact rank computations.  The crossed product W' x| S(t*) is handled through
-its closed-form census: per-conjugacy-class Molien series of invariant forms
-on the fixed spaces, with HP_1 = 0 forced by the contractibility of each
-fixed space and HP_0 = HH_0(Q[W']) checked against the class count.  Point
-modules of A x| G are solved on fibre blocks.
+exact ranks; a boundary keeps the type of the structure constants, int in
+the group, matrix and ground algebras, so `rank` runs fraction-free.  The
+crossed product W' x| S(t*) is handled through its closed-form census:
+per-class Molien series of invariant forms on the fixed spaces, with HP_1 = 0
+forced by the contractibility of each fixed space and HP_0 = HH_0(Q[W'])
+checked against the class count.  Point modules of A x| G are solved on
+fibre blocks.  The basis theorem takes a built H': no `hecke` import here.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter
-from fractions import Fraction
 from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from .hecke import HeckeAlgebra
-from .linalg import GradedHeckeError, Mat, Q, Vec, mat, rank, trace
+from .linalg import GradedHeckeError, Mat, Q, Vec, _row, mat, rank, trace
 from .rootdata import RootDatum
 from .weyl import ClassEntry, WeylGroup, enumerate_group, permutation_bfs
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # only verify_basis_theorem reads H', handed in built
+    from .hecke import HeckeAlgebra
     from .modules import DSCatalogEntry
     from .poly import PoincareSeries
 
@@ -86,17 +86,16 @@ class FinDimAlgebra:
 
     @staticmethod
     def ground_field() -> "FinDimAlgebra":
-        one = Fraction(1)
-        return FinDimAlgebra(dim=1, table=((((0, one),),),), unit=(one,),
+        return FinDimAlgebra(dim=1, table=((((0, 1),),),), unit=(1,),
                              label="Q")
 
     @staticmethod
     def matrix_algebra(n: int) -> "FinDimAlgebra":
         """M_n(Q) on the matrix units e_rc = basis vector r * n + c."""
-        d, one = n * n, Fraction(1)
-        table = tuple(tuple(((a // n * n + b % n, one),) if a % n == b // n
+        d = n * n
+        table = tuple(tuple(((a // n * n + b % n, 1),) if a % n == b // n
                             else () for b in range(d)) for a in range(d))
-        unit = tuple(Fraction(int(t % (n + 1) == 0)) for t in range(d))
+        unit = tuple(int(t % (n + 1) == 0) for t in range(d))
         return FinDimAlgebra(dim=d, table=table, unit=unit,
                              label=f"M{n}(Q)")
 
@@ -105,15 +104,15 @@ class FinDimAlgebra:
         """Group algebra from an element list and a multiplication callback."""
         elements = list(elements)
         index = {g: i for i, g in enumerate(elements)}
-        d, one = len(elements), Fraction(1)
-        table = tuple(tuple(((index[mult_fn(a, b)], one),) for b in elements)
+        d = len(elements)
+        table = tuple(tuple(((index[mult_fn(a, b)], 1),) for b in elements)
                       for a in elements)
         identity_idx = next((i for i, g in enumerate(elements)
                              if all(mult_fn(g, h) == h and mult_fn(h, g) == h
                                     for h in elements)), None)
         if identity_idx is None:
             raise HomologyError("group has no identity element")
-        unit = tuple(Fraction(int(t == identity_idx)) for t in range(d))
+        unit = tuple(int(t == identity_idx) for t in range(d))
         return FinDimAlgebra(dim=d, table=table, unit=unit, label=label)
 
     @staticmethod
@@ -175,7 +174,7 @@ def hochschild_boundary(algebra: FinDimAlgebra, n: int) -> Mat:
         for k, c in table[t[n]][t[0]]:
             _add(rows, _basis_index(d, (k,) + t[1:n]), col,
                  -c if n % 2 else c)
-    return mat(rows)
+    return tuple(map(_row, rows))
 
 
 def connes_boundary(algebra: FinDimAlgebra, n: int) -> Mat:
@@ -195,7 +194,7 @@ def connes_boundary(algebra: FinDimAlgebra, n: int) -> Mat:
                 _add(rows, _basis_index(d, s_t), col, sgn_n * u_c)
                 _add(rows, _basis_index(d, s_t[-1:] + s_t[:-1]), col,
                      -sgn_n * sgn_t * u_c)
-    return mat(rows)
+    return tuple(map(_row, rows))
 
 
 def hochschild_homology(algebra: FinDimAlgebra, n_max: int,
@@ -233,20 +232,13 @@ def _mixed_total_boundary(algebra: FinDimAlgebra, n: int,
 def verify_mixed_identities(algebra: FinDimAlgebra, n: int,
                             trials: int = 5, seed: int = 7,
                             b: Optional[Dict[int, Mat]] = None) -> None:
-    """Check b b = 0 and b B + B b = 0 exactly on random chains, with every
-    boundary scaled to integers by the common denominator of the structure
-    constants and the unit, which scales both identities alike.  `b` may
-    hold some of b_{n-1}, b_n and b_{n+1} already built, by degree."""
+    """Check b b = 0 and b B + B b = 0 exactly on random integer chains.
+    `b` may hold some of b_{n-1}, b_n and b_{n+1} already built, by degree."""
     rng = random.Random(seed)
     b = b or {}
-    den = math.lcm(*(c.denominator for row in algebra.table for cell in row
-                     for _, c in cell), *(c.denominator for c in algebra.unit))
-
-    def scaled(m: Mat):
-        return [[(c, int(x * den)) for c, x in row] for row in m]
-    b_nm1, b_n, b_np1 = (scaled(b[m] if m in b else hochschild_boundary(
+    b_nm1, b_n, b_np1 = ((b[m] if m in b else hochschild_boundary(
         algebra, m)) if m else None for m in (n - 1, n, n + 1))
-    big_b, small_b = (scaled(connes_boundary(algebra, m)) for m in (n, n - 1))
+    big_b, small_b = (connes_boundary(algebra, m) for m in (n, n - 1))
 
     def apply(m, v):
         return [sum(x * v[c] for c, x in row) for row in m]

@@ -119,6 +119,11 @@ def mat(rows) -> Mat:
                  for r in rows)
 
 
+def narrow(x):
+    """An integral Fraction as its int, on which exact arithmetic is faster."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def zero_vec(n: int) -> Vec:
     return (Fraction(0),) * n
 

@@ -5,17 +5,21 @@ coroots are realized as the first standard basis vectors, simple roots as
 covectors whose coordinate rows reproduce the Cartan matrix, and the inner
 product on `a` is a symmetric positive-definite Gram matrix chosen so that
 every reflection is orthogonal.  The ambient space may strictly contain the
-coroot span; the orthocomplement is carried explicitly.
+coroot span; the orthocomplement is carried explicitly.  The reflection
+closure runs in int arithmetic on integral data; every stored value is a
+Fraction.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from operator import add, mul
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .linalg import (GradedHeckeError, Mat, Q, Vec, charpoly, dot, mat,
-                     mat_mul, mat_vec, nullspace, rank, solve, transpose, vec)
+                     mat_mul, mat_vec, narrow, nullspace, rank, solve,
+                     transpose, vec)
 
 ROOT_CLOSURE_BOUND = 10000
 
@@ -96,20 +100,20 @@ def _columns(vectors: Sequence[Vec], n: int) -> Mat:
     return transpose(mat(vectors), n)
 
 
-def _close_under_reflections(datum_like) -> Tuple[Tuple[Vec, ...], Tuple[Vec, ...]]:
-    """Reflection closure of (Pi, Pi^vee); returns matched (roots, coroots)."""
-    simple_roots, simple_coroots = datum_like
-    pairs = {}
-    frontier = list(zip(simple_roots, simple_coroots))
-    for r, cv in frontier:
-        pairs[r] = cv
+def _close_under_reflections(simple_roots, simple_coroots) -> tuple:
+    """Reflection closure of (Pi, Pi^vee), run on the narrowed values;
+    returns matched (roots, coroots) as Fraction vectors."""
+    simple = [(tuple(map(narrow, a)), tuple(map(narrow, av)))
+              for a, av in zip(simple_roots, simple_coroots)]
+    pairs = dict(simple)
+    frontier = simple
     while frontier:
         new = []
         for r, cv in frontier:
-            for a, av in zip(simple_roots, simple_coroots):
-                c = pairing(r, av)
+            for a, av in simple:
+                c = sum(map(mul, r, av))
                 r2 = tuple(x - c * y for x, y in zip(r, a))
-                d = pairing(a, cv)
+                d = sum(map(mul, a, cv))
                 cv2 = tuple(x - d * y for x, y in zip(cv, av))
                 if r2 not in pairs:
                     pairs[r2] = cv2
@@ -119,8 +123,8 @@ def _close_under_reflections(datum_like) -> Tuple[Tuple[Vec, ...], Tuple[Vec, ..
         frontier = new
         if len(pairs) > ROOT_CLOSURE_BOUND:
             raise RootDatumError("reflection closure exceeds size bound")
-    roots = tuple(sorted(pairs))
-    return roots, tuple(pairs[r] for r in roots)
+    roots = sorted(pairs)
+    return tuple(map(vec, roots)), tuple(vec(pairs[r]) for r in roots)
 
 
 def _validate(datum: RootDatum) -> None:
@@ -142,21 +146,15 @@ def _validate(datum: RootDatum) -> None:
         if mat_mul(transpose(s, d), mat_mul(datum.gram, s)) != datum.gram:
             raise RootDatumError(
                 f"reflection s_{i} does not preserve the Gram form")
-    for a, av in zip(datum.roots, datum.coroots):
-        if pairing(a, av) != 2:
-            raise RootDatumError("root/coroot pairing drifted from 2")
-    # reduced: the only proportional pairs are r and -r
-    for i, r in enumerate(datum.roots):
-        piv = next((t for t, c in enumerate(r) if c), None)
-        if piv is None:
-            raise RootDatumError("zero root in closure")
-        for r2 in datum.roots[i + 1:]:
-            if r2[piv] == 0:
-                continue
-            c = r2[piv] / r[piv]
-            if c != -1 and tuple(c * x for x in r) == r2:
-                raise RootDatumError(
-                    "closure produced a non-reduced root system")
+    # reduced: a line through 0 meets R in r and -r at most (R holds no 0,
+    # as each s_i is invertible and <alpha_i, alpha_i^vee> = 2)
+    lines = {}
+    for r in datum.roots:
+        p = next(filter(None, r))
+        lines.setdefault(tuple(x / p for x in r), []).append(r)
+    if any(len(rs) > 2 or len(rs) == 2 and any(map(add, *rs))
+           for rs in lines.values()):
+        raise RootDatumError("closure produced a non-reduced root system")
 
 
 def make_root_datum(label: str, ambient_dim: int, gram, simple_roots,
@@ -167,9 +165,10 @@ def make_root_datum(label: str, ambient_dim: int, gram, simple_roots,
     if len(gram) != ambient_dim or any(len(r) != ambient_dim for r in gram):
         raise RootDatumError("Gram matrix has wrong shape")
     g = mat(gram)
-    roots, coroots = _close_under_reflections((sr, sc))
-    crys = all(pairing(a, bv).denominator == 1
-               for a in roots for bv in coroots)
+    roots, coroots = _close_under_reflections(sr, sc)
+    # an integral Cartan matrix puts R in Z Pi and R^vee in Z Pi^vee, so
+    # every pairing <a, b^vee> is an integer (Bourbaki VI.1)
+    crys = all(pairing(a, bv).denominator == 1 for a in sr for bv in sc)
     datum = RootDatum(label=label, ambient_dim=ambient_dim, gram=g,
                       simple_roots=sr, simple_coroots=sc,
                       roots=roots, coroots=coroots, crystallographic=crys)

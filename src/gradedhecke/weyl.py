@@ -4,19 +4,21 @@ The one owner of W' facts: `GammaGroup` closes the given automorphisms, and
 other layers read braid orders, W_P and root images off the enumerated group.
 An element is its position `index` in the group's canonical (length, gamma,
 word) order: each group builds each element once, so elements compare by
-identity.  Its exact matrix on the ambient space is data, not identity.
-Products, inverses, root images, the class census and coset bookkeeping are
-read off index tables built once by `enumerate_group`, which enumerates on
-root permutations.  All censuses are deterministic: classes are listed by
-their first-discovered representative.
+identity.  Its matrix on the ambient space is data, multiplied out in int
+arithmetic on integral data and stored as Fractions.  Products, inverses,
+root images, the class census and coset bookkeeping are read off index
+tables built once by `enumerate_group`, which enumerates on root
+permutations.  Censuses list classes by first-discovered representative.
 """
 
 from __future__ import annotations
 
+import functools
+from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import (GradedHeckeError, Mat, identity, inverse, mat, mat_comb,
-                     mat_mul, mat_vec, rank, transpose)
+                     mat_mul, mat_vec, narrow, rank, transpose)
 from .rootdata import RootDatum
 
 GROUP_SIZE_BOUND = 100000
@@ -41,6 +43,9 @@ class DiagramAutomorphism(NamedTuple):
 
 def make_diagram_automorphism(datum: RootDatum, label: str,
                               matrix) -> DiagramAutomorphism:
+    if not label or "*" in label or label[0] == "s" and label[1:].isdigit():
+        raise WeylError(f"automorphism label {label!r} clashes with the "
+                        "word syntax: it is empty, holds '*' or reads s<i>")
     n = datum.ambient_dim
     if len(matrix) != n or any(len(r) != n for r in matrix):
         raise WeylError("automorphism matrix has wrong shape")
@@ -164,9 +169,6 @@ class WeylGroup:
         self.datum = datum
         self.gamma = gamma
         self.elements: Tuple[ExtendedWeylElement, ...] = tuple(elements)
-        if len({e.matrix for e in self.elements}) != len(self.elements):
-            raise WeylError("matrix collision between distinct (gamma, w) "
-                            "pairs; Gamma must meet W trivially")
         self.root_perm = root_perm
         self._simple_pos = tuple(map(datum.roots.index, datum.simple_roots))
         self.identity = self.elements[0]  # length 0, identity gamma first
@@ -261,27 +263,34 @@ def _enumerate_weyl_words(datum: RootDatum, bound: int):
     return perms, words, right
 
 
+def _entries(m: Mat, f) -> Mat:
+    """m with f applied to every stored value."""
+    return tuple(tuple((j, f(x)) for j, x in row) for row in m)
+
+
 def enumerate_group(datum: RootDatum,
                     gammas: Sequence[DiagramAutomorphism] = (),
                     bound: int = GROUP_SIZE_BOUND) -> WeylGroup:
     """All |Gamma| * |W| elements of W', enumerated on root permutations.
 
     The BFS runs on the permutations of `datum.roots`; each element's matrix
-    is one product, from its BFS parent or, off the identity coset, by its
-    Gamma factor.  A matrix shared by distinct (gamma, w) pairs is rejected:
-    the pairs are distinct elements only when Gamma meets W trivially.
-    Every word length is checked against the inversion
-    count l(w) = #{a > 0 : a o w < 0}, read off the permutations kept as
-    `root_perm`.  The right-multiplication tables come from the BFS and from
-    conjugating words by Gamma.
+    is one product on `narrow`ed values, from its BFS parent or, off the
+    identity coset, by its Gamma factor.  A matrix shared by distinct
+    (gamma, w) pairs is rejected: the pairs are distinct elements only when
+    Gamma meets W trivially.  Every word length is checked against the
+    inversion count l(w) = #{a > 0 : a o w < 0}, read off the permutations
+    kept as `root_perm`.  The right-multiplication tables come from the BFS
+    and from conjugating words by Gamma.
     """
     gamma = gammas if isinstance(gammas, GammaGroup) else \
         GammaGroup(datum, gammas)
     perms, words, right = _enumerate_weyl_words(datum, bound)
     if len(words) * len(gamma) > bound:
         raise WeylError(f"group exceeds configured size bound {bound}")
-    refl = [datum.reflection_matrix(i) for i in range(datum.rank)]
-    mats = [identity(datum.ambient_dim)] + [None] * (len(words) - 1)
+    refl = [_entries(datum.reflection_matrix(i), narrow)
+            for i in range(datum.rank)]
+    mats = [_entries(identity(datum.ambient_dim), narrow)] + \
+        [None] * (len(words) - 1)
     for k in range(len(words)):  # a BFS parent precedes its children
         for i, r in enumerate(refl):
             if mats[right[i][k]] is None:
@@ -293,12 +302,17 @@ def enumerate_group(datum: RootDatum,
     pairs = sorted(((g, k) for g in range(len(gamma))
                     for k in range(len(words))),
                    key=lambda t: (len(words[t[1]]), t[0], words[t[1]]))
-    elems: List[ExtendedWeylElement] = []
-    for n, (g, k) in enumerate(pairs):  # gamma.elements[0] is the identity
-        c = gamma.elements[g]
-        elems.append(ExtendedWeylElement(
-            gamma=c.label, word=words[k], length=len(words[k]), index=n,
-            matrix=mat_mul(c.matrix, mats[k]) if g else mats[k]))
+    gmats = [_entries(c.matrix, narrow) for c in gamma.elements]
+    products = [mat_mul(gmats[g], mats[k]) if g else mats[k]
+                for g, k in pairs]  # gamma.elements[0] is the identity
+    if len(set(products)) != len(products):
+        raise WeylError("matrix collision between distinct (gamma, w) "
+                        "pairs; Gamma must meet W trivially")
+    widen = functools.lru_cache(maxsize=None)(Fraction)  # few values
+    elems = [ExtendedWeylElement(
+        gamma=gamma.elements[g].label, word=words[k], length=len(words[k]),
+        index=n, matrix=_entries(m, widen))
+        for n, ((g, k), m) in enumerate(zip(pairs, products))]
     # gamma w: roots[r] o gamma o w = roots[perms[k][gperm[g][r]]]
     root_perm = [tuple(map(perms[k].__getitem__, gperm[g])) for g, k in pairs]
     at_pair = {t: n for n, t in enumerate(pairs)}

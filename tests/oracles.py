@@ -266,6 +266,68 @@ def matrix_enumerate_group(datum, gamma):
     return out
 
 
+def fraction_root_closure(simple_roots, simple_coroots):
+    """Reference for the closure in `gradedhecke.rootdata.make_root_datum`,
+    as it ran on Fraction values: the reflection closure of (Pi, Pi^vee),
+    and the crystallographic flag read off all |R|^2 pairings.  Returns
+    (roots, coroots, crystallographic)."""
+    from gradedhecke.rootdata import RootDatumError, pairing
+    pairs = {}
+    frontier = list(zip(simple_roots, simple_coroots))
+    for r, cv in frontier:
+        pairs[r] = cv
+    while frontier:
+        new = []
+        for r, cv in frontier:
+            for a, av in zip(simple_roots, simple_coroots):
+                c = pairing(r, av)
+                r2 = tuple(x - c * y for x, y in zip(r, a))
+                d = pairing(a, cv)
+                cv2 = tuple(x - d * y for x, y in zip(cv, av))
+                if r2 not in pairs:
+                    pairs[r2] = cv2
+                    new.append((r2, cv2))
+                elif pairs[r2] != cv2:
+                    raise RootDatumError("inconsistent coroot closure")
+        frontier = new
+    roots = tuple(sorted(pairs))
+    coroots = tuple(pairs[r] for r in roots)
+    crys = all(pairing(a, bv).denominator == 1
+               for a in roots for bv in coroots)
+    return roots, coroots, crys
+
+
+def pairwise_reduced(roots) -> bool:
+    """Reference for the reducedness check of `gradedhecke.rootdata`, as it
+    ran on every pair of roots: the only proportional pairs are r and -r."""
+    for i, r in enumerate(roots):
+        piv = next(t for t, c in enumerate(r) if c)
+        for r2 in roots[i + 1:]:
+            c = r2[piv] / r[piv]
+            if r2[piv] and c != -1 and tuple(c * x for x in r) == r2:
+                return False
+    return True
+
+
+def fraction_element_matrices(group):
+    """Reference for the element matrices of `gradedhecke.weyl.
+    enumerate_group`, as it built them on Fraction values: one product per
+    element of W, from its parent in the root-permutation BFS, then gamma
+    times w off the identity coset.  Listed in the group's order."""
+    from gradedhecke.weyl import _enumerate_weyl_words
+    datum, gamma = group.datum, group.gamma
+    _, words, right = _enumerate_weyl_words(datum, 10 ** 5)
+    refl = [datum.reflection_matrix(i) for i in range(datum.rank)]
+    mats = [identity(datum.ambient_dim)] + [None] * (len(words) - 1)
+    for k in range(len(words)):
+        for i, r in enumerate(refl):
+            if mats[right[i][k]] is None:
+                mats[right[i][k]] = mat_mul(mats[k], r)
+    at = {w: k for k, w in enumerate(words)}
+    return [mat_mul(gamma.by_label[e.gamma].matrix, mats[at[e.word]])
+            if e.gamma != "e" else mats[at[e.word]] for e in group]
+
+
 def matrix_braid_order(datum, i, j):
     """Reference for `gradedhecke.modules._braid_order`: the order of
     s_i s_j, by powering its matrix."""

@@ -613,17 +613,27 @@ def test_cli_cold_findim_loads_no_modules_engine(tmp_path):
     assert "gradedhecke.modules" not in loaded
 
 
-@pytest.mark.parametrize("command, loads_poly", [
-    ("verify-basis", False), ("group", False), ("hh-findim", False),
-    ("hc-findim", False), ("crossed-census", True)])
+COLD_IMPORTS = [  # command, loads poly, loads hecke
+    ("datum", False, False), ("group", False, False),
+    ("molien", True, False), ("hh-findim", False, False),
+    ("hc-findim", False, False), ("crossed-census", True, False),
+    ("induce", False, True), ("irr0", False, True),
+    ("verify-basis", False, True)]
+
+
+@pytest.mark.parametrize("command, loads_poly, loads_hecke", COLD_IMPORTS,
+                         ids=[f"{c}-{p}" for c, p, _ in COLD_IMPORTS])
 def test_cli_cold_run_loads_neither_dataclasses_nor_unused_poly(
-        tmp_path, command, loads_poly):
-    # only the Molien census reads a polynomial
-    cfg = write(tmp_path, "a.cfg", SWAP_CFG + FINDIM_CFG)
+        tmp_path, command, loads_poly, loads_hecke):
+    # only the Molien census reads a polynomial, and only the commands
+    # that induce modules build H'; the others read the datum, k and W'
+    cfg = write(tmp_path, "a.cfg", SWAP_CFG + FINDIM_CFG +
+                'induce { p=["alpha1"], delta="steinberg" }\n')
     loaded = _modules_loaded_by([command, "--config", cfg,
                                  "--out", str(tmp_path / "out")])
     assert not UNUSED_STDLIB & set(loaded)
     assert ("gradedhecke.poly" in loaded) == loads_poly
+    assert ("gradedhecke.hecke" in loaded) == loads_hecke
 
 
 def test_cli_unequal_k_on_conjugate_roots_is_one_error_line(tmp_path, capsys):
@@ -636,14 +646,52 @@ def test_cli_unequal_k_on_conjugate_roots_is_one_error_line(tmp_path, capsys):
         "error: k must agree on conjugate simple roots 1 and 0"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ('datum { type="A2", ambient=2, k={alpha1=1, alpha2=2} }',
+     "k must agree on conjugate simple roots 1 and 0"),
+    ('datum { type="A1xA1", ambient=2, k={alpha1=1, alpha2=2} }\n'
+     'gamma { name="swap", matrix=[[0,1],[1,0]] }',
+     "k must agree on conjugate simple roots 0 and 1"),
+    ('datum { type="A1xA1", ambient=2, k=1 }\n'
+     'gamma { name="sheer", matrix=[[1,1],[0,1]] }',
+     "automorphism 'sheer' is not Gram-orthogonal"),
+    ('datum { type="A1xA1", ambient=3, k=1 }\n'
+     'gamma { name="g", matrix=[[0,1,0],[1,0,0],[0,0,1]] }\n'
+     'gamma { name="g", matrix=[[1,0,0],[0,1,0],[0,0,-1]] }',
+     "duplicate diagram-automorphism labels"),
+    ('datum { type="A1", ambient=1, k={alpha3=1} }',
+     "unknown parameter keys ['alpha3']; expected ['alpha1']"),
+], ids=["a2-unequal-k", "swap-unequal-k", "gamma-not-orthogonal",
+        "gamma-labels-repeat", "unknown-k-key"])
+def test_cli_bad_config_is_the_same_error_line_for_every_build(
+        tmp_path, capsys, text, message):
+    # group and crossed-census build only W', verify-basis builds H' on it:
+    # each runs the same checks in the same order
+    cfg = write(tmp_path, "a.cfg", text + "\n")
+    for command in ("group", "crossed-census", "verify-basis"):
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 A1XA1_CFG = 'datum { type="A1xA1", ambient=2, k=1 }\n'
+CLASH = "clashes with the word syntax: it is empty, holds '*' or reads s<i>"
 
 
 @pytest.mark.parametrize("gamma, message", [
     ('gamma { name=3, matrix=[[0,1],[1,0]] }', "gamma name must be a string"),
     ('gamma { name="e", matrix=[[0,1],[1,0]] }',
      "duplicate diagram-automorphism labels"),
-], ids=["name-not-string", "swap-named-e"])
+    # the word syntax of reports: such a label made `group` list classes
+    # "s1" and "s1*s1", or "" and "*s1"
+    ('gamma { name="s1", matrix=[[0,1],[1,0]] }',
+     f"automorphism label 's1' {CLASH}"),
+    ('gamma { name="", matrix=[[0,1],[1,0]] }',
+     f"automorphism label '' {CLASH}"),
+    ('gamma { name="a*b", matrix=[[0,1],[1,0]] }',
+     f"automorphism label 'a*b' {CLASH}"),
+], ids=["name-not-string", "swap-named-e", "swap-named-s1",
+        "swap-named-empty", "swap-named-product"])
 @pytest.mark.parametrize("command", ["group", "verify-basis"])
 def test_cli_bad_gamma_name_is_one_error_line(tmp_path, capsys, gamma,
                                               message, command):

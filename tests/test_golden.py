@@ -32,6 +32,9 @@ GOLDEN = Path(__file__).parent / "golden"
     ("b2-complex", "induce", (".json",)),
     ("a3", "verify-basis", (".json", ".csv")),
     ("b3", "verify-basis", (".json", ".csv")),
+    ("hc-a2", "hc-findim", (".json",)),
+    ("a4", "crossed-census", (".json",)),
+    ("g2", "datum", (".json",)),
 ])
 def test_cli_reproduces_golden_report(tmp_path, name, command, suffixes):
     assert main([command, "--config", str(GOLDEN / f"{name}.cfg"),

@@ -486,6 +486,20 @@ def test_boundary_columns_in_rescaled_bases(name, scales, kind, n):
     assert_columns_match_dense(algebra, kind, n)
 
 
+@pytest.mark.parametrize("name", ["Q", "M2(Q)", "Q[S3]"])
+def test_integral_tables_give_integer_boundaries(name):
+    # the constructors store 1 and the unit as int, and the boundaries keep
+    # that type, so `rank` runs fraction-free with nothing to convert
+    a = ALGEBRAS[name]
+    for kind, n in (("b", 1), ("b", 2), ("b", 3), ("B", 1), ("B", 2)):
+        sparse, dense, nrows, ncols = BOUNDARIES[kind]
+        if nrows(a.dim, n) * ncols(a.dim, n) > homology.SIZE_BOUND:
+            continue
+        rows = sparse(a, n)
+        assert rows == mat(dense(a, n))
+        assert all(type(x) is int for row in rows for _, x in row)
+
+
 def test_rescaled_algebra_has_the_same_homology():
     a = ALGEBRAS["Q[C3] scaled"]
     assert hochschild_homology(a, 2) == [3, 0, 0]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import act_covector
+from oracles import act_covector, fraction_root_closure, pairwise_reduced
 
 from gradedhecke.linalg import dot, mat, mat_vec, nullspace, solve
 from gradedhecke.rootdata import (RootDatumError, build_root_datum,
@@ -168,6 +168,9 @@ def test_nonreduced_closure_rejected():
         make_root_datum("scaledA2", 2, [[4, -1], [-1, 1]],
                         [(2, Fraction(-1, 2)), (-2, 2)],
                         [(1, 0), (0, 1)])
+    roots, _, _ = fraction_root_closure([(2, Fraction(-1, 2)), (-2, 2)],
+                                        [(1, 0), (0, 1)])
+    assert not pairwise_reduced(roots)
 
 
 def test_sub_datum_invariants():

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (act_covector, bfs_parabolic_subgroup_elements,
-                     fixed_basis, matrix_braid_order,
+                     fixed_basis, fraction_element_matrices,
+                     fraction_root_closure, matrix_braid_order,
                      matrix_check_parameters_conjugation,
-                     matrix_conjugacy_census, matrix_enumerate_group)
+                     matrix_conjugacy_census, matrix_enumerate_group,
+                     pairwise_reduced)
 
 from gradedhecke import weyl
 from gradedhecke.linalg import identity, mat_mul
@@ -485,3 +487,73 @@ def test_enumeration_operation_counts(monkeypatch, with_triality, products):
     # a root image is a dot per coordinate or one mat_vec
     assert len(dots) + d.ambient_dim * len(mat_vecs) <= \
         (d.rank + len(gamma)) * len(d.roots) * d.ambient_dim
+
+
+# Root closure and element products run on int values; the Fraction
+# references they replaced must agree, and every stored value must still be
+# a Fraction (a report writes an int as a JSON number, a Fraction as text).
+
+CONFIG_DIRS = (Path(__file__).parents[1] / "bench" / "configs",
+               Path(__file__).parent / "golden")
+
+
+def _config_data():
+    """{"dir/name": config path}, one per distinct (type, ambient, gram,
+    gamma blocks)."""
+    from gradedhecke.config import load_config
+    out = {}
+    for path in sorted(p for d in CONFIG_DIRS for p in d.glob("*.cfg")):
+        cfg = load_config(path.read_text(encoding="utf-8"))
+        key = repr((cfg.datum_type, cfg.ambient, cfg.gram, cfg.gammas))
+        out.setdefault(key, path)
+    return {f"{p.parent.name}/{p.stem}": p for p in out.values()}
+
+
+CONFIG_DATA = _config_data()
+DATA = sorted(CONFIG_DATA) + ["F4", "B2-rational"]
+
+
+def datum_and_subdata(name):
+    """The named datum with its Gamma, then each parabolic sub-datum."""
+    from gradedhecke.config import load_config
+    from gradedhecke.rootdata import make_root_datum, parabolic
+    if name == "F4":
+        d, gamma = build_root_datum("F4", 4), ()
+    elif name == "B2-rational":
+        # Cartan entries -1/2 and -4: reduced, W of order 8, and not
+        # crystallographic, so the closure mixes int and Fraction values
+        d, gamma = make_root_datum(
+            "B2-rational", 2, [[2, Q(-1, 2)], [Q(-1, 2), Q(1, 4)]],
+            [(2, Q(-1, 2)), (-4, 2)], [(1, 0), (0, 1)]), ()
+        assert not d.crystallographic and len(d.roots) == 8
+    else:
+        d, _, group = load_config(
+            CONFIG_DATA[name].read_text(encoding="utf-8")).build_group()
+        gamma = group.gamma
+    subs = [parabolic(d, P).sub_datum for size in range(d.rank + 1)
+            for P in itertools.combinations(range(d.rank), size)]
+    return [(d, gamma)] + [(sub, ()) for sub in subs]
+
+
+@pytest.mark.parametrize("name", DATA)
+def test_integer_root_closure_matches_fraction_reference(name):
+    for d, _ in datum_and_subdata(name):
+        roots, coroots, crys = fraction_root_closure(d.simple_roots,
+                                                     d.simple_coroots)
+        assert (d.roots, d.coroots, d.crystallographic) == \
+            (roots, coroots, crys)
+        assert pairwise_reduced(roots)
+        assert all(pairing(a, av) == 2 for a, av in zip(roots, coroots))
+        values = [x for vectors in (d.simple_roots, d.simple_coroots,
+                                    d.roots, d.coroots) for v in vectors
+                  for x in v] + [x for row in d.gram for _, x in row]
+        assert all(type(x) is Fraction for x in values)
+
+
+@pytest.mark.parametrize("name", DATA)
+def test_integer_element_products_match_fraction_reference(name):
+    for d, gamma in datum_and_subdata(name):
+        group = enumerate_group(d, gamma)
+        assert [e.matrix for e in group] == fraction_element_matrices(group)
+        assert all(type(x) is Fraction for e in group
+                   for row in e.matrix for _, x in row)
