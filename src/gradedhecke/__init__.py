@@ -17,7 +17,7 @@ _EXPORTS = {  # submodule -> the public names it defines
         build_root_datum in_antidual make_parameter_map
         make_root_datum pairing parabolic""",
     "weyl": """ConjugacyClassCensus DiagramAutomorphism ExtendedWeylElement
-        GammaGroup WeylGroup association_action conjugacy_census
+        GammaGroup HeckeDatum WeylGroup association_action conjugacy_census
         enumerate_group make_diagram_automorphism""",
     "poly": """PoincareSeries Poly act divided_difference invariant_polys
         molien_forms parse_poly reynolds""",

@@ -21,16 +21,16 @@ from __future__ import annotations
 from typing import List
 
 from .config import matrix, parse_blocks, root_indices
-from .hecke import HeckeAlgebra
 from .linalg import GradedHeckeError, mat
 from .modules import DSCatalogEntry, FinModule, parabolic_algebra
+from .weyl import HeckeDatum
 
 
 class CatalogError(GradedHeckeError):
     pass
 
 
-def load_catalog(algebra: HeckeAlgebra, text: str) -> List[DSCatalogEntry]:
+def load_catalog(algebra: HeckeDatum, text: str) -> List[DSCatalogEntry]:
     entries: List[DSCatalogEntry] = []
     for name, payload in parse_blocks(text):
         if name != "entry":
@@ -40,31 +40,28 @@ def load_catalog(algebra: HeckeAlgebra, text: str) -> List[DSCatalogEntry]:
         P = tuple(root_indices(algebra.datum, payload["p"], CatalogError))
         _, sub_alg = parabolic_algebra(algebra, P)
         rank = len(P)
-        refl = {}
-        coord = []
-        dim = None
-        for i in range(rank):
-            key = f"s{i + 1}"
+        keys = [f"{c}{i + 1}" for c in "sx" for i in range(rank)]
+        mats = []
+        for key in keys:
             if key not in payload:
                 raise CatalogError(f"catalog entry missing {key}")
-            m = mat(matrix(f"catalog {key}", payload[key]))
-            refl[i] = m
-            dim = len(m) if dim is None else dim
-        for i in range(rank):
-            key = f"x{i + 1}"
-            if key not in payload:
-                raise CatalogError(f"catalog entry missing {key}")
-            coord.append(mat(matrix(f"catalog {key}", payload[key])))
-        if dim is None:
+            rows = matrix(f"catalog {key}", payload[key])
+            n = len(rows)
+            if not n or any(len(r) != n for r in rows):
+                raise CatalogError(f"catalog {key} must be a nonempty square "
+                                   "matrix")
+            if mats and n != len(mats[0]):
+                raise CatalogError(f"catalog {key} is {n}x{n}, but s1 is "
+                                   f"{len(mats[0])}x{len(mats[0])}")
+            mats.append(mat(rows))
+        if not mats:
             raise CatalogError("catalog entry has no matrices")
-        known = {"p", "note"} | {f"s{i + 1}" for i in range(rank)} | \
-            {f"x{i + 1}" for i in range(rank)}
-        unknown = set(payload) - known
+        unknown = set(payload) - {"p", "note", *keys}
         if unknown:
             raise CatalogError(f"unknown catalog keys {sorted(unknown)}")
-        mod = FinModule(algebra=sub_alg, dim=dim, refl=refl, gammas={},
-                        coord=tuple(coord),
-                        name=str(payload.get("note", "catalog")))
+        refl, coord = dict(enumerate(mats[:rank])), tuple(mats[rank:])
+        mod = FinModule(algebra=sub_alg, dim=n, refl=refl, gammas={},
+                        coord=coord, name=str(payload.get("note", "catalog")))
         mod.verify()
         entries.append(DSCatalogEntry(P=P, module=mod,
                                       note=str(payload.get("note", ""))))

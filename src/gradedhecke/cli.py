@@ -24,11 +24,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from . import GradedHeckeError, __version__
-from .config import (BuiltGroup, ConfigError, RunConfig, apply_k_override,
-                     integer, load_config, number, root_indices)
+from .config import (ConfigError, RunConfig, apply_k_override, integer,
+                     load_config, number, root_indices)
 
 if TYPE_CHECKING:
-    from .hecke import HeckeAlgebra
+    from .weyl import HeckeDatum
 
 SCHEMA = "gradedhecke-report/1"
 
@@ -62,7 +62,7 @@ def _series_payload(series) -> Dict[str, Any]:
     return payload
 
 
-def _base_report(command: str, cfg: RunConfig, algebra: BuiltGroup) -> Dict:
+def _base_report(command: str, cfg: RunConfig, algebra: HeckeDatum) -> Dict:
     return {
         "schema": SCHEMA,
         "command": command,
@@ -74,7 +74,7 @@ def _base_report(command: str, cfg: RunConfig, algebra: BuiltGroup) -> Dict:
     }
 
 
-def _cmd_datum(cfg: RunConfig, algebra: BuiltGroup) -> Dict:
+def _cmd_datum(cfg: RunConfig, algebra: HeckeDatum) -> Dict:
     d = algebra.datum
 
     def dense(m, n):
@@ -93,7 +93,7 @@ def _cmd_datum(cfg: RunConfig, algebra: BuiltGroup) -> Dict:
     return rep
 
 
-def _cmd_group(cfg: RunConfig, algebra: BuiltGroup) -> Dict:
+def _cmd_group(cfg: RunConfig, algebra: HeckeDatum) -> Dict:
     census = algebra.group.census
     rep = _base_report("group", cfg, algebra)
     rep.update({
@@ -106,7 +106,7 @@ def _cmd_group(cfg: RunConfig, algebra: BuiltGroup) -> Dict:
     return rep
 
 
-def _census_report(command: str, cfg: RunConfig, algebra: BuiltGroup):
+def _census_report(command: str, cfg: RunConfig, algebra: HeckeDatum):
     """The census and a report holding its truncation and per-class series."""
     from .homology import crossed_product_census
     census = crossed_product_census(algebra.datum, truncation=cfg.truncation,
@@ -122,11 +122,11 @@ def _census_report(command: str, cfg: RunConfig, algebra: BuiltGroup):
     return census, rep
 
 
-def _cmd_molien(cfg: RunConfig, algebra: BuiltGroup) -> Dict:
+def _cmd_molien(cfg: RunConfig, algebra: HeckeDatum) -> Dict:
     return _census_report("molien", cfg, algebra)[1]
 
 
-def _cmd_crossed_census(cfg: RunConfig, algebra: BuiltGroup) -> Dict:
+def _cmd_crossed_census(cfg: RunConfig, algebra: HeckeDatum) -> Dict:
     census, rep = _census_report("crossed-census", cfg, algebra)
     rep.update({
         "class_count": census.class_count,
@@ -138,7 +138,7 @@ def _cmd_crossed_census(cfg: RunConfig, algebra: BuiltGroup) -> Dict:
 
 
 def _findim_handler(command: str, key: str, cyclic: bool):
-    def handler(cfg: RunConfig, algebra: BuiltGroup) -> Dict:
+    def handler(cfg: RunConfig, algebra: HeckeDatum) -> Dict:
         from .homology import (FinDimAlgebra, check_size_bound,
                                cyclic_homology, hochschild_homology)
         size, group = cfg.findim_size, algebra.group
@@ -158,7 +158,7 @@ def _findim_handler(command: str, key: str, cyclic: bool):
     return handler
 
 
-def _cmd_induce(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
+def _cmd_induce(cfg: RunConfig, algebra: HeckeDatum) -> Dict:
     from .linalg import zero_vec
     from .modules import (InductionDatum, central_character, commutant,
                           decompose, induce, is_tempered, one_dim_modules,
@@ -209,7 +209,7 @@ def _cmd_induce(cfg: RunConfig, algebra: HeckeAlgebra) -> Dict:
     return rep
 
 
-def _catalog_for(algebra: HeckeAlgebra, catalog_text: Optional[str]):
+def _catalog_for(algebra: HeckeDatum, catalog_text: Optional[str]):
     from .modules import auto_catalog
     if not catalog_text:
         return auto_catalog(algebra)
@@ -217,7 +217,7 @@ def _catalog_for(algebra: HeckeAlgebra, catalog_text: Optional[str]):
     return auto_catalog(algebra, load_catalog(algebra, catalog_text))
 
 
-def _cmd_irr0(cfg: RunConfig, algebra: HeckeAlgebra, catalog_text) -> Dict:
+def _cmd_irr0(cfg: RunConfig, algebra: HeckeDatum, catalog_text) -> Dict:
     from .modules import central_character, irr0_census
     catalog = _catalog_for(algebra, catalog_text)
     modules = irr0_census(algebra, catalog)
@@ -241,7 +241,7 @@ def _cmd_irr0(cfg: RunConfig, algebra: HeckeAlgebra, catalog_text) -> Dict:
     return rep
 
 
-def _cmd_verify_basis(cfg: RunConfig, algebra: HeckeAlgebra, catalog_text) -> Dict:
+def _cmd_verify_basis(cfg: RunConfig, algebra: HeckeDatum, catalog_text) -> Dict:
     from .homology import verify_basis_theorem
     catalog = _catalog_for(algebra, catalog_text)
     report = verify_basis_theorem(algebra, catalog)
@@ -270,8 +270,6 @@ _HANDLERS = {"datum": _cmd_datum, "group": _cmd_group, "molien": _cmd_molien,
              "induce": _cmd_induce, "irr0": _cmd_irr0,
              "verify-basis": _cmd_verify_basis}
 CATALOG_COMMANDS = ("irr0", "verify-basis")  # the handlers that read it
-# the handlers that read H'; the others get `RunConfig.build_group`'s record
-HECKE_COMMANDS = ("induce",) + CATALOG_COMMANDS
 
 
 def _source_digest() -> str:
@@ -319,10 +317,8 @@ def run(command: str, cfg: RunConfig, out_dir: str = "out",
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                algebra = cfg.build_algebra() if command in HECKE_COMMANDS \
-                    else cfg.build_group()
                 extra = (catalog_text,) if command in CATALOG_COMMANDS else ()
-                report = _HANDLERS[command](cfg, algebra, *extra)
+                report = _HANDLERS[command](cfg, cfg.build_group(), *extra)
             finally:  # a run that fails still shows what it warned about
                 found = sorted({str(w.message) for w in caught})
                 sys.stderr.writelines(f"warning: {m}\n" for m in found)

@@ -11,6 +11,7 @@ Grammar (UTF-8, '#' comments, commas between pairs optional):
 
 Unknown keys are rejected; diagnostics carry line and column.  A gamma block
 names a generator of Gamma; `weyl.GammaGroup` closes them, "e" is reserved.
+`RunConfig.build_group` builds the checked presentation `weyl.HeckeDatum`.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from . import GradedHeckeError
 
 if TYPE_CHECKING:  # parsing needs no engine; building imports it on demand
     from .hecke import HeckeAlgebra
-    from .rootdata import ParameterMap, RootDatum
-    from .weyl import WeylGroup
+    from .rootdata import RootDatum
+    from .weyl import HeckeDatum
 
 
 class ConfigError(GradedHeckeError):
@@ -244,29 +245,22 @@ class RunConfig:
             raise ConfigError(f"missing parameter values for {sorted(missing)}")
         return [self.k_values[n] for n in names]
 
-    def build_group(self) -> BuiltGroup:
-        """The datum, k and W', checked as `HeckeAlgebra` checks them."""
-        from .rootdata import check_parameters_conjugation, make_parameter_map
-        from .weyl import enumerate_group, make_diagram_automorphism
+    def _presentation(self) -> tuple:
+        from .weyl import make_diagram_automorphism
         datum = self.build_datum()
         k = self.build_k(datum)
-        gammas = [make_diagram_automorphism(datum, *g) for g in self.gammas]
-        kmap = make_parameter_map(datum, k)
-        group = enumerate_group(datum, gammas)
-        check_parameters_conjugation(datum, kmap, group.root_perm)
-        return BuiltGroup(datum, kmap, group)
+        return datum, k, [make_diagram_automorphism(datum, *g)
+                          for g in self.gammas]
+
+    def build_group(self) -> HeckeDatum:
+        """The checked presentation of H' that every command reads."""
+        from .weyl import HeckeDatum
+        return HeckeDatum(*self._presentation())
 
     def build_algebra(self) -> HeckeAlgebra:
+        """H' itself, for callers that multiply in it."""
         from .hecke import HeckeAlgebra
-        datum, kmap, group = self.build_group()
-        return HeckeAlgebra(datum, kmap, group=group)
-
-
-class BuiltGroup(NamedTuple):
-    """What the commands that multiply nothing in H' read of an algebra."""
-    datum: RootDatum
-    kmap: ParameterMap
-    group: WeylGroup
+        return HeckeAlgebra(*self._presentation())
 
 
 def root_names(datum: RootDatum) -> List[str]:
@@ -398,5 +392,7 @@ def apply_k_override(cfg: RunConfig, override: str) -> None:
         if "=" not in chunk:
             raise ConfigError(f"bad k override chunk {chunk!r}")
         name, val = chunk.split("=", 1)
-        out[name.strip()] = number(f"k override {name.strip()}", val)
+        if (name := name.strip()) in out:
+            raise ConfigError(f"k override names {name!r} twice")
+        out[name] = number(f"k override {name}", val)
     cfg.k_values = out

@@ -1,5 +1,7 @@
 """Arithmetic in the extended graded Hecke algebra H' = Gamma x| H(R~, k).
 
+`HeckeAlgebra` is the checked presentation `weyl.HeckeDatum` plus what
+multiplying needs; layers that multiply nothing never import this module.
 An element is its normal form, group part on the left, stored only as integer
 forms {w: (d, {packed e: n})} = sum_w w * sum_e n/d x^e (d > 0, gcd(d, *n) ==
 1, no zero part).  A packed exponent holds e_i in a 16-bit field, x1 highest,
@@ -30,9 +32,8 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .linalg import GradedHeckeError, Vec, integer_form
-from .rootdata import (ParameterMap, RootDatum, check_parameters_conjugation,
-                       make_parameter_map)
-from .weyl import ExtendedWeylElement, WeylGroup, enumerate_group
+from .rootdata import ParameterMap, RootDatum, make_parameter_map
+from .weyl import ExtendedWeylElement, HeckeDatum
 
 if TYPE_CHECKING:  # a run that builds no polynomial never compiles poly
     from .poly import Poly
@@ -75,34 +76,21 @@ def _add_into(slot: list, scale: int, den: int, terms) -> None:
         acc[e] = acc.get(e, 0) + f * n
 
 
-def _parameter_map(datum: RootDatum, k) -> ParameterMap:
-    return make_parameter_map(datum, k.values if isinstance(k, ParameterMap)
-                              else k)
-
-
 def _reduced(slot: list) -> IntPoly:
     return integer_form({e: n for e, n in slot[1].items() if n}, slot[0])
 
 
-class HeckeAlgebra:
-    """H' = Gamma x| H(R~, k) with a cached enumeration of W'.  k is checked
-    on the W'-orbits of simple roots, so it is Gamma-invariant."""
+class HeckeAlgebra(HeckeDatum):
+    """H' = Gamma x| H(R~, k): its `HeckeDatum` presentation, checked there,
+    plus exponent packing, the product memos and the products."""
 
-    def __init__(self, datum: RootDatum, k, gammas: Sequence = (),
-                 group: Optional[WeylGroup] = None):
-        self.datum = datum
-        self.kmap = _parameter_map(datum, k)
-        self.group: WeylGroup = group if group is not None else \
-            enumerate_group(datum, gammas)
-        check_parameters_conjugation(datum, self.kmap, self.group.root_perm)
+    def __init__(self, datum: RootDatum, k, gammas: Sequence = ()):
+        super().__init__(datum, k, gammas)
         self.nvars = n = datum.ambient_dim
         # e packs as sum_i e_i * units[i]: e_i << shifts[i], plus the degree
         self.degree_shift = n * _BITS
         self._shifts = tuple(range((n - 1) * _BITS, -1, -_BITS))
         self._units = [(1 << n * _BITS) + (1 << s) for s in self._shifts]
-        self._unextended: Optional[HeckeAlgebra] = None
-        # P -> (ParabolicDatum, H_P), filled by modules.parabolic_algebra
-        self.parabolics: Dict[Tuple[int, ...], tuple] = {}
         # (letter, exponent tuple) -> integer form of the monomial's image; a
         # letter is ('s', i) for s_i, ('d', i) for Delta_i (independent of k)
         # or ('g', label) for the inverse of that Gamma element
@@ -153,16 +141,6 @@ class HeckeAlgebra:
                  if g.label != "e"]
         gens += [self.x(i) for i in range(self.nvars)]
         return gens
-
-    def unextended(self) -> "HeckeAlgebra":
-        """The subalgebra H (Gamma dropped), sharing the root datum."""
-        if self._unextended is None:
-            if len(self.group.gamma) == 1:
-                self._unextended = self
-            else:
-                self._unextended = HeckeAlgebra(self.datum, self.kmap,
-                                                gammas=())
-        return self._unextended
 
     # -- normal ordering -----------------------------------------------------
 
@@ -234,9 +212,8 @@ class HeckeAlgebra:
             raise HeckeError("elements belong to different parent algebras")
         k = self.kmap if k_override is None else k_override
         memo = self.pushes.get(k.values)
-        if memo is None:  # the first product at k checks k like __init__
-            k = _parameter_map(self.datum, k)
-            check_parameters_conjugation(self.datum, k, self.group.root_perm)
+        if memo is None:  # a new override is checked as __init__ checks k
+            k = k if k is self.kmap else self.check_k(k)
             memo = self.pushes[k.values] = {}
         _check_degree(a.degree() + b.degree())  # no field can carry
         mult = self.group.mult

@@ -7,7 +7,8 @@ crossed product W' x| S(t*) is handled through its closed-form census:
 per-class Molien series of invariant forms on the fixed spaces, with HP_1 = 0
 forced by the contractibility of each fixed space and HP_0 = HH_0(Q[W'])
 checked against the class count.  Point modules of A x| G are solved on
-fibre blocks.  The basis theorem takes a built H': no `hecke` import here.
+fibre blocks.  The basis theorem reads the presentation `weyl.HeckeDatum`
+of H' and multiplies nothing in it: no `hecke` import here.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence,
 
 from .linalg import GradedHeckeError, Mat, Q, Vec, _row, mat, rank, trace
 from .rootdata import RootDatum
-from .weyl import ClassEntry, WeylGroup, enumerate_group, permutation_bfs
+from .weyl import (ClassEntry, HeckeDatum, WeylGroup, enumerate_group,
+                   permutation_bfs)
 
-if TYPE_CHECKING:  # only verify_basis_theorem reads H', handed in built
-    from .hecke import HeckeAlgebra
+if TYPE_CHECKING:
     from .modules import DSCatalogEntry
     from .poly import PoincareSeries
 
@@ -483,7 +484,7 @@ class BasisTheoremReport(NamedTuple):
     passed: bool
 
 
-def verify_basis_theorem(algebra: HeckeAlgebra,
+def verify_basis_theorem(algebra: HeckeDatum,
                          catalog: Optional[Sequence[DSCatalogEntry]] = None
                          ) -> BasisTheoremReport:
     """Check #Irr_0 = #classes(W') = HP_0 and full rank of the trace matrix.

@@ -4,7 +4,8 @@ Modules are given by exact matrices for every simple reflection, every
 diagram automorphism and every ambient coordinate of t*.  Coordinate
 matrices may have Gaussian-rational entries (points of t are pairs of
 rational vectors); group matrices are always rational.  All solves are
-exact; nothing here touches floating point.
+exact; nothing here touches floating point.  Modules read only the
+presentation `weyl.HeckeDatum` of H'; nothing here multiplies in H'.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ import warnings
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .hecke import HeckeAlgebra
 from .linalg import (GradedHeckeError, Mat, Q, QI, Vec, canonical_basis,
                      charpoly, identity, intertwiner_matrices, mat, mat_comb,
                      mat_mul, mat_vec, nullspace, restrict_matrix, roots,
                      solve, trace, transpose, zero_vec)
 from .rootdata import ParabolicDatum, in_antidual, parabolic
-from .weyl import (ExtendedWeylElement, WeylGroup, coset_decomposition,
-                   elements_mapping_parabolic)
+from .weyl import (ExtendedWeylElement, HeckeDatum, WeylGroup,
+                   coset_decomposition, elements_mapping_parabolic)
 
 
 class ModuleError(GradedHeckeError):
@@ -77,7 +77,7 @@ class FinModule:
     __slots__ = ("algebra", "dim", "refl", "gammas", "coord", "name", "meta",
                  "memo", "induced")
 
-    def __init__(self, algebra: HeckeAlgebra, dim: int, refl: Dict[int, Mat],
+    def __init__(self, algebra: HeckeDatum, dim: int, refl: Dict[int, Mat],
                  gammas: Dict[str, Mat], coord: Tuple[Mat, ...],
                  name: str = "", meta: Optional[dict] = None,
                  induced: Optional[InducedBasis] = None):
@@ -223,7 +223,7 @@ def _components(n: int, linked) -> List[int]:
 # One-dimensional modules and induction data.
 # ---------------------------------------------------------------------------
 
-def one_dim_modules(algebra: HeckeAlgebra) -> List[FinModule]:
+def one_dim_modules(algebra: HeckeDatum) -> List[FinModule]:
     """All one-dimensional modules with lambda in the coroot span.
 
     A sign pattern eps : Pi -> {+-1} must be constant on braid-odd-linked
@@ -289,19 +289,19 @@ class InducedBasis(NamedTuple):
     refl_small: Dict[int, Mat]
 
 
-def parabolic_algebra(algebra: HeckeAlgebra,
-                      P: Sequence[int]) -> Tuple[ParabolicDatum, HeckeAlgebra]:
-    """The parabolic datum and the algebra H_P (unextended, restricted k),
-    built once per P and kept on the algebra."""
+def parabolic_algebra(algebra: HeckeDatum,
+                      P: Sequence[int]) -> Tuple[ParabolicDatum, HeckeDatum]:
+    """The parabolic datum and the `HeckeDatum` of H_P (unextended,
+    restricted k), built once per P and kept on the algebra."""
     key = tuple(sorted(set(P)))
     if key not in algebra.parabolics:
         parab = parabolic(algebra.datum, key)
         sub_k = [algebra.kmap[i] for i in parab.P]
-        algebra.parabolics[key] = parab, HeckeAlgebra(parab.sub_datum, sub_k)
+        algebra.parabolics[key] = parab, HeckeDatum(parab.sub_datum, sub_k)
     return algebra.parabolics[key]
 
 
-def induce(algebra: HeckeAlgebra, xi: InductionDatum,
+def induce(algebra: HeckeDatum, xi: InductionDatum,
            extended: bool = True) -> FinModule:
     """Parabolic induction Ind_{H^P}^{H} (extended=False) or Ind_{H^P}^{H'}.
 
@@ -721,7 +721,7 @@ class DSCatalogEntry(NamedTuple):
     note: str = ""
 
 
-def auto_catalog(algebra: HeckeAlgebra,
+def auto_catalog(algebra: HeckeDatum,
                  user_entries: Sequence[DSCatalogEntry] = ()
                  ) -> List[DSCatalogEntry]:
     """One-dimensional discrete series for every parabolic, plus user entries.
@@ -758,10 +758,10 @@ def auto_catalog(algebra: HeckeAlgebra,
     return out
 
 
-def transport_module(algebra: HeckeAlgebra, P: Tuple[int, ...],
+def transport_module(algebra: HeckeDatum, P: Tuple[int, ...],
                      delta: FinModule, w: ExtendedWeylElement,
                      Q_target: Tuple[int, ...],
-                     target_alg: HeckeAlgebra) -> FinModule:
+                     target_alg: HeckeDatum) -> FinModule:
     """delta o psi_w^{-1} over H_Q, for w in W'(P, Q)."""
     group = algebra.group
     simple = {p: i for i, p in enumerate(group._simple_pos)}
@@ -781,7 +781,7 @@ def transport_module(algebra: HeckeAlgebra, P: Tuple[int, ...],
     return mod
 
 
-def association_classes(algebra: HeckeAlgebra,
+def association_classes(algebra: HeckeDatum,
                         catalog: Sequence[DSCatalogEntry]):
     """Partition catalog pairs (P, delta) into W'-association classes."""
     pairs = list(catalog)
@@ -806,7 +806,7 @@ def association_classes(algebra: HeckeAlgebra,
     return ordered
 
 
-def irr0_census(algebra: HeckeAlgebra,
+def irr0_census(algebra: HeckeDatum,
                 catalog: Optional[Sequence[DSCatalogEntry]] = None
                 ) -> List[FinModule]:
     """Irreducible tempered modules with real central character.

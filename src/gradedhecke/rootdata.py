@@ -312,6 +312,8 @@ class ParameterMap:
 def make_parameter_map(datum: RootDatum, values) -> ParameterMap:
     if isinstance(values, (int, Fraction)):
         values = [values] * datum.rank
+    elif isinstance(values, ParameterMap):
+        values = values.values
     vals = tuple(Fraction(v) for v in values)
     if len(vals) != datum.rank:
         raise RootDatumError(

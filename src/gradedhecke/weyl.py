@@ -2,6 +2,8 @@
 
 The one owner of W' facts: `GammaGroup` closes the given automorphisms, and
 other layers read braid orders, W_P and root images off the enumerated group.
+`HeckeDatum` is the checked presentation of H' (root datum, k and W') that
+the module, catalog, homology and CLI layers read; they never multiply in H'.
 An element is its position `index` in the group's canonical (length, gamma,
 word) order: each group builds each element once, so elements compare by
 identity.  Its matrix on the ambient space is data, multiplied out in int
@@ -19,7 +21,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import (GradedHeckeError, Mat, identity, inverse, mat, mat_comb,
                      mat_mul, mat_vec, narrow, rank, transpose)
-from .rootdata import RootDatum
+from .rootdata import (ParameterMap, RootDatum, check_parameters_conjugation,
+                       make_parameter_map)
 
 GROUP_SIZE_BOUND = 100000
 
@@ -337,6 +340,32 @@ def enumerate_group(datum: RootDatum,
         if sum(1 for a in positive if p[a] not in is_positive) != e.length:
             raise WeylError("word length disagrees with inversion count")
     return group
+
+
+class HeckeDatum:
+    """The presentation of H' = Gamma x| H(R~, k): the datum, k and W'.  It
+    checks k's length, enumerates W', then checks k on the W'-orbits of
+    simple roots (so k is Gamma-invariant); `HeckeAlgebra` multiplies."""
+
+    def __init__(self, datum: RootDatum, k, gammas: Sequence = ()):
+        self.datum, self.kmap = datum, make_parameter_map(datum, k)
+        self.group = enumerate_group(datum, gammas)
+        self.check_k(self.kmap)
+        self.parabolics: Dict[Tuple[int, ...], tuple] = {}  # parabolic_algebra
+        self._unextended: Optional[HeckeDatum] = None
+
+    def check_k(self, k) -> ParameterMap:
+        """k as a `ParameterMap`, checked as the constructor checks it."""
+        kmap = make_parameter_map(self.datum, k)
+        check_parameters_conjugation(self.datum, kmap, self.group.root_perm)
+        return kmap
+
+    def unextended(self) -> "HeckeDatum":
+        """The same presentation with Gamma dropped, of the same type."""
+        if self._unextended is None:
+            self._unextended = self if len(self.group.gamma) == 1 else \
+                type(self)(self.datum, self.kmap)
+        return self._unextended
 
 
 # ---------------------------------------------------------------------------

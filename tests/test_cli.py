@@ -55,6 +55,9 @@ def test_k_override():
     assert cfg.build_k(datum) == [Fraction(2)]
     apply_k_override(cfg, "3/2")
     assert cfg.build_k(datum) == [Fraction(3, 2)]
+    # a repeated root is refused, as the parser refuses a duplicate key
+    with pytest.raises(ConfigError, match="k override names 'alpha1' twice"):
+        apply_k_override(cfg, "alpha1=1, alpha1=3")
 
 
 def test_cli_datum_and_group(tmp_path):
@@ -293,7 +296,18 @@ def test_cli_bad_catalog_is_one_error_line(tmp_path, capsys):
      "unknown simple root 'alpha2'; expected ['alpha1']"),
     ('p = "alpha1", s1 = [[-1]], x1 = [[-1/2]]',
      "p must be a list of simple root names, got 'alpha1'"),
-], ids=["repeated", "unknown", "string"])
+    # every matrix is square, of one size >= 1, before any relation is
+    # checked; a mismatch once ended in a linalg traceback
+    ('p = ["alpha1"], s1 = [[-1,0],[0,-1]], x1 = [[-1]]',
+     "catalog x1 is 1x1, but s1 is 2x2"),
+    ('p = ["alpha1"], s1 = [[-1]], x1 = [[-1,0],[0,1]]',
+     "catalog x1 is 2x2, but s1 is 1x1"),
+    ('p = ["alpha1"], s1 = [[-1,0]], x1 = [[-1/2]]',
+     "catalog s1 must be a nonempty square matrix"),
+    ('p = ["alpha1"], s1 = [], x1 = []',
+     "catalog s1 must be a nonempty square matrix"),
+], ids=["repeated", "unknown", "string", "x-smaller", "x-larger",
+        "s-not-square", "empty"])
 def test_cli_catalog_root_names_are_one_error_line(tmp_path, capsys, entry,
                                                    message):
     cfg = write(tmp_path, "a.cfg", A1_CFG)
@@ -475,11 +489,14 @@ def test_load_config_rejects_negative_options():
     ("group", SWAP_CFG.replace("[[0,1],[1,0]]", '[["x",1],[1,0]]'), []),
     ("group", A1_CFG, ["--k-override", "abc"]),
     ("group", A1_CFG, ["--k-override", "alpha1=1/0"]),
+    ("datum", 'datum { type="B2", ambient=2, k=1 }\n',
+     ["--k-override", "alpha1=1,alpha2=2,alpha1=3"]),
     ("induce", A1_CFG + 'induce { p=[], delta="trivial", '
                         'lambda_re=["x"] }\n', []),
 ], ids=["size-negative", "size-zero", "size-fraction", "ambient-string",
         "ambient-fraction", "k-value", "gram-entry", "gram-shape",
-        "gamma-entry", "k-override", "k-override-named", "lambda_re"])
+        "gamma-entry", "k-override", "k-override-named",
+        "k-override-repeated", "lambda_re"])
 def test_cli_rejects_bad_numbers(tmp_path, capsys, command, text, flags):
     cfg = write(tmp_path, "a.cfg", text)
     rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")]
@@ -617,16 +634,16 @@ COLD_IMPORTS = [  # command, loads poly, loads hecke
     ("datum", False, False), ("group", False, False),
     ("molien", True, False), ("hh-findim", False, False),
     ("hc-findim", False, False), ("crossed-census", True, False),
-    ("induce", False, True), ("irr0", False, True),
-    ("verify-basis", False, True)]
+    ("induce", False, False), ("irr0", False, False),
+    ("verify-basis", False, False)]
 
 
 @pytest.mark.parametrize("command, loads_poly, loads_hecke", COLD_IMPORTS,
                          ids=[f"{c}-{p}" for c, p, _ in COLD_IMPORTS])
 def test_cli_cold_run_loads_neither_dataclasses_nor_unused_poly(
         tmp_path, command, loads_poly, loads_hecke):
-    # only the Molien census reads a polynomial, and only the commands
-    # that induce modules build H'; the others read the datum, k and W'
+    # only the Molien census reads a polynomial, and no command multiplies
+    # in H': each reads the presentation (datum, k and W') alone
     cfg = write(tmp_path, "a.cfg", SWAP_CFG + FINDIM_CFG +
                 'induce { p=["alpha1"], delta="steinberg" }\n')
     loaded = _modules_loaded_by([command, "--config", cfg,

@@ -517,13 +517,13 @@ def test_k_override_is_checked_like_the_constructor():
             ((Q(1),), "need 2 parameter values"), \
             ((Q(1),) * 3, "need 2 parameter values"):
         with pytest.raises(GradedHeckeError, match=match):
-            HeckeAlgebra(alg.datum, ParameterMap(values), group=alg.group)
+            HeckeAlgebra(alg.datum, ParameterMap(values))
         with pytest.raises(GradedHeckeError, match=match):
             alg.multiply(x, s1, k_override=ParameterMap(values))
     assert alg.pushes == {}
     swap = swap_algebra(k=1)
     with pytest.raises(GradedHeckeError) as built:
-        HeckeAlgebra(swap.datum, [1, 2], group=swap.group)
+        HeckeAlgebra(swap.datum, [1, 2], swap.group.gamma)
     with pytest.raises(GradedHeckeError) as multiplied:
         swap.multiply(swap.x(0), swap.s(0),
                       k_override=ParameterMap((Q(1), Q(2))))
@@ -533,6 +533,35 @@ def test_k_override_is_checked_like_the_constructor():
     assert part == alg.one() * alg.datum.simple_coroots[0][0]
     assert set(alg.pushes) == {alg.kmap.values,
                                make_parameter_map(alg.datum, 0).values}
+
+
+def test_each_build_and_new_override_checks_k_once(monkeypatch):
+    # one check of k on the W'-orbits per build: build_algebra once ran it
+    # in RunConfig and again in HeckeAlgebra.__init__; every module that
+    # binds the check is patched, so a second call site anywhere is counted
+    from gradedhecke import config, hecke, rootdata, weyl
+    calls = []
+    check = rootdata.check_parameters_conjugation
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+    for mod in (rootdata, weyl, hecke, config):
+        if hasattr(mod, "check_parameters_conjugation"):
+            monkeypatch.setattr(mod, "check_parameters_conjugation", counting)
+    cfg = config.load_config(
+        'datum { type="B2", ambient=2, k={alpha1=1, alpha2=2} }\n')
+    alg = cfg.build_algebra()
+    assert len(calls) == 1
+    cfg.build_group()
+    assert len(calls) == 2
+    x, s1, zero_k = alg.x(0), alg.s(0), make_parameter_map(alg.datum, 0)
+    alg.multiply(x, s1)  # k itself was checked when alg was built
+    assert len(calls) == 2
+    alg.multiply(x, s1, k_override=zero_k)
+    assert len(calls) == 3
+    alg.multiply(s1, x, k_override=zero_k)
+    assert len(calls) == 3
 
 
 # -- the products themselves, against a golden file and a construction count --

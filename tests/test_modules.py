@@ -28,7 +28,8 @@ from gradedhecke.modules import (DSCatalogEntry, FieldExtensionNeeded,
                                  transport_module, weights)
 from gradedhecke.homology import verify_basis_theorem
 from gradedhecke.rootdata import RootDatum, build_root_datum, pairing
-from gradedhecke.weyl import elements_mapping_parabolic, make_diagram_automorphism
+from gradedhecke.weyl import (HeckeDatum, elements_mapping_parabolic,
+                              make_diagram_automorphism)
 
 Q = Fraction
 
@@ -865,3 +866,51 @@ def test_basis_theorem_forms_no_hecke_product(monkeypatch, name):
         warnings.simplefilter("ignore")
         verify_basis_theorem(shared_algebra(name))
     assert calls == []
+
+
+# -- the presentation is enough: nothing above multiplies in H' --------------
+
+def presentation(alg):
+    """The `HeckeDatum` of alg's data: its datum, k and Gamma."""
+    return HeckeDatum(alg.datum, alg.kmap, alg.group.gamma)
+
+
+@pytest.mark.parametrize("extended", [True, False],
+                         ids=["extended", "unextended"])
+@pytest.mark.parametrize("case", INDUCTIONS, ids=case_id)
+def test_induce_on_the_presentation_matches_the_algebra(case, extended):
+    V = induced(case, [1, Q(1, 2)], (Q(1, 3), 2), extended=extended)
+    pres = presentation(shared_algebra(case[0]))
+    delta = [m for m in one_dim_modules(parabolic_algebra(pres, case[1])[1])
+             if m.name == case[2]][0]
+    W = induce(pres, InductionDatum(P=case[1], delta=delta,
+                                    lam_re=V.meta["lam_re"],
+                                    lam_im=V.meta["lam_im"]), extended)
+    assert (W.refl, W.gammas, W.coord) == (V.refl, V.gammas, V.coord)
+    assert type(W.algebra) is HeckeDatum
+
+
+@pytest.mark.parametrize("name", ["A2", "A1xA1-swap"])
+def test_basis_theorem_on_the_presentation_matches_the_algebra(name):
+    alg = shared_algebra(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # no rank-2 catalog entries
+        assert verify_basis_theorem(presentation(alg)) == \
+            verify_basis_theorem(alg)
+
+
+def test_unextended_keeps_its_type_and_parabolics_are_presentations():
+    # the multiply_induce oracle multiplies in alg.unextended(), while a
+    # module over H_P needs only H_P's presentation
+    alg = shared_algebra("A1xA1-swap")
+    pres = presentation(alg)
+    for a in (alg, pres):
+        sub = a.unextended()
+        assert type(sub) is type(a) and len(sub.group.gamma) == 1
+        assert sub.unextended() is sub and a.unextended() is sub
+        assert (sub.datum, sub.kmap) == (a.datum, a.kmap)
+        for P in ((), (0,), (1,), (0, 1)):
+            parab, sub_p = parabolic_algebra(a, P)
+            assert type(sub_p) is HeckeDatum
+            assert parabolic_algebra(a, P)[1] is sub_p
+            assert sub_p.kmap.values == tuple(a.kmap[i] for i in parab.P)

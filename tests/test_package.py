@@ -69,6 +69,22 @@ def test_no_module_imports_dataclasses():
             assert "dataclasses" not in names, path.name
 
 
+def test_presentation_layers_do_not_load_hecke():
+    # modules, catalog, homology and the CLI read `weyl.HeckeDatum` and
+    # multiply nothing in H', so importing them compiles no `hecke`
+    import os
+    import subprocess
+    src = str(pathlib.Path(gradedhecke.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = ("import sys, gradedhecke.modules, gradedhecke.catalog, "
+             "gradedhecke.homology, gradedhecke.cli\n"
+             "print('gradedhecke.hecke' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.split() == ["False"]
+
+
 def test_every_benchmark_tracer_target_resolves():
     # the tracer wraps its TARGETS by module and attribute path, and reads
     # `rows` of rref and rank and (nrows, ncols) of intertwiner_matrices

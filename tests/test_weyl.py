@@ -527,9 +527,9 @@ def datum_and_subdata(name):
             [(2, Q(-1, 2)), (-4, 2)], [(1, 0), (0, 1)]), ()
         assert not d.crystallographic and len(d.roots) == 8
     else:
-        d, _, group = load_config(
+        built = load_config(
             CONFIG_DATA[name].read_text(encoding="utf-8")).build_group()
-        gamma = group.gamma
+        d, gamma = built.datum, built.group.gamma
     subs = [parabolic(d, P).sub_datum for size in range(d.rank + 1)
             for P in itertools.combinations(range(d.rank), size)]
     return [(d, gamma)] + [(sub, ()) for sub in subs]
