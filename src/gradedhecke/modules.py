@@ -603,7 +603,15 @@ def submodule(module: FinModule, basis: Sequence[Vec],
 
 
 def _eigen_split_element(basis_mats: List[Mat], dim: int, cmplx: bool):
-    """Find (c, lam) with a proper eigenkernel, or the obstruction poly."""
+    """Find (c, lam) with a proper eigenkernel, or the obstruction poly.
+
+    `basis_mats` is the commutant's canonical basis: each c_j is 1 at its
+    last nonzero flattened entry and 0 at the others'.  The commutant holds
+    1, so left multiplication by c on it is faithful and its m x m matrix,
+    whose column j is c c_j read off those entries, has c's eigenvalues.
+    """
+    last = [max((r, row[-1][0]) for r, row in enumerate(m) if row)
+            for m in basis_mats]
     obstruction = None
     candidates = list(basis_mats)
     # deterministic combinations in case no single basis element splits
@@ -614,7 +622,9 @@ def _eigen_split_element(basis_mats: List[Mat], dim: int, cmplx: bool):
     for c in candidates:
         if c == mat_comb([(dict(c[0]).get(0, 0), ident)], dim):
             continue
-        cp = charpoly(c)
+        prods = [mat_mul(c, b) for b in basis_mats]
+        cp = charpoly(mat([[dict(p[r]).get(j, 0) for p in prods]
+                           for r, j in last]))
         found, residual = roots(cp, gaussian=cmplx)
         for lam, _ in found:
             ker = nullspace(mat_comb(((1, c), (-lam, ident)), dim), dim)
@@ -763,13 +773,11 @@ def transport_module(algebra: HeckeDatum, P: Tuple[int, ...],
                      Q_target: Tuple[int, ...],
                      target_alg: HeckeDatum) -> FinModule:
     """delta o psi_w^{-1} over H_Q, for w in W'(P, Q)."""
-    group = algebra.group
-    simple = {p: i for i, p in enumerate(group._simple_pos)}
+    pos, perm = algebra.datum.simple_pos, algebra.group.root_perm[w.index]
     refl = {}
-    for pos, qi in enumerate(Q_target):
+    for n, qi in enumerate(Q_target):
         # alpha_qi o w is the simple root alpha_src
-        src = simple[group.root_perm[w.index][group._simple_pos[qi]]]
-        refl[pos] = delta.refl[P.index(src)]
+        refl[n] = delta.refl[P.index(pos.index(perm[pos[qi]]))]
     coord = []
     for qi in Q_target:
         pre = dict(w.matrix[qi])  # x_qi o w = w^{-1} . x_qi, row qi of w

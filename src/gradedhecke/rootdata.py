@@ -6,20 +6,20 @@ covectors whose coordinate rows reproduce the Cartan matrix, and the inner
 product on `a` is a symmetric positive-definite Gram matrix chosen so that
 every reflection is orthogonal.  The ambient space may strictly contain the
 coroot span; the orthocomplement is carried explicitly.  The reflection
-closure runs in int arithmetic on integral data; every stored value is a
-Fraction.
+closure runs in int arithmetic on integral data, stores Fraction values, and
+is the one owner of the root tables (positions, simple reflections, signs).
 """
 
 from __future__ import annotations
 
+import functools
 import re as _re
 from fractions import Fraction
 from operator import add, mul
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .linalg import (GradedHeckeError, Mat, Q, Vec, charpoly, dot, mat,
-                     mat_mul, mat_vec, narrow, nullspace, rank, solve,
-                     transpose, vec)
+                     mat_vec, narrow, nullspace, rank, solve, transpose, vec)
 
 ROOT_CLOSURE_BOUND = 10000
 
@@ -33,26 +33,39 @@ def pairing(x: Vec, lam: Vec) -> Q:
     return dot(x, lam)
 
 
-class RootDatum:
-    """The tuple (a*, R, a, R^vee, Pi) with rational coordinates."""
+_FIELDS = ("label", "ambient_dim", "gram", "simple_roots", "simple_coroots",
+           "roots", "coroots", "crystallographic")
 
-    __slots__ = ("label", "ambient_dim", "gram", "simple_roots",
-                 "simple_coroots", "roots", "coroots", "crystallographic")
+
+class RootDatum:
+    """The tuple (a*, R, a, R^vee, Pi) with rational coordinates.
+
+    Equality and hashing read these fields only.  The root combinatorics are
+    derived tables, built once by the reflection closure: `root_index[r]` is
+    the position of r in `roots`, `simple_pos[i]` that of alpha_i,
+    `reflection_perm[i][n]` that of s_i(roots[n]), and `positive[n]` says
+    whether roots[n] has every Pi-coordinate >= 0.
+    """
+
+    __slots__ = _FIELDS + ("root_index", "simple_pos", "reflection_perm",
+                           "positive")
 
     def __init__(self, label: str, ambient_dim: int, gram: Mat,
                  simple_roots: Tuple[Vec, ...],
                  simple_coroots: Tuple[Vec, ...], roots: Tuple[Vec, ...],
                  coroots: Tuple[Vec, ...], crystallographic: bool):
+        # a cache hit when `make_root_datum` has just run the closure
+        tables = _close_under_reflections(simple_roots, simple_coroots)[2]
         for name, value in zip(RootDatum.__slots__, (
                 label, ambient_dim, gram, simple_roots, simple_coroots,
-                roots, coroots, crystallographic)):
+                roots, coroots, crystallographic) + tables):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in RootDatum.__slots__)
+        return tuple(getattr(self, name) for name in _FIELDS)
 
     def __eq__(self, other):
         return type(other) is RootDatum and self._key() == other._key()
@@ -76,55 +89,56 @@ class RootDatum:
                            if (x := (r == c) - av[r] * a[c]))
                      for r in range(n))
 
-    def reflect_covector(self, i: int, x: Vec) -> Vec:
-        a, av = self.simple_roots[i], self.simple_coroots[i]
-        c = pairing(x, av)
-        return tuple(xx - c * aa for xx, aa in zip(x, a))
-
     def positive_roots(self) -> Tuple[Vec, ...]:
-        cols = _columns(self.simple_roots, self.ambient_dim)
-        pos = []
-        for r in self.roots:
-            coeffs = solve(cols, r, self.rank)
-            if coeffs is not None and all(c >= 0 for c in coeffs):
-                pos.append(r)
-        return tuple(pos)
+        return tuple(r for r, p in zip(self.roots, self.positive) if p)
 
     def norm2(self, lam: Vec) -> Q:
         """Gram norm squared of a vector of `a`."""
         return dot(lam, mat_vec(self.gram, lam))
 
 
-def _columns(vectors: Sequence[Vec], n: int) -> Mat:
-    """The n-row matrix whose columns are the vectors."""
-    return transpose(mat(vectors), n)
-
-
+@functools.lru_cache(maxsize=1)
 def _close_under_reflections(simple_roots, simple_coroots) -> tuple:
-    """Reflection closure of (Pi, Pi^vee), run on the narrowed values;
-    returns matched (roots, coroots) as Fraction vectors."""
+    """Reflection closure of (Pi, Pi^vee), run on the narrowed values.
+
+    Returns the matched (roots, coroots) as sorted Fraction vectors and the
+    tables `RootDatum` keeps: the closure forms s_i(r) for every root r, and
+    r's Pi-coordinates as it first reaches r.  The last result is kept for
+    the constructor of the datum that `make_root_datum` builds."""
     simple = [(tuple(map(narrow, a)), tuple(map(narrow, av)))
               for a, av in zip(simple_roots, simple_coroots)]
     pairs = dict(simple)
-    frontier = simple
+    coords = {a: tuple(int(i == j) for j in range(len(simple)))
+              for i, (a, _) in enumerate(simple)}
+    images: Dict[tuple, list] = {}
+    frontier = list(pairs)
     while frontier:
         new = []
-        for r, cv in frontier:
-            for a, av in simple:
+        for r in frontier:
+            cv, n, images[r] = pairs[r], coords[r], []
+            for i, (a, av) in enumerate(simple):
                 c = sum(map(mul, r, av))
                 r2 = tuple(x - c * y for x, y in zip(r, a))
                 d = sum(map(mul, a, cv))
                 cv2 = tuple(x - d * y for x, y in zip(cv, av))
+                images[r].append(r2)
                 if r2 not in pairs:
                     pairs[r2] = cv2
-                    new.append((r2, cv2))
+                    coords[r2] = n[:i] + (n[i] - c,) + n[i + 1:]
+                    new.append(r2)
                 elif pairs[r2] != cv2:
                     raise RootDatumError("inconsistent coroot closure")
         frontier = new
         if len(pairs) > ROOT_CLOSURE_BOUND:
             raise RootDatumError("reflection closure exceeds size bound")
     roots = sorted(pairs)
-    return tuple(map(vec, roots)), tuple(vec(pairs[r]) for r in roots)
+    # an int tuple hashes and compares as the equal Fraction tuple
+    index = {vec(r): n for n, r in enumerate(roots)}
+    tables = (index, tuple(index[a] for a, _ in simple),
+              tuple(tuple(index[images[r][i]] for r in roots)
+                    for i in range(len(simple))),
+              tuple(min(coords[r], default=0) >= 0 for r in roots))
+    return tuple(index), tuple(vec(pairs[r]) for r in roots), tables
 
 
 def _validate(datum: RootDatum) -> None:
@@ -140,10 +154,12 @@ def _validate(datum: RootDatum) -> None:
             raise RootDatumError("<alpha, alpha^vee> must equal 2")
     if rank(mat(datum.simple_roots)) != len(datum.simple_roots):
         raise RootDatumError("simple roots are not linearly independent")
-    # reflections must preserve the Gram form
-    for i in range(datum.rank):
-        s = datum.reflection_matrix(i)
-        if mat_mul(transpose(s, d), mat_mul(datum.gram, s)) != datum.gram:
+    # with G symmetric and <alpha, alpha^vee> = 2, s_i preserves G iff
+    # G alpha^vee = (alpha^vee . G alpha^vee / 2) alpha
+    for i, av in enumerate(datum.simple_coroots):
+        g = mat_vec(datum.gram, av)
+        half = dot(av, g) / 2
+        if g != tuple(half * x for x in datum.simple_roots[i]):
             raise RootDatumError(
                 f"reflection s_{i} does not preserve the Gram form")
     # reduced: a line through 0 meets R in r and -r at most (R holds no 0,
@@ -165,7 +181,7 @@ def make_root_datum(label: str, ambient_dim: int, gram, simple_roots,
     if len(gram) != ambient_dim or any(len(r) != ambient_dim for r in gram):
         raise RootDatumError("Gram matrix has wrong shape")
     g = mat(gram)
-    roots, coroots = _close_under_reflections(sr, sc)
+    roots, coroots, _ = _close_under_reflections(sr, sc)
     # an integral Cartan matrix puts R in Z Pi and R^vee in Z Pi^vee, so
     # every pairing <a, b^vee> is an integer (Bourbaki VI.1)
     crys = all(pairing(a, bv).denominator == 1 for a in sr for bv in sc)
@@ -230,27 +246,26 @@ def _family_cartan(family: str, n: int) -> Tuple[List[List[int]], List[Q]]:
     return A, d  # d_j a_ij = d_i a_ji: `_validate` finds the Gram symmetric
 
 
-_LABEL_RE = _re.compile(r"^([ABCDGF])(\d+)$")
+_LABEL_RE = _re.compile(r"([ABCDGF])([1-9][0-9]*)")
 
 
 def build_root_datum(label: str, ambient_dim: int,
                      gram_override=None) -> RootDatum:
     """Standard datum for labels A_n, B_n, C_n, D_n, G2, F4, empty.
 
-    Product labels are joined with 'x' (e.g. "A1xA1").  The total rank must
-    not exceed `ambient_dim`; extra ambient directions are carried as an
-    orthogonal complement with the identity Gram block.
+    Product labels are joined with a single 'x' (e.g. "A1xA1"), and n has no
+    leading zero.  The total rank must not exceed `ambient_dim`; extra
+    ambient directions are carried as an orthogonal complement with the
+    identity Gram block.
     """
-    parts = [p for p in label.split("x") if p]
-    if label.lower() == "empty" or not parts:
-        cartans: List[Tuple[List[List[int]], List[Q]]] = []
-    else:
-        cartans = []
-        for part in parts:
-            m = _LABEL_RE.match(part)
-            if not m:
-                raise RootDatumError(f"unknown root system label {part!r}")
-            cartans.append(_family_cartan(m.group(1), int(m.group(2))))
+    cartans: List[Tuple[List[List[int]], List[Q]]] = []
+    for part in [] if label.lower() == "empty" else label.split("x"):
+        m = _LABEL_RE.fullmatch(part)
+        if not m:
+            raise RootDatumError(
+                f"unknown root system label {label!r}: expected 'empty' or "
+                "parts such as 'B2' joined by single 'x'")
+        cartans.append(_family_cartan(m.group(1), int(m.group(2))))
     total_rank = sum(len(c[0]) for c in cartans)
     if total_rank > ambient_dim:
         raise RootDatumError(
@@ -325,10 +340,10 @@ def check_parameters_conjugation(datum: RootDatum, kmap: ParameterMap,
                                  root_perm) -> None:
     """k must be constant on W'-orbits of simple roots (as roots, up to sign),
     read off the elements' root permutations `WeylGroup.root_perm`."""
-    at = {r: n for n, r in enumerate(datum.roots)}
-    pos = [at[a] for a in datum.simple_roots]
-    simple = {at[tuple(sgn * x for x in a)]: i
-              for i, a in enumerate(datum.simple_roots) for sgn in (1, -1)}
+    pos = datum.simple_pos
+    # alpha_i and s_i(alpha_i) = -alpha_i, by position
+    simple = {p: i for i, q in enumerate(pos)
+              for p in (q, datum.reflection_perm[i][q])}
     for perm in root_perm:
         for i, p in enumerate(pos):
             j = simple.get(perm[p])
@@ -389,7 +404,7 @@ def in_antidual(datum: RootDatum, lam: Vec, strict: bool = False) -> bool:
     comp = nullspace(mat([mat_vec(datum.gram, cv) for cv in basis]),
                      datum.ambient_dim)
     full = basis + comp
-    c = solve(_columns(full, datum.ambient_dim), vec(lam), len(full))
+    c = solve(transpose(mat(full), datum.ambient_dim), vec(lam), len(full))
     if c is None:
         raise RootDatumError("antidual expansion failed")
     coeffs, rest = c[:len(basis)], c[len(basis):]

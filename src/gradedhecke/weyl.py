@@ -9,8 +9,8 @@ word) order: each group builds each element once, so elements compare by
 identity.  Its matrix on the ambient space is data, multiplied out in int
 arithmetic on integral data and stored as Fractions.  Products, inverses,
 root images, the class census and coset bookkeeping are read off index
-tables built once by `enumerate_group`, which enumerates on root
-permutations.  Censuses list classes by first-discovered representative.
+tables that `enumerate_group` builds once from the datum's root tables.
+Censuses list classes by first-discovered representative.
 """
 
 from __future__ import annotations
@@ -173,7 +173,6 @@ class WeylGroup:
         self.gamma = gamma
         self.elements: Tuple[ExtendedWeylElement, ...] = tuple(elements)
         self.root_perm = root_perm
-        self._simple_pos = tuple(map(datum.roots.index, datum.simple_roots))
         self.identity = self.elements[0]  # length 0, identity gamma first
         self._rmul_simple = rmul_simple
         self._rmul_gamma = rmul_gamma
@@ -254,18 +253,6 @@ def permutation_bfs(gens: Sequence[Tuple[int, ...]], bound: int):
     return perms, words, right
 
 
-def _enumerate_weyl_words(datum: RootDatum, bound: int):
-    """W on root positions: perm[r] is the position of roots[r] o w, so
-    perm(w s_i) = perm(s_i) o perm(w); right[i][k] is (element k) * s_i."""
-    at = {r: n for n, r in enumerate(datum.roots)}
-    sperm = [tuple(at[datum.reflect_covector(i, r)] for r in datum.roots)
-             for i in range(datum.rank)]
-    perms, words, right = permutation_bfs(sperm, bound)
-    if len(perms) > bound:
-        raise WeylError(f"group exceeds configured size bound {bound}")
-    return perms, words, right
-
-
 def _entries(m: Mat, f) -> Mat:
     """m with f applied to every stored value."""
     return tuple(tuple((j, f(x)) for j, x in row) for row in m)
@@ -283,11 +270,13 @@ def enumerate_group(datum: RootDatum,
     Gamma meets W trivially.  Every word length is checked against the
     inversion count l(w) = #{a > 0 : a o w < 0}, read off the permutations
     kept as `root_perm`.  The right-multiplication tables come from the BFS
-    and from conjugating words by Gamma.
+    and from conjugating words by Gamma.  W runs on the datum's simple
+    reflection permutations: perm[r] is the position of roots[r] o w, so
+    perm(w s_i) = perm(s_i) o perm(w), and right[i][k] is (element k) * s_i.
     """
     gamma = gammas if isinstance(gammas, GammaGroup) else \
         GammaGroup(datum, gammas)
-    perms, words, right = _enumerate_weyl_words(datum, bound)
+    perms, words, right = permutation_bfs(datum.reflection_perm, bound)
     if len(words) * len(gamma) > bound:
         raise WeylError(f"group exceeds configured size bound {bound}")
     refl = [_entries(datum.reflection_matrix(i), narrow)
@@ -298,8 +287,7 @@ def enumerate_group(datum: RootDatum,
         for i, r in enumerate(refl):
             if mats[right[i][k]] is None:
                 mats[right[i][k]] = mat_mul(mats[k], r)
-    at = {r: n for n, r in enumerate(datum.roots)}
-    gperm = [tuple(at[mat_vec(g_t, r)] for r in datum.roots)
+    gperm = [tuple(datum.root_index[mat_vec(g_t, r)] for r in datum.roots)
              for g_t in (transpose(g.matrix, datum.ambient_dim)
                          for g in gamma.elements)]
     pairs = sorted(((g, k) for g in range(len(gamma))
@@ -334,10 +322,9 @@ def enumerate_group(datum: RootDatum,
         gc = [gamma.index[gamma.compose(a, c).label] for a in gamma.elements]
         rmul_gamma[c.label] = tuple(at_pair[gc[g], conj[k]] for g, k in pairs)
     group = WeylGroup(datum, gamma, elems, rmul_simple, rmul_gamma, root_perm)
-    positive = [at[a] for a in datum.positive_roots()]
-    is_positive = set(positive)
+    positive = [a for a, p in enumerate(datum.positive) if p]
     for e, p in zip(elems, root_perm):
-        if sum(1 for a in positive if p[a] not in is_positive) != e.length:
+        if sum(1 for a in positive if not datum.positive[p[a]]) != e.length:
             raise WeylError("word length disagrees with inversion count")
     return group
 
@@ -471,16 +458,14 @@ def association_action(group: WeylGroup, w: ExtendedWeylElement,
     Only the subset transport is computed here; transporting a module and a
     point of t^P is done by the representation layer.
     """
-    pos = group._simple_pos
-    simple = {p: i for i, p in enumerate(pos)}
+    pos = group.datum.simple_pos
     img = group.root_perm[group._inv[w.index]]  # a o w^{-1} is w(a)
     Q = []
     for i in sorted(set(P)):
-        j = simple.get(img[pos[i]])
-        if j is None:
+        if img[pos[i]] not in pos:
             raise AssociationError(
                 f"w({i}) is not a simple root; w is not in W'(P, Q)")
-        Q.append(j)
+        Q.append(pos.index(img[pos[i]]))
     return tuple(sorted(Q))
 
 

@@ -205,9 +205,49 @@ def act_covector(group, w, x: Vec) -> Vec:
     return mat_vec(transpose(group.inv(w).matrix, len(x)), x)
 
 
+def reflect_covector(datum, i: int, x: Vec) -> Vec:
+    """s_i on a covector of the datum, on Fraction values:
+    x - <x, alpha_i^vee> alpha_i."""
+    a, av = datum.simple_roots[i], datum.simple_coroots[i]
+    c = sum((p * q for p, q in zip(x, av)), Fraction(0))
+    return tuple(xx - c * aa for xx, aa in zip(x, a))
+
+
+def fraction_reflection_perms(datum):
+    """Reference for `RootDatum.reflection_perm`, as `gradedhecke.weyl`
+    built it: each simple reflection applied to every root as a Fraction
+    covector, then looked up by value."""
+    at = {r: n for n, r in enumerate(datum.roots)}
+    return tuple(tuple(at[reflect_covector(datum, i, r)] for r in datum.roots)
+                 for i in range(datum.rank))
+
+
+def solve_positive_roots(datum):
+    """Reference for `RootDatum.positive`, as `positive_roots` computed it:
+    one `solve` per root for its Pi-coordinates, positive when all are
+    >= 0.  Returns the flags in root order."""
+    from gradedhecke.linalg import solve, transpose
+    cols = transpose(mat(datum.simple_roots), datum.ambient_dim)
+    out = []
+    for r in datum.roots:
+        coeffs = solve(cols, r, datum.rank)
+        out.append(coeffs is not None and all(c >= 0 for c in coeffs))
+    return tuple(out)
+
+
+def matrix_gram_preserved(datum, i: int) -> bool:
+    """Reference for the Gram check of `gradedhecke.rootdata._validate`, as
+    it ran on matrices: s_i^T G s_i == G."""
+    from gradedhecke.linalg import transpose
+    s = datum.reflection_matrix(i)
+    return mat_mul(transpose(s, datum.ambient_dim),
+                   mat_mul(datum.gram, s)) == datum.gram
+
+
 def matrix_enumerate_weyl_words(datum, bound):
-    """Reference for `gradedhecke.weyl._enumerate_weyl_words`: the BFS of W
-    by right multiplication on exact matrices, deduplicated by matrix.
+    """Reference for the BFS of W in `gradedhecke.weyl.enumerate_group`:
+    the BFS by right multiplication on exact matrices, deduplicated by
+    matrix.
 
     Returns the matrices and words in discovery order, and `right`, where
     right[i][k] is the position of (element k) * s_i.
@@ -314,9 +354,10 @@ def fraction_element_matrices(group):
     enumerate_group`, as it built them on Fraction values: one product per
     element of W, from its parent in the root-permutation BFS, then gamma
     times w off the identity coset.  Listed in the group's order."""
-    from gradedhecke.weyl import _enumerate_weyl_words
+    from gradedhecke.weyl import permutation_bfs
     datum, gamma = group.datum, group.gamma
-    _, words, right = _enumerate_weyl_words(datum, 10 ** 5)
+    _, words, right = permutation_bfs(fraction_reflection_perms(datum),
+                                      10 ** 5)
     refl = [datum.reflection_matrix(i) for i in range(datum.rank)]
     mats = [identity(datum.ambient_dim)] + [None] * (len(words) - 1)
     for k in range(len(words)):

@@ -12,7 +12,7 @@ import pytest
 
 from oracles import (POINT_MODULE_TEMPLATES, brute_force_conjugacy_count,
                      brute_force_form_dimension, densify, fixed_basis,
-                     matrix_molien, permutation_closure,
+                     matrix_molien, permutation_closure, reflect_covector,
                      stabilizer_class_count)
 
 from gradedhecke.cli import run as cli_run
@@ -106,7 +106,7 @@ def test_criterion_2_cross_relation_and_filtration():
                 for t in range(mod.algebra.datum.ambient_dim):
                     x = tuple(Q(1 if j == t else 0)
                               for j in range(mod.algebra.datum.ambient_dim))
-                    sx = mod.algebra.datum.reflect_covector(i, x)
+                    sx = reflect_covector(mod.algebra.datum, i, x)
                     lhs_a = densify(mat_mul(mod.covector_matrix(x),
                                             mod.refl[i]), mod.dim)
                     lhs_b = densify(mat_mul(mod.refl[i],

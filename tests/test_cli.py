@@ -678,8 +678,18 @@ def test_cli_unequal_k_on_conjugate_roots_is_one_error_line(tmp_path, capsys):
      "duplicate diagram-automorphism labels"),
     ('datum { type="A1", ambient=1, k={alpha3=1} }',
      "unknown parameter keys ['alpha3']; expected ['alpha1']"),
-], ids=["a2-unequal-k", "swap-unequal-k", "gamma-not-orthogonal",
-        "gamma-labels-repeat", "unknown-k-key"])
+] + [
+    # each was once accepted: as rank 0, as A1 labelled "A01", or with its
+    # empty parts dropped
+    (f'datum {{ type="{label}", ambient=2, k=1 }}',
+     f"unknown root system label {label!r}: expected 'empty' or parts such "
+     "as 'B2' joined by single 'x'")
+    for label in ("A0", "A00", "A01", "A1x", "xA1", "A1xxA1", "")
+] + [('datum { type="B1", ambient=2, k=1 }', "B_n needs n >= 2")],
+    ids=["a2-unequal-k", "swap-unequal-k", "gamma-not-orthogonal",
+         "gamma-labels-repeat", "unknown-k-key", "label-A0", "label-A00",
+         "label-A01", "label-A1x", "label-xA1", "label-A1xxA1",
+         "label-empty-string", "label-B1"])
 def test_cli_bad_config_is_the_same_error_line_for_every_build(
         tmp_path, capsys, text, message):
     # group and crossed-census build only W', verify-basis builds H' on it:
@@ -771,3 +781,23 @@ def test_cli_commands_match_handlers_and_readme():
     listed = re.search(r"^Commands: (.*?)\.$", readme, re.M | re.S).group(1)
     assert set(cli_mod.COMMANDS) == set(cli_mod._HANDLERS) == \
         set(re.findall(r"`([a-z0-9-]+)`", listed))
+
+
+def test_report_sweep_plans_219_runs_and_digests_each_the_same_way():
+    # the byte-identity sweep: 26 configs x 9 commands, less the three
+    # H' commands on the five A4 and D4 configs; two cold runs in two out
+    # directories give one manifest entry
+    import report_sweep
+
+    import gradedhecke
+    runs = report_sweep.planned_runs()
+    assert len(runs) == 219 and len(set(runs)) == 219
+    assert not {(p.name, c) for p, c in runs} & {
+        ("d4-triality.cfg", "irr0"), ("a4.cfg", "induce"),
+        ("d4.cfg", "verify-basis")}
+    src = Path(gradedhecke.__file__).resolve().parents[1]
+    a1 = report_sweep.ROOT / "bench" / "configs" / "a1.cfg"
+    first, second = (report_sweep.run_one(src, a1, "verify-basis")
+                     for _ in range(2))
+    assert first == second and first["exit"] == 0
+    assert sorted(first["files"]) == ["verify-basis.csv", "verify-basis.json"]

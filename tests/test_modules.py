@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (basis_lift_weights, dense_hom_space, densify,
-                     multiply_induce, rebuild_decompose)
+                     multiply_induce, rebuild_decompose, reflect_covector)
 
 from gradedhecke import modules
 from gradedhecke.catalog import CatalogError, load_catalog
@@ -179,7 +179,8 @@ def test_unsplit_spectrum_error():
     assert err.value.poly  # names the offending characteristic factor
     with pytest.raises(FieldExtensionNeeded) as err2:
         decompose(mod)
-    assert tuple(err2.value.poly)  # carries the polynomial to adjoin
+    # carries the polynomial to adjoin: x^2 - 2, highest degree first
+    assert tuple(err2.value.poly) == (1, 0, -2)
 
 
 def test_central_character_examples():
@@ -274,6 +275,26 @@ def test_decompose_examples():
     V3 = induce(a2, InductionDatum(P=(0,), delta=st, lam_re=zero_vec(2),
                                    lam_im=zero_vec(2)), extended=True)
     assert [(m.dim, c) for m, c in decompose(V3)] == [(3, 1)]
+
+
+@pytest.mark.parametrize("label,amb", [("B2", 2), ("A3", 3)])
+def test_decompose_takes_no_charpoly_larger_than_the_commutant(
+        monkeypatch, label, amb):
+    # a commutant element's eigenvalues come from its left multiplication on
+    # the commutant (m x m), not from its charpoly on the module
+    alg = algebra(label, amb, 0)
+    _, sub = parabolic_algebra(alg, [0])
+    V = induce(alg, InductionDatum(P=(0,), delta=one_dim_modules(sub)[0],
+                                   lam_re=zero_vec(amb), lam_im=zero_vec(amb)),
+               extended=True)
+    m = len(commutant(V))
+    sizes = []
+    charpoly = modules.charpoly
+    monkeypatch.setattr(modules, "charpoly",
+                        lambda a: sizes.append(len(a)) or charpoly(a))
+    dec = decompose(V)
+    assert 1 < m < V.dim and sizes and max(sizes) <= m
+    assert sum(c * x.dim for x, c in dec) == V.dim
 
 
 def test_submodule_verifies():
@@ -463,7 +484,7 @@ def test_cross_relation_holds_in_every_module():
     V = principal_series(a1)
     from gradedhecke.linalg import mat_comb, mat_mul
     x, s = V.coord[0], V.refl[0]
-    sx = a1.datum.reflect_covector(0, (Q(1),))
+    sx = reflect_covector(a1.datum, 0, (Q(1),))
     lhs = mat_comb(((1, mat_mul(x, s)),
                     (-1, mat_mul(s, V.covector_matrix(sx)))), 2)
     c = Q(3, 2) * pairing((Q(1),), a1.datum.simple_coroots[0])

@@ -184,5 +184,12 @@ def test_sub_datum_invariants():
 
 def test_gram_override_must_keep_reflections_orthogonal():
     # a Gram override that the Weyl group does not preserve is rejected
-    with pytest.raises(RootDatumError):
+    with pytest.raises(RootDatumError,
+                       match="reflection s_0 does not preserve the Gram form"):
         build_root_datum("A2", 2, gram_override=[[1, 0], [0, 5]])
+
+
+@pytest.mark.parametrize("label,rank", [
+    ("empty", 0), ("EMPTY", 0), ("A10", 10), ("A1xB2", 3)])
+def test_label_grammar_accepts(label, rank):
+    assert build_root_datum(label, 10).rank == rank

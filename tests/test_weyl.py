@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import sys
@@ -10,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (act_covector, bfs_parabolic_subgroup_elements,
                      fixed_basis, fraction_element_matrices,
-                     fraction_root_closure, matrix_braid_order,
-                     matrix_check_parameters_conjugation,
+                     fraction_reflection_perms, fraction_root_closure,
+                     matrix_braid_order, matrix_check_parameters_conjugation,
                      matrix_conjugacy_census, matrix_enumerate_group,
-                     pairwise_reduced)
+                     matrix_gram_preserved, pairwise_reduced,
+                     solve_positive_roots)
 
 from gradedhecke import weyl
 from gradedhecke.linalg import identity, mat_mul
@@ -332,15 +334,15 @@ def test_coset_decomposition_splits_every_element():
 
 
 def test_wrong_word_length_is_caught(monkeypatch):
-    # negative control for the inversion count taken on transpose(matrix)
-    real = weyl._enumerate_weyl_words
+    # negative control for the inversion count taken on the root tables
+    real = weyl.permutation_bfs
 
-    def one_wrong_word(datum, bound):
-        mats, words, right = real(datum, bound)
+    def one_wrong_word(gens, bound):
+        perms, words, right = real(gens, bound)
         words[1] = words[1] + (0, 0)  # same element, length off by two
-        return mats, words, right
+        return perms, words, right
 
-    monkeypatch.setattr(weyl, "_enumerate_weyl_words", one_wrong_word)
+    monkeypatch.setattr(weyl, "permutation_bfs", one_wrong_word)
     with pytest.raises(WeylError, match="word length"):
         enumerate_group(build_root_datum("B2", 2))
 
@@ -557,3 +559,71 @@ def test_integer_element_products_match_fraction_reference(name):
         assert [e.matrix for e in group] == fraction_element_matrices(group)
         assert all(type(x) is Fraction for e in group
                    for row in e.matrix for _, x in row)
+
+
+# The root tables the datum keeps, against the routes they replaced: one
+# `solve` per root for the signs, Fraction reflections for the
+# permutations, and s^T G s == G for the Gram check.
+
+@pytest.mark.parametrize("name", DATA)
+def test_root_tables_match_solve_and_fraction_reflections(name):
+    for d, _ in datum_and_subdata(name):
+        assert d.positive == solve_positive_roots(d)
+        assert d.reflection_perm == fraction_reflection_perms(d)
+        assert d.root_index == {r: n for n, r in enumerate(d.roots)}
+        assert d.simple_pos == tuple(map(d.roots.index, d.simple_roots))
+        assert all(matrix_gram_preserved(d, i) for i in range(d.rank))
+
+
+@functools.lru_cache(maxsize=None)
+def top_datum(name):
+    return datum_and_subdata(name)[0][0]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(DATA), st.data())
+def test_vector_gram_check_matches_matrix_check(name, data):
+    # G' = t G + c (E_ij + E_ji): symmetric, and preserved by every s_i
+    # exactly when the matrix check says so, unless it is not definite
+    from gradedhecke.linalg import mat
+    from gradedhecke.rootdata import RootDatum, RootDatumError, _validate
+    d = top_datum(name)
+    n = d.ambient_dim
+    i, j = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+    t = data.draw(st.sampled_from([Q(1), Q(2), Q(1, 3)]))
+    c = data.draw(st.sampled_from([Q(0), Q(1, 2), Q(-1, 3), Q(1)]))
+    dense = [[t * dict(row).get(col, 0) + c * ((r, col) in ((i, j), (j, i)))
+              for col in range(n)] for r, row in enumerate(d.gram)]
+    fake = RootDatum(d.label, n, mat(dense), d.simple_roots,
+                     d.simple_coroots, d.roots, d.coroots,
+                     d.crystallographic)
+    try:
+        _validate(fake)
+        outcome = None
+    except RootDatumError as exc:
+        outcome = str(exc)
+    if outcome == "Gram matrix is not positive definite":
+        return
+    bad = [k for k in range(d.rank) if not matrix_gram_preserved(fake, k)]
+    assert outcome == (f"reflection s_{bad[0]} does not preserve the Gram "
+                       "form" if bad else None)
+
+
+def test_hecke_datum_d4_takes_no_per_root_solve(monkeypatch):
+    # the signs and permutations come from the closure, and the Gram check
+    # multiplies no matrix: _validate's only products are the n of
+    # Faddeev-LeVerrier in charpoly(gram)
+    from gradedhecke import rootdata
+    from gradedhecke.weyl import HeckeDatum
+    assert not hasattr(rootdata.RootDatum, "reflect_covector")
+    assert not hasattr(rootdata, "mat_mul")
+    d = build_root_datum("D4", 4)
+    mat_muls = count_calls(monkeypatch, "mat_mul")
+    rootdata._validate(d)
+    assert len(mat_muls) == d.ambient_dim
+    # a root image by a Fraction reflection was one dot per root and
+    # generator, and a sign one solve per root
+    solves = count_calls(monkeypatch, "solve")
+    dots = count_calls(monkeypatch, "dot")
+    HeckeDatum(d, 1)
+    assert solves == [] and dots == []
