@@ -13,18 +13,24 @@ one letter at a time,
     p * s_a = s_a * s_a(p) + k_a * Delta_a(p),      p * g = g * g^{-1}(p).
 
 Each algebra memoizes in `pushes`, keyed by the parameter values k and then by
-(v.index, packed e), the normal form of x^e * v.  A product (w p)(v q) sums
-these forms over the monomials of p, multiplies each u-part by q and adds it
-into the slot of w u by integer multiply-adds over a common denominator, so a
-warm product pushes nothing and builds no Fraction or Poly.  A miss pushes the
-one monomial, unpacked, through v's letters with the monomial images under
-s_a, Delta_a and g^{-1}, themselves memoized; branches merge per group element
-after every letter, so a miss on a word of length l costs at most l * |W'|
-image sums.
+(v.index, packed e), the normal form of x^e * v as one integer form
+(d, {(u.index << ushift) + packed exponent: n}); ushift is the bit width above
+the degree field, so no exponent sum carries into u.  A product (w p)(v q)
+sums these forms over the monomials of p into one dict, rescaled only when a
+new denominator does not divide its own; each key finds the slot of w u
+through the group's index tables and is multiplied by q into it.  The slots
+share one denominator and are reduced once each: a warm product pushes
+nothing and builds no Fraction or Poly.  A miss pushes the one monomial,
+unpacked, through v's letters with the monomial images under s_a, Delta_a and
+g^{-1}, themselves memoized; branches merge per group element after every
+letter, so a miss on a word of length l costs at most l * |W'| image sums.
+The parser scans each polynomial part with `poly.scan_poly` and packs each
+monomial once.
 """
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from numbers import Rational
 from operator import mul
@@ -57,20 +63,20 @@ def _check_degree(degree: int) -> None:
                          f"{DEGREE_LIMIT} of {_BITS}-bit exponent fields")
 
 
-def _rescale(slot: list, den: int) -> int:
-    """Move slot = [d, {exponent: n}], an integer polynomial over d, to the
-    lcm of d and den; return the factor lcm // den that scales a summand."""
+def _check_index(i, bound: int, what: str) -> None:
+    if not isinstance(i, int) or not 0 <= i < bound:
+        raise HeckeError(f"{what} index {i!r} is not in range({bound})")
+
+
+def _add_into(slot: list, scale: int, den: int, terms) -> None:
+    """Add scale * terms / den, terms (exponent, n) pairs, to slot = [d,
+    {exponent: n}], an integer polynomial over d moved to the lcm of d, den."""
     m = slot[0]
     if m % den:
         f = den // math.gcd(m, den)
         m *= f
         slot[:] = m, {e: f * n for e, n in slot[1].items()}
-    return m // den
-
-
-def _add_into(slot: list, scale: int, den: int, terms) -> None:
-    """Add scale * terms / den to slot; terms are (exponent, n) pairs."""
-    f = scale * _rescale(slot, den)
+    f = scale * (m // den)
     acc = slot[1]
     for e, n in terms:
         acc[e] = acc.get(e, 0) + f * n
@@ -91,15 +97,15 @@ class HeckeAlgebra(HeckeDatum):
         self.degree_shift = n * _BITS
         self._shifts = tuple(range((n - 1) * _BITS, -1, -_BITS))
         self._units = [(1 << n * _BITS) + (1 << s) for s in self._shifts]
+        # a memoized normal form keys u at this shift, above the degree field
+        self.ushift = (n + 1) * _BITS
         # (letter, exponent tuple) -> integer form of the monomial's image; a
         # letter is ('s', i) for s_i, ('d', i) for Delta_i (independent of k)
         # or ('g', label) for the inverse of that Gamma element
         self.monomial_images: Dict[tuple, IntPoly] = {}
-        # k.values -> {(v.index, packed e): normal form of x^e * v at k}, a
-        # tuple of (u, d, exponents, numerators): sum_u u sum_j n_j / d x^e_j
-        self.pushes: Dict[tuple, Dict[tuple, tuple]] = {}
-        # one copy of each exponent or numerator tuple that `pushes` holds
-        self._tuples: Dict[tuple, tuple] = {}
+        # k.values -> {(v.index, packed e): normal form of x^e * v at k}, one
+        # integer form (d, {(u.index << ushift) + packed exponent: n})
+        self.pushes: Dict[tuple, Dict[tuple, IntPoly]] = {}
 
     def pack(self, e: Tuple[int, ...]) -> int:
         return sum(map(mul, e, self._units))
@@ -119,19 +125,27 @@ class HeckeAlgebra(HeckeDatum):
         return HeckeElement.of_forms(self, {e: (1, {0: 1})})
 
     def s(self, i: int) -> "HeckeElement":
+        _check_index(i, self.datum.rank, "simple reflection")
         return self.from_group(self.group.simple(i))
 
     def gamma(self, label: str) -> "HeckeElement":
+        if label not in self.group.gamma.by_label:
+            raise HeckeError(f"no Gamma element labelled {label!r}")
         return self.from_group(self.group.gamma_element(label))
 
     def x(self, i: int) -> "HeckeElement":
-        return self.from_covector([int(j == i) for j in range(self.nvars)])
+        _check_index(i, self.nvars, "variable")
+        return HeckeElement.of_forms(
+            self, {self.group.identity: (1, {self._units[i]: 1})})
 
     def from_poly(self, p: Poly) -> "HeckeElement":
         return HeckeElement(self, {self.group.identity: p})
 
     def from_covector(self, x: Vec) -> "HeckeElement":
-        row = {u: c for u, c in zip(self._units, x) if c}
+        if len(x) != self.nvars:
+            raise HeckeError(f"covector {x!r} has length {len(x)}, not "
+                             f"{self.nvars}")
+        row = {u: c for u, c in zip(self._units, map(_exact, x)) if c}
         return HeckeElement.of_forms(
             self, {self.group.identity: integer_form(row)} if row else {})
 
@@ -194,16 +208,16 @@ class HeckeAlgebra(HeckeDatum):
                        if (q := _reduced(slot))[1]}
         return pending
 
-    def _normal_form(self, kvals, v: ExtendedWeylElement, e: int) -> tuple:
+    def _normal_form(self, kvals, v: ExtendedWeylElement, e: int) -> IntPoly:
         """Memoize and return the normal form of x^e * v at parameters
         kvals, in the layout of `pushes`."""
-        share, form = self._tuples.setdefault, []
-        for u, (d, terms) in self._push_poly((1, {self.unpack(e): 1}),
-                                             v.gamma, v.word, kvals).items():
-            exps, nums = tuple(map(self.pack, terms)), tuple(terms.values())
-            form.append((u, d, share(exps, exps), share(nums, nums)))
-        form = tuple(form)
-        self.pushes[kvals][v.index, e] = form
+        parts = self._push_poly((1, {self.unpack(e): 1}), v.gamma, v.word,
+                                kvals)
+        den, shift, pack = math.lcm(*(d for d, _ in parts.values())), \
+            self.ushift, self.pack
+        form = self.pushes[kvals][v.index, e] = integer_form(
+            {(u.index << shift) + pack(x): n * (den // d)
+             for u, (d, t) in parts.items() for x, n in t.items()}, den)
         return form
 
     def multiply(self, a: "HeckeElement", b: "HeckeElement",
@@ -216,31 +230,55 @@ class HeckeAlgebra(HeckeDatum):
             k = k if k is self.kmap else self.check_k(k)
             memo = self.pushes[k.values] = {}
         _check_degree(a.degree() + b.degree())  # no field can carry
-        mult = self.group.mult
-        right = b.forms.items()
-        sums: Dict[ExtendedWeylElement, list] = {}
+        mult, elements, shift = self.group.mult, self.group.elements, \
+            self.ushift
+        mask = (1 << shift) - 1
+        sums: Dict[int, dict] = {}  # index of w u -> {exponent: n / den}
+        den = 1
         for w, (dp, tp) in a.forms.items():
-            for v, (dq, tq) in right:
-                pushed: Dict[ExtendedWeylElement, list] = {}  # p * v, by u
+            slots: Dict[int, dict] = {}  # u.index -> the slot of w u
+            for v, (dq, tq) in b.forms.items():
+                pushed: Dict[int, int] = {}  # p * v over dv, keyed as memo
+                dv = 1
                 for e, c in tp.items():
-                    form = memo.get((v.index, e)) or \
+                    dr, form = memo.get((v.index, e)) or \
                         self._normal_form(k.values, v, e)
-                    for u, dr, exps, nums in form:
-                        _add_into(pushed.setdefault(u, [1, {}]), c, dr,
-                                  zip(exps, nums))
-                for u, (dr, tr) in pushed.items():  # times q, into w u
-                    slot = sums.setdefault(mult(w, u), [1, {}])
-                    f = _rescale(slot, dp * dr * dq)
-                    acc = slot[1]
-                    for e1, c1 in tr.items():
-                        if c1:
-                            c1 *= f
-                            for e2, c2 in tq.items():
-                                x = e1 + e2
-                                acc[x] = acc.get(x, 0) + c1 * c2
+                    if dv % dr:
+                        f = dr // math.gcd(dv, dr)
+                        dv *= f
+                        pushed = {x: f * n for x, n in pushed.items()}
+                    c *= dv // dr
+                    for x, n in form.items():
+                        pushed[x] = pushed.get(x, 0) + c * n
+                d = dp * dv * dq
+                if den % d:
+                    f = d // math.gcd(den, d)
+                    den *= f
+                    for slot in sums.values():
+                        for x in slot:
+                            slot[x] *= f
+                f = den // d
+                for x, n in pushed.items():  # times q, into the slot of w u
+                    if n:
+                        u = x >> shift
+                        slot = slots.get(u)
+                        if slot is None:
+                            slot = slots[u] = sums.setdefault(
+                                mult(w, elements[u]).index, {})
+                        n *= f
+                        x &= mask
+                        for e2, c2 in tq.items():
+                            y = x + e2
+                            slot[y] = slot.get(y, 0) + n * c2
+        return self._of_slots(sums, den)
+
+    def _of_slots(self, sums: Dict[int, dict], den: int) -> "HeckeElement":
+        """The element sum_i elements[i] * sums[i] / den, {packed e: n} each
+        slot, reduced by `integer_form` once per group element."""
+        elements = self.group.elements
         return HeckeElement.of_forms(self, {
-            w: form for w, slot in sums.items()
-            if (form := _reduced(slot))[1]})
+            elements[i]: integer_form(t, den) for i, slot in sums.items()
+            if (t := {e: n for e, n in slot.items() if n})})
 
     # -- derived operations ---------------------------------------------------
 
@@ -411,43 +449,50 @@ class HeckeParseError(GradedHeckeError):
 
 def parse_element(algebra: HeckeAlgebra, text: str) -> HeckeElement:
     """Parse the canonical text form produced by HeckeElement.to_text()."""
-    out = algebra.zero()
+    from .poly import PolyParseError, scan_poly
+    pack, sums = algebra.pack, {}
     for chunk in _split_top_level(text.strip()):
-        out = out + _parse_term(algebra, chunk)
-    return out
+        chunk = chunk.strip()
+        if not chunk:
+            raise HeckeParseError(f"empty term in {text!r}")
+        if chunk == "0":
+            continue
+        w, body = _parse_head(algebra, chunk)
+        try:
+            terms = scan_poly(body, algebra.nvars)
+        except PolyParseError as exc:
+            raise HeckeParseError(str(exc)) from exc
+        _check_degree(max(map(sum, terms), default=-1))
+        acc = sums.setdefault(w.index, {})
+        for e, c in terms.items():
+            x = pack(e)
+            acc[x] = acc.get(x, 0) + c
+    return algebra._of_slots(sums, 1)
 
 
 def _split_top_level(text: str) -> List[str]:
-    parts = []
-    depth = 0
-    cur = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
+    """text cut at each ' + ' outside parentheses."""
+    parts, depth, cut = [], 0, 0
+    for m in re.finditer(r"[()]| \+ ", text):
+        tok = m[0]
+        if tok == "(":
             depth += 1
-        elif ch == ")":
+        elif tok == ")":
             depth -= 1
             if depth < 0:
-                raise HeckeParseError(f"unbalanced ')' at {i}")
-        if depth == 0 and text.startswith(" + ", i):
-            parts.append("".join(cur))
-            cur = []
-            i += 3
-            continue
-        cur.append(ch)
-        i += 1
+                raise HeckeParseError(f"unbalanced ')' at {m.start()}")
+        elif not depth:
+            parts.append(text[cut:m.start()])
+            cut = m.end()
     if depth != 0:
         raise HeckeParseError("unbalanced parentheses")
-    parts.append("".join(cur))
-    return [p for p in parts if p.strip()]
+    parts.append(text[cut:])
+    return parts
 
 
-def _parse_term(algebra: HeckeAlgebra, chunk: str) -> HeckeElement:
-    from .poly import PolyParseError, parse_poly
-    chunk = chunk.strip()
-    if chunk == "0":
-        return algebra.zero()
+def _parse_head(algebra: HeckeAlgebra, chunk: str):
+    """The group element of a term `letters*(polynomial)` and the text of
+    its polynomial part."""
     if "(" not in chunk:
         raise HeckeParseError(f"term {chunk!r} lacks a polynomial part")
     head, rest = chunk.split("(", 1)
@@ -459,22 +504,18 @@ def _parse_term(algebra: HeckeAlgebra, chunk: str) -> HeckeElement:
     head = head.strip()
     if not head.endswith("*"):
         raise HeckeParseError(f"group part in {chunk!r} must end with '*'")
-    letters = head[:-1].split("*")
-    el = algebra.group.identity
-    for letter in letters:
+    group = algebra.group
+    el = group.identity
+    for letter in head[:-1].split("*"):
         if letter == "e":
             continue
-        if letter.startswith("s") and letter[1:].isdigit():
+        if letter[:1] == "s" and letter[1:].isascii() and letter[1:].isdigit():
             idx = int(letter[1:]) - 1
             if not 0 <= idx < algebra.datum.rank:
                 raise HeckeParseError(f"no simple reflection {letter!r}")
-            el = algebra.group.mult(el, algebra.group.simple(idx))
-        elif letter in algebra.group.gamma.by_label:
-            el = algebra.group.mult(el, algebra.group.gamma_element(letter))
+            el = group.mult(el, group.simple(idx))
+        elif letter in group.gamma.by_label:
+            el = group.mult(el, group.gamma_element(letter))
         else:
             raise HeckeParseError(f"unknown group letter {letter!r}")
-    try:
-        p = parse_poly(body, algebra.nvars)
-    except PolyParseError as exc:
-        raise HeckeParseError(str(exc)) from exc
-    return HeckeElement(algebra, {el: p})
+    return el, body

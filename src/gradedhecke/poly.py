@@ -8,6 +8,7 @@ Fractions; zero coefficients are never stored.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -390,86 +391,66 @@ class PolyParseError(GradedHeckeError):
     pass
 
 
-def parse_poly(text: str, nvars: int) -> Poly:
-    """Parse the canonical sorted monomial form, e.g. '3/2*x1^2*x3 - x2'."""
+# a factor: an integer with an optional '/denominator', or a variable with an
+# optional '^power'; an empty denominator, index or power is an error below
+_FACTOR = re.compile(r"([0-9]+)(?:/([0-9]*))?|x([0-9]*)(?:\^([0-9]*))?")
+_SIGN = re.compile(r" *(?:([+-]) *)?")  # between terms
+
+
+def scan_poly(text: str, nvars: int) -> Dict[Tuple[int, ...], Q]:
+    """The exact coefficient of each exponent in the canonical sorted
+    monomial form, e.g. '3/2*x1^2*x3 - x2'; zero sums are dropped.  A
+    coefficient is an int, or a Fraction where the text has a '/'."""
     s = text.strip()
-    if s == "0":
-        return Poly(nvars)
-    out = Poly(nvars)
-    pos = 0
-    sign = Fraction(1)
-    first = True
-    while pos < len(s):
-        if not first:
-            while pos < len(s) and s[pos] == " ":
-                pos += 1
-            if pos >= len(s):
-                break
-            if s[pos] == "+":
-                sign = Fraction(1)
-            elif s[pos] == "-":
-                sign = Fraction(-1)
-            else:
-                raise PolyParseError(f"expected '+' or '-' at {pos} in {text!r}")
-            pos += 1
-            while pos < len(s) and s[pos] == " ":
-                pos += 1
-        else:
-            if s[pos] == "-":
-                sign = Fraction(-1)
-                pos += 1
-            first = False
-        coeff = Fraction(1)
+    if not s:
+        raise PolyParseError(f"no term in {text!r}")
+    terms: Dict[Tuple[int, ...], Q] = {}
+    end = len(s)
+    sign, pos = (-1, 1) if s[0] == "-" else (1, 0)
+    while True:
+        num = den = 1
         expo = [0] * nvars
-        saw_factor = False
         while True:
-            start = pos
-            if pos < len(s) and s[pos].isdigit():
-                while pos < len(s) and s[pos].isdigit():
-                    pos += 1
-                num = int(s[start:pos])
-                den = 1
-                if pos < len(s) and s[pos] == "/":
-                    pos += 1
-                    d0 = pos
-                    while pos < len(s) and s[pos].isdigit():
-                        pos += 1
-                    if d0 == pos:
-                        raise PolyParseError(f"bad fraction at {start} in {text!r}")
-                    den = int(s[d0:pos])
-                    if den == 0:
-                        raise PolyParseError(
-                            f"bad fraction {s[start:pos]!r} in {text!r}")
-                coeff *= Fraction(num, den)
-                saw_factor = True
-            elif pos < len(s) and s[pos] == "x":
-                pos += 1
-                d0 = pos
-                while pos < len(s) and s[pos].isdigit():
-                    pos += 1
-                if d0 == pos:
-                    raise PolyParseError(f"bad variable at {start} in {text!r}")
-                idx = int(s[d0:pos]) - 1
-                if not 0 <= idx < nvars:
-                    raise PolyParseError(f"variable x{idx + 1} out of range")
-                power = 1
-                if pos < len(s) and s[pos] == "^":
-                    pos += 1
-                    e0 = pos
-                    while pos < len(s) and s[pos].isdigit():
-                        pos += 1
-                    if e0 == pos:
-                        raise PolyParseError(f"bad exponent at {start}")
-                    power = int(s[e0:pos])
-                expo[idx] += power
-                saw_factor = True
-            else:
+            m = _FACTOR.match(s, pos)
+            if m is None:
                 raise PolyParseError(f"expected factor at {pos} in {text!r}")
-            if pos < len(s) and s[pos] == "*":
+            digits, under, index, power = m.groups()
+            if digits is not None:
+                if under is not None:
+                    if not under:
+                        raise PolyParseError(
+                            f"bad fraction at {pos} in {text!r}")
+                    if not int(under):
+                        raise PolyParseError(
+                            f"bad fraction {m[0]!r} in {text!r}")
+                    den *= int(under)
+                num *= int(digits)
+            else:
+                if not index:
+                    raise PolyParseError(f"bad variable at {pos} in {text!r}")
+                i = int(index) - 1
+                if not 0 <= i < nvars:
+                    raise PolyParseError(f"variable x{i + 1} out of range")
+                if power == "":
+                    raise PolyParseError(f"bad exponent at {pos}")
+                expo[i] += 1 if power is None else int(power)
+            pos = m.end()
+            if pos < end and s[pos] == "*":
                 pos += 1
                 continue
             break
-        if not saw_factor:
-            raise PolyParseError(f"empty term in {text!r}")
-        out = out + Poly(nvars, {tuple(expo): sign * coeff})
-    return out
+        e = tuple(expo)
+        terms[e] = terms.get(e, 0) + \
+            (sign * num if den == 1 else Fraction(sign * num, den))
+        m = _SIGN.match(s, pos)
+        if not m[1]:
+            if m.end() == end:
+                return {e: c for e, c in terms.items() if c}
+            raise PolyParseError(
+                f"expected '+' or '-' at {m.end()} in {text!r}")
+        sign, pos = -1 if m[1] == "-" else 1, m.end()
+
+
+def parse_poly(text: str, nvars: int) -> Poly:
+    """Parse the canonical sorted monomial form, e.g. '3/2*x1^2*x3 - x2'."""
+    return Poly(nvars, scan_poly(text, nvars))

@@ -276,12 +276,76 @@ def test_parse_documented_example():
 
 
 @pytest.mark.parametrize("text", ["s1*()", "s1*( )", "s1**(x1)", "*(x1)",
-                                  "e*(x2) + s1**(1)", "s1*s2**(1)"])
+                                  "e*(x2) + s1**(1)", "s1*s2**(1)", "",
+                                  "   ", "e*(x1) +  + e*(x2)", "s\u00b2*(x1)",
+                                  "s\u0661*(x1)", "e*(x\u00b2)"])
 def test_parse_rejects_text_to_text_never_writes(text):
-    # an empty polynomial part or an empty group letter is not the canonical
-    # form; before, "s1*()" parsed as 0 and "s1**(x1)" as s1*(x1)
+    # an empty polynomial part, an empty group letter, an empty term or a
+    # digit outside ASCII is not the canonical form, which writes zero as
+    # "0"; before, "s1*()" and "" parsed as 0, "s1**(x1)" and "s\u0661*(x1)"
+    # as s1*(x1), and a superscript two raised ValueError
     with pytest.raises(HeckeParseError):
         parse_element(algebra("A2", 2, 1), text)
+
+
+def test_parse_sums_terms_of_one_group_element():
+    alg = algebra("A2", 2, 1)
+    s1 = alg.group.simple(0)
+    el = parse_element(alg, "s1*(1/2*x1) + s1*(x2 - 1/2*x1) + e*(x1) + "
+                            "e*(-x1) + 0")
+    assert el == HeckeElement(alg, {s1: Poly(2, {(0, 1): Q(1)})})
+    assert_canonical(el)
+    assert list(el.forms) == [s1]
+    assert parse_element(alg, "0").is_zero()
+    assert parse_element(alg, "s2*(0)").is_zero()
+
+
+def test_parse_builds_no_poly(monkeypatch):
+    # a term's polynomial part is scanned to exact coefficients and packed
+    # straight into the element's integer forms
+    alg = swap_algebra(k=1)
+    text = ("s2*(-x1^3 + 1/2*x2 + 3) + "
+            "swap*s1*s2*(5/3*x1^2*x2 - 2*x2^2 + 4/3*x1)")
+    expected = parse_element(alg, text)
+    built = []
+    init = Poly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(Poly)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    parsed = parse_element(alg, text)
+    monkeypatch.undo()
+    assert built == []
+    assert parsed == expected and len(parsed.forms) == 2
+    assert parsed.to_text() == text
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda a: a.x(2), "variable index 2 is not in range(2)"),
+    (lambda a: a.x(-1), "variable index -1 is not in range(2)"),
+    (lambda a: a.s(-1), "simple reflection index -1 is not in range(2)"),
+    (lambda a: a.s(2), "simple reflection index 2 is not in range(2)"),
+    (lambda a: a.gamma("swap"), "no Gamma element labelled 'swap'"),
+    (lambda a: a.from_covector([1, 2, 3, 4]),
+     "covector [1, 2, 3, 4] has length 4, not 2"),
+    (lambda a: a.from_covector([1]), "covector [1] has length 1, not 2"),
+    (lambda a: a.from_covector([0.5, 1]),
+     "scalars must be int or Fraction, not float")],
+    ids=["x(2)", "x(-1)", "s(-1)", "s(2)", "gamma-unknown", "covector-long",
+         "covector-short", "covector-float"])
+def test_generator_constructors_refuse_bad_arguments(make, message):
+    # before, x(2) and x(-1) gave 0, s(-1) gave s2, from_covector truncated
+    # to the shorter length, and the others raised IndexError, KeyError or
+    # AttributeError
+    alg = algebra("A2", 2, 1)
+    with pytest.raises(HeckeError) as err:
+        make(alg)
+    assert str(err.value) == message
+    assert alg.x(1) == alg.from_covector([0, 1]) and \
+        alg.s(1).terms == {alg.group.simple(1): Poly.constant(2, 1)}
+    assert alg.from_covector([Q(1, 2), 1]).to_text() == "e*(1/2*x1 + x2)"
 
 
 def test_parse_rejects_a_zero_denominator():
@@ -444,25 +508,28 @@ def test_parsed_products_match_oracle_and_hash_alike(warm_algebras, data):
 def test_pushes_match_substitution_oracle(warm_algebras):
     # each memoized normal form of x^e * v, at k and at 0 (the entries the
     # oracle test above left, plus one product's), is a primitive integer
-    # form of the oracle's product x^e * v at its own parameters
+    # form (d, {(u.index << ushift) + packed exponent: n}) of the oracle's
+    # product x^e * v at its own parameters
     for name, alg in warm_algebras.items():
         zero_k = make_parameter_map(alg.datum, 0)
         x, v = alg.x(0), alg.from_group(alg.group.elements[-1])
         for override in (None, zero_k):
             alg.multiply(x * x + x, v, k_override=override)
         assert set(alg.pushes) == {alg.kmap.values, zero_k.values}, name
+        mask = (1 << alg.ushift) - 1
         for kvals, memo in alg.pushes.items():
             kmap = ParameterMap(kvals)
-            for (index, packed), form in memo.items():
+            for (index, packed), (den, nums) in memo.items():
                 e, terms = alg.unpack(packed), {}
-                for u, den, exps, nums in form:
-                    assert den > 0 and math.gcd(den, *nums) == 1 and \
-                        all(nums) and len(exps) == len(nums), (name, e, u)
-                    terms[u] = Poly(alg.nvars, {alg.unpack(e2): Q(n, den)
-                                                for e2, n in zip(exps, nums)})
+                assert den > 0 and math.gcd(den, *nums.values()) == 1 and \
+                    nums and all(nums.values()), (name, e)
+                for key, n in nums.items():
+                    u = alg.group.elements[key >> alg.ushift]
+                    terms.setdefault(u, {})[alg.unpack(key & mask)] = Q(n, den)
                 mono = alg.from_poly(Poly(alg.nvars, {e: Q(1)}))
                 g = alg.from_group(alg.group.elements[index])
-                assert HeckeElement(alg, terms) == \
+                assert HeckeElement(alg, {u: Poly(alg.nvars, t) for u, t in
+                                          terms.items()}) == \
                     substitution_multiply(alg, mono, g, kmap), (name, e)
 
 
@@ -586,7 +653,7 @@ def golden_product_lines():
     """
     rng = random.Random(14)
     lines = []
-    for name in ("G2-k13", "A3", "B2-k12", "A1xA1-swap"):
+    for name in ("G2-k13", "A3", "B2-k12", "A1xA1-swap", "B2-k(1/2,3)"):
         alg = ORACLE_ALGEBRAS[name]()
         for _ in range(4):
             a, b, c = (nonzero_element(alg, rng) for _ in range(3))

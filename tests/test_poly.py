@@ -313,3 +313,37 @@ def test_parse_rejects_a_zero_denominator(text):
     # before, the coefficient raised ZeroDivisionError, not a parse error
     with pytest.raises(poly.PolyParseError, match=r"bad fraction '\d/0'"):
         parse_poly(text, 2)
+
+
+@pytest.mark.parametrize("text", ["", "   "])
+def test_parse_rejects_empty_text(text):
+    # to_text writes zero as "0"; before, empty text parsed as zero
+    with pytest.raises(poly.PolyParseError, match="no term in"):
+        parse_poly(text, 2)
+    assert parse_poly("0", 2).is_zero()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3/", "bad fraction at 0 in '3/'"),
+    ("1/00*x1", "bad fraction '1/00' in '1/00*x1'"),
+    ("x", "bad variable at 0 in 'x'"),
+    ("x3", "variable x3 out of range"),
+    ("x0", "variable x0 out of range"),
+    ("x1^", "bad exponent at 0"),
+    ("2x1", "expected '+' or '-' at 1 in '2x1'"),
+    ("3/2/5", "expected '+' or '-' at 3 in '3/2/5'"),
+    ("x1 +", "expected factor at 4 in 'x1 +'"),
+    ("--x1", "expected factor at 1 in '--x1'"),
+    ("x1*", "expected factor at 3 in 'x1*'")])
+def test_parse_error_names_the_place(text, message):
+    with pytest.raises(poly.PolyParseError) as err:
+        parse_poly(text, 2)
+    assert str(err.value) == message
+
+
+def test_parse_sums_repeated_monomials_exactly():
+    # text to_text never writes still parses to its exact value
+    assert parse_poly("2*3/4*x1*x1 + x1^2 - 1/2*x1^2", 2) == \
+        Poly(2, {(2, 0): Fraction(2)})
+    assert parse_poly("x1 - x1 + 0*x2", 2).is_zero()
+    assert parse_poly("007/014", 2) == Poly.constant(2, Fraction(1, 2))
