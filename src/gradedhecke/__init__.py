@@ -22,7 +22,7 @@ _EXPORTS = {  # submodule -> the public names it defines
     "poly": """PoincareSeries Poly act divided_difference invariant_polys
         molien_forms parse_poly reynolds""",
     "hecke": """HeckeAlgebra HeckeElement k_sensitive_part
-        parse_element scale_map""",
+        parse_element""",
     "modules": """DSCatalogEntry FieldExtensionNeeded FinModule
         InductionDatum UnsplitSpectrumError auto_catalog central_character
         commutant decompose hom_space induce irr0_census

@@ -109,8 +109,7 @@ def _cmd_group(cfg: RunConfig, algebra: HeckeDatum) -> Dict:
 def _census_report(command: str, cfg: RunConfig, algebra: HeckeDatum):
     """The census and a report holding its truncation and per-class series."""
     from .homology import crossed_product_census
-    census = crossed_product_census(algebra.datum, truncation=cfg.truncation,
-                                    group=algebra.group)
+    census = crossed_product_census(algebra.group, cfg.truncation)
     rep = _base_report(command, cfg, algebra)
     rep.update({
         "truncation": census.truncation,

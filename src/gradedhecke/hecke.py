@@ -416,29 +416,6 @@ def k_sensitive_part(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     return full - crossed
 
 
-def scale_map(z, a: HeckeElement, target: HeckeAlgebra) -> HeckeElement:
-    """The isomorphism m_z : H(R~, z k) -> H(R~, k); identity on C[W'].
-
-    Multiplies t* by z degree-wise; for z = 0 it kills every positive-degree
-    polynomial part and stops being bijective.
-    """
-    from .poly import Poly
-    z = _exact(z)
-    src = a.algebra
-    if src.datum != target.datum or \
-            src.group.gamma.elements != target.group.gamma.elements:
-        raise HeckeError("source and target must share the root datum "
-                         "and Gamma")
-    if src.kmap.values != target.kmap.scaled(z).values:
-        raise HeckeError("source algebra must have parameters z * k")
-    out: Dict[ExtendedWeylElement, Poly] = {}
-    for w, p in a.terms.items():
-        q = Poly(p.nvars, {e: c * z ** sum(e) for e, c in p.terms.items()})
-        if not q.is_zero():
-            out[target.group.elements[w.index]] = q
-    return HeckeElement(target, out)
-
-
 # ---------------------------------------------------------------------------
 # Round-trip text form: `s1*s2*(3*x1 - 1) + e*(x2^2)`.
 # ---------------------------------------------------------------------------

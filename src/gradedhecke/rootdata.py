@@ -316,10 +316,6 @@ class ParameterMap:
     def __getitem__(self, i: int) -> Q:
         return self.values[i]
 
-    def scaled(self, z) -> "ParameterMap":
-        z = Fraction(z)
-        return ParameterMap(tuple(z * v for v in self.values))
-
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
 

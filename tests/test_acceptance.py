@@ -167,7 +167,7 @@ def test_criterion_4_homological_oracles():
 def test_criterion_5_theorem_1_2_census_a1():
     """A1 census series against a brute-force invariant-form count."""
     datum = build_root_datum("A1", 1)
-    census = crossed_product_census(datum, truncation=10)
+    census = crossed_product_census(enumerate_group(datum), truncation=10)
     assert census.totals[0].coeffs == (2, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)
     assert census.totals[1].coeffs == (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0)
     assert (census.hp0, census.hp1) == (2, 0)

@@ -12,7 +12,7 @@ from oracles import substitution_multiply
 
 from gradedhecke.hecke import (DEGREE_LIMIT, HeckeAlgebra, HeckeElement,
                                HeckeError, HeckeParseError, k_sensitive_part,
-                               parse_element, scale_map)
+                               parse_element)
 from gradedhecke.linalg import GradedHeckeError, integer_form
 from gradedhecke.poly import Poly, act, divided_difference
 from gradedhecke.rootdata import (ParameterMap, build_root_datum,
@@ -118,42 +118,6 @@ def test_center_basis_degree_zero():
     assert [b.degree() for b in algebra(k=1).center_basis(0)] == [0]
 
 
-def test_scale_map():
-    rng = random.Random(4)
-    target = algebra("B2", 2, 1)
-    src = algebra("B2", 2, 2)
-    # m_1 is the identity
-    for _ in range(5):
-        a = random_element(target, rng)
-        assert scale_map(1, a, target) == a
-    # m_0 kills positive-degree parts and stops being bijective
-    zero_alg = algebra("B2", 2, 0)
-    a = random_element(zero_alg, rng)
-    image = scale_map(0, a, target)
-    assert image.degree() <= 0
-    # homomorphism property at z = 2, 100 random pairs
-    for _ in range(100):
-        a = random_element(src, rng, max_deg=2)
-        b = random_element(src, rng, max_deg=2)
-        lhs = scale_map(2, src.multiply(a, b), target)
-        rhs = target.multiply(scale_map(2, a, target),
-                              scale_map(2, b, target))
-        assert lhs == rhs
-
-
-def test_scale_map_composition():
-    # m_z o m_{z'} = m_{zz'} as maps H(zz'k) -> H(k)
-    rng = random.Random(8)
-    base = algebra(k=1)
-    mid = algebra(k=2)
-    src = algebra(k=6)
-    for _ in range(20):
-        a = random_element(src, rng)
-        via = scale_map(2, scale_map(3, a, mid), base)
-        direct = scale_map(6, a, base)
-        assert via == direct
-
-
 @pytest.mark.parametrize("scalar", [0.1, 0.5, "1/2", Decimal("0.5")],
                          ids=["float", "float-exact", "str", "Decimal"])
 def test_scalars_must_be_int_or_fraction(scalar):
@@ -161,31 +125,13 @@ def test_scalars_must_be_int_or_fraction(scalar):
     # be parsed: neither belongs in exact arithmetic
     alg = algebra("A2", 2, 1)
     a = alg.one() + alg.x(0)
-    for scaled in (lambda: a * scalar, lambda: scalar * a,
-                   lambda: scale_map(scalar, a, alg)):
+    for scaled in (lambda: a * scalar, lambda: scalar * a):
         with pytest.raises(HeckeError, match="scalars must be int or "
                                              "Fraction"):
             scaled()
     assert (a * Q(1, 10)).terms[alg.group.identity] == \
         Poly(2, {(0, 0): Q(1, 10), (1, 0): Q(1, 10)})
     assert 3 * a == a + a + a and (a * 0).is_zero()
-    assert scale_map(Q(1), a, alg) == scale_map(1, a, alg) == a
-
-
-def test_scale_map_requires_matching_parameters():
-    with pytest.raises(HeckeError):
-        scale_map(2, algebra(k=1).one(), algebra(k=1))
-
-
-def test_scale_map_requires_matching_datum_and_gamma():
-    # C2 and B2 have the same parameters but different root data; A1xA1
-    # with and without the swap have different W'
-    c, b = algebra("C2", 2, 2), algebra("B2", 2, 1)
-    for a in (c.one() + c.x(0), c.s(0)):
-        with pytest.raises(HeckeError, match="share the root datum"):
-            scale_map(2, a, b)
-    with pytest.raises(HeckeError, match="share the root datum"):
-        scale_map(1, algebra("A1xA1", 2).s(0), swap_algebra())
 
 
 def test_filtration_and_k_part():

@@ -115,6 +115,47 @@ def test_mixed_identities_detect_corrupt_boundary(monkeypatch):
         verify_mixed_identities(FinDimAlgebra.matrix_algebra(2), 2)
 
 
+def _bump(m, r, c):
+    """m with 1 added to its entry (r, c)."""
+    rows = [dict(row) for row in m]
+    rows[r][c] = rows[r].get(c, 0) + 1
+    return tuple(tuple((j, x) for j, x in sorted(row.items()) if x)
+                 for row in rows)
+
+
+def test_mixed_identities_detect_every_corrupt_entry(monkeypatch):
+    # on Q[C2] at n = 2, adding 1 at (r, c) of b_3 adds e_r (x) (row c of
+    # B_2) to b_3 B_2, and at (r, c) of B_2 adds (column r of b_3) (x) e_c:
+    # the check must fail exactly when that is nonzero.  B_2 reaches 12 of
+    # the 16 columns of b_3 (not 1 (x) 1 (x) a (x) a'), and 12 columns of b_3
+    # are nonzero, so every column of B_2 has a corruption that shows
+    a = cyclic_group_algebra(2)
+    b = {m: hochschild_boundary(a, m) for m in (1, 2, 3)}
+    big_b2, exact = connes_boundary(a, 2), connes_boundary
+    b3_cols = {j for row in b[3] for j, _ in row}
+    assert sum(map(bool, big_b2)) == len(b3_cols) == 12
+
+    def caught(bs=b):
+        try:
+            verify_mixed_identities(a, 2, b=bs)
+        except HomologyError as err:
+            assert str(err) == "b B + B b != 0"
+            return True
+        return False
+
+    assert not caught()
+    for c in range(a.dim ** 4):
+        for r in range(a.dim ** 3):
+            assert caught({**b, 3: _bump(b[3], r, c)}) == bool(big_b2[c])
+    for c in range(a.dim ** 3):
+        for r in range(a.dim ** 4):
+            monkeypatch.setattr(
+                homology, "connes_boundary",
+                lambda alg, m: _bump(exact(alg, m), r, c) if m == 2
+                else exact(alg, m))
+            assert caught() == (r in b3_cols)
+
+
 def test_s3_bar_complex_oracles():
     # Q[S3] is semisimple with three classes: HH = HC_0 = 3, the rest vanish
     s3 = s3_algebra()
@@ -149,7 +190,8 @@ def test_size_bound_covers_largest_built_space():
 
 
 def test_crossed_census_a1():
-    census = crossed_product_census(build_root_datum("A1", 1), truncation=12)
+    census = crossed_product_census(
+        enumerate_group(build_root_datum("A1", 1)), truncation=12)
     assert census.totals[0].coeffs == (2, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)
     assert census.totals[1].coeffs == (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0)
     assert (census.hp0, census.hp1) == (2, 0)
@@ -162,8 +204,8 @@ def test_crossed_census_a1():
 
 def test_crossed_census_vanishing_above_dim():
     for label, amb in (("A1", 1), ("A2", 2), ("B2", 2)):
-        census = crossed_product_census(build_root_datum(label, amb),
-                                        truncation=8)
+        census = crossed_product_census(
+            enumerate_group(build_root_datum(label, amb)), truncation=8)
         for entry in census.entries:
             for n in range(entry.fixed_dim + 1, amb + 1):
                 assert entry.series[n].coeffs == (0,) * 9
@@ -174,7 +216,7 @@ def test_crossed_census_empty_datum_with_gamma():
     # R empty with nontrivial Gamma: the census is driven by Gamma alone
     d = build_root_datum("empty", 2)
     g = make_diagram_automorphism(d, "swap", [[0, 1], [1, 0]])
-    census = crossed_product_census(d, [g], truncation=6)
+    census = crossed_product_census(enumerate_group(d, [g]), truncation=6)
     assert census.class_count == 2
     assert (census.hp0, census.hp1) == (2, 0)
     # identity class: swap-invariants 1; x1+x2; {x1^2+x2^2, x1 x2};
@@ -191,7 +233,7 @@ def test_hp_census(label, amb, gammas, expect):
     d = build_root_datum(label, amb)
     gs = [make_diagram_automorphism(d, "swap", [[0, 1], [1, 0]])] \
         if gammas else []
-    census = crossed_product_census(d, gs, truncation=2)
+    census = crossed_product_census(enumerate_group(d, gs), truncation=2)
     assert (census.hp0, census.hp1) == expect
 
 
@@ -234,7 +276,7 @@ def test_hp0_negative_control_crossed_census(monkeypatch):
     group = enumerate_group(build_root_datum("B2", 2))
     _drop_last_class(monkeypatch, group)
     with pytest.raises(HomologyError, match="HP0 = #classes"):
-        crossed_product_census(group.datum, truncation=4, group=group)
+        crossed_product_census(group, truncation=4)
 
 
 def test_hp0_negative_control_basis_theorem(monkeypatch):

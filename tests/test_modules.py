@@ -3,6 +3,7 @@ import random
 import warnings
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -13,6 +14,7 @@ from oracles import (basis_lift_weights, dense_hom_space, densify,
 
 from gradedhecke import modules
 from gradedhecke.catalog import CatalogError, load_catalog
+from gradedhecke.config import load_config
 from gradedhecke.hecke import HeckeAlgebra
 from gradedhecke.linalg import (QI, identity, mat, mat_mul, mat_vec, nullspace,
                                 zero_vec)
@@ -32,6 +34,7 @@ from gradedhecke.weyl import (HeckeDatum, elements_mapping_parabolic,
                               make_diagram_automorphism)
 
 Q = Fraction
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
 
 def algebra(label="A1", amb=1, k=1, gammas=()):
@@ -426,6 +429,27 @@ def test_irr0_census_order_by_cc_norm():
     assert norms == sorted(norms, reverse=True)
 
 
+@pytest.mark.parametrize("refused, parabolic", [
+    ("pi'([],", "pi'([],trivial,0)"), ("pi'([0],", "pi'([0],steinberg,0)"),
+    ("pi'([0, 1],", "pi'([0, 1],steinberg,0)")])
+def test_irr0_census_names_the_untempered_summand(monkeypatch, refused,
+                                                  parabolic):
+    # negative control of the temperedness guard: one association class of
+    # the A2 census yields a summand that is not tempered
+    alg = load_config((BENCH_CONFIGS / "a2.cfg").read_text(
+        encoding="utf-8")).build_group()
+    tempered = modules.is_tempered
+    monkeypatch.setattr(modules, "is_tempered",
+                        lambda m: not m.name.startswith(refused)
+                        and tempered(m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ModuleError) as err:
+            irr0_census(alg)
+    assert str(err.value) == (f"summand of {parabolic} is not tempered; "
+                              "census invariant violated")
+
+
 def test_census_refuses_noncrystallographic():
     alg = algebra(k=1)
     d = alg.datum
@@ -783,6 +807,23 @@ def test_decompose_leaves_the_module_and_reuses_its_commutant():
     assert V.name == "pi'([],trivial,lam)" and V.memo["commutant"]
     assert sorted(m.name for m, _ in dec) == [V.name + "#0", V.name + "#1"]
     assert all(m.memo is not V.memo and m.meta is not V.meta for m, _ in dec)
+
+
+def test_decompose_negative_control_lost_leaf(monkeypatch):
+    # a split that loses one irreducible leaf must not pass as a
+    # decomposition: the outer split drops its last leaf, inner ones run
+    V = principal_series(algebra(k=0))
+    split = modules._split
+    assert len(split(V)) == 2
+
+    def dropping(module):
+        monkeypatch.setattr(modules, "_split", split)
+        return split(module)[:-1]
+
+    monkeypatch.setattr(modules, "_split", dropping)
+    with pytest.raises(ModuleError,
+                       match="decomposition does not fill the module"):
+        decompose(V)
 
 
 def _scaled(c, m):

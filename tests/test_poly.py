@@ -209,7 +209,7 @@ def test_crossed_census_takes_no_charpoly_or_restriction(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counted(name, getattr(module, name)))
-    census = crossed_product_census(group.datum, truncation=16, group=group)
+    census = crossed_product_census(group, truncation=16)
     assert calls == []
     assert census.totals[0].coeffs[0] == census.class_count == 7
 
@@ -234,7 +234,8 @@ def test_crossed_census_matches_matrix_oracle(name, truncation):
     label, amb, auts = CENSUS_DATA[name]
     d = build_root_datum(label, amb)
     gammas = [make_diagram_automorphism(d, lbl, m) for lbl, m in auts]
-    census = crossed_product_census(d, gammas, truncation=truncation)
+    census = crossed_product_census(enumerate_group(d, gammas),
+                                    truncation=truncation)
     entries, totals = matrix_census(d, gammas, truncation)
     assert [e.series for e in census.entries] == entries
     assert list(census.totals) == totals

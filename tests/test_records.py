@@ -14,8 +14,8 @@ from gradedhecke.modules import (FinModule, InductionDatum, decompose,
                                  induce, one_dim_modules, parabolic_algebra,
                                  weights)
 from gradedhecke.poly import PoincareSeries
-from gradedhecke.rootdata import (build_root_datum, make_parameter_map,
-                                  parabolic)
+from gradedhecke.rootdata import (ParameterMap, build_root_datum,
+                                  make_parameter_map, parabolic)
 from gradedhecke.weyl import (DiagramAutomorphism, enumerate_group,
                               make_diagram_automorphism)
 
@@ -38,7 +38,8 @@ def test_root_datum_and_parameter_map_compare_and_hash_by_value():
     assert a != build_root_datum("A2", 3) and a != build_root_datum("B2", 2)
     k, same = make_parameter_map(a, 1), make_parameter_map(b, [1, 1])
     assert k is not same and k == same and hash(k) == hash(same)
-    assert k == make_parameter_map(a, Q(1, 2)).scaled(2)
+    assert k == ParameterMap(tuple(2 * v for v in make_parameter_map(
+        a, Q(1, 2)).values))
     assert k != make_parameter_map(a, 2) and len({k, same}) == 1
 
 

@@ -315,7 +315,7 @@ def test_census_computed_once_per_group(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert verify_basis_theorem(alg).passed
-    crossed_product_census(d, truncation=4, group=alg.group)
+    crossed_product_census(alg.group, truncation=4)
     assert alg.group.census is alg.group.census
     assert id(alg.group) in calls
     assert len(calls) == len(set(calls))
