@@ -7,7 +7,6 @@ Grammar (UTF-8, '#' comments, commas between pairs optional):
     options { truncation=16, max_dim=1000000 }
     induce { p=["alpha1"], delta="steinberg", lambda_re=[0,0], extended=true }
     findim { kind="group" }
-    catalog = "entries.cat"
 
 Unknown keys are rejected; diagnostics carry line and column.  A gamma block
 names a generator of Gamma; `weyl.GammaGroup` closes them, "e" is reserved.
@@ -196,34 +195,19 @@ _FINDIM_KEYS = {"kind", "size"}
 
 
 class RunConfig:
-    """A validated config, built by `load_config`."""
+    """A validated config, built by `load_config` from `source_text`: the
+    datum block (`datum_type`, `ambient`, `k_values`, `gram`), the `gammas`,
+    the options and the induce and findim blocks, defaulted as `DEFAULTS`."""
 
-    __slots__ = ("datum_type", "ambient", "k_values", "gram", "gammas",
-                 "truncation", "max_dim", "n_max", "catalog_path",
-                 "induce_block", "findim_kind", "findim_size", "source_text")
+    DEFAULTS = {"gram": None, "truncation": 16, "max_dim": 10 ** 6,
+                "n_max": 2, "induce_block": None, "findim_kind": "group",
+                "findim_size": 2}
+    __slots__ = ("datum_type", "ambient", "k_values", "gammas", "source_text",
+                 *DEFAULTS)
 
-    def __init__(self, datum_type: str, ambient: int,
-                 k_values: Dict[str, Fraction],
-                 gram: Optional[List[List[Fraction]]],
-                 gammas: List[Tuple[str, List[List[Fraction]]]],
-                 truncation: int = 16, max_dim: int = 10 ** 6, n_max: int = 2,
-                 catalog_path: Optional[str] = None,
-                 induce_block: Optional[Dict[str, Any]] = None,
-                 findim_kind: str = "group", findim_size: int = 2,
-                 source_text: str = ""):
-        self.datum_type = datum_type
-        self.ambient = ambient
-        self.k_values = k_values
-        self.gram = gram
-        self.gammas = gammas
-        self.truncation = truncation
-        self.max_dim = max_dim
-        self.n_max = n_max
-        self.catalog_path = catalog_path
-        self.induce_block = induce_block
-        self.findim_kind = findim_kind
-        self.findim_size = findim_size
-        self.source_text = source_text
+    def __init__(self, **fields: Any):
+        for name, value in {**self.DEFAULTS, **fields}.items():
+            setattr(self, name, value)
 
     def build_datum(self) -> RootDatum:
         from .rootdata import build_root_datum
@@ -354,17 +338,12 @@ def load_config(text: str) -> RunConfig:
             if "size" in payload:
                 cfg_kwargs["findim_size"] = integer("findim size",
                                                     payload["size"], 1)
-        elif name == "catalog":
-            if not isinstance(payload, str):
-                raise ConfigError("catalog must be a path string")
-            cfg_kwargs["catalog_path"] = payload
         else:
             raise ConfigError(f"unknown top-level block {name!r}")
     if datum_block is None:
         raise ConfigError("config needs a datum block")
     if "type" not in datum_block or "ambient" not in datum_block:
         raise ConfigError("datum block needs type and ambient")
-    kvals: Dict[str, Fraction] = {}
     kraw = datum_block.get("k", {})
     if isinstance(kraw, Fraction):
         kvals = {"all": kraw}
@@ -372,13 +351,12 @@ def load_config(text: str) -> RunConfig:
         kvals = {key: number(f"k value {key}", v) for key, v in kraw.items()}
     else:
         raise ConfigError("datum k must be a number or a map")
-    gram = None
     if "gram" in datum_block:
-        gram = matrix("datum gram", datum_block["gram"])
+        cfg_kwargs["gram"] = matrix("datum gram", datum_block["gram"])
     return RunConfig(datum_type=str(datum_block["type"]),
                      ambient=integer("datum ambient", datum_block["ambient"]),
-                     k_values=kvals, gram=gram, gammas=gammas,
-                     source_text=text, **cfg_kwargs)
+                     k_values=kvals, gammas=gammas, source_text=text,
+                     **cfg_kwargs)
 
 
 def apply_k_override(cfg: RunConfig, override: str) -> None:

@@ -132,7 +132,7 @@ def check_size_bound(dim: int, n_max: int, bound: int, cyclic=False) -> None:
     """Reject a run to degree n_max whose largest boundary matrix,
     A^{(x)power} to A^{(x)(power-1)}, has more than bound entries: b_{n_max+1}
     or, in a cyclic run's identity check, b_{min(3, n_max+2)}."""
-    power = max(n_max, min(2, n_max + 1) if cyclic else 0) + 2
+    power = max(0, n_max, min(2, n_max + 1) if cyclic else 0) + 2
     if dim ** (2 * power - 1) > bound:
         raise SizeBoundExceeded(
             f"boundary matrix of {dim}**{power - 1} x {dim}**{power} "
@@ -236,10 +236,13 @@ def verify_mixed_identities(algebra: FinDimAlgebra, n: int,
     """Check b b = 0 and b B + B b = 0 from degree n exactly: the composites
     b_{n-1} b_n (for n >= 2) and b_{n+1} B_n + B_{n-1} b_n of the sparse
     boundaries must be zero matrices, on every basis tensor at once.
-    `b` may hold some of b_{n-1}, b_n and b_{n+1} already built, by degree."""
+    `b` may hold some of b_{n-1}, b_n and b_{n+1} already built, by degree.
+    b_0 = 0 is one zero row: degree 0 checks b_1 B_0 = 0; n < 0 is refused."""
+    if n < 0:
+        raise HomologyError(f"the identities start at degree 0, not {n}")
     b = b or {}
     b_nm1, b_n, b_np1 = ((b[m] if m in b else hochschild_boundary(
-        algebra, m)) if m else None for m in (n - 1, n, n + 1))
+        algebra, m)) if m > 0 else ((),) for m in (n - 1, n, n + 1))
     if n >= 2 and any(mat_mul(b_nm1, b_n)):
         raise HomologyError("b o b != 0")
     if any(mat_comb(((1, mat_mul(b_np1, connes_boundary(algebra, n))),
@@ -254,7 +257,7 @@ def cyclic_homology(algebra: FinDimAlgebra, n_max: int,
     the identity check and the ranks share the b_m."""
     check_size_bound(algebra.dim, n_max, bound, cyclic=True)
     b = {m: hochschild_boundary(algebra, m) for m in range(1, n_max + 2)}
-    verify_mixed_identities(algebra, min(2, n_max + 1), b=b)
+    verify_mixed_identities(algebra, max(0, min(2, n_max + 1)), b=b)
     ranks = [0] + [rank(_mixed_total_boundary(algebra, n, b))
                    for n in range(1, n_max + 2)]
     return [sum(algebra.dim ** (n + 1 - 2 * j) for j in range(n // 2 + 1))

@@ -364,29 +364,46 @@ def test_cli_cache_tracks_catalog_contents_and_version(tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_cli_cache_tracks_the_source_digest(tmp_path, monkeypatch):
+KEY_CASES = {"run": 1, "source": 2, "config": 2, "catalog": 2,
+             "truncation": 2, "max-dim": 2, "k-override": 2}
+
+
+@pytest.mark.parametrize("case, entries", KEY_CASES.items(), ids=KEY_CASES)
+def test_cli_cache_key_is_the_inputs_as_given(tmp_path, monkeypatch, case,
+                                              entries):
+    # the key reads the code and each input as given, so each change below
+    # recomputes, though none changes the report: verify-basis ignores
+    # truncation and max_dim, k is already 1, and the edits are comments
     import gradedhecke.cli as cli_mod
     import gradedhecke.homology as homology_mod
     cfg = write(tmp_path, "a.cfg", A1_CFG)
-    argv = ["crossed-census", "--config", cfg, "--out", str(tmp_path / "out")]
+    cat = write(tmp_path, "c.cat", A1_CATALOG)
+    out = tmp_path / "out"
+    argv = ["verify-basis", "--config", cfg, "--out", str(out),
+            "--catalog", cat]
     calls = []
-    census = homology_mod.crossed_product_census
+    theorem = homology_mod.verify_basis_theorem
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return census(*args, **kwargs)
+        return theorem(*args, **kwargs)
 
-    monkeypatch.setattr(homology_mod, "crossed_product_census", counting)
+    monkeypatch.setattr(homology_mod, "verify_basis_theorem", counting)
     assert main(argv) == 0 and len(calls) == 1
-    report = (tmp_path / "out" / "crossed-census.json").read_bytes()
-    # unchanged code: a hit
-    assert main(argv) == 0 and len(calls) == 1
-    # changed code, same version and inputs: a miss that recomputes
-    monkeypatch.setattr(cli_mod, "_source_digest", lambda: "0" * 64)
-    assert main(argv) == 0 and len(calls) == 2
-    assert (tmp_path / "out" / "crossed-census.json").read_bytes() == report
-    assert len(list((tmp_path / "out" / ".cache").iterdir())) == 2
-
+    report = (out / "verify-basis.json").read_bytes()
+    if case == "run":  # a library call on the same text: main's entry
+        assert run("verify-basis", load_config(A1_CFG), str(out), cat) == 0
+    elif case == "source":  # changed code, same version and inputs
+        monkeypatch.setattr(cli_mod, "_source_digest", lambda: "0" * 16)
+    elif case in ("config", "catalog"):
+        path = Path(cfg if case == "config" else cat)
+        path.write_text(path.read_text("utf-8") + "# edited\n", "utf-8")
+    else:
+        argv += [f"--{case}", "1"]
+    for _ in range(2):  # a miss that recomputes once, then unchanged: a hit
+        assert main(argv) == 0 and len(calls) == entries
+    assert (out / "verify-basis.json").read_bytes() == report
+    assert len(list((out / ".cache").iterdir())) == entries
 
 
 def test_source_digest_follows_the_package_bytes(tmp_path, monkeypatch):
@@ -598,22 +615,23 @@ def _ours(loaded):
     return [m for m in loaded if m.split(".")[0] == "gradedhecke"]
 
 
-# `dataclasses` imports `inspect`, `ast`, `dis` and `tokenize`; no run pays
-# for them
-UNUSED_STDLIB = {"dataclasses", "inspect"}
+# `dataclasses` imports `inspect`, `ast`, `dis` and `tokenize`, and
+# `hashlib` loads OpenSSL; no run pays for them
+UNUSED_STDLIB = {"dataclasses", "inspect", "hashlib"}
 
 
 def test_cli_cache_hit_loads_no_engine(tmp_path):
+    # the key is a SipHash of the inputs as given, so a hit parses nothing:
+    # no config module and no `fractions`
     cfg = write(tmp_path, "a.cfg", A1_CFG)
     out = tmp_path / "out"
     argv = ["verify-basis", "--config", cfg, "--out", str(out)]
-    _modules_loaded_by(argv)
+    assert "hashlib" not in _modules_loaded_by(argv)
     cold = (out / "verify-basis.json").read_bytes()
     (out / "verify-basis.json").unlink()
     loaded = _modules_loaded_by(argv)
-    assert _ours(loaded) == ["gradedhecke", "gradedhecke.cli",
-                             "gradedhecke.config"]
-    assert not UNUSED_STDLIB & set(loaded)
+    assert _ours(loaded) == ["gradedhecke", "gradedhecke.cli"]
+    assert not (UNUSED_STDLIB | {"fractions"}) & set(loaded)
     assert (out / "verify-basis.json").read_bytes() == cold
 
 
@@ -685,11 +703,13 @@ def test_cli_unequal_k_on_conjugate_roots_is_one_error_line(tmp_path, capsys):
      f"unknown root system label {label!r}: expected 'empty' or parts such "
      "as 'B2' joined by single 'x'")
     for label in ("A0", "A00", "A01", "A1x", "xA1", "A1xxA1", "")
-] + [('datum { type="B1", ambient=2, k=1 }', "B_n needs n >= 2")],
+] + [('datum { type="B1", ambient=2, k=1 }', "B_n needs n >= 2"),
+       # --catalog is the one way to name a catalog: the key reads its text
+       (A1_CFG + 'catalog = "x.cat"', "unknown top-level block 'catalog'")],
     ids=["a2-unequal-k", "swap-unequal-k", "gamma-not-orthogonal",
          "gamma-labels-repeat", "unknown-k-key", "label-A0", "label-A00",
          "label-A01", "label-A1x", "label-xA1", "label-A1xxA1",
-         "label-empty-string", "label-B1"])
+         "label-empty-string", "label-B1", "catalog-entry"])
 def test_cli_bad_config_is_the_same_error_line_for_every_build(
         tmp_path, capsys, text, message):
     # group and crossed-census build only W', verify-basis builds H' on it:
@@ -777,9 +797,10 @@ def test_cli_commands_match_handlers_and_readme():
     import re
 
     import gradedhecke.cli as cli_mod
+    import gradedhecke.reports as reports_mod
     readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
     listed = re.search(r"^Commands: (.*?)\.$", readme, re.M | re.S).group(1)
-    assert set(cli_mod.COMMANDS) == set(cli_mod._HANDLERS) == \
+    assert set(cli_mod.COMMANDS) == set(reports_mod._HANDLERS) == \
         set(re.findall(r"`([a-z0-9-]+)`", listed))
 
 

@@ -87,6 +87,21 @@ def test_mixed_identities_exact():
         verify_mixed_identities(a, 2)
 
 
+@pytest.mark.parametrize("a", [FinDimAlgebra.matrix_algebra(2),
+                               cyclic_group_algebra(2)],
+                         ids=["M2(Q)", "Q[C2]"])
+def test_low_degrees_of_the_mixed_identities(a):
+    # below degree 0 there is nothing to count, as in hochschild_homology;
+    # b_0 = 0, so degree 0 checks b_1 B_0 = 0 alone, and a corrupt b_1 shows
+    assert cyclic_homology(a, -1) == hochschild_homology(a, -1) == []
+    verify_mixed_identities(a, 0)
+    b1 = hochschild_boundary(a, 1)
+    with pytest.raises(HomologyError, match=r"^b B \+ B b != 0$"):
+        verify_mixed_identities(a, 0, b={1: _bump(b1, 0, 0)})
+    with pytest.raises(HomologyError, match="start at degree 0, not -1"):
+        verify_mixed_identities(a, -1)
+
+
 def test_b_squared_zero():
     a = cyclic_group_algebra(3)
     rng = random.Random(3)
